@@ -19,7 +19,6 @@
 #include <map>
 #include <string>
 
-#include "core/cluster.h"
 #include "core/experiments.h"
 #include "firmware/programs.h"
 #include "fuzz/corpus.h"
@@ -61,8 +60,6 @@ usage() {
     std::fprintf(stderr,
                  "usage: rosebud_cli <experiment> [--key value]...\n"
                  "global simulation-speed flags (any experiment):\n"
-                 "  --parallel-ticks N   tick components on N threads (results are\n"
-                 "                       fingerprint-identical to the serial schedule)\n"
                  "  --no-idle-skip       disable quiescence skipping\n"
                  "  --no-predecode       disable the RV32 decoded-instruction cache\n"
                  "experiments:\n"
@@ -74,15 +71,6 @@ usage() {
                  "  broadcast  --rpus N\n"
                  "  reconfig   --rpus N --loads N\n"
                  "  resources  --rpus N\n"
-                 "  cluster    --boards N --rpus N --shards N --ports 1|2\n"
-                 "             --size N --load F --cycles N --seed N\n"
-                 "             (multi-board cluster sweep: each board is an\n"
-                 "              independent shard group fed by a flow-consistent\n"
-                 "              ECMP front end over modeled 100G links, run\n"
-                 "              time-decoupled over its certified ShardPlan;\n"
-                 "              every board is fingerprint-gated against a\n"
-                 "              single-board serial run of the same flow subset;\n"
-                 "              exits 1 on any divergence)\n"
                  "  oracle     --pipeline forwarder|firewall|ids-hw|ids-sw|nat\n"
                  "             --policy rr|hash|ll --rpus N --seed N --packets N\n"
                  "             --size N --attack F --reorder F\n"
@@ -233,7 +221,6 @@ main(int argc, char** argv) {
     exp::SimTuning tuning;
     tuning.idle_skip = !args.has("no-idle-skip");
     tuning.predecode = !args.has("no-predecode");
-    tuning.parallel_ticks = args.u32("parallel-ticks", 0);
     exp::set_sim_tuning(tuning);
     auto host_t0 = std::chrono::steady_clock::now();
 
@@ -671,45 +658,6 @@ main(int argc, char** argv) {
             fail = !r.slo_ok || r.watchdog_tripped;
         }
         if (fail) return 1;
-    } else if (args.experiment == "cluster") {
-        exp::ClusterParams p;
-        p.boards = args.u32("boards", 2);
-        p.rpu_count = args.u32("rpus", 16);
-        p.decouple_shards = args.u32("shards", 4);
-        p.ports = args.u32("ports", 2);
-        p.packet_size = args.u32("size", 256);
-        p.load = args.f64("load", 0.005);
-        p.seed = args.u32("seed", 1);
-        p.window = args.u32("cycles", 60'000);
-        p.exec = sim::ShardSpec::Exec::kCoop;
-        auto r = exp::run_cluster(p);
-
-        std::printf("cluster: %u board(s), %u RPUs/board, %u shards/board, "
-                    "%u port(s) x %uB @ load %.3f\n",
-                    p.boards, p.rpu_count, p.decouple_shards, p.ports,
-                    p.packet_size, p.load);
-        std::printf("  board  frames      Gbps  host_s  ref_s  link_util  "
-                    "link_worst  fingerprint\n");
-        for (size_t b = 0; b < r.boards.size(); ++b) {
-            const auto& br = r.boards[b];
-            std::printf("  %5zu %7llu %9.3f %7.2f %6.2f %9.4f %11llu  %s\n", b,
-                        (unsigned long long)br.frames, br.gbps, br.host_s,
-                        br.reference_host_s, br.link_utilization,
-                        (unsigned long long)br.link_worst_latency,
-                        br.fingerprint_match ? "match" : "MISMATCH");
-        }
-        std::printf("  aggregate %.3f Gbps, sharder imbalance %.3f, "
-                    "decoupled %s\n",
-                    r.aggregate_gbps, r.sharder_imbalance,
-                    r.decoupled_active ? "active" : "INACTIVE");
-        std::printf("  host time: serial %.2f s, cluster %.2f s -> "
-                    "speedup %.2fx\n",
-                    r.serial_host_s, r.cluster_host_s, r.speedup);
-        if (!r.fingerprints_match) {
-            std::printf("FAIL: per-board fingerprint diverged from the "
-                        "single-board reference\n");
-            return 1;
-        }
     } else if (args.experiment == "resources") {
         SystemConfig cfg;
         cfg.rpu_count = args.u32("rpus", 16);
@@ -726,20 +674,16 @@ main(int argc, char** argv) {
     // (static analyses — verify, lint, resources — print nothing extra).
     static const char* kTimed[] = {"forward",  "latency",   "ips",    "firewall",
                                    "loopback", "broadcast", "reconfig", "oracle",
-                                   "profile",  "health",    "cluster"};
+                                   "profile",  "health"};
     for (const char* name : kTimed) {
         if (args.experiment != name) continue;
         double host_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - host_t0)
                             .count();
-        std::printf("[host] %s: %.2f s host time (predecode=%s, idle-skip=%s, "
-                    "ticks=%s)\n",
+        std::printf("[host] %s: %.2f s host time (predecode=%s, idle-skip=%s)\n",
                     args.experiment.c_str(), host_s,
                     tuning.predecode ? "on" : "off",
-                    tuning.idle_skip ? "on" : "off",
-                    tuning.parallel_ticks > 1
-                        ? std::to_string(tuning.parallel_ticks).c_str()
-                        : "serial");
+                    tuning.idle_skip ? "on" : "off");
         break;
     }
     return 0;

@@ -24,21 +24,11 @@ namespace rosebud::exp {
 
 /// Simulation-speed knobs applied to every run_* harness below. These change
 /// only host time, never simulated results: predecoded dispatch and idle
-/// skipping are exact, and the parallel executor is fingerprint-identical to
-/// the serial schedule (tests/test_sim_kernel.cc proves all three).
+/// skipping are exact (tests/test_sim_kernel.cc and tests/test_rv_core.cc
+/// prove both).
 struct SimTuning {
     bool predecode = true;      ///< rv::Core decoded-instruction cache
     bool idle_skip = true;      ///< kernel quiescence skipping
-    unsigned parallel_ticks = 0;  ///< >1 = thread-pool tick executor
-    /// Benchmarking only: restore the pre-fast-path per-cycle commit and
-    /// scan regime (sim::Kernel::set_commit_compat) as the A/B reference.
-    bool commit_compat = false;
-    /// >1 = time-decoupled execution over the certified N-way ShardPlan
-    /// (System::set_decouple_shards; DESIGN.md §16). Supersedes
-    /// parallel_ticks at the top level; shard_workers recovers intra-DUT-
-    /// shard tick parallelism (0 = auto).
-    unsigned shards = 0;
-    unsigned shard_workers = 0;
 };
 
 /// Install process-wide tuning for subsequent run_* calls (the bench

@@ -260,9 +260,8 @@ System::shard_plan(unsigned shards) const {
 // --- time-decoupled execution (DESIGN.md §16) --------------------------------
 
 void
-System::set_decouple_shards(unsigned shards, unsigned workers) {
+System::set_decouple_shards(unsigned shards) {
     decouple_request_ = shards;
-    decouple_workers_ = workers;
     decouple_failed_ = false;
     if (shards <= 1) {
         // The null plan: one shard IS the barrier kernel, bit-identical to
@@ -423,12 +422,6 @@ System::try_install_decoupled() {
     if (!any_channel) return reject("no mac_rx data cut in the plan");
 
     spec.primary = unsigned(fabric_exec);
-    unsigned workers = decouple_workers_;
-    if (workers == 0) {
-        unsigned hw = std::thread::hardware_concurrency();
-        workers = hw > 8 ? 4 : (hw >= 4 ? 2 : 1);
-    }
-    spec.shards[fabric_exec].tick_workers = workers;
     spec.shards[fabric_exec].begin_hook = [this] {
         fabric_->decoupled_begin_run();
     };
@@ -457,8 +450,7 @@ System::try_install_decoupled() {
                 std::to_string(kernel_.components().size()) +
                 " components over " + std::to_string(decouple_request_) +
                 "-way certified plan (" + std::to_string(cut_channels_.size()) +
-                " cut channels, " + std::to_string(workers) +
-                " DUT tick workers)");
+                " cut channels)");
 }
 
 namespace {

@@ -69,8 +69,8 @@ struct SystemConfig {
     /// When non-zero, the pre-cycle-0 gate also runs the shard-cut
     /// certifier (lint::certify_partition) for this shard count and
     /// applies the LintMode policy to an unsound verdict. Plan export
-    /// only — kernel scheduling is unchanged; the time-decoupled kernel
-    /// (ROADMAP item 1) is the consumer of the certified plan.
+    /// only — kernel scheduling is unchanged; set_decouple_shards is what
+    /// executes a certified plan.
     unsigned certify_shards = 0;
 };
 
@@ -136,14 +136,12 @@ class System {
     /// (the runtime consumer of lint::certify_partition). The request is
     /// latent: installation happens at the next run_cycles() once the
     /// netlist includes the traffic sources (certifying during boot would
-    /// see only the DUT atom). `workers` > 1 additionally partitions the
-    /// DUT shard's tick phase over that many threads (the sanctioned
-    /// composition with set_parallel_ticks); 0 picks a default.
+    /// see only the DUT atom). Each shard runs as one serial tick loop.
     /// `shards` <= 1 is the null plan: the barrier kernel, bit-identical
     /// to a serial run by definition. Structural obstacles (an unsound
     /// plan, the hardware reassembler, packet observers, an unsupported
     /// cut net) warn once and fall back to the barrier kernel.
-    void set_decouple_shards(unsigned shards, unsigned workers = 0);
+    void set_decouple_shards(unsigned shards);
 
     /// How decoupled shards map onto host threads (kAuto = one thread per
     /// shard on a multi-core host, cooperative interleaving on a single
@@ -225,7 +223,6 @@ class System {
     void try_install_decoupled();
     void detach_cut_channels();
     unsigned decouple_request_ = 0;
-    unsigned decouple_workers_ = 0;
     sim::ShardSpec::Exec decouple_exec_ = sim::ShardSpec::Exec::kAuto;
     bool decouple_installed_ = false;
     bool decouple_failed_ = false;

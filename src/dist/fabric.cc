@@ -17,7 +17,6 @@ Fabric::Fabric(sim::Kernel& kernel, sim::Stats& stats, const FabricConfig& confi
                lb::LoadBalancer& lb, std::vector<rpu::Rpu*> rpus)
     : sim::Component(kernel, "fabric"),
       config_(config),
-      stats_(stats),
       lb_(lb),
       rpus_(std::move(rpus)),
       rpus_per_cluster_((config.rpu_count + config.clusters - 1) / config.clusters),
@@ -147,17 +146,8 @@ Fabric::mac_rx(unsigned port, net::PacketPtr pkt) {
     // Host-phase arrivals mutate sleeper-visible queues: settle the skipped
     // window first. (Tick-phase arrivals are staged; wake() accounts them.)
     if (!in_tick) flush_skipped();
-    if (kernel().commit_compat()) {
-        // Seed parity: the pre-fast-path code looked these counters up by a
-        // freshly built string key on every frame (same at the other
-        // per-packet counter sites below and in Rpu/TrafficSink).
-        std::string pn = "port" + std::to_string(port);
-        stats_.counter(pn + ".rx_frames").add();
-        stats_.counter(pn + ".rx_bytes").add(pkt->size());
-    } else {
-        ctr_rx_frames_[port]->add();
-        ctr_rx_bytes_[port]->add(pkt->size());
-    }
+    ctr_rx_frames_[port]->add();
+    ctr_rx_bytes_[port]->add(pkt->size());
     pkt->in_iface = net::Iface(port);
 
     // The hardware reassembler (when configured into the LB) sits before
@@ -192,7 +182,7 @@ Fabric::mac_rx(unsigned port, net::PacketPtr pkt) {
         }
     }
     if (admitted) {
-        commit_dirty_.store(true, std::memory_order_relaxed);
+        commit_dirty_ = true;
         wake();
     }
     return all_ok;
@@ -220,7 +210,7 @@ Fabric::host_inject(net::PacketPtr pkt) {
         src.admit_count = src.queue.size();
     }
     ctr_host_tx_frames_->add();
-    commit_dirty_.store(true, std::memory_order_relaxed);
+    commit_dirty_ = true;
     wake();
     return true;
 }
@@ -241,7 +231,7 @@ Fabric::rpu_egress(uint8_t rpu, net::PacketPtr pkt) {
         trace("rpu_egress", *pkt);
         tel(enet, sim::TelemetrySink::NetEvent::kPushOk);
         egress_staged_[rpu].push_back({std::move(pkt), now() + 1});
-        commit_dirty_.store(true, std::memory_order_relaxed);
+        commit_dirty_ = true;
         wake();
         return true;
     }
@@ -257,7 +247,7 @@ Fabric::rpu_egress(uint8_t rpu, net::PacketPtr pkt) {
     unsigned dd = unsigned(q.back().pkt->out_iface);
     if (dd < kSourceCount) ++egress_pkts_dest_[dd];
     egress_committed_[rpu] = q.size();
-    commit_dirty_.store(true, std::memory_order_relaxed);
+    commit_dirty_ = true;
     wake();
     return true;
 }
@@ -293,12 +283,11 @@ Fabric::commit() {
     // Every path that stages a packet or mutates a committed queue (pop,
     // push, loopback re-entry) raises commit_dirty_; on untouched cycles
     // both integration loops below are identity refreshes and are skipped.
-    if (!commit_dirty_.load(std::memory_order_relaxed) &&
-        !kernel().commit_compat()) {
+    if (!commit_dirty_) {
         if (kernel().telemetry()) report_occupancies();
         return;
     }
-    commit_dirty_.store(false, std::memory_order_relaxed);
+    commit_dirty_ = false;
     for (unsigned s = 0; s < kSourceCount; ++s) {
         IngressSource& src = sources_[s];
         if (!src.staged.empty()) {
@@ -414,10 +403,9 @@ Fabric::set_host_sink(SinkFn fn) {
 
 void
 Fabric::tick() {
-    const bool compat = kernel().commit_compat();
     for (unsigned s = 0; s < kSourceCount; ++s) {
         const IngressSource& src = sources_[s];
-        if (!compat && src.issue_cd == 0 && !src.active && !src.stalled &&
+        if (src.issue_cd == 0 && !src.active && !src.stalled &&
             src.queue.empty()) {
             continue;
         }
@@ -491,7 +479,7 @@ Fabric::tick_ingress_source(unsigned s) {
     }
     src.queue.pop_front();
     src.queue_bytes -= head->size();
-    commit_dirty_.store(true, std::memory_order_relaxed);
+    commit_dirty_ = true;
     if (kernel().telemetry())
         tel(source_net(s), sim::TelemetrySink::NetEvent::kPop);
     src.active = head;
@@ -517,10 +505,9 @@ Fabric::tick_ingress_source(unsigned s) {
 
 void
 Fabric::tick_rpu_links() {
-    const bool compat = kernel().commit_compat();
-    if (voq_pkts_ == 0 && !compat) return;
+    if (voq_pkts_ == 0) return;
     for (unsigned r = 0; r < config_.rpu_count; ++r) {
-        if (voq_pkts_rpu_[r] == 0 && !compat) continue;
+        if (voq_pkts_rpu_[r] == 0) continue;
         rpu::Rpu* rpu = rpus_[r];
         if (!rpu->rx_ready()) continue;
         for (unsigned i = 0; i < kSourceCount; ++i) {
@@ -544,8 +531,7 @@ Fabric::tick_rpu_links() {
 
 void
 Fabric::tick_egress() {
-    const bool compat = kernel().commit_compat();
-    if (egress_pkts_ == 0 && !compat) {
+    if (egress_pkts_ == 0) {
         bool busy = false;
         for (const EgressDest& d : egress_)
             if (d.active || d.done) { busy = true; break; }
@@ -555,7 +541,7 @@ Fabric::tick_egress() {
         EgressDest& dest = egress_[d];
         // Nothing queued for this destination and its serializer is idle:
         // the per-RPU scan below cannot pick anything, skip it.
-        if (!compat && !dest.active && !dest.done && egress_pkts_dest_[d] == 0)
+        if (!dest.active && !dest.done && egress_pkts_dest_[d] == 0)
             continue;
 
         // Retry a cut-through handoff that found no downstream space.
@@ -581,7 +567,7 @@ Fabric::tick_egress() {
             q.pop_front();
             --egress_pkts_;
             --egress_pkts_dest_[d];
-            commit_dirty_.store(true, std::memory_order_relaxed);
+            commit_dirty_ = true;
             if (kernel().telemetry()) {
                 tel("fabric.egress.r" + std::to_string(r),
                     sim::TelemetrySink::NetEvent::kPop);
@@ -647,7 +633,7 @@ Fabric::tick_loopback() {
         IngressSource& lp = sources_[kSrcLoopback];
         lp.queue_bytes += loopback_.active->size();
         lp.queue.push_back(loopback_.active);
-        commit_dirty_.store(true, std::memory_order_relaxed);
+        commit_dirty_ = true;
         trace("loopback_reenter", *loopback_.active);
         ctr_loopback_frames_->add();
         ctr_loopback_bytes_->add(loopback_.active->size());
@@ -657,21 +643,14 @@ Fabric::tick_loopback() {
 
 void
 Fabric::tick_mac_tx() {
-    const bool compat = kernel().commit_compat();
     for (unsigned port = 0; port < 2; ++port) {
         MacTx& mac = mac_tx_[port];
-        if (!compat && !mac.active && mac.fifo.empty()) continue;
+        if (!mac.active && mac.fifo.empty()) continue;
         if (mac.active) {
             if (mac.cycles_left > 0) --mac.cycles_left;
             if (mac.cycles_left > 0) continue;
-            if (compat) {
-                std::string pn = "port" + std::to_string(port);
-                stats_.counter(pn + ".tx_frames").add();
-                stats_.counter(pn + ".tx_bytes").add(mac.active->size());
-            } else {
-                ctr_tx_frames_[port]->add();
-                ctr_tx_bytes_[port]->add(mac.active->size());
-            }
+            ctr_tx_frames_[port]->add();
+            ctr_tx_bytes_[port]->add(mac.active->size());
             trace("mac_tx", *mac.active);
             if (mac.sink) mac.sink(mac.active);
             mac.active.reset();

@@ -22,7 +22,6 @@
 #ifndef ROSEBUD_DIST_FABRIC_H
 #define ROSEBUD_DIST_FABRIC_H
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -216,7 +215,6 @@ class Fabric : public sim::Component {
     void declare_netlist(sim::Kernel& kernel);
 
     FabricConfig config_;
-    sim::Stats& stats_;
     lb::LoadBalancer& lb_;
     std::vector<rpu::Rpu*> rpus_;
     unsigned rpus_per_cluster_;
@@ -244,9 +242,8 @@ class Fabric : public sim::Component {
     size_t egress_pkts_ = 0;  ///< total packets across egress queues
     uint32_t egress_pkts_dest_[kSourceCount] = {0, 0, 0, 0};  ///< per destination
     /// Set by any queue mutation whose effect commit() must integrate or
-    /// re-snapshot; atomic because producers (traffic sources, RPU TX
-    /// engines) may run on pool threads under the parallel executor.
-    std::atomic<bool> commit_dirty_{false};
+    /// re-snapshot.
+    bool commit_dirty_ = false;
 
     std::vector<std::deque<TimedPkt>> egress_queues_;  ///< per RPU
     EgressDest egress_[kSourceCount];                  ///< per destination

@@ -149,7 +149,6 @@ TrafficSource::cut_push(const net::PacketPtr& p) {
 
 TrafficSink::TrafficSink(sim::Kernel& kernel, sim::Stats& stats, std::string name)
     : kernel_(kernel),
-      stats_(stats),
       name_(std::move(name)),
       ctr_frames_(&stats.counter(name_ + ".frames")),
       ctr_bytes_(&stats.counter(name_ + ".bytes")) {}
@@ -161,13 +160,8 @@ TrafficSink::deliver(const net::PacketPtr& pkt) {
     ++window_frames_;
     window_bytes_ += pkt->size();
     latency_.add(kernel_.now_ns() - pkt->tx_ns);
-    if (kernel_.commit_compat()) {
-        stats_.counter(name_ + ".frames").add();
-        stats_.counter(name_ + ".bytes").add(pkt->size());
-    } else {
-        ctr_frames_->add();
-        ctr_bytes_->add(pkt->size());
-    }
+    ctr_frames_->add();
+    ctr_bytes_->add(pkt->size());
 }
 
 void

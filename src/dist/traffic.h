@@ -131,7 +131,6 @@ class TrafficSink {
 
  private:
     sim::Kernel& kernel_;
-    sim::Stats& stats_;
     std::string name_;
     sim::Counter* ctr_frames_;
     sim::Counter* ctr_bytes_;

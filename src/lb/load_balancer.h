@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -167,14 +166,9 @@ class LoadBalancer {
     sim::Counter* ctr_reasm_overflow_;
     sim::Counter* ctr_reasm_stale_;
 
-    /// Serializes tick-phase staging (RPU control callbacks) and the
-    /// reassembler flow table (mac_rx runs from multiple traffic sources
-    /// under the parallel tick executor). The staged vectors are applied
-    /// in a sorted, arrival-order-independent order at the clock edge, so
-    /// the lock only guards memory, not determinism.
-    mutable std::mutex mu_;
-
-    // Control-channel traffic staged during the tick phase.
+    // Control-channel traffic staged during the tick phase. Applied at the
+    // clock edge in sorted order, so the result depends on the staged set,
+    // never on tick order (shuffled schedules rely on this).
     std::vector<std::pair<uint8_t, rpu::SlotConfig>> staged_configs_;
     std::vector<std::pair<uint8_t, uint8_t>> staged_frees_;     ///< (rpu, slot)
     std::vector<std::pair<uint8_t, uint8_t>> staged_requests_;  ///< (requester, dst)

@@ -1,8 +1,8 @@
 /// \file
 /// Static shard-cut certifier over the elaboration netlist.
 ///
-/// ROADMAP item 1 (multi-board cluster simulation behind a time-decoupled
-/// kernel) needs cut edges with *provably* nonzero forwarding latency: a
+/// The time-decoupled kernel (sim/shard.h, DESIGN.md §16) needs cut edges
+/// with *provably* nonzero forwarding latency: a
 /// conservative parallel scheduler may only advance a shard's local clock
 /// by the minimum latency of its incoming cut edges (the FireSim
 /// latency-bounded-channel argument). This pass derives those bounds from

@@ -7,11 +7,11 @@
 ///
 /// The cost contract, and why this is NOT a TelemetrySink:
 ///
-///  * Attaching a sim::TelemetrySink disables quiescence skipping and the
-///    parallel tick executor (every skipped cycle would be a hole in the
-///    trace). The health layer instead uses three cheap seams that leave
-///    both optimizations on: System packet observers (fire only when a
-///    packet actually moves), the sim::HealthProbe end-of-cycle hook (one
+///  * Attaching a sim::TelemetrySink disables quiescence skipping (every
+///    skipped cycle would be a hole in the trace). The health layer
+///    instead uses three cheap seams that leave it on: System packet
+///    observers (fire only when a packet actually moves), the
+///    sim::HealthProbe end-of-cycle hook (one
 ///    pointer compare per *stepped* cycle; fast-forwarded cycles are proof
 ///    of system-wide idleness and are deliberately unobserved), and the
 ///    kernel's occupancy-probe registry (pull-based backlog census, read
@@ -174,8 +174,8 @@ class HealthMonitor : public sim::HealthProbe {
     HealthMonitor& operator=(const HealthMonitor&) = delete;
 
     /// Install the packet observer, the per-cycle health probe, the host
-    /// reconfig observer, and the host metrics provider. Idle-skip and the
-    /// parallel executor stay enabled.
+    /// reconfig observer, and the host metrics provider. Idle skipping
+    /// stays enabled.
     void attach(System& sys);
 
     /// Close the final partial epoch and remove every hook.

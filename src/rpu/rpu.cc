@@ -137,7 +137,6 @@ Rpu::boot() {
     rx_next_remaining_ = 0;
     rx_next_gap_ = 0;
     rx_pending_.reset();
-    rx_pending_flag_.store(false, std::memory_order_relaxed);
     bcast_pending_.clear();
     tx_cur_.reset();
     tx_out_.reset();
@@ -174,7 +173,7 @@ Rpu::raise_evict() {
 bool
 Rpu::rx_ready() const {
     if (!kernel().in_tick()) return rx_remaining_ == 0 && rx_gap_ == 0;
-    if (rx_pending_flag_.load(std::memory_order_relaxed)) return false;
+    if (rx_pending_) return false;
     // Post-tick lookahead: replay this cycle's RX-engine transition on the
     // committed state, so the answer is the same whether or not this RPU
     // has already ticked.
@@ -193,7 +192,6 @@ Rpu::begin_rx(net::PacketPtr pkt) {
     if (!rx_ready()) sim::panic(name() + ": begin_rx while busy");
     if (kernel().in_tick()) {
         rx_pending_ = std::move(pkt);  // transfer starts at this commit
-        rx_pending_flag_.store(true, std::memory_order_relaxed);
         wake();  // staged input: a sleeping RPU resumes next cycle
         return;
     }
@@ -256,13 +254,8 @@ Rpu::finish_rx() {
         sim::panic(name() + ": rx descriptor fifo overflow");
     }
     trace("rpu_rx_complete", *pkt);
-    if (kernel().commit_compat()) {
-        stats_.counter(stat("rx_packets")).add();
-        stats_.counter(stat("rx_bytes")).add(pkt->size());
-    } else {
-        ctr_rx_packets_->add();
-        ctr_rx_bytes_->add(pkt->size());
-    }
+    ctr_rx_packets_->add();
+    ctr_rx_bytes_->add(pkt->size());
 }
 
 bool
@@ -272,7 +265,7 @@ Rpu::inputs_frozen() const {
     // time-driven events, no accelerator (which may act spontaneously).
     return !accel_ && timer_cmp_ == 0 &&
            !rx_pkt_ && rx_remaining_ == 0 && rx_gap_ == 0 &&
-           !rx_pending_flag_.load(std::memory_order_relaxed) &&
+           !rx_pending_ &&
            !tx_cur_ && !tx_out_ && tx_fifo_.size() == 0 &&
            rx_fifo_.size() == 0 && bcast_notify_.size() == 0 &&
            bcast_pending_.empty() && !slot_resp_ &&
@@ -351,10 +344,7 @@ void
 Rpu::commit() {
     rx_remaining_ = rx_next_remaining_;
     rx_gap_ = rx_next_gap_;
-    if (rx_pending_flag_.load(std::memory_order_relaxed)) {
-        rx_pending_flag_.store(false, std::memory_order_relaxed);
-        apply_begin_rx(std::move(rx_pending_));
-    }
+    if (rx_pending_) apply_begin_rx(std::move(rx_pending_));
     for (const auto& [offset, value] : bcast_pending_) {
         std::memcpy(&bcast_mem_[offset], &value, 4);
     }
@@ -367,20 +357,13 @@ Rpu::tick_tx() {
     if (tx_out_) {
         if (egress_ && egress_(tx_out_)) {
             uint8_t slot = tx_cur_->desc.slot;
-            if (kernel().commit_compat()) {
-                stats_.counter(stat("tx_packets")).add();
-                stats_.counter(stat("tx_bytes")).add(tx_out_->size());
-            } else {
-                ctr_tx_packets_->add();
-                ctr_tx_bytes_->add(tx_out_->size());
-            }
+            ctr_tx_packets_->add();
+            ctr_tx_bytes_->add(tx_out_->size());
             tx_out_.reset();
             tx_cur_.reset();
             slot_pkts_[slot].reset();
             --occupancy_;
             if (slot_free_) slot_free_(config_.id, slot);
-        } else if (kernel().commit_compat()) {
-            stats_.counter(stat("tx_stall_cycles")).add();
         } else {
             ctr_tx_stall_cycles_->add();
         }

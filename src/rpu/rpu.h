@@ -22,7 +22,6 @@
 #ifndef ROSEBUD_RPU_RPU_H
 #define ROSEBUD_RPU_RPU_H
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -261,12 +260,6 @@ class Rpu : public sim::Component {
     uint32_t rx_next_remaining_ = 0;  ///< staged by tick()
     uint32_t rx_next_gap_ = 0;        ///< staged by tick()
     net::PacketPtr rx_pending_;       ///< begin_rx staged during a tick
-    /// Mirrors rx_pending_'s occupancy for cross-thread observers: under
-    /// parallel ticks the fabric stages begin_rx from another worker while
-    /// this RPU's tick polls inputs_frozen(). The pointer itself is only
-    /// touched across the tick/commit barrier (which orders it); the flag
-    /// carries the same-cycle occupancy answer race-free.
-    std::atomic<bool> rx_pending_flag_{false};
     uint32_t occupancy_ = 0;
 
     // TX engine.

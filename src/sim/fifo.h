@@ -146,8 +146,7 @@ class Fifo : public Clocked {
     void commit() override {
         // Early-out when the cycle neither popped nor pushed: commit runs
         // for every FIFO every cycle, so idle FIFOs must cost one branch.
-        // (commit_compat forces the full deque work for benchmarking.)
-        if (popped_ != 0 || !staged_.empty() || kernel_.commit_compat()) {
+        if (popped_ != 0 || !staged_.empty()) {
             stable_.erase(stable_.begin(), stable_.begin() + long(popped_));
             popped_ = 0;
             for (auto& v : staged_) stable_.push_back(std::move(v));

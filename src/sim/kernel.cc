@@ -1,6 +1,7 @@
 #include "sim/kernel.h"
 
 #include <algorithm>
+#include <thread>
 #include <unordered_map>
 
 #include "sim/log.h"
@@ -36,7 +37,6 @@ struct Kernel::ShardRun {
     std::vector<CutChannelBase*> in_channels;
     std::function<void()> begin_hook;
     std::function<void(Cycle)> end_hook;
-    unsigned tick_workers = 0;
     bool commits_always_clocked = false;
 
     // Runner-private cursors (touched only by the thread currently
@@ -44,27 +44,16 @@ struct Kernel::ShardRun {
     Cycle cur = 0;  ///< next local cycle to execute
     Cycle end = 0;  ///< run bound (exclusive)
 
-    // Cumulative progress accounting (runner-private; read after a run).
-    uint64_t stat_executed = 0;       ///< cycles run through tick+commit
-    uint64_t stat_skipped = 0;        ///< cycles collapsed by time-skips
-    uint64_t stat_skip_jumps = 0;     ///< number of time-skip jumps
-
     /// Heuristic: only attempt the time-skip computation after a cycle
     /// whose tick phase ran no component (a busy shard would waste a full
     /// component scan per cycle discovering skip == 0).
     bool try_skip = true;
 
     std::atomic<Cycle> done{0};
-    std::atomic<Cycle> local_now{0};
-    std::atomic<uint8_t> local_phase{0};  // Kernel::Phase
+    // Read only through t_shard_, i.e. by the thread advancing this shard.
+    Cycle local_now = 0;
+    Phase local_phase = Phase::kIdle;
     std::vector<Clocked*> commit_queue;
-    std::mutex commit_mu;
-
-    // Intra-shard tick helper pool handshake (thread mode only).
-    std::atomic<uint64_t> tick_gen{0};
-    std::atomic<unsigned> tick_done{0};
-    std::atomic<bool> helpers_stop{false};
-    bool helpers_active = false;
 };
 
 thread_local Kernel::ShardRun* Kernel::t_shard_ = nullptr;
@@ -76,7 +65,7 @@ Component::Component(Kernel& kernel, std::string name)
 
 Kernel::Kernel() = default;
 
-Kernel::~Kernel() { stop_pool(); }
+Kernel::~Kernel() = default;
 
 void
 Kernel::note_wake(Component& c) {
@@ -87,13 +76,14 @@ Kernel::note_wake(Component& c) {
         // A wake during the tick (or, defensively, commit) phase defers
         // the first scheduled tick to the next cycle: the sleeper could
         // not have observed the producer's staged output anyway, and
-        // deferring keeps every schedule (serial, shuffled, parallel)
-        // bit-identical regardless of whether the sleeper's partition
-        // slot had already been passed. The skipped window — *including*
-        // the current cycle — is accounted right here, while committed
-        // state is still exactly what the sleeper would have observed
-        // live (the producer's effect is only staged); its commit() still
-        // runs this cycle, integrating any state the producer handed over.
+        // deferring keeps every schedule (serial, shuffled, decoupled)
+        // bit-identical regardless of whether the sleeper's slot in the
+        // tick order had already been passed. The skipped window —
+        // *including* the current cycle — is accounted right here, while
+        // committed state is still exactly what the sleeper would have
+        // observed live (the producer's effect is only staged); its
+        // commit() still runs this cycle, integrating any state the
+        // producer handed over.
         const Cycle t = now();
         if (c.unaccounted_) {
             Cycle skipped = t + 1 - c.sleep_since_;
@@ -101,12 +91,12 @@ Kernel::note_wake(Component& c) {
             c.sleep_since_ = t + 1;
             c.unaccounted_ = false;
         }
-        c.wake_at_.store(t + 1, std::memory_order_relaxed);
+        c.wake_at_ = t + 1;
     } else {
         // Host-phase wake: the component ticks this coming cycle; its
         // accounting is flushed by the tick loop (host mutators that
         // change sleeper-visible state call flush_skipped() first).
-        c.wake_at_.store(now(), std::memory_order_relaxed);
+        c.wake_at_ = now();
     }
     awake_count_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -123,7 +113,7 @@ Kernel::flush_wake_accounting(Component* c) {
     c->sleep_since_ = t;
     // A component flushed while still asleep (host-boundary sync) keeps
     // accumulating from here; a woken one is fully accounted.
-    c->unaccounted_ = !c->awake_.load(std::memory_order_relaxed);
+    c->unaccounted_ = !c->awake_;
 }
 
 void
@@ -137,8 +127,9 @@ Kernel::sync_sleepers() {
 void
 Kernel::wake_all() {
     for (Component* c : components_) {
-        if (!c->awake_.exchange(true, std::memory_order_relaxed)) {
-            c->wake_at_.store(now_, std::memory_order_relaxed);
+        if (!c->awake_) {
+            c->awake_ = true;
+            c->wake_at_ = now_;
             awake_count_.fetch_add(1, std::memory_order_relaxed);
         }
         flush_wake_accounting(c);
@@ -154,11 +145,11 @@ Kernel::set_idle_skip(bool on) {
 void
 Kernel::sleep_sweep() {
     for (Component* c : components_) {
-        if (!c->awake_.load(std::memory_order_relaxed)) continue;
+        if (!c->awake_) continue;
         // Just-woken components get one tick before they may sleep again.
-        if (c->wake_at_.load(std::memory_order_relaxed) >= now_) continue;
+        if (c->wake_at_ >= now_) continue;
         if (!c->quiescent()) continue;
-        c->awake_.store(false, std::memory_order_relaxed);
+        c->awake_ = false;
         awake_count_.fetch_sub(1, std::memory_order_relaxed);
         if (!c->unaccounted_) {
             c->sleep_since_ = now_;  // now_ is already the next cycle here
@@ -206,60 +197,6 @@ Kernel::wake_list(const std::string& net) const {
 }
 
 void
-Kernel::tick_partition(unsigned part, unsigned nparts) {
-    const Cycle now = now_;
-    for (size_t i = part; i < components_.size(); i += nparts) {
-        Component* c = components_[i];
-        if (!c->awake_.load(std::memory_order_relaxed)) continue;
-        if (c->wake_at_.load(std::memory_order_relaxed) > now) continue;
-        flush_wake_accounting(c);
-        c->tick();
-    }
-}
-
-void
-Kernel::stop_pool() {
-    if (workers_.empty()) return;
-    {
-        std::lock_guard<std::mutex> lock(pool_mu_);
-        pool_stop_ = true;
-    }
-    pool_start_cv_.notify_all();
-    for (std::thread& t : workers_) t.join();
-    workers_.clear();
-    pool_stop_ = false;
-}
-
-void
-Kernel::set_parallel_ticks(unsigned n) {
-    if (n == parallel_ticks_) return;
-    stop_pool();
-    parallel_ticks_ = n;
-    if (n <= 1) return;
-    workers_.reserve(n - 1);
-    for (unsigned w = 1; w < n; ++w) {
-        workers_.emplace_back([this, w, n] {
-            uint64_t seen = 0;
-            for (;;) {
-                {
-                    std::unique_lock<std::mutex> lock(pool_mu_);
-                    pool_start_cv_.wait(
-                        lock, [&] { return pool_stop_ || pool_gen_ != seen; });
-                    if (pool_stop_) return;
-                    seen = pool_gen_;
-                }
-                tick_partition(w, n);
-                {
-                    std::lock_guard<std::mutex> lock(pool_mu_);
-                    --pool_pending_;
-                }
-                pool_done_cv_.notify_one();
-            }
-        });
-    }
-}
-
-void
 Kernel::step() {
     if (!prestep_done_) {
         prestep_done_ = true;
@@ -269,53 +206,33 @@ Kernel::step() {
     if (skipping && !wake_map_built_) build_wake_map();
 
     phase_ = Phase::kTick;
-    if (parallel_effective() && !workers_.empty()) {
-        // active_ stays null: parallel ticking implies race_check_ off, so
-        // nothing consults the actor. The pool handshake's mutex gives the
-        // needed happens-before edges in both directions.
-        const unsigned nparts = unsigned(workers_.size()) + 1;
-        {
-            std::lock_guard<std::mutex> lock(pool_mu_);
-            ++pool_gen_;
-            pool_pending_ = nparts - 1;
-        }
-        pool_start_cv_.notify_all();
-        tick_partition(0, nparts);
-        {
-            std::unique_lock<std::mutex> lock(pool_mu_);
-            pool_done_cv_.wait(lock, [&] { return pool_pending_ == 0; });
-        }
-    } else {
-        for (Component* c : components_) {
-            if (!c->awake_.load(std::memory_order_relaxed)) continue;
-            if (c->wake_at_.load(std::memory_order_relaxed) > now_) continue;
-            // Set the actor before flushing: on_wake() may replay component
-            // ticks that touch the component's own FIFOs.
-            active_ = c;
-            flush_wake_accounting(c);
-            c->tick();
-        }
-        active_ = nullptr;
+    for (Component* c : components_) {
+        if (!c->awake_) continue;
+        if (c->wake_at_ > now_) continue;
+        // Set the actor before flushing: on_wake() may replay component
+        // ticks that touch the component's own FIFOs.
+        active_ = c;
+        flush_wake_accounting(c);
+        c->tick();
     }
+    active_ = nullptr;
 
     phase_ = Phase::kCommit;
     for (Component* c : components_) {
         // Commits run for every awake component — including ones woken
         // mid-tick whose first tick is next cycle: their staged input
         // (e.g. an RPU's rx_pending_) must be integrated this edge.
-        if (!c->awake_.load(std::memory_order_relaxed)) continue;
+        if (!c->awake_) continue;
         active_ = c;
         c->commit();
     }
     active_ = nullptr;
     for (Clocked* c : clocked_) c->commit();
-    if (telemetry_ || commit_compat_) {
+    if (telemetry_) {
         // Telemetry needs per-cycle occupancy from every primitive, so the
-        // lazy set is swept in (deterministic) registration order. The
-        // baseline-compat benchmark mode sweeps for cost parity with the
-        // pre-fast-path kernel.
+        // lazy set is swept in (deterministic) registration order.
         for (Clocked* c : lazy_clocked_) {
-            c->commit_queued_.store(false, std::memory_order_relaxed);
+            c->commit_queued_ = false;
             c->commit();
         }
         commit_queue_.clear();
@@ -324,7 +241,7 @@ Kernel::step() {
         // input into one of its FIFOs) may append while we drain.
         for (size_t i = 0; i < commit_queue_.size(); ++i) {
             Clocked* c = commit_queue_[i];
-            c->commit_queued_.store(false, std::memory_order_relaxed);
+            c->commit_queued_ = false;
             c->commit();
         }
         commit_queue_.clear();
@@ -387,7 +304,6 @@ Kernel::set_shard_spec(ShardSpec spec) {
         sr->in_channels = sh.in_channels;
         sr->begin_hook = sh.begin_hook;
         sr->end_hook = sh.end_hook;
-        sr->tick_workers = sh.tick_workers;
         sr->commits_always_clocked = (s == spec_->primary);
         for (Component* c : sr->comps)
             if (c->decoupled_gated_) sr->gated.push_back(c);
@@ -405,7 +321,7 @@ Kernel::clear_shard_spec() {
 bool
 Kernel::decoupled_effective() const {
     return spec_ != nullptr && !race_check_ && telemetry_ == nullptr &&
-           health_probe_ == nullptr && !commit_compat_;
+           health_probe_ == nullptr;
 }
 
 void
@@ -414,31 +330,23 @@ Kernel::decoupled_request_commit(Clocked* c) {
     if (sr == nullptr) {
         // Defensive: a host thread staging during a decoupled run has no
         // shard identity; park the element on the global queue, which the
-        // next barrier step drains.
-        std::lock_guard<std::mutex> lock(commit_queue_mu_);
+        // next barrier step drains. (Shard workers never touch that queue.)
         commit_queue_.push_back(c);
         return;
     }
-    if (sr->helpers_active &&
-        sr->local_phase.load(std::memory_order_relaxed) ==
-            uint8_t(Phase::kTick)) {
-        std::lock_guard<std::mutex> lock(sr->commit_mu);
-        sr->commit_queue.push_back(c);
-    } else {
-        sr->commit_queue.push_back(c);
-    }
+    sr->commit_queue.push_back(c);
 }
 
 Cycle
 Kernel::decoupled_now() const {
     const ShardRun* sr = t_shard_;
-    return sr ? sr->local_now.load(std::memory_order_relaxed) : now_;
+    return sr ? sr->local_now : now_;
 }
 
 Kernel::Phase
 Kernel::decoupled_phase() const {
     const ShardRun* sr = t_shard_;
-    return sr ? Phase(sr->local_phase.load(std::memory_order_relaxed)) : phase_;
+    return sr ? sr->local_phase : phase_;
 }
 
 const std::atomic<Cycle>*
@@ -447,24 +355,15 @@ Kernel::shard_done_ptr(unsigned shard) const {
     return &shard_runs_[shard]->done;
 }
 
-std::vector<Kernel::ShardProgress>
-Kernel::decoupled_progress() const {
-    std::vector<ShardProgress> out;
-    out.reserve(shard_runs_.size());
-    for (const auto& sr : shard_runs_)
-        out.push_back({sr->stat_executed, sr->stat_skipped, sr->stat_skip_jumps});
-    return out;
-}
-
 /// Put to sleep every quiescent component of `sr` (the shard-local twin
 /// of sleep_sweep; `next` is the shard's next local cycle).
 void
 Kernel::shard_sleep_sweep(ShardRun& sr, Cycle next) {
     for (Component* c : sr.comps) {
-        if (!c->awake_.load(std::memory_order_relaxed)) continue;
-        if (c->wake_at_.load(std::memory_order_relaxed) >= next) continue;
+        if (!c->awake_) continue;
+        if (c->wake_at_ >= next) continue;
         if (!c->quiescent()) continue;
-        c->awake_.store(false, std::memory_order_relaxed);
+        c->awake_ = false;
         awake_count_.fetch_sub(1, std::memory_order_relaxed);
         if (!c->unaccounted_) {
             c->sleep_since_ = next;
@@ -515,8 +414,7 @@ Kernel::advance_shard(ShardRun& sr, Cycle budget) {
         }
         if (!blocked) {
             for (Component* c : sr.gated) {
-                if (c->awake_.load(std::memory_order_relaxed) &&
-                    !c->decoupled_runnable(t)) {
+                if (c->awake_ && !c->decoupled_runnable(t)) {
                     blocked = true;
                     break;
                 }
@@ -534,8 +432,8 @@ Kernel::advance_shard(ShardRun& sr, Cycle budget) {
         if (skip > budget) skip = budget;
         for (Component* c : sr.comps) {
             if (skip == 0) break;
-            if (!c->awake_.load(std::memory_order_relaxed)) continue;
-            const Cycle wa = c->wake_at_.load(std::memory_order_relaxed);
+            if (!c->awake_) continue;
+            const Cycle wa = c->wake_at_;
             const Cycle la =
                 wa > t ? wa - t
                        : (c->decoupled_gated_ ? c->decoupled_lookahead() : 0);
@@ -572,81 +470,54 @@ Kernel::advance_shard(ShardRun& sr, Cycle budget) {
         }
         if (skip > 0) {
             for (Component* c : sr.comps) {
-                if (!c->awake_.load(std::memory_order_relaxed)) continue;
-                if (c->wake_at_.load(std::memory_order_relaxed) > t) continue;
+                if (!c->awake_) continue;
+                if (c->wake_at_ > t) continue;
                 if (c->decoupled_gated_) c->decoupled_advance(skip);
             }
             sr.cur = t + skip;
-            sr.local_now.store(sr.cur, std::memory_order_relaxed);
+            sr.local_now = sr.cur;
             sr.done.store(sr.cur, std::memory_order_release);
             budget -= skip;
-            sr.stat_skipped += skip;
-            ++sr.stat_skip_jumps;
             progress = true;
             continue;
         }
 
         // Full cycle.
         bool ticked_any = false;
-        sr.local_now.store(t, std::memory_order_relaxed);
-        sr.local_phase.store(uint8_t(Phase::kTick), std::memory_order_release);
-        if (sr.helpers_active) {
-            ticked_any = true;  // helpers don't report; assume busy
-            const unsigned nw = sr.tick_workers;
-            sr.tick_done.store(0, std::memory_order_relaxed);
-            sr.tick_gen.fetch_add(1, std::memory_order_release);
-            for (size_t i = 0; i < sr.comps.size(); i += nw) {
-                Component* c = sr.comps[i];
-                if (!c->awake_.load(std::memory_order_relaxed)) continue;
-                if (c->wake_at_.load(std::memory_order_relaxed) > t) continue;
-                flush_wake_accounting(c);
-                c->tick();
-            }
-            int spins = 0;
-            while (sr.tick_done.load(std::memory_order_acquire) != nw - 1) {
-                if (++spins >= 256) {
-                    std::this_thread::yield();
-                    spins = 0;
-                } else {
-                    cpu_pause();
-                }
-            }
-        } else {
-            for (Component* c : sr.comps) {
-                if (!c->awake_.load(std::memory_order_relaxed)) continue;
-                if (c->wake_at_.load(std::memory_order_relaxed) > t) continue;
-                flush_wake_accounting(c);
-                c->tick();
-                ticked_any = true;
-            }
+        sr.local_now = t;
+        sr.local_phase = Phase::kTick;
+        for (Component* c : sr.comps) {
+            if (!c->awake_) continue;
+            if (c->wake_at_ > t) continue;
+            flush_wake_accounting(c);
+            c->tick();
+            ticked_any = true;
         }
         sr.try_skip = !ticked_any;
-        sr.local_phase.store(uint8_t(Phase::kCommit), std::memory_order_relaxed);
+        sr.local_phase = Phase::kCommit;
         for (Component* c : sr.comps) {
             // Commits run for every awake component — including ones woken
             // mid-tick whose first tick is next cycle: their staged input
             // (e.g. an RPU's rx_pending_) must be integrated this edge.
-            if (!c->awake_.load(std::memory_order_relaxed)) continue;
+            if (!c->awake_) continue;
             c->commit();
         }
         if (sr.commits_always_clocked)
             for (Clocked* c : clocked_) c->commit();
-        // Index loop, same thread: commits above may append to the queue
-        // (local_phase is kCommit, so requests take the lock-free path).
+        // Index loop: commits above may append to the queue.
         for (size_t i = 0; i < sr.commit_queue.size(); ++i) {
             Clocked* c = sr.commit_queue[i];
-            c->commit_queued_.store(false, std::memory_order_relaxed);
+            c->commit_queued_ = false;
             c->commit();
         }
         sr.commit_queue.clear();
-        sr.local_phase.store(uint8_t(Phase::kIdle), std::memory_order_relaxed);
+        sr.local_phase = Phase::kIdle;
         // The up-front end_wait gate guaranteed every producer finished T,
         // so the end hook can integrate all same-cycle channel pushes.
         if (sr.end_hook) sr.end_hook(t);
         sr.done.store(t + 1, std::memory_order_release);
         sr.cur = t + 1;
         --budget;
-        ++sr.stat_executed;
         progress = true;
         if (idle_skip_ && ((t + 1) & 3) == 0) shard_sleep_sweep(sr, t + 1);
     }
@@ -659,50 +530,6 @@ Kernel::advance_shard(ShardRun& sr, Cycle budget) {
 void
 Kernel::run_shard_threaded(ShardRun& sr) {
     t_shard_ = &sr;
-    const unsigned nw = sr.tick_workers > 1 ? sr.tick_workers : 1;
-    std::vector<std::thread> helpers;
-    helpers.reserve(nw - 1);
-    if (nw > 1) {
-        // Intra-shard tick helpers: the parallel tick executor scoped to
-        // this shard's component slice (legal for the same reason as
-        // set_parallel_ticks — ticks only read committed state).
-        sr.helpers_stop.store(false, std::memory_order_relaxed);
-        sr.helpers_active = true;
-        for (unsigned w = 1; w < nw; ++w) {
-            helpers.emplace_back([this, &sr, w, nw] {
-                t_shard_ = &sr;
-                uint64_t seen = 0;
-                for (;;) {
-                    int spins = 0;
-                    while (sr.tick_gen.load(std::memory_order_acquire) ==
-                           seen) {
-                        if (sr.helpers_stop.load(std::memory_order_acquire))
-                            return;
-                        if (++spins >= 256) {
-                            std::this_thread::yield();
-                            spins = 0;
-                        } else {
-                            cpu_pause();
-                        }
-                    }
-                    seen = sr.tick_gen.load(std::memory_order_acquire);
-                    const Cycle t =
-                        sr.local_now.load(std::memory_order_relaxed);
-                    for (size_t i = w; i < sr.comps.size(); i += nw) {
-                        Component* c = sr.comps[i];
-                        if (!c->awake_.load(std::memory_order_relaxed))
-                            continue;
-                        if (c->wake_at_.load(std::memory_order_relaxed) > t)
-                            continue;
-                        flush_wake_accounting(c);
-                        c->tick();
-                    }
-                    sr.tick_done.fetch_add(1, std::memory_order_release);
-                }
-            });
-        }
-    }
-
     int spins = 0;
     while (sr.cur < sr.end) {
         if (advance_shard(sr, 4096)) {
@@ -715,12 +542,6 @@ Kernel::run_shard_threaded(ShardRun& sr) {
         } else {
             cpu_pause();
         }
-    }
-
-    if (nw > 1) {
-        sr.helpers_stop.store(true, std::memory_order_release);
-        for (std::thread& h : helpers) h.join();
-        sr.helpers_active = false;
     }
     t_shard_ = nullptr;
 }
@@ -745,8 +566,8 @@ Kernel::run_decoupled(Cycle cycles) {
         sr->cur = start;
         sr->end = end;
         sr->done.store(start, std::memory_order_relaxed);
-        sr->local_now.store(start, std::memory_order_relaxed);
-        sr->local_phase.store(uint8_t(Phase::kIdle), std::memory_order_relaxed);
+        sr->local_now = start;
+        sr->local_phase = Phase::kIdle;
         sr->commit_queue.clear();
         sr->try_skip = true;
         if (sr->begin_hook) sr->begin_hook();

@@ -31,26 +31,19 @@
 ///    one step. Skipping is exact by construction and is automatically
 ///    disabled while a TelemetrySink is attached (per-cycle event streams
 ///    must see every cycle).
-///  * **Parallel tick execution** — `set_parallel_ticks(N)` partitions the
-///    tick phase across a small persistent thread pool; commits stay
-///    serial. Legal because the race detector enforces that ticks only
-///    read registered (committed) state, so tick order — and therefore
-///    tick concurrency — cannot be observed. Automatically falls back to
-///    serial while race checking is enabled (the detector needs a single
-///    attributable actor) or a TelemetrySink is attached (deterministic
-///    event order).
+///  * **Time-decoupled shards** — `set_shard_spec` runs each shard of a
+///    certified plan under its own local clock (DESIGN.md §16). Every
+///    shard is one serial tick loop; the barrier kernel is the one-shard
+///    case.
 
 #ifndef ROSEBUD_SIM_KERNEL_H
 #define ROSEBUD_SIM_KERNEL_H
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -89,7 +82,7 @@ class Clocked {
     friend class Kernel;
     /// Set while this element sits in the kernel's lazy-commit queue
     /// (see Kernel::add_clocked / request_commit).
-    std::atomic<bool> commit_queued_{false};
+    bool commit_queued_ = false;
 };
 
 class Kernel;
@@ -183,17 +176,18 @@ class Component : public Clocked {
     /// The default keeps the component permanently active.
     virtual bool quiescent() const { return false; }
 
-    /// Re-activate this component. Idempotent and thread safe (callable
-    /// from a concurrent tick partition). A wake issued during the tick
-    /// phase takes effect on the *next* cycle — registered semantics: the
-    /// sleeper could not have observed the producer's staged output this
-    /// cycle anyway — which keeps serial, shuffled, and parallel schedules
+    /// Re-activate this component. Idempotent. A wake issued during the
+    /// tick phase takes effect on the *next* cycle — registered semantics:
+    /// the sleeper could not have observed the producer's staged output
+    /// this cycle anyway — which keeps serial and shuffled schedules
     /// bit-identical. Its commit() still runs this cycle, so staged input
     /// handed over by a direct call (e.g. begin_rx) is integrated on time.
+    /// Only the thread that ticks this component may wake it (during a
+    /// decoupled run, its own shard's worker).
     void wake();
 
     /// False while the kernel has this component in the skipped set.
-    bool awake() const { return awake_.load(std::memory_order_relaxed); }
+    bool awake() const { return awake_; }
 
     /// Hierarchical instance name, e.g. "dut.rpu3.interconnect".
     const std::string& name() const { return name_; }
@@ -205,8 +199,8 @@ class Component : public Clocked {
     /// Current simulation time, for convenience in subclasses.
     Cycle now() const;
 
-    /// Called (from the owning tick partition or a host-boundary sync)
-    /// with the number of consecutive tick() calls that were skipped while
+    /// Called (from the owning tick loop or a host-boundary sync) with
+    /// the number of consecutive tick() calls that were skipped while
     /// asleep, before the next tick runs. Override to keep purely
     /// time-derived internal state (e.g. a halted core's cycle CSR) exact.
     virtual void on_wake(Cycle skipped_cycles) { (void)skipped_cycles; }
@@ -256,8 +250,8 @@ class Component : public Clocked {
     Kernel& kernel_;
     std::string name_;
 
-    std::atomic<bool> awake_{true};
-    std::atomic<Cycle> wake_at_{0};  ///< first cycle allowed to tick again
+    bool awake_ = true;
+    Cycle wake_at_ = 0;              ///< first cycle allowed to tick again
     Cycle sleep_since_ = 0;          ///< first skipped cycle (if unaccounted_)
     bool unaccounted_ = false;       ///< skipped cycles not yet reported
 };
@@ -295,22 +289,17 @@ class Kernel {
     }
 
     /// Queue a lazy clocked element for this cycle's clock edge. Idempotent
-    /// per cycle; thread safe (tick partitions may race to queue distinct
-    /// elements — the per-element flag makes the queue duplicate-free and
+    /// per cycle: the per-element flag makes the queue duplicate-free, and
     /// fifo/reg commits are mutually independent, so queue order is
-    /// unobservable).
+    /// unobservable.
     void request_commit(Clocked* c) {
-        if (c->commit_queued_.exchange(true, std::memory_order_relaxed)) return;
+        if (c->commit_queued_) return;
+        c->commit_queued_ = true;
         if (decoupled_live_.load(std::memory_order_relaxed)) {
             decoupled_request_commit(c);
             return;
         }
-        if (phase_ == Phase::kTick && parallel_effective()) {
-            std::lock_guard<std::mutex> lock(commit_queue_mu_);
-            commit_queue_.push_back(c);
-        } else {
-            commit_queue_.push_back(c);
-        }
+        commit_queue_.push_back(c);
     }
 
     /// Advance the simulation by exactly one clock cycle.
@@ -377,8 +366,7 @@ class Kernel {
     bool in_tick() const { return phase() == Phase::kTick; }
 
     /// The component whose tick()/commit() is currently running (null
-    /// between steps, i.e. for host/test code, and null during a parallel
-    /// tick phase — which only happens with race checking off).
+    /// between steps, i.e. for host/test code).
     const Component* active_component() const { return active_; }
 
     /// Enable/disable the dynamic same-cycle race checks in Fifo/Reg.
@@ -393,8 +381,8 @@ class Kernel {
     /// must detach (or outlive the kernel) before it dies. Events flow from
     /// the registered primitives and instrumented components; end_cycle
     /// fires once per step after all commits. Attaching a sink disables
-    /// idle skipping and parallel ticking (both accessors below report the
-    /// effective state) so per-cycle accounting stays exact and event
+    /// idle skipping and decoupled execution (the accessors below report
+    /// the effective state) so per-cycle accounting stays exact and event
     /// order deterministic.
     void set_telemetry(TelemetrySink* sink) {
         if (sink) wake_all();
@@ -407,8 +395,8 @@ class Kernel {
     /// Attach/detach the always-on health heartbeat (obs::HealthMonitor).
     /// Null (the default) costs one pointer compare per stepped cycle.
     /// Deliberately does NOT wake anything and does NOT disable idle
-    /// skipping or parallel ticking — the probe contract (sim/telemetry.h)
-    /// tolerates fast-forward gaps, which is what keeps the health layer
+    /// skipping — the probe contract (sim/telemetry.h) tolerates
+    /// fast-forward gaps, which is what keeps the health layer
     /// within its production overhead budget. The caller owns the probe
     /// and must detach (or outlive the kernel) before it dies.
     void set_health_probe(HealthProbe* probe) { health_probe_ = probe; }
@@ -472,20 +460,6 @@ class Kernel {
     /// system fast-forward (diagnostics for bench_simspeed).
     Cycle fast_forwarded_cycles() const { return fast_forwarded_; }
 
-    // --- parallel tick execution ----------------------------------------------
-
-    /// Partition the tick phase over `n` threads (0 or 1 = serial). The
-    /// pool is persistent; commits and the sleep sweep stay serial.
-    void set_parallel_ticks(unsigned n);
-    unsigned parallel_ticks() const { return parallel_ticks_; }
-
-    /// True when the tick phase actually runs partitioned this step: a
-    /// pool is configured and neither the race detector nor a telemetry
-    /// sink demands single-threaded attribution.
-    bool parallel_effective() const {
-        return parallel_ticks_ > 1 && !race_check_ && telemetry_ == nullptr;
-    }
-
     // --- time-decoupled execution (DESIGN.md §16) -----------------------------
 
     /// Install an executable shard specification (derived from a certified
@@ -493,10 +467,9 @@ class Kernel {
     /// path). Every registered component must appear in exactly one shard.
     /// Returns an empty string on success; otherwise a reason and nothing
     /// is installed. While installed and effective, run() executes each
-    /// shard on its own worker thread under a local cycle counter with
-    /// conservative lookahead synchronization; this supersedes
-    /// set_parallel_ticks at the top level (per-shard tick_workers recover
-    /// intra-shard tick parallelism).
+    /// shard as one serial tick loop under a local cycle counter with
+    /// conservative lookahead synchronization, on its own thread or
+    /// interleaved cooperatively on the caller's (ShardSpec::exec).
     std::string set_shard_spec(ShardSpec spec);
 
     /// Drop the installed spec; run() returns to the barrier executor.
@@ -512,8 +485,8 @@ class Kernel {
 
     /// True when the next run() will use the decoupled executor: a spec is
     /// installed and nothing demanding a single global clock is attached
-    /// (the race detector, a telemetry sink, a health probe, and
-    /// commit-compat mode all require the barrier regime).
+    /// (the race detector, a telemetry sink and a health probe all require
+    /// the barrier regime).
     bool decoupled_effective() const;
 
     /// Progress counter ("done" cursor) of an installed shard: the number
@@ -521,29 +494,6 @@ class Kernel {
     /// Stable for the lifetime of the spec — System binds these into the
     /// cut channels so endpoints can reason about peer progress.
     const std::atomic<Cycle>* shard_done_ptr(unsigned shard) const;
-
-    /// Cumulative per-shard execution accounting while decoupled: how many
-    /// local cycles ran through tick+commit vs were collapsed by time-skip
-    /// jumps. Diagnostics only (bench_cluster reports it); empty unless a
-    /// spec is installed. Read between runs, not during one.
-    struct ShardProgress {
-        uint64_t executed = 0;
-        uint64_t skipped = 0;
-        uint64_t jumps = 0;
-    };
-    std::vector<ShardProgress> decoupled_progress() const;
-
-    // --- baseline-compat (A/B benchmarking) -----------------------------------
-
-    /// Emulate the pre-fast-path kernel's per-cycle regime: every clocked
-    /// primitive commits every cycle (no lazy commit queue, no identity
-    /// early-outs) and the datapath components drop their occupancy-count
-    /// scan guards. Results are bit-identical either way — this exists so
-    /// bench_simspeed can measure the fast path against an honest
-    /// reference inside one binary. Off by default; never enable outside
-    /// benchmarking.
-    void set_commit_compat(bool on) { commit_compat_ = on; }
-    bool commit_compat() const { return commit_compat_; }
 
     // --- tick-order shuffling -------------------------------------------------
 
@@ -602,8 +552,6 @@ class Kernel {
     void flush_wake_accounting(Component* c);
     void sleep_sweep();
     void build_wake_map();
-    void tick_partition(unsigned part, unsigned nparts);
-    void stop_pool();
     void decoupled_request_commit(Clocked* c);
     Cycle decoupled_now() const;
     Phase decoupled_phase() const;
@@ -616,7 +564,6 @@ class Kernel {
     std::vector<Clocked*> clocked_;
     std::vector<Clocked*> lazy_clocked_;
     std::vector<Clocked*> commit_queue_;
-    std::mutex commit_queue_mu_;
     Cycle now_ = 0;
 
     Phase phase_ = Phase::kIdle;
@@ -627,7 +574,7 @@ class Kernel {
     std::vector<OccupancyProbe> occupancy_probes_;
 
     bool idle_skip_ = true;
-    bool commit_compat_ = false;
+    /// Shared by every shard's sleep sweep during a decoupled run.
     std::atomic<size_t> awake_count_{0};
     Cycle fast_forwarded_ = 0;
 
@@ -635,22 +582,13 @@ class Kernel {
     uint64_t wake_epoch_ = 0;
     std::unordered_map<std::string, std::vector<Component*>> wake_readers_;
 
-    unsigned parallel_ticks_ = 0;
-    std::vector<std::thread> workers_;
-    std::mutex pool_mu_;
-    std::condition_variable pool_start_cv_;
-    std::condition_variable pool_done_cv_;
-    uint64_t pool_gen_ = 0;
-    unsigned pool_pending_ = 0;
-    bool pool_stop_ = false;
-
     std::unique_ptr<ShardSpec> spec_;
     std::vector<std::unique_ptr<ShardRun>> shard_runs_;
     std::atomic<bool> decoupled_live_{false};
     /// The shard the calling thread executes during a decoupled run (null
     /// on host threads and between runs). Static: shard identity is a
-    /// property of the thread, and one thread never serves two kernels at
-    /// once (each board's kernel runs on its own thread in a cluster).
+    /// property of the thread, and a thread runs at most one shard of one
+    /// kernel at a time (run() returns before the thread serves another).
     static thread_local ShardRun* t_shard_;
 
     std::vector<NetRecord> nets_;
@@ -663,7 +601,9 @@ inline Cycle Component::now() const { return kernel_.now(); }
 
 inline void
 Component::wake() {
-    if (!awake_.exchange(true, std::memory_order_relaxed)) kernel_.note_wake(*this);
+    if (awake_) return;
+    awake_ = true;
+    kernel_.note_wake(*this);
 }
 
 }  // namespace rosebud::sim

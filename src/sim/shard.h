@@ -248,11 +248,6 @@ struct ShardSpec {
         /// (quiescent) cycles never run it — the contract is that it is
         /// the identity when the shard is asleep and its channels quiet.
         std::function<void(Cycle)> end_hook;
-        /// >1 partitions this shard's tick phase over that many threads
-        /// (the sanctioned composition with the parallel tick executor:
-        /// ticks only read committed state, so intra-shard tick order is
-        /// unobservable; commits stay serial per shard). Thread mode only.
-        unsigned tick_workers = 0;
     };
 
     std::vector<Shard> shards;

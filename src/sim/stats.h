@@ -11,10 +11,8 @@
 #define ROSEBUD_SIM_STATS_H
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -22,26 +20,17 @@ namespace rosebud::sim {
 
 /// A monotonically increasing event/byte counter.
 ///
-/// The cell is a relaxed atomic so components ticked on different threads
-/// of the kernel's parallel executor may bump a shared counter (e.g. two
-/// RPUs incrementing the same accelerator counter): the final sum is
-/// schedule-independent because addition commutes. On the serial path a
-/// relaxed fetch_add costs the same as the plain add on x86/ARM hot loops.
+/// Each counter is bumped by the components of one tick loop only: during
+/// a decoupled run every cell belongs to a single shard (a source shard
+/// counts its own port's ingress), and the host reads between runs.
 class Counter {
  public:
-    Counter() = default;
-    Counter(const Counter& o) : value_(o.get()) {}
-    Counter& operator=(const Counter& o) {
-        value_.store(o.get(), std::memory_order_relaxed);
-        return *this;
-    }
-
-    void add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-    uint64_t get() const { return value_.load(std::memory_order_relaxed); }
-    void reset() { value_.store(0, std::memory_order_relaxed); }
+    void add(uint64_t n = 1) { value_ += n; }
+    uint64_t get() const { return value_; }
+    void reset() { value_ = 0; }
 
  private:
-    std::atomic<uint64_t> value_{0};
+    uint64_t value_ = 0;
 };
 
 /// Accumulates a distribution of samples (e.g. per-packet latency in ns).
@@ -92,23 +81,17 @@ class Sampler {
 ///
 /// `counter()`/`sampler()` return node-stable references: components cache
 /// the returned handle at elaboration time and bump it directly on the hot
-/// path (no per-event string building or map walk). The find-or-create
-/// lookup itself is mutex-guarded so a cold-path lookup from a parallel
-/// tick partition (e.g. an accelerator lazily resolving its counters) is
-/// safe; established handles need no lock.
+/// path (no per-event string building or map walk). Cold-path lookups
+/// (e.g. an accelerator resolving a counter on its first event) come only
+/// from the DUT's tick loop; traffic-source shards resolve their handles
+/// before a decoupled run starts.
 class Stats {
  public:
     /// Find-or-create a counter by dotted name.
-    Counter& counter(const std::string& name) {
-        std::lock_guard<std::mutex> lock(mu_);
-        return counters_[name];
-    }
+    Counter& counter(const std::string& name) { return counters_[name]; }
 
     /// Find-or-create a sampler by dotted name.
-    Sampler& sampler(const std::string& name) {
-        std::lock_guard<std::mutex> lock(mu_);
-        return samplers_[name];
-    }
+    Sampler& sampler(const std::string& name) { return samplers_[name]; }
 
     /// Committed counter value, 0 if the counter does not exist.
     uint64_t get(const std::string& name) const;
@@ -127,7 +110,6 @@ class Stats {
     const std::map<std::string, Sampler>& samplers() const { return samplers_; }
 
  private:
-    mutable std::mutex mu_;
     std::map<std::string, Counter> counters_;
     std::map<std::string, Sampler> samplers_;
 };

@@ -19,7 +19,7 @@
 ///
 /// HealthProbe is the *production* counterpart: where a TelemetrySink wants
 /// the complete per-primitive event stream (and therefore disables idle
-/// skipping and parallel ticking), a HealthProbe only needs a periodic
+/// skipping and decoupled execution), a HealthProbe only needs a periodic
 /// heartbeat plus on-demand reads of committed state. Attaching one costs a
 /// single pointer compare per stepped cycle and leaves every kernel fast
 /// path enabled — that is what lets the always-on health layer (obs::
@@ -73,7 +73,7 @@ class TelemetrySink {
 /// `completed` and may treat a gap as proof of system-wide idleness.
 ///
 /// Unlike TelemetrySink, attaching a HealthProbe does not disable idle
-/// skipping or parallel ticking, creates no sim::Stats counters, and must
+/// skipping, creates no sim::Stats counters, and must
 /// not mutate simulation state — the fingerprint-invariance tests hold with
 /// a probe attached.
 class HealthProbe {

@@ -387,11 +387,9 @@ TEST(Quiescence, RegisteredCreditPopWakesBlockedProducer) {
 // same architectural-state fingerprint, bit for bit.
 
 enum class Sched {
-    kSerial,            ///< default: idle skip + race check, serial ticks
-    kNoIdleSkip,        ///< every component ticked every cycle
-    kCommitCompat,      ///< benchmarking reference regime
-    kParallel,          ///< thread-pool tick executor, 2 workers
-    kShuffledParallel,  ///< permuted partition assignment + 2 workers
+    kSerial,      ///< default: idle skip + race check, registration order
+    kNoIdleSkip,  ///< every component ticked every cycle
+    kShuffled,    ///< permuted tick order
 };
 
 uint64_t
@@ -405,15 +403,8 @@ run_sched_fingerprint(Sched s) {
         case Sched::kNoIdleSkip:
             sys.kernel().set_idle_skip(false);
             break;
-        case Sched::kCommitCompat:
-            sys.kernel().set_commit_compat(true);
-            break;
-        case Sched::kShuffledParallel:
+        case Sched::kShuffled:
             sys.kernel().shuffle_tick_order(0x5eedf00d);
-            [[fallthrough]];
-        case Sched::kParallel:
-            sys.kernel().set_race_check(false);
-            sys.kernel().set_parallel_ticks(2);
             break;
     }
 
@@ -435,16 +426,14 @@ run_sched_fingerprint(Sched s) {
     return sys.state_fingerprint();
 }
 
-TEST(ScheduleEquivalence, SerialParallelAndShuffledAreBitIdentical) {
+TEST(ScheduleEquivalence, SerialAndShuffledAreBitIdentical) {
     const uint64_t base = run_sched_fingerprint(Sched::kSerial);
-    EXPECT_EQ(run_sched_fingerprint(Sched::kParallel), base);
-    EXPECT_EQ(run_sched_fingerprint(Sched::kShuffledParallel), base);
+    EXPECT_EQ(run_sched_fingerprint(Sched::kShuffled), base);
 }
 
-TEST(ScheduleEquivalence, IdleSkipAndCommitCompatAreBitIdentical) {
+TEST(ScheduleEquivalence, IdleSkipIsBitIdentical) {
     const uint64_t base = run_sched_fingerprint(Sched::kSerial);
     EXPECT_EQ(run_sched_fingerprint(Sched::kNoIdleSkip), base);
-    EXPECT_EQ(run_sched_fingerprint(Sched::kCommitCompat), base);
 }
 
 TEST(Resources, Arithmetic) {
