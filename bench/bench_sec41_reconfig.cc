@@ -11,6 +11,7 @@
 
 #include "accel/firewall.h"
 #include "bench_common.h"
+#include "core/pipeline.h"
 #include "firmware/programs.h"
 #include "net/rules.h"
 #include "obs/health.h"
@@ -19,12 +20,11 @@ using namespace rosebud;
 
 int
 main() {
-    SystemConfig cfg;
-    cfg.rpu_count = 16;
-    System sys(cfg);
-    auto fw = fwlib::forwarder();
-    sys.host().load_firmware_all(fw.image, fw.entry);
-    sys.host().boot_all();
+    PipelineSpec spec;
+    spec.system.rpu_count = 16;
+    PipelineFixture fx = build_pipeline(spec);
+    System& sys = fx.system();
+    const fwlib::Program& fw = fx.firmware;
     sys.run_cycles(500);
 
     // The no-pause claim, stated as an SLO: while RPUs are being swapped

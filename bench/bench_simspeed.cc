@@ -23,11 +23,9 @@
 #include <memory>
 #include <vector>
 
-#include "accel/firewall.h"
-#include "accel/pigasus.h"
 #include "bench_common.h"
 #include "core/experiments.h"
-#include "firmware/programs.h"
+#include "core/pipeline.h"
 #include "net/tracegen.h"
 #include "obs/health.h"
 
@@ -44,7 +42,7 @@ now_s() {
 
 struct Mode {
     const char* name;
-    exp::SimTuning tuning;
+    SimTuning tuning;
     /// >1: time-decoupled cooperative execution over the certified
     /// ShardPlan with this many shards (System::set_decouple_shards).
     unsigned shards = 0;
@@ -70,7 +68,14 @@ struct RunResult {
     bool decoupled = false;  ///< the decoupled executor actually installed
 };
 
-enum class Pipeline { kForwarder, kFirewall, kPigasus };
+/// The three fixed workloads (8 RPUs, round-robin LB, tables seeded 11).
+struct Workload {
+    const char* name;
+    Pipeline pipeline;
+};
+const Workload kForwarder{"forwarder", Pipeline::kForwarder};
+const Workload kFirewall{"firewall", Pipeline::kFirewall};
+const Workload kPigasus{"pigasus", Pipeline::kPigasusHwReorder};
 
 /// One fixed workload run under explicit tuning; returns host time, the
 /// simulated cycle count, delivered packets, and the state fingerprint.
@@ -79,43 +84,20 @@ enum class Pipeline { kForwarder, kFirewall, kPigasus };
 /// fingerprint is read) — this is how the <=5% production-health overhead
 /// claim is measured.
 RunResult
-run_pipeline(Pipeline which, const Mode& m,
+run_pipeline(const Workload& w, const Mode& m,
              const obs::HealthConfig* health = nullptr,
              uint64_t run_cycles = 60'000) {
     double t0 = now_s();
 
-    SystemConfig cfg;
-    cfg.rpu_count = 8;
-    net::IdsRuleSet rules;
-    net::Blacklist blacklist;
-    sim::Rng rng(11);
-    if (which == Pipeline::kPigasus) {
-        rules = net::IdsRuleSet::synthesize(64, rng);
-        cfg.lb_policy = lb::Policy::kRoundRobin;
-        cfg.hw_reassembler = true;
-    } else if (which == Pipeline::kFirewall) {
-        blacklist = net::Blacklist::synthesize(512, rng);
-    }
-    System sys(cfg);
-
-    sys.kernel().set_idle_skip(m.tuning.idle_skip);
-    for (unsigned i = 0; i < sys.rpu_count(); ++i)
-        sys.rpu(i).core().set_predecode(m.tuning.predecode);
-
-    fwlib::Program fw;
-    if (which == Pipeline::kPigasus) {
-        sys.attach_accelerators(
-            [&] { return std::make_unique<accel::PigasusMatcher>(rules); });
-        fw = fwlib::pigasus_hw_reorder();
-    } else if (which == Pipeline::kFirewall) {
-        sys.attach_accelerators(
-            [&] { return std::make_unique<accel::FirewallMatcher>(blacklist); });
-        fw = fwlib::firewall();
-    } else {
-        fw = fwlib::forwarder();
-    }
-    sys.host().load_firmware_all(fw.image, fw.entry);
-    sys.host().boot_all();
+    PipelineSpec spec;
+    spec.pipeline = w.pipeline;
+    spec.system.hw_reassembler = w.pipeline == Pipeline::kPigasusHwReorder;
+    spec.system.tuning = m.tuning;
+    spec.seed = 11;
+    spec.rule_count = 64;
+    spec.blacklist_count = 512;
+    PipelineFixture fx = build_pipeline(spec);
+    System& sys = fx.system();
     sys.host().set_rx_handler([](net::PacketPtr) {});
     sys.run_cycles(500);
 
@@ -126,13 +108,12 @@ run_pipeline(Pipeline which, const Mode& m,
     }
 
     for (unsigned port = 0; port < 2; ++port) {
-        net::TrafficSpec spec;
-        spec.packet_size = 512;
-        spec.attack_fraction = which == Pipeline::kForwarder ? 0.0 : 0.05;
-        spec.seed = 21 + port;
-        auto gen = std::make_shared<net::TraceGenerator>(
-            spec, which == Pipeline::kPigasus ? &rules : nullptr,
-            which == Pipeline::kFirewall ? &blacklist : nullptr);
+        net::TrafficSpec tspec;
+        tspec.packet_size = 512;
+        tspec.attack_fraction = w.pipeline == Pipeline::kForwarder ? 0.0 : 0.05;
+        tspec.seed = 21 + port;
+        auto gen = std::make_shared<net::TraceGenerator>(tspec, fx.rules.get(),
+                                                         fx.blacklist.get());
         sys.add_source({.port = port, .line_gbps = 100.0, .load = 0.7},
                        [gen]() { return gen->next(); });
     }
@@ -158,15 +139,6 @@ run_pipeline(Pipeline which, const Mode& m,
     return out;
 }
 
-const char*
-pipeline_name(Pipeline p) {
-    switch (p) {
-        case Pipeline::kForwarder: return "forwarder";
-        case Pipeline::kFirewall: return "firewall";
-        default: return "pigasus";
-    }
-}
-
 /// The low-duty forwarding point where time-decoupled execution pays: 16
 /// RPUs, 2x100G of 256 B frames at 0.5% of line rate, so the DUT idles
 /// between packets while the paced sources still tick every cycle. Host
@@ -176,22 +148,20 @@ pipeline_name(Pipeline p) {
 RunResult
 run_lowload(unsigned shards) {
     constexpr sim::Cycle kCycles = 242'000;
-    SystemConfig cfg;
-    cfg.rpu_count = 16;
-    System sys(cfg);
+    PipelineSpec spec;
+    spec.system.rpu_count = 16;
+    PipelineFixture fx = build_pipeline(spec);
+    System& sys = fx.system();
     if (shards > 1) {
         sys.set_decouple_exec(sim::ShardSpec::Exec::kCoop);
         sys.set_decouple_shards(shards);
     }
-    auto fw = fwlib::forwarder();
-    sys.host().load_firmware_all(fw.image, fw.entry);
-    sys.host().boot_all();
     sys.run_cycles(500);
     for (unsigned port = 0; port < 2; ++port) {
-        net::TrafficSpec spec;
-        spec.packet_size = 256;
-        spec.seed = 2654435761u + port;
-        auto gen = std::make_shared<net::TraceGenerator>(spec, nullptr, nullptr);
+        net::TrafficSpec tspec;
+        tspec.packet_size = 256;
+        tspec.seed = 2654435761u + port;
+        auto gen = std::make_shared<net::TraceGenerator>(tspec, nullptr, nullptr);
         sys.add_source({.port = port, .line_gbps = 100.0, .load = 0.005},
                        [gen]() { return gen->next(); });
     }
@@ -212,9 +182,8 @@ run_lowload(unsigned shards) {
 /// under one tuning; all simulated results are returned for cross-mode
 /// equality checking.
 double
-fig7_sweep(const exp::SimTuning& t, std::vector<exp::ForwardingPoint>& points,
+fig7_sweep(const SimTuning& t, std::vector<exp::ForwardingPoint>& points,
            uint64_t& cycles) {
-    exp::set_sim_tuning(t);
     points.clear();
     cycles = 0;
     double host = 0;
@@ -223,8 +192,10 @@ fig7_sweep(const exp::SimTuning& t, std::vector<exp::ForwardingPoint>& points,
         p.rpu_count = 16;
         p.size = size;
         p.ports = 2;
+        p.tuning = t;
+        const double t0 = now_s();
         points.push_back(exp::run_forwarding(p));
-        host += exp::last_run_host_seconds();
+        host += now_s() - t0;
         cycles += 500 + p.warmup + p.window;
     }
     return host;
@@ -240,7 +211,7 @@ main() {
     bench::heading("Simulation speed: fixed workloads, 8 RPUs, 240k cycles");
     std::printf("%-10s %-10s %10s %14s %14s %18s\n", "workload", "mode", "host(s)",
                 "Mcycles/s", "kpkts/s", "fingerprint");
-    for (Pipeline w : {Pipeline::kForwarder, Pipeline::kFirewall, Pipeline::kPigasus}) {
+    for (const Workload& w : {kForwarder, kFirewall, kPigasus}) {
         uint64_t ref_fp = 0;
         double ref_s = 0;
         for (const Mode& m : kModes) {
@@ -260,11 +231,11 @@ main() {
             }
             bool match = r.fingerprint == ref_fp;
             std::printf("%-10s %-10s %10.3f %14.2f %14.1f   0x%016llx%s\n",
-                        pipeline_name(w), m.name, r.host_s,
+                        w.name, m.name, r.host_s,
                         double(r.cycles) / r.host_s / 1e6,
                         double(r.packets) / r.host_s / 1e3,
                         (unsigned long long)r.fingerprint, match ? "" : "  MISMATCH");
-            json.row({{"workload", pipeline_name(w)},
+            json.row({{"workload", w.name},
                       {"mode", m.name},
                       {"host_s", bench::num(r.host_s)},
                       {"cycles", std::to_string(r.cycles)},
@@ -276,7 +247,7 @@ main() {
             if (!match) {
                 std::fprintf(stderr,
                              "FATAL: %s/%s fingerprint diverges from reference\n",
-                             pipeline_name(w), m.name);
+                             w.name, m.name);
                 ++failures;
             }
         }
@@ -293,7 +264,7 @@ main() {
         const uint64_t kOverheadCycles = 480'000;
         std::printf("%-10s %12s %12s %10s %18s\n", "workload", "detached(s)",
                     "attached(s)", "overhead", "fingerprint");
-        for (Pipeline w : {Pipeline::kForwarder, Pipeline::kPigasus}) {
+        for (const Workload& w : {kForwarder, kPigasus}) {
             // Warm caches/allocator before timing anything.
             run_pipeline(w, kTuned, nullptr, kOverheadCycles);
             // Host clocks on shared machines drift (frequency scaling,
@@ -321,10 +292,10 @@ main() {
             double overhead = ratios[ratios.size() / 2] - 1.0;
             bool match = att.fingerprint == det.fingerprint;
             std::printf("%-10s %12.3f %12.3f %+9.1f%%   %s%s\n",
-                        pipeline_name(w), det.host_s, att.host_s,
+                        w.name, det.host_s, att.host_s,
                         overhead * 100.0, match ? "identical" : "MISMATCH",
                         overhead > 0.05 ? "  (over 5% target)" : "");
-            json.row({{"workload", pipeline_name(w)},
+            json.row({{"workload", w.name},
                       {"mode", "tuned+health"},
                       {"host_s", bench::num(att.host_s)},
                       {"detached_s", bench::num(det.host_s)},
@@ -335,7 +306,7 @@ main() {
             if (!match) {
                 std::fprintf(stderr,
                              "FATAL: %s health-attached fingerprint diverges\n",
-                             pipeline_name(w));
+                             w.name);
                 ++failures;
             }
             // Hard-fail only at 2x the target: shared runners jitter a few
@@ -345,7 +316,7 @@ main() {
                 std::fprintf(stderr,
                              "FATAL: %s health overhead %.1f%% exceeds 5%% "
                              "target by more than 2x\n",
-                             pipeline_name(w), overhead * 100.0);
+                             w.name, overhead * 100.0);
                 ++failures;
             }
         }
@@ -412,7 +383,6 @@ main() {
     uint64_t cycles = 0;
     double ref_s = fig7_sweep(kModes[0].tuning, ref_pts, cycles);
     double tuned_s = fig7_sweep(kTuned.tuning, tuned_pts, cycles);
-    exp::set_sim_tuning({});
     bool diverged = false;
     for (size_t i = 0; i < ref_pts.size(); ++i) {
         // Exactness gate: the speedups must not change a single result.

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "core/experiments.h"
+#include "core/pipeline.h"
 #include "firmware/programs.h"
 #include "fuzz/corpus.h"
 #include "fuzz/driver.h"
@@ -55,13 +56,44 @@ struct Args {
     }
 };
 
+/// The --pipeline/--policy/--rpus/--seed block of the oracle, profile and
+/// health verbs. ids-hw gets the LB reassembler its firmware expects, as
+/// exp::run_ips builds it. `label` receives the summary-line prefix.
+PipelineSpec
+pipeline_args(const Args& args, std::string& label) {
+    PipelineSpec s;
+    s.pipeline = parse_pipeline(args.str("pipeline", "forwarder"));
+    std::string pol =
+        args.str("policy", s.pipeline == Pipeline::kPigasusSwReorder ? "hash" : "rr");
+    s.system.lb_policy = pol == "hash" ? lb::Policy::kHash
+                         : pol == "ll" ? lb::Policy::kLeastLoaded
+                                       : lb::Policy::kRoundRobin;
+    s.system.hw_reassembler = s.pipeline == Pipeline::kPigasusHwReorder;
+    s.system.rpu_count = args.u32("rpus", 8);
+    s.seed = args.u32("seed", 1);
+    label = std::string("pipeline=") + pipeline_name(s.pipeline) + " policy=" + pol +
+            " rpus=" + std::to_string(s.system.rpu_count) +
+            " reassembler=" + (s.system.hw_reassembler ? "on" : "off");
+    return s;
+}
+
+/// Write one artifact of the profile/health verbs ("" = skip).
+void
+write_file(const std::string& path, const std::string& data) {
+    if (path.empty()) return;
+    if (FILE* f = std::fopen(path.c_str(), "w")) {
+        std::fwrite(data.data(), 1, data.size(), f);
+        std::fclose(f);
+        std::printf("wrote %s (%zu bytes)\n", path.c_str(), data.size());
+    } else {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    }
+}
+
 int
 usage() {
     std::fprintf(stderr,
                  "usage: rosebud_cli <experiment> [--key value]...\n"
-                 "global simulation-speed flags (any experiment):\n"
-                 "  --no-idle-skip       disable quiescence skipping\n"
-                 "  --no-predecode       disable the RV32 decoded-instruction cache\n"
                  "experiments:\n"
                  "  forward    --rpus N --size N --ports 1|2 --load F\n"
                  "  latency    --size N --load F\n"
@@ -105,7 +137,8 @@ usage() {
                  "  fuzz       --replay FILE|DIR\n"
                  "             (replay corpus case(s); exits 1 unless all green)\n"
                  "  profile    --pipeline forwarder|firewall|ids-hw|ids-sw|nat\n"
-                 "             --rpus N --size N --load F --cycles N --seed N\n"
+                 "             --policy rr|hash|ll --rpus N --size N --load F\n"
+                 "             --cycles N --seed N\n"
                  "             --epoch N --top N --vcd FILE --trace FILE --json FILE\n"
                  "             (full-stack telemetry run: stall attribution report,\n"
                  "              GTKWave waveforms, Perfetto trace, firmware hot spots;\n"
@@ -195,9 +228,7 @@ main(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
         if (std::strncmp(argv[i], "--", 2) != 0) return usage();
         // Value-less boolean flags.
-        if (std::strcmp(argv[i], "--no-idle-skip") == 0 ||
-            std::strcmp(argv[i], "--no-predecode") == 0 ||
-            std::strcmp(argv[i], "--wcet") == 0 ||
+        if (std::strcmp(argv[i], "--wcet") == 0 ||
             std::strcmp(argv[i], "--deep") == 0 ||
             std::strcmp(argv[i], "--inject-stall") == 0) {
             args.kv[argv[i] + 2] = "1";
@@ -218,10 +249,6 @@ main(int argc, char** argv) {
         ++i;
     }
 
-    exp::SimTuning tuning;
-    tuning.idle_skip = !args.has("no-idle-skip");
-    tuning.predecode = !args.has("no-predecode");
-    exp::set_sim_tuning(tuning);
     auto host_t0 = std::chrono::steady_clock::now();
 
     if (args.experiment == "forward") {
@@ -280,43 +307,41 @@ main(int argc, char** argv) {
                     r.sparse_min_ns, r.sparse_max_ns, r.saturated_min_ns,
                     r.saturated_max_ns, (unsigned long long)r.messages);
     } else if (args.experiment == "reconfig") {
-        SystemConfig cfg;
-        cfg.rpu_count = args.u32("rpus", 16);
-        System sys(cfg);
-        auto fw = fwlib::forwarder();
-        sys.host().load_firmware_all(fw.image, fw.entry);
-        sys.host().boot_all();
+        PipelineSpec spec;
+        spec.system.rpu_count = args.u32("rpus", 16);
+        PipelineFixture fx = build_pipeline(spec);
+        System& sys = fx.system();
+        const fwlib::Program& fw = fx.firmware;
         sys.run_cycles(500);
         sim::Rng rng(args.u32("seed", 1));
         unsigned loads = args.u32("loads", 10);
         double total = 0;
         for (unsigned i = 0; i < loads; ++i) {
             total += sys.host()
-                         .reconfigure(i % cfg.rpu_count, nullptr, fw.image, fw.entry, rng)
+                         .reconfigure(i % sys.rpu_count(), nullptr, fw.image, fw.entry, rng)
                          .total_ms;
         }
         std::printf("%u loads: %.1f ms average pause+load+boot\n", loads, total / loads);
     } else if (args.experiment == "oracle") {
+        std::string label;
+        PipelineSpec ps = pipeline_args(args, label);
         oracle::RunSpec s;
-        s.pipeline = oracle::parse_pipeline(args.str("pipeline", "forwarder"));
-        std::string pol = args.str(
-            "policy", s.pipeline == oracle::Pipeline::kPigasusSwReorder ? "hash" : "rr");
-        s.policy = pol == "hash" ? lb::Policy::kHash
-                   : pol == "ll" ? lb::Policy::kLeastLoaded
-                                 : lb::Policy::kRoundRobin;
-        s.rpu_count = args.u32("rpus", 8);
-        s.seed = args.u32("seed", 1);
+        s.pipeline = ps.pipeline;
+        s.policy = ps.system.lb_policy;
+        s.hw_reassembler = ps.system.hw_reassembler;
+        s.rpu_count = ps.system.rpu_count;
+        s.seed = ps.seed;
         s.max_packets = args.u32("packets", 250);
         s.packet_size = args.u32("size", 256);
         s.load = args.f64("load", 0.5);
         s.attack_fraction = args.f64("attack", 0.2);
         s.reorder_fraction = args.f64("reorder", 0.0);
         auto r = oracle::run_differential(s);
-        std::printf("pipeline=%s policy=%s rpus=%u seed=%llu: offered %llu, "
+        std::printf("%s seed=%llu: offered %llu, "
                     "forwarded %llu, to host %llu (%llu punts), dropped %llu, "
                     "congestion %llu -> %llu divergence(s)\n",
-                    oracle::pipeline_name(s.pipeline), pol.c_str(), s.rpu_count,
-                    (unsigned long long)s.seed, (unsigned long long)r.counts.offered,
+                    label.c_str(), (unsigned long long)s.seed,
+                    (unsigned long long)r.counts.offered,
                     (unsigned long long)r.counts.forwarded_wire,
                     (unsigned long long)r.counts.host_delivered,
                     (unsigned long long)r.counts.punted,
@@ -533,15 +558,9 @@ main(int argc, char** argv) {
             if (!rep.ok()) return 1;
         }
     } else if (args.experiment == "profile") {
+        std::string label;
         obs::ProfileSpec s;
-        s.pipeline = oracle::parse_pipeline(args.str("pipeline", "forwarder"));
-        std::string pol = args.str(
-            "policy", s.pipeline == oracle::Pipeline::kPigasusSwReorder ? "hash" : "rr");
-        s.policy = pol == "hash" ? lb::Policy::kHash
-                   : pol == "ll" ? lb::Policy::kLeastLoaded
-                                 : lb::Policy::kRoundRobin;
-        s.rpu_count = args.u32("rpus", 8);
-        s.seed = args.u32("seed", 1);
+        s.build = pipeline_args(args, label);
         s.packet_size = args.u32("size", 256);
         s.load = args.f64("load", 0.7);
         s.attack_fraction = args.f64("attack", 0.1);
@@ -549,44 +568,26 @@ main(int argc, char** argv) {
         s.epoch_cycles = args.u32("epoch", 2048);
         auto r = obs::run_profile(s);
 
-        std::printf("pipeline=%s policy=%s rpus=%u: %llu cycles, %llu frames out "
-                    "(%llu bytes)\n\n",
-                    oracle::pipeline_name(s.pipeline), pol.c_str(), s.rpu_count,
+        std::printf("%s: %llu cycles, %llu frames out (%llu bytes)\n\n", label.c_str(),
                     (unsigned long long)r.cycles, (unsigned long long)r.rx_frames,
                     (unsigned long long)r.rx_bytes);
         std::printf("%s\n", obs::format_stall_report(r.stalls, args.u32("top", 12)).c_str());
         std::printf("%s", obs::annotate(r.firmware.image, r.aggregate).c_str());
 
-        auto write_file = [](const std::string& path, const std::string& data) {
-            if (path.empty()) return;
-            if (FILE* f = std::fopen(path.c_str(), "w")) {
-                std::fwrite(data.data(), 1, data.size(), f);
-                std::fclose(f);
-                std::printf("wrote %s (%zu bytes)\n", path.c_str(), data.size());
-            } else {
-                std::fprintf(stderr, "cannot write %s\n", path.c_str());
-            }
-        };
         write_file(args.str("vcd", "rosebud_profile.vcd"), r.vcd);
         write_file(args.str("trace", "rosebud_trace.json"), r.trace);
         std::string json = "{\"pipeline\":\"" +
-                           std::string(oracle::pipeline_name(s.pipeline)) +
-                           "\",\"rpus\":" + std::to_string(s.rpu_count) +
+                           std::string(pipeline_name(s.build.pipeline)) +
+                           "\",\"rpus\":" + std::to_string(s.build.system.rpu_count) +
                            ",\"cycles\":" + std::to_string(r.cycles) +
                            ",\"rx_frames\":" + std::to_string(r.rx_frames) +
                            ",\"stalls\":" + obs::stall_report_json(r.stalls) +
                            ",\"firmware\":" + obs::profile_json(r.aggregate) + "}";
         write_file(args.str("json", "rosebud_profile.json"), json);
     } else if (args.experiment == "health") {
+        std::string label;
         obs::HealthSpec s;
-        s.pipeline = oracle::parse_pipeline(args.str("pipeline", "forwarder"));
-        std::string pol = args.str(
-            "policy", s.pipeline == oracle::Pipeline::kPigasusSwReorder ? "hash" : "rr");
-        s.policy = pol == "hash" ? lb::Policy::kHash
-                   : pol == "ll" ? lb::Policy::kLeastLoaded
-                                 : lb::Policy::kRoundRobin;
-        s.rpu_count = args.u32("rpus", 8);
-        s.seed = args.u32("seed", 1);
+        s.build = pipeline_args(args, label);
         s.load = args.f64("load", 0.9);
         s.run_cycles = args.u32("cycles", 40'000);
         s.slo = args.str("slo", s.slo);
@@ -613,9 +614,8 @@ main(int argc, char** argv) {
         }
         auto r = obs::run_health(s);
 
-        std::printf("pipeline=%s policy=%s rpus=%u load=%.2f slo=\"%s\"%s\n\n",
-                    oracle::pipeline_name(s.pipeline), pol.c_str(), s.rpu_count,
-                    s.load, r.slo.text.c_str(),
+        std::printf("%s load=%.2f slo=\"%s\"%s\n\n", label.c_str(), s.load,
+                    r.slo.text.c_str(),
                     s.inject_stall ? " [stall injected]" : "");
         std::printf("  size   cycles   ingress    egress     drops    Gbps  "
                     "p50_us   p99_us  p999_us  drop%%  epochs  slo  watchdog\n");
@@ -633,16 +633,6 @@ main(int argc, char** argv) {
         }
         if (r.watchdog_tripped)
             std::printf("\nwatchdog: %s\n", r.trip_summary.c_str());
-        auto write_file = [](const std::string& path, const std::string& data) {
-            if (path.empty()) return;
-            if (FILE* f = std::fopen(path.c_str(), "w")) {
-                std::fwrite(data.data(), 1, data.size(), f);
-                std::fclose(f);
-                std::printf("wrote %s (%zu bytes)\n", path.c_str(), data.size());
-            } else {
-                std::fprintf(stderr, "cannot write %s\n", path.c_str());
-            }
-        };
         write_file(args.str("json", "rosebud_health.json"), r.flight_json);
         write_file(args.str("dump", "rosebud_health.txt"), r.flight_text);
         write_file(args.str("prom", "rosebud_metrics.prom"), r.metrics_prom);
@@ -680,10 +670,7 @@ main(int argc, char** argv) {
         double host_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - host_t0)
                             .count();
-        std::printf("[host] %s: %.2f s host time (predecode=%s, idle-skip=%s)\n",
-                    args.experiment.c_str(), host_s,
-                    tuning.predecode ? "on" : "off",
-                    tuning.idle_skip ? "on" : "off");
+        std::printf("[host] %s: %.2f s host time\n", args.experiment.c_str(), host_s);
         break;
     }
     return 0;

@@ -1,50 +1,13 @@
 #include "core/experiments.h"
 
-#include <chrono>
 #include <memory>
 
-#include "accel/firewall.h"
-#include "accel/pigasus.h"
+#include "core/pipeline.h"
 #include "firmware/programs.h"
 #include "net/headers.h"
 #include "sim/log.h"
 
 namespace rosebud::exp {
-
-namespace {
-
-SimTuning g_tuning;
-double g_last_host_seconds = 0.0;
-
-/// Applies the process-wide tuning to a freshly built System.
-void
-apply_tuning(System& sys) {
-    sys.kernel().set_idle_skip(g_tuning.idle_skip);
-    for (unsigned i = 0; i < sys.rpu_count(); ++i)
-        sys.rpu(i).core().set_predecode(g_tuning.predecode);
-}
-
-/// RAII wall-clock timer recording into last_run_host_seconds(); one per
-/// run_* harness so callers can print a host-time summary per experiment.
-struct HostTimer {
-    std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
-    ~HostTimer() {
-        g_last_host_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
-    }
-};
-
-}  // namespace
-
-void
-set_sim_tuning(const SimTuning& t) { g_tuning = t; }
-
-const SimTuning&
-sim_tuning() { return g_tuning; }
-
-double
-last_run_host_seconds() { return g_last_host_seconds; }
 
 namespace {
 
@@ -64,12 +27,6 @@ fixed_size_gen(uint32_t size, uint64_t seed) {
     };
 }
 
-/// Generator that streams a TraceGenerator.
-dist::TrafficSource::GenFn
-trace_gen(std::shared_ptr<net::TraceGenerator> gen) {
-    return [gen]() { return gen->next(); };
-}
-
 uint64_t
 rpu_counter_sum(System& sys, const char* suffix) {
     uint64_t total = 0;
@@ -77,6 +34,70 @@ rpu_counter_sum(System& sys, const char* suffix) {
         total += sys.stats().get("rpu" + std::to_string(i) + "." + suffix);
     }
     return total;
+}
+
+/// Boot `spec` and let the cores settle before any traffic exists.
+PipelineFixture
+boot_settled(const PipelineSpec& spec) {
+    PipelineFixture fx = build_pipeline(spec);
+    fx.system().run_cycles(500);
+    return fx;
+}
+
+/// Figure 7's set-up, shared by the throughput and latency harnesses: the
+/// forwarder on every RPU, fixed-size frames on `p.ports` ports, warm-up,
+/// then one measurement window on both sinks.
+PipelineFixture
+forward_window(const ForwardingParams& p) {
+    PipelineSpec spec;
+    spec.system.rpu_count = p.rpu_count;
+    spec.system.tuning = p.tuning;
+    PipelineFixture fx = boot_settled(spec);
+    System& sys = fx.system();
+    for (unsigned port = 0; port < p.ports; ++port) {
+        sys.add_source({.port = port, .line_gbps = 100.0, .load = p.load},
+                       fixed_size_gen(p.size, port + 1));
+    }
+    sys.run_cycles(p.warmup);
+    sys.sink(0).start_window();
+    sys.sink(1).start_window();
+    sys.run_cycles(p.window);
+    return fx;
+}
+
+/// The Pigasus case study's pipeline: HW reorder = reassembler in the LB
+/// with round-robin (pigasus2), SW reorder = hash LB + firmware flow table.
+PipelineSpec
+ips_spec(IpsMode mode, unsigned rpu_count, uint64_t seed, unsigned rule_count) {
+    const bool hw = mode == IpsMode::kHwReorder;
+    PipelineSpec spec;
+    spec.pipeline = hw ? Pipeline::kPigasusHwReorder : Pipeline::kPigasusSwReorder;
+    spec.system.rpu_count = rpu_count;
+    spec.system.lb_policy = hw ? lb::Policy::kRoundRobin : lb::Policy::kHash;
+    spec.system.hw_reassembler = hw;
+    spec.seed = seed;
+    spec.rule_count = rule_count;
+    return spec;
+}
+
+/// The case studies' tester: both ports at line rate from TraceGenerators
+/// over the fixture's tables, port n seeded `seed + n + 1`. Returns the
+/// running count of ground-truth attacks offered.
+std::shared_ptr<uint64_t>
+add_trace_sources(PipelineFixture& fx, net::TrafficSpec spec, uint64_t seed) {
+    auto attacks_offered = std::make_shared<uint64_t>(0);
+    for (unsigned port = 0; port < 2; ++port) {
+        spec.seed = seed + port + 1;
+        auto gen = std::make_shared<net::TraceGenerator>(spec, fx.rules.get(),
+                                                         fx.blacklist.get());
+        fx.system().add_source({.port = port, .line_gbps = 100.0, .load = 1.0},
+                               [gen, attacks_offered]() {
+                                   auto pkt = gen->next();
+                                   if (pkt->is_attack) ++*attacks_offered;
+                                   return pkt;
+                               });
+    }
+    return attacks_offered;
 }
 
 }  // namespace
@@ -88,25 +109,8 @@ figure7_sizes() {
 
 ForwardingPoint
 run_forwarding(const ForwardingParams& p) {
-    HostTimer timer;
-    SystemConfig cfg;
-    cfg.rpu_count = p.rpu_count;
-    System sys(cfg);
-    apply_tuning(sys);
-    auto fw = fwlib::forwarder();
-    sys.host().load_firmware_all(fw.image, fw.entry);
-    sys.host().boot_all();
-    sys.run_cycles(500);
-
-    for (unsigned port = 0; port < p.ports; ++port) {
-        sys.add_source({.port = port, .line_gbps = 100.0, .load = p.load},
-                       fixed_size_gen(p.size, port + 1));
-    }
-
-    sys.run_cycles(p.warmup);
-    sys.sink(0).start_window();
-    sys.sink(1).start_window();
-    sys.run_cycles(p.window);
+    PipelineFixture fx = forward_window(p);
+    System& sys = fx.system();
 
     ForwardingPoint out;
     out.size = p.size;
@@ -130,25 +134,13 @@ eq1_latency_us(uint32_t size, double fixed_us) {
 
 LatencyPoint
 run_latency(const LatencyParams& p) {
-    HostTimer timer;
-    SystemConfig cfg;
-    cfg.rpu_count = p.rpu_count;
-    System sys(cfg);
-    apply_tuning(sys);
-    auto fw = fwlib::forwarder();
-    sys.host().load_firmware_all(fw.image, fw.entry);
-    sys.host().boot_all();
-    sys.run_cycles(500);
-
-    for (unsigned port = 0; port < 2; ++port) {
-        sys.add_source({.port = port, .line_gbps = 100.0, .load = p.load},
-                       fixed_size_gen(p.size, port + 1));
-    }
-
-    sys.run_cycles(p.warmup);
-    sys.sink(0).start_window();
-    sys.sink(1).start_window();
-    sys.run_cycles(p.window);
+    PipelineFixture fx = forward_window({.rpu_count = p.rpu_count,
+                                         .size = p.size,
+                                         .ports = 2,
+                                         .load = p.load,
+                                         .warmup = p.warmup,
+                                         .window = p.window});
+    System& sys = fx.system();
 
     LatencyPoint out;
     out.size = p.size;
@@ -166,11 +158,9 @@ run_latency(const LatencyParams& p) {
 
 LoopbackPoint
 run_loopback(unsigned rpu_count, uint32_t size, sim::Cycle warmup, sim::Cycle window) {
-    HostTimer timer;
     SystemConfig cfg;
     cfg.rpu_count = rpu_count;
     System sys(cfg);
-    apply_tuning(sys);
     auto fw = fwlib::two_step_forwarder(rpu_count);
     sys.host().load_firmware_all(fw.image, fw.entry);
     sys.host().boot_all();
@@ -208,7 +198,6 @@ measure_broadcast(unsigned rpu_count, sim::Cycle window, const fwlib::Program& f
     SystemConfig cfg;
     cfg.rpu_count = rpu_count;
     System sys(cfg);
-    apply_tuning(sys);
     if (all_send) {
         sys.host().load_firmware_all(fw.image, fw.entry);
     } else {
@@ -241,7 +230,6 @@ measure_broadcast(unsigned rpu_count, sim::Cycle window, const fwlib::Program& f
 
 BroadcastResult
 run_broadcast(unsigned rpu_count, sim::Cycle window) {
-    HostTimer timer;
     BroadcastResult out;
     uint64_t n_sparse = 0;
     measure_broadcast(rpu_count, window, fwlib::broadcast_sender(2000), /*all_send=*/false,
@@ -255,27 +243,9 @@ run_broadcast(unsigned rpu_count, sim::Cycle window) {
 
 IpsPoint
 run_ips(const IpsParams& p) {
-    HostTimer timer;
-    sim::Rng rng(p.seed);
-    net::IdsRuleSet rules = net::IdsRuleSet::synthesize(p.rule_count, rng);
-
-    SystemConfig cfg;
-    cfg.rpu_count = p.rpu_count;
-    if (p.mode == IpsMode::kHwReorder) {
-        cfg.lb_policy = lb::Policy::kRoundRobin;
-        cfg.hw_reassembler = true;
-    } else {
-        cfg.lb_policy = lb::Policy::kHash;
-    }
-    System sys(cfg);
-    apply_tuning(sys);
-    sys.attach_accelerators([&] { return std::make_unique<accel::PigasusMatcher>(rules); });
-
-    auto fw = p.mode == IpsMode::kHwReorder ? fwlib::pigasus_hw_reorder()
-                                            : fwlib::pigasus_sw_reorder();
-    sys.host().load_firmware_all(fw.image, fw.entry);
-    sys.host().boot_all();
-    sys.run_cycles(500);
+    PipelineFixture fx =
+        boot_settled(ips_spec(p.mode, p.rpu_count, p.seed, p.rule_count));
+    System& sys = fx.system();
 
     // Host receive path: matched attack packets plus (in SW-reorder mode)
     // reorder-buffer punts; count them separately via the ground truth.
@@ -293,18 +263,7 @@ run_ips(const IpsParams& p) {
     spec.attack_fraction = p.attack_fraction;
     spec.reorder_fraction = p.reorder_fraction;
     spec.udp_fraction = 0.05;
-    auto attacks_offered = std::make_shared<uint64_t>(0);
-    for (unsigned port = 0; port < 2; ++port) {
-        net::TrafficSpec s = spec;
-        s.seed = p.seed + port + 1;
-        auto gen = std::make_shared<net::TraceGenerator>(s, &rules);
-        sys.add_source({.port = port, .line_gbps = 100.0, .load = 1.0},
-                       [gen, attacks_offered]() {
-                           auto pkt = gen->next();
-                           if (pkt->is_attack) ++*attacks_offered;
-                           return pkt;
-                       });
-    }
+    auto attacks_offered = add_trace_sources(fx, spec, p.seed);
 
     sys.run_cycles(p.warmup);
     sys.sink(0).start_window();
@@ -337,36 +296,19 @@ run_ips(const IpsParams& p) {
 
 FirewallPoint
 run_firewall(const FirewallParams& p) {
-    HostTimer timer;
-    sim::Rng rng(p.seed);
-    net::Blacklist blacklist = net::Blacklist::synthesize(p.blacklist_size, rng);
-
-    SystemConfig cfg;
-    cfg.rpu_count = p.rpu_count;
-    System sys(cfg);
-    apply_tuning(sys);
-    sys.attach_accelerators([&] { return std::make_unique<accel::FirewallMatcher>(blacklist); });
-    auto fw = fwlib::firewall();
-    sys.host().load_firmware_all(fw.image, fw.entry);
-    sys.host().boot_all();
-    sys.run_cycles(500);
+    PipelineSpec ps;
+    ps.pipeline = Pipeline::kFirewall;
+    ps.system.rpu_count = p.rpu_count;
+    ps.seed = p.seed;
+    ps.blacklist_count = p.blacklist_size;
+    PipelineFixture fx = boot_settled(ps);
+    System& sys = fx.system();
 
     net::TrafficSpec spec;
     spec.packet_size = p.size;
     spec.attack_fraction = p.attack_fraction;
     spec.udp_fraction = 0.2;
-    auto attacks_offered = std::make_shared<uint64_t>(0);
-    for (unsigned port = 0; port < 2; ++port) {
-        net::TrafficSpec s = spec;
-        s.seed = p.seed + port + 1;
-        auto gen = std::make_shared<net::TraceGenerator>(s, nullptr, &blacklist);
-        sys.add_source({.port = port, .line_gbps = 100.0, .load = 1.0},
-                       [gen, attacks_offered]() {
-                           auto pkt = gen->next();
-                           if (pkt->is_attack) ++*attacks_offered;
-                           return pkt;
-                       });
-    }
+    auto attacks_offered = add_trace_sources(fx, spec, p.seed);
 
     sys.run_cycles(p.warmup);
     sys.sink(0).start_window();
@@ -392,26 +334,8 @@ run_firewall(const FirewallParams& p) {
 
 double
 run_single_rpu_cycles_per_packet(const SingleRpuParams& p) {
-    HostTimer timer;
-    sim::Rng rng(p.seed);
-    net::IdsRuleSet rules = net::IdsRuleSet::synthesize(p.rule_count, rng);
-
-    SystemConfig cfg;
-    cfg.rpu_count = 4;
-    if (p.mode == IpsMode::kHwReorder) {
-        cfg.lb_policy = lb::Policy::kRoundRobin;
-        cfg.hw_reassembler = true;
-    } else {
-        cfg.lb_policy = lb::Policy::kHash;
-    }
-    System sys(cfg);
-    apply_tuning(sys);
-    sys.attach_accelerators([&] { return std::make_unique<accel::PigasusMatcher>(rules); });
-    auto fw = p.mode == IpsMode::kHwReorder ? fwlib::pigasus_hw_reorder()
-                                            : fwlib::pigasus_sw_reorder();
-    sys.host().load_firmware_all(fw.image, fw.entry);
-    sys.host().boot_all();
-    sys.run_cycles(500);
+    PipelineFixture fx = boot_settled(ips_spec(p.mode, 4, p.seed, p.rule_count));
+    System& sys = fx.system();
     sys.host().set_recv_mask(1);  // single-RPU measurement
     sys.host().set_rx_handler([](net::PacketPtr) {});
 
@@ -421,18 +345,17 @@ run_single_rpu_cycles_per_packet(const SingleRpuParams& p) {
     spec.udp_fraction = p.udp ? 1.0 : 0.0;
     spec.reorder_fraction = 0.0;
     spec.seed = p.seed;
-    auto gen = std::make_shared<net::TraceGenerator>(spec, &rules);
-    sys.add_source({.port = 0, .line_gbps = 100.0, .load = 1.0}, trace_gen(gen));
+    auto gen = std::make_shared<net::TraceGenerator>(spec, fx.rules.get());
+    sys.add_source({.port = 0, .line_gbps = 100.0, .load = 1.0},
+                   [gen] { return gen->next(); });
 
     sys.run_cycles(20'000);
     uint64_t before = sys.stats().get("rpu0.tx_packets") +
                       sys.stats().get("rpu0.dropped_packets");
-    uint64_t host_before = sys.stats().get("host.rx_frames");
     sim::Cycle window = 60'000;
     sys.run_cycles(window);
     uint64_t processed = sys.stats().get("rpu0.tx_packets") +
                          sys.stats().get("rpu0.dropped_packets") - before;
-    (void)host_before;
     if (processed == 0) return 0.0;
     return double(window) / double(processed);
 }

@@ -1,12 +1,12 @@
 /// \file
 /// Reusable experiment harnesses for the paper's evaluation (Sections 6-7).
 ///
-/// Each function builds a fresh System, loads the right firmware and
-/// accelerators, applies the workload, and measures over a steady-state
-/// window — the in-simulator equivalent of the artifact's `make do ...`
-/// experiment scripts. The bench binaries in bench/ are thin wrappers that
-/// sweep these and print paper-style rows; tests assert the headline
-/// shapes on smaller windows.
+/// Each function builds a fresh System (through build_pipeline for the
+/// paper's middleboxes), applies the workload, and measures over a
+/// steady-state window — the in-simulator equivalent of the artifact's
+/// `make do ...` experiment scripts. The bench binaries in bench/ are thin
+/// wrappers that sweep these and print paper-style rows; tests assert the
+/// headline shapes on smaller windows.
 
 #ifndef ROSEBUD_CORE_EXPERIMENTS_H
 #define ROSEBUD_CORE_EXPERIMENTS_H
@@ -19,25 +19,6 @@
 #include "net/tracegen.h"
 
 namespace rosebud::exp {
-
-// --- host-speed tuning --------------------------------------------------------
-
-/// Simulation-speed knobs applied to every run_* harness below. These change
-/// only host time, never simulated results: predecoded dispatch and idle
-/// skipping are exact (tests/test_sim_kernel.cc and tests/test_rv_core.cc
-/// prove both).
-struct SimTuning {
-    bool predecode = true;      ///< rv::Core decoded-instruction cache
-    bool idle_skip = true;      ///< kernel quiescence skipping
-};
-
-/// Install process-wide tuning for subsequent run_* calls (the bench
-/// binaries and rosebud_cli set this once from flags before running).
-void set_sim_tuning(const SimTuning& t);
-const SimTuning& sim_tuning();
-
-/// Host wall-clock seconds consumed by the most recent run_* call.
-double last_run_host_seconds();
 
 /// Packet sizes evaluated in Figure 7 (powers of two plus the worst-case
 /// 65 B and the common MTUs).
@@ -62,6 +43,7 @@ struct ForwardingParams {
     double load = 1.0;         ///< fraction of line rate per port
     sim::Cycle warmup = 30'000;
     sim::Cycle window = 120'000;
+    SimTuning tuning{};        ///< host speed only; results are identical
 };
 
 ForwardingPoint run_forwarding(const ForwardingParams& p);

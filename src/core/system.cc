@@ -35,7 +35,9 @@ System::System(const SystemConfig& config) : config_(config) {
         rpu::Rpu::Config rc = config_.rpu_template;
         rc.id = uint8_t(i);
         rpus_.push_back(std::make_unique<rpu::Rpu>(kernel_, stats_, rc));
+        rpus_.back()->core().set_predecode(config_.tuning.predecode);
     }
+    kernel_.set_idle_skip(config_.tuning.idle_skip);
 
     lb::LoadBalancer::Config lbc;
     lbc.rpu_count = config_.rpu_count;

@@ -43,12 +43,20 @@ enum class LintMode {
     kOff,      ///< no automatic lint (explicit lint_check() still works)
 };
 
+/// Host-speed knobs. They change only host time, never simulated results:
+/// predecoded dispatch and idle skipping are exact (tests/test_sim_kernel.cc
+/// and tests/test_rv_core.cc prove both).
+struct SimTuning {
+    bool predecode = true;  ///< rv::Core decoded-instruction cache
+    bool idle_skip = true;  ///< kernel quiescence skipping
+};
+
 struct SystemConfig {
     unsigned rpu_count = 16;
     lb::Policy lb_policy = lb::Policy::kRoundRobin;
     bool hw_reassembler = false;  ///< inline reorder engine in the LB
     /// Steering function for lb::Policy::kCustom (tenant pinning, etc.).
-    std::function<uint32_t(const net::Packet&)> lb_custom_steer;
+    std::function<uint32_t(const net::Packet&)> lb_custom_steer{};
     /// Overrides applied on top of the derived defaults; rpu_count fields
     /// inside are filled in by System.
     dist::FabricConfig fabric{};
@@ -72,6 +80,8 @@ struct SystemConfig {
     /// only — kernel scheduling is unchanged; set_decouple_shards is what
     /// executes a certified plan.
     unsigned certify_shards = 0;
+    /// Applied by the constructor to the kernel and every RPU core.
+    SimTuning tuning{};
 };
 
 /// PR region capacities of the pre-laid-out floorplans (paper Figures 5-6;

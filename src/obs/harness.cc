@@ -1,99 +1,14 @@
 #include "obs/harness.h"
 
-#include <memory>
-
-#include "accel/firewall.h"
-#include "accel/nat.h"
-#include "accel/pigasus.h"
 #include "core/tracer.h"
-#include "net/tracegen.h"
 #include "obs/perfetto.h"
 #include "obs/telemetry.h"
 
 namespace rosebud::obs {
 
-PipelineFixture
-build_pipeline(const PipelineSpec& spec) {
-    PipelineFixture fx;
-
-    SystemConfig scfg;
-    scfg.rpu_count = spec.rpu_count;
-    scfg.lb_policy = spec.policy;
-    // The HW-reorder IDS firmware expects the inline reassembler in the LB.
-    scfg.hw_reassembler = spec.pipeline == oracle::Pipeline::kPigasusHwReorder;
-    fx.sys = std::make_unique<System>(scfg);
-    System& sys = *fx.sys;
-
-    sim::Rng rng(spec.seed);
-    accel::NatEngine::Params nat_params{};
-
-    switch (spec.pipeline) {
-    case oracle::Pipeline::kForwarder:
-        fx.firmware = fwlib::forwarder();
-        break;
-    case oracle::Pipeline::kFirewall:
-        fx.blacklist = std::make_unique<net::Blacklist>(
-            net::Blacklist::synthesize(spec.blacklist_count, rng));
-        sys.attach_accelerators(
-            [&] { return std::make_unique<accel::FirewallMatcher>(*fx.blacklist); });
-        fx.firmware = fwlib::firewall();
-        fx.gen_blacklist = fx.blacklist.get();
-        break;
-    case oracle::Pipeline::kPigasusHwReorder:
-    case oracle::Pipeline::kPigasusSwReorder:
-        fx.rules = std::make_unique<net::IdsRuleSet>(
-            net::IdsRuleSet::synthesize(spec.rule_count, rng));
-        sys.attach_accelerators(
-            [&] { return std::make_unique<accel::PigasusMatcher>(*fx.rules); });
-        fx.firmware = spec.pipeline == oracle::Pipeline::kPigasusHwReorder
-                          ? fwlib::pigasus_hw_reorder()
-                          : fwlib::pigasus_sw_reorder();
-        fx.gen_rules = fx.rules.get();
-        break;
-    case oracle::Pipeline::kNat:
-        fx.blacklist = std::make_unique<net::Blacklist>(
-            net::Blacklist::synthesize(spec.blacklist_count, rng));
-        sys.attach_accelerators(
-            [&] { return std::make_unique<accel::NatEngine>(nat_params); });
-        fx.firmware = fwlib::nat(fwlib::SlotParams{16, 16 * 1024},
-                                 spec.policy == lb::Policy::kHash);
-        fx.gen_blacklist = fx.blacklist.get();
-        break;
-    }
-
-    sys.host().load_firmware_all(fx.firmware.image, fx.firmware.entry);
-    sys.host().boot_all();
-    return fx;
-}
-
-void
-add_traffic(PipelineFixture& fx, const TrafficParams& traffic) {
-    net::TrafficSpec tspec;
-    tspec.packet_size = traffic.packet_size;
-    tspec.attack_fraction = traffic.attack_fraction;
-    tspec.flow_count = traffic.flow_count;
-    tspec.udp_fraction = traffic.udp_fraction;
-    tspec.seed = traffic.seed * 2654435761u + 1;
-    auto gen = std::make_shared<net::TraceGenerator>(tspec, fx.gen_rules,
-                                                     fx.gen_blacklist);
-
-    dist::TrafficSource::Config src;
-    src.port = 0;
-    src.load = traffic.load;
-    src.max_packets = traffic.max_packets;
-    fx.system().add_source(src, [gen] { return gen->next(); });
-}
-
 ProfileResult
 run_profile(const ProfileSpec& spec) {
-    PipelineSpec pspec;
-    pspec.pipeline = spec.pipeline;
-    pspec.rpu_count = spec.rpu_count;
-    pspec.policy = spec.policy;
-    pspec.seed = spec.seed;
-    pspec.rule_count = spec.rule_count;
-    pspec.blacklist_count = spec.blacklist_count;
-    PipelineFixture fx = build_pipeline(pspec);
+    PipelineFixture fx = build_pipeline(spec.build);
     System& sys = fx.system();
 
     // The full observability stack, attached before the first cycle so the
@@ -118,7 +33,7 @@ run_profile(const ProfileSpec& spec) {
     traffic.attack_fraction = spec.attack_fraction;
     traffic.udp_fraction = spec.udp_fraction;
     traffic.flow_count = spec.flow_count;
-    traffic.seed = spec.seed;
+    traffic.seed = spec.build.seed;
     add_traffic(fx, traffic);
 
     sys.run_cycles(spec.run_cycles);

@@ -1,73 +1,27 @@
 /// \file
-/// One-call profiling harness: build a full System for a named pipeline
-/// (same setup path as the oracle differential harness), attach the whole
-/// observability stack — telemetry/stall attribution, packet tracing,
-/// firmware PC sampling, optional VCD capture — run seeded traffic, and
-/// return every artifact. This is the engine behind `rosebud_cli profile`.
+/// One-call profiling harness: build a named pipeline through
+/// build_pipeline (core/pipeline.h, the builder every harness shares),
+/// attach the whole observability stack — telemetry/stall attribution,
+/// packet tracing, firmware PC sampling, optional VCD capture — run seeded
+/// traffic, and return every artifact. This is the engine behind
+/// `rosebud_cli profile`.
 
 #ifndef ROSEBUD_OBS_HARNESS_H
 #define ROSEBUD_OBS_HARNESS_H
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "firmware/programs.h"
-#include "oracle/harness.h"
+#include "core/pipeline.h"
 #include "obs/profile.h"
 #include "obs/report.h"
 
 namespace rosebud::obs {
 
-/// The pipeline-construction subset shared by run_profile and run_health:
-/// which middlebox, how big, how the LB spreads flows, how the synthetic
-/// rule tables are seeded.
-struct PipelineSpec {
-    oracle::Pipeline pipeline = oracle::Pipeline::kForwarder;
-    unsigned rpu_count = 8;
-    lb::Policy policy = lb::Policy::kRoundRobin;
-    uint64_t seed = 1;
-    size_t rule_count = 24;
-    size_t blacklist_count = 48;
-};
-
-/// A built-and-booted System plus the synthesized tables the traffic
-/// generator needs. The fixture owns the tables behind stable pointers
-/// (TraceGenerator keeps raw pointers into them), so it is safe to move.
-struct PipelineFixture {
-    std::unique_ptr<System> sys;
-    fwlib::Program firmware;
-    std::unique_ptr<net::IdsRuleSet> rules;      ///< null unless IDS pipeline
-    std::unique_ptr<net::Blacklist> blacklist;   ///< null unless firewall/NAT
-    const net::IdsRuleSet* gen_rules = nullptr;
-    const net::Blacklist* gen_blacklist = nullptr;
-
-    System& system() { return *sys; }
-};
-
-/// Traffic-shape knobs for add_traffic().
-struct TrafficParams {
-    uint32_t packet_size = 256;
-    double load = 0.7;
-    uint64_t max_packets = 0;  ///< 0 = unlimited
-    double attack_fraction = 0.1;
-    double udp_fraction = 0.2;
-    size_t flow_count = 64;
-    uint64_t seed = 1;
-};
-
-/// Build the System for a named pipeline (accelerators attached, firmware
-/// loaded and booted). Fatals on unknown configurations.
-PipelineFixture build_pipeline(const PipelineSpec& spec);
-
-/// Wire a seeded TraceGenerator-backed TrafficSource into port 0.
-void add_traffic(PipelineFixture& fx, const TrafficParams& traffic);
-
 struct ProfileSpec {
-    oracle::Pipeline pipeline = oracle::Pipeline::kForwarder;
-    unsigned rpu_count = 8;
-    lb::Policy policy = lb::Policy::kRoundRobin;
-    uint64_t seed = 1;
+    /// The middlebox, its framework configuration and its table seed;
+    /// the seed also drives the traffic.
+    PipelineSpec build;
 
     // Traffic shape (unlimited by default: profiling wants steady state).
     uint32_t packet_size = 256;
@@ -76,8 +30,6 @@ struct ProfileSpec {
     double attack_fraction = 0.1;
     double udp_fraction = 0.2;
     size_t flow_count = 64;
-    size_t rule_count = 24;
-    size_t blacklist_count = 48;
 
     sim::Cycle run_cycles = 50'000;
 
@@ -100,8 +52,7 @@ struct ProfileResult {
     std::string stats_csv;   ///< full sim::Stats dump (counters + samplers)
 };
 
-/// Build, instrument, run, collect. Fatals on unknown configurations
-/// (same rules as oracle::run_differential).
+/// Build, instrument, run, collect. Fatals on unknown configurations.
 ProfileResult run_profile(const ProfileSpec& spec);
 
 }  // namespace rosebud::obs

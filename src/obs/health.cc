@@ -829,12 +829,7 @@ run_health(const HealthSpec& spec) {
 
     for (size_t si = 0; si < spec.packet_sizes.size(); ++si) {
         uint32_t size = spec.packet_sizes[si];
-        PipelineSpec ps;
-        ps.pipeline = spec.pipeline;
-        ps.rpu_count = spec.rpu_count;
-        ps.policy = spec.policy;
-        ps.seed = spec.seed;
-        PipelineFixture fx = build_pipeline(ps);
+        PipelineFixture fx = build_pipeline(spec.build);
         System& sys = fx.system();
 
         HealthConfig hc = spec.health;
@@ -853,7 +848,7 @@ run_health(const HealthSpec& spec) {
         TrafficParams tp;
         tp.packet_size = size;
         tp.load = spec.load;
-        tp.seed = spec.seed * 1000003u + size;
+        tp.seed = spec.build.seed * 1000003u + size;
         add_traffic(fx, tp);
 
         sim::Cycle start = sys.kernel().now();

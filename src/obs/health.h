@@ -33,7 +33,7 @@
 #include <vector>
 
 #include "core/system.h"
-#include "obs/harness.h"
+#include "core/pipeline.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "sim/telemetry.h"
@@ -319,10 +319,9 @@ class HealthMonitor : public sim::HealthProbe {
 // Health sweep harness (the engine behind `rosebud_cli health`)
 
 struct HealthSpec {
-    oracle::Pipeline pipeline = oracle::Pipeline::kForwarder;
-    unsigned rpu_count = 8;
-    lb::Policy policy = lb::Policy::kRoundRobin;
-    uint64_t seed = 1;
+    /// The middlebox each sweep point builds; the seed also drives the
+    /// traffic.
+    PipelineSpec build;
 
     std::vector<uint32_t> packet_sizes = {64, 256, 512, 1024, 1500};
     double load = 0.9;

@@ -4,8 +4,7 @@
 #include <memory>
 #include <sstream>
 
-#include "core/system.h"
-#include "firmware/programs.h"
+#include "core/pipeline.h"
 #include "net/tracegen.h"
 #include "sim/log.h"
 
@@ -117,13 +116,10 @@ namespace {
 /// passes so their final fingerprints are comparable bit for bit.
 std::unique_ptr<System>
 build_check_system(const ShardCheckSpec& spec) {
-    SystemConfig scfg;
-    scfg.rpu_count = spec.rpu_count;
-    auto sys = std::make_unique<System>(scfg);
-
-    fwlib::Program fw = fwlib::forwarder();
-    sys->host().load_firmware_all(fw.image, fw.entry);
-    sys->host().boot_all();
+    PipelineSpec ps;
+    ps.system.rpu_count = spec.rpu_count;
+    // The forwarder owns no tables, so its System may outlive the fixture.
+    std::unique_ptr<System> sys = build_pipeline(ps).sys;
 
     // Two-port traffic so both MAC boundaries carry cross-cut messages.
     for (unsigned port = 0; port < 2; ++port) {

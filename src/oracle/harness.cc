@@ -3,26 +3,11 @@
 #include <algorithm>
 #include <memory>
 
-#include "accel/firewall.h"
-#include "accel/nat.h"
-#include "accel/pigasus.h"
-#include "firmware/programs.h"
+#include "core/pipeline.h"
 #include "net/tracegen.h"
 #include "sim/log.h"
 
 namespace rosebud::oracle {
-
-Pipeline
-parse_pipeline(const std::string& name) {
-    if (name == "forwarder") return Pipeline::kForwarder;
-    if (name == "firewall") return Pipeline::kFirewall;
-    if (name == "ids-hw" || name == "pigasus-hw") return Pipeline::kPigasusHwReorder;
-    if (name == "ids-sw" || name == "pigasus-sw") return Pipeline::kPigasusSwReorder;
-    if (name == "nat") return Pipeline::kNat;
-    sim::fatal("unknown pipeline: " + name +
-               " (want forwarder|firewall|ids-hw|ids-sw|nat)");
-    return Pipeline::kForwarder;
-}
 
 RunResult
 run_differential(const RunSpec& spec) {
@@ -32,75 +17,33 @@ run_differential(const RunSpec& spec) {
         sim::fatal("oracle harness: max_packets must be finite "
                    "(the run must drain to empty for the scoreboard to close)");
     }
-    SystemConfig scfg;
-    scfg.rpu_count = spec.rpu_count;
-    scfg.lb_policy = spec.policy;
-    scfg.hw_reassembler = spec.hw_reassembler;
+    PipelineSpec ps;
+    ps.pipeline = spec.pipeline;
+    ps.system.rpu_count = spec.rpu_count;
+    ps.system.lb_policy = spec.policy;
+    ps.system.hw_reassembler = spec.hw_reassembler;
+    ps.seed = spec.seed;
+    ps.rule_count = spec.rule_count;
+    ps.blacklist_count = spec.blacklist_count;
     if (spec.tweak_config) {
-        spec.tweak_config(scfg);
+        spec.tweak_config(ps.system);
         // Fuzzed configurations must reach the explicit lint_check() below
         // instead of dying at the automatic pre-cycle-0 gate.
-        if (scfg.lint == LintMode::kEnforce) scfg.lint = LintMode::kWarn;
+        if (ps.system.lint == LintMode::kEnforce) ps.system.lint = LintMode::kWarn;
     }
-    System sys(scfg);
+    PipelineFixture fx = build_pipeline(ps);
+    System& sys = fx.system();
     if (spec.shuffle_tick_order) sys.kernel().shuffle_tick_order(spec.seed);
 
-    // Rules are synthesized from the run seed; the oracle and the device
-    // accelerators are built from the *same* objects, so divergences mean
-    // behavioral disagreement, not configuration skew.
-    sim::Rng rng(spec.seed);
-    net::IdsRuleSet rules;
-    net::Blacklist blacklist;
-    accel::NatEngine::Params nat_params{};
-
-    fwlib::Program fw;
+    // The oracle reads the *same* rule objects the device accelerators
+    // were built from, so divergences mean behavioral disagreement, not
+    // configuration skew. (The NAT model ignores the blacklist.)
     OracleConfig ocfg;
     ocfg.pipeline = spec.pipeline;
     ocfg.lb_policy = spec.policy;
     ocfg.rpu_count = spec.rpu_count;
-
-    const net::IdsRuleSet* gen_rules = nullptr;
-    const net::Blacklist* gen_blacklist = nullptr;
-
-    switch (spec.pipeline) {
-    case Pipeline::kForwarder:
-        fw = fwlib::forwarder();
-        break;
-    case Pipeline::kFirewall:
-        blacklist = net::Blacklist::synthesize(spec.blacklist_count, rng);
-        sys.attach_accelerators(
-            [&] { return std::make_unique<accel::FirewallMatcher>(blacklist); });
-        fw = fwlib::firewall();
-        ocfg.blacklist = &blacklist;
-        gen_blacklist = &blacklist;
-        break;
-    case Pipeline::kPigasusHwReorder:
-    case Pipeline::kPigasusSwReorder:
-        rules = net::IdsRuleSet::synthesize(spec.rule_count, rng);
-        sys.attach_accelerators(
-            [&] { return std::make_unique<accel::PigasusMatcher>(rules); });
-        fw = spec.pipeline == Pipeline::kPigasusHwReorder
-                 ? fwlib::pigasus_hw_reorder()
-                 : fwlib::pigasus_sw_reorder();
-        ocfg.rules = &rules;
-        gen_rules = &rules;
-        break;
-    case Pipeline::kNat:
-        // A blacklist steers the attack fraction to external source IPs,
-        // exercising the engine's pass-through path alongside outbound
-        // translation (the oracle's NAT model doesn't use it).
-        blacklist = net::Blacklist::synthesize(spec.blacklist_count, rng);
-        sys.attach_accelerators(
-            [&] { return std::make_unique<accel::NatEngine>(nat_params); });
-        fw = fwlib::nat(fwlib::SlotParams{16, 16 * 1024},
-                        spec.policy == lb::Policy::kHash);
-        ocfg.nat = nat_params;
-        gen_blacklist = &blacklist;
-        break;
-    }
-
-    sys.host().load_firmware_all(fw.image, fw.entry);
-    sys.host().boot_all();
+    ocfg.rules = fx.rules.get();
+    ocfg.blacklist = fx.blacklist.get();
 
     // Corrupted-oracle hook: validates the divergence reporting path.
     if (spec.oracle_blacklist) ocfg.blacklist = spec.oracle_blacklist;
@@ -136,7 +79,8 @@ run_differential(const RunSpec& spec) {
         };
         src.max_packets = std::min<uint64_t>(spec.max_packets, frames->size());
     } else {
-        auto gen = std::make_shared<net::TraceGenerator>(tspec, gen_rules, gen_blacklist);
+        auto gen = std::make_shared<net::TraceGenerator>(tspec, fx.rules.get(),
+                                                         fx.blacklist.get());
         gen_fn = [gen] { return gen->next(); };
     }
     if (spec.mutate_frame) {

@@ -1,8 +1,8 @@
 /// \file
-/// One-call differential test harness: build a full System for a named
-/// pipeline, attach the matching accelerators/firmware, construct the
-/// golden oracle from the same rules, run seeded random traffic with the
-/// scoreboard attached, drain, and report. This is the engine behind
+/// One-call differential test harness: build a named pipeline through
+/// build_pipeline (core/pipeline.h), construct the golden oracle from the
+/// same rules, run seeded random traffic with the scoreboard attached,
+/// drain, and report. This is the engine behind
 /// tests/test_oracle_differential.cc, the `--oracle` CLI mode, and the
 /// bench self-check (bench/bench_common.h check_with_oracle()).
 
@@ -90,10 +90,6 @@ struct RunResult {
 /// Build, run, and score one configuration. Fatals on unsupported
 /// pipeline/policy combinations (see DataplaneOracle).
 RunResult run_differential(const RunSpec& spec);
-
-/// Parse a pipeline name ("forwarder", "firewall", "ids-hw", "ids-sw",
-/// "nat"); fatals on unknown names.
-Pipeline parse_pipeline(const std::string& name);
 
 }  // namespace rosebud::oracle
 

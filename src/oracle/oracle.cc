@@ -55,18 +55,6 @@ payload_contains(const uint8_t* hay, size_t hay_len, const std::vector<uint8_t>&
 
 }  // namespace
 
-const char*
-pipeline_name(Pipeline p) {
-    switch (p) {
-    case Pipeline::kForwarder: return "forwarder";
-    case Pipeline::kFirewall: return "firewall";
-    case Pipeline::kPigasusHwReorder: return "pigasus_hw_reorder";
-    case Pipeline::kPigasusSwReorder: return "pigasus_sw_reorder";
-    case Pipeline::kNat: return "nat";
-    }
-    return "?";
-}
-
 DataplaneOracle::DataplaneOracle(const OracleConfig& cfg) : cfg_(cfg) {
     using P = Pipeline;
     using L = lb::Policy;

@@ -22,23 +22,18 @@
 #include <vector>
 
 #include "accel/nat.h"
+#include "core/pipeline.h"
 #include "lb/load_balancer.h"
 #include "net/packet.h"
 #include "net/rules.h"
 
 namespace rosebud::oracle {
 
-/// The end-to-end dataplane being modeled: LB policy + firmware +
-/// accelerator as wired by the standard examples/benchmarks.
-enum class Pipeline {
-    kForwarder,         ///< fwlib::forwarder, no accelerator
-    kFirewall,          ///< fwlib::firewall + accel::FirewallMatcher
-    kPigasusHwReorder,  ///< fwlib::pigasus_hw_reorder + accel::PigasusMatcher
-    kPigasusSwReorder,  ///< fwlib::pigasus_sw_reorder + matcher, hash LB
-    kNat,               ///< fwlib::nat + accel::NatEngine
-};
-
-const char* pipeline_name(Pipeline p);
+// The dataplane being modeled is one of the builder's pipelines
+// (core/pipeline.h); these keep the oracle:: spellings working.
+using rosebud::parse_pipeline;
+using rosebud::Pipeline;
+using rosebud::pipeline_name;
 
 /// Everything the oracle needs to know about the device under test.
 /// Pointers are borrowed and must outlive the oracle.

@@ -11,10 +11,10 @@
 
 #include <string>
 
+#include "core/pipeline.h"
 #include "core/system.h"
 #include "core/tracer.h"
 #include "firmware/programs.h"
-#include "obs/harness.h"
 #include "obs/health.h"
 #include "obs/perfetto.h"
 #include "obs/telemetry.h"
@@ -208,10 +208,10 @@ TEST(Metrics, RegistryExportsPrometheusAndJson) {
 // bit-identical (state fingerprint) to the same run without it.
 TEST(HealthMonitor, AttachedRunKeepsFingerprintBitIdentical) {
     auto run = [](bool with_health) {
-        obs::PipelineFixture fx = obs::build_pipeline({});
+        PipelineFixture fx = build_pipeline({});
         obs::HealthMonitor mon;
         if (with_health) mon.attach(fx.system());
-        obs::add_traffic(fx, {});
+        add_traffic(fx, {});
         fx.system().run_cycles(20'000);
         uint64_t fp = fx.system().state_fingerprint();
         if (with_health) {
@@ -226,13 +226,13 @@ TEST(HealthMonitor, AttachedRunKeepsFingerprintBitIdentical) {
 // --------------------------------------------------------- healthy run
 
 TEST(HealthMonitor, HealthyRunAccountsAndPassesLenientSlo) {
-    obs::PipelineFixture fx = obs::build_pipeline({});
+    PipelineFixture fx = build_pipeline({});
     obs::HealthConfig hc;
     hc.epoch_cycles = 4096;
     hc.slo = obs::parse_slo("latency_p99 <= 10ms, drop_rate <= 0.99");
     obs::HealthMonitor mon(hc);
     mon.attach(fx.system());
-    obs::add_traffic(fx, {});
+    add_traffic(fx, {});
     fx.system().run_cycles(20'000);
     mon.flush_epoch();
 
@@ -259,13 +259,13 @@ TEST(HealthMonitor, HealthyRunAccountsAndPassesLenientSlo) {
 }
 
 TEST(HealthMonitor, ImpossibleSloProducesFailedVerdicts) {
-    obs::PipelineFixture fx = obs::build_pipeline({});
+    PipelineFixture fx = build_pipeline({});
     obs::HealthConfig hc;
     hc.epoch_cycles = 4096;
     hc.slo = obs::parse_slo("latency_p99 <= 1c");
     obs::HealthMonitor mon(hc);
     mon.attach(fx.system());
-    obs::add_traffic(fx, {});
+    add_traffic(fx, {});
     fx.system().run_cycles(20'000);
     mon.flush_epoch();
 
@@ -325,13 +325,13 @@ TEST(HealthMonitor, HealthySweepDoesNotTrip) {
 // ------------------------------------------------------ host-side query
 
 TEST(HealthMonitor, HostMetricsSnapshotQuery) {
-    obs::PipelineFixture fx = obs::build_pipeline({});
+    PipelineFixture fx = build_pipeline({});
     EXPECT_FALSE(fx.system().host().has_metrics_provider());
     EXPECT_TRUE(fx.system().host().metrics_snapshot().empty());
 
     obs::HealthMonitor mon;
     mon.attach(fx.system());
-    obs::add_traffic(fx, {});
+    add_traffic(fx, {});
     fx.system().run_cycles(10'000);
 
     EXPECT_TRUE(fx.system().host().has_metrics_provider());
@@ -350,13 +350,13 @@ TEST(HealthMonitor, HostMetricsSnapshotQuery) {
 // ------------------------------------- telemetry bounded epoch retention
 
 TEST(Telemetry, MaxEpochsCoarsensButConserves) {
-    obs::PipelineFixture fx = obs::build_pipeline({});
+    PipelineFixture fx = build_pipeline({});
     obs::Telemetry::Config tc;
     tc.epoch_cycles = 500;
     tc.max_epochs = 4;
     obs::Telemetry telem(tc);
     telem.attach(fx.system());
-    obs::add_traffic(fx, {});
+    add_traffic(fx, {});
     fx.system().run_cycles(20'000);
     telem.detach();
 
@@ -384,7 +384,7 @@ TEST(Telemetry, MaxEpochsCoarsensButConserves) {
 // ------------------------------------------- exporter degenerate inputs
 
 TEST(Exporters, ZeroCycleRunProducesValidDocuments) {
-    obs::PipelineFixture fx = obs::build_pipeline({});
+    PipelineFixture fx = build_pipeline({});
     PacketTracer tracer;
     tracer.attach(fx.system());
     obs::Telemetry telem;
@@ -399,13 +399,13 @@ TEST(Exporters, ZeroCycleRunProducesValidDocuments) {
 }
 
 TEST(Exporters, DetachMidRunThenKeepSimulating) {
-    obs::PipelineFixture fx = obs::build_pipeline({});
+    PipelineFixture fx = build_pipeline({});
     obs::Telemetry::Config tc;
     tc.epoch_cycles = 1024;
     tc.capture_vcd = true;
     obs::Telemetry telem(tc);
     telem.attach(fx.system());
-    obs::add_traffic(fx, {});
+    add_traffic(fx, {});
     fx.system().run_cycles(5'000);
     telem.detach();
     // The system must keep running untouched after the detach, and the

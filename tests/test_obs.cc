@@ -199,8 +199,8 @@ TEST(Telemetry, EveryNetSumsExactlyToObservedCycles) {
 
 TEST(Telemetry, StallReportRanksAndPreservesSums) {
     obs::ProfileSpec s;
-    s.pipeline = oracle::Pipeline::kFirewall;
-    s.rpu_count = 4;
+    s.build.pipeline = Pipeline::kFirewall;
+    s.build.system.rpu_count = 4;
     s.run_cycles = 8000;
     s.capture_vcd = false;
     auto r = obs::run_profile(s);
@@ -221,8 +221,8 @@ TEST(Telemetry, StallReportRanksAndPreservesSums) {
 
 TEST(PcProfiler, HistogramSumsToProfiledCycles) {
     obs::ProfileSpec s;
-    s.pipeline = oracle::Pipeline::kForwarder;
-    s.rpu_count = 4;
+    s.build.pipeline = Pipeline::kForwarder;
+    s.build.system.rpu_count = 4;
     s.run_cycles = 5000;
     s.capture_vcd = false;
     auto r = obs::run_profile(s);
@@ -252,8 +252,8 @@ TEST(PcProfiler, HistogramSumsToProfiledCycles) {
 
 TEST(Perfetto, EmitsStructurallyValidTrace) {
     obs::ProfileSpec s;
-    s.pipeline = oracle::Pipeline::kForwarder;
-    s.rpu_count = 4;
+    s.build.pipeline = Pipeline::kForwarder;
+    s.build.system.rpu_count = 4;
     s.run_cycles = 5000;
     s.capture_vcd = false;
     auto r = obs::run_profile(s);
@@ -284,8 +284,8 @@ TEST(Perfetto, EmitsStructurallyValidTrace) {
 
 TEST(Telemetry, VcdCaptureContainsSystemNets) {
     obs::ProfileSpec s;
-    s.pipeline = oracle::Pipeline::kForwarder;
-    s.rpu_count = 4;
+    s.build.pipeline = Pipeline::kForwarder;
+    s.build.system.rpu_count = 4;
     s.run_cycles = 3000;
     s.capture_vcd = true;
     auto r = obs::run_profile(s);

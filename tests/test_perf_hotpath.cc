@@ -49,10 +49,27 @@ operator new[](std::size_t n) {
     throw std::bad_alloc();
 }
 
+// libstdc++ takes some temporary buffers (std::stable_sort's) from the
+// nothrow forms and returns them through the plain delete above, so they
+// must come from the same malloc and be counted the same way.
+void*
+operator new(std::size_t n, const std::nothrow_t&) noexcept {
+    count_alloc();
+    return std::malloc(n ? n : 1);
+}
+
+void*
+operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+    count_alloc();
+    return std::malloc(n ? n : 1);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace rosebud {
 namespace {

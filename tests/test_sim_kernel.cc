@@ -389,6 +389,7 @@ TEST(Quiescence, RegisteredCreditPopWakesBlockedProducer) {
 enum class Sched {
     kSerial,      ///< default: idle skip + race check, registration order
     kNoIdleSkip,  ///< every component ticked every cycle
+    kReference,   ///< no idle skip and no predecoded dispatch
     kShuffled,    ///< permuted tick order
 };
 
@@ -396,17 +397,15 @@ uint64_t
 run_sched_fingerprint(Sched s) {
     rosebud::SystemConfig cfg;
     cfg.rpu_count = 4;
+    if (s == Sched::kNoIdleSkip || s == Sched::kReference) cfg.tuning.idle_skip = false;
+    if (s == Sched::kReference) cfg.tuning.predecode = false;
     rosebud::System sys(cfg);
-    switch (s) {
-        case Sched::kSerial:
-            break;
-        case Sched::kNoIdleSkip:
-            sys.kernel().set_idle_skip(false);
-            break;
-        case Sched::kShuffled:
-            sys.kernel().shuffle_tick_order(0x5eedf00d);
-            break;
-    }
+    // A tuning field the constructor silently ignored would make the
+    // equivalence checks below vacuous.
+    EXPECT_EQ(sys.kernel().idle_skip(), cfg.tuning.idle_skip);
+    for (unsigned i = 0; i < sys.rpu_count(); ++i)
+        EXPECT_EQ(sys.rpu(i).core().predecode(), cfg.tuning.predecode) << "rpu" << i;
+    if (s == Sched::kShuffled) sys.kernel().shuffle_tick_order(0x5eedf00d);
 
     auto fw = rosebud::fwlib::forwarder();
     sys.host().load_firmware_all(fw.image, fw.entry);
@@ -434,6 +433,11 @@ TEST(ScheduleEquivalence, SerialAndShuffledAreBitIdentical) {
 TEST(ScheduleEquivalence, IdleSkipIsBitIdentical) {
     const uint64_t base = run_sched_fingerprint(Sched::kSerial);
     EXPECT_EQ(run_sched_fingerprint(Sched::kNoIdleSkip), base);
+}
+
+TEST(ScheduleEquivalence, ReferenceTuningIsBitIdentical) {
+    const uint64_t base = run_sched_fingerprint(Sched::kSerial);
+    EXPECT_EQ(run_sched_fingerprint(Sched::kReference), base);
 }
 
 TEST(Resources, Arithmetic) {
