@@ -1,20 +1,15 @@
 #include "accel/pigasus.h"
 
-#include <algorithm>
-
-#include "sim/log.h"
-
 namespace rosebud::accel {
 
 namespace {
 
-/// Decode the raw L4 port word as firmware passes it: the first four bytes
-/// of the TCP/UDP header read as a little-endian 32-bit load of
-/// network-order bytes.
-void
-decode_ports(uint32_t raw, uint16_t& src, uint16_t& dst) {
-    src = uint16_t(((raw & 0xff) << 8) | ((raw >> 8) & 0xff));
-    dst = uint16_t((((raw >> 16) & 0xff) << 8) | ((raw >> 24) & 0xff));
+/// Destination port from the raw L4 port word as firmware passes it: the
+/// first four bytes of the TCP/UDP header read as a little-endian 32-bit
+/// load of network-order bytes.
+uint16_t
+dst_port_of(uint32_t raw) {
+    return uint16_t((((raw >> 16) & 0xff) << 8) | ((raw >> 24) & 0xff));
 }
 
 }  // namespace
@@ -23,54 +18,14 @@ PigasusMatcher::PigasusMatcher(const net::IdsRuleSet& rules)
     : PigasusMatcher(rules, Params{}) {}
 
 PigasusMatcher::PigasusMatcher(const net::IdsRuleSet& rules, Params params)
-    : params_(params) {
-    load_rules(rules);
+    : matcher_(rules), params_(params) {
+    job_queue_.reserve(params_.job_queue_depth);
+    result_fifo_.reserve(params_.result_fifo_depth);
 }
-
-namespace {
-
-uint8_t
-fold(uint8_t b) {
-    return b >= 'A' && b <= 'Z' ? uint8_t(b + 32) : b;
-}
-
-std::vector<uint8_t>
-fold_bytes(const std::vector<uint8_t>& in) {
-    std::vector<uint8_t> out(in.size());
-    for (size_t i = 0; i < in.size(); ++i) out[i] = fold(in[i]);
-    return out;
-}
-
-/// Case-insensitive substring search (the `nocase` modifier).
-bool
-contains_nocase(const uint8_t* hay, size_t hay_len, const std::vector<uint8_t>& needle) {
-    if (needle.size() > hay_len) return false;
-    auto folded = fold_bytes(needle);
-    for (size_t i = 0; i + needle.size() <= hay_len; ++i) {
-        size_t j = 0;
-        while (j < folded.size() && fold(hay[i + j]) == folded[j]) ++j;
-        if (j == folded.size()) return true;
-    }
-    return false;
-}
-
-}  // namespace
 
 void
 PigasusMatcher::load_rules(const net::IdsRuleSet& rules) {
-    rules_ = rules;
-    fast_patterns_ = net::AhoCorasick();
-    fast_patterns_nocase_ = net::AhoCorasick();
-    for (size_t i = 0; i < rules_.size(); ++i) {
-        const auto& fp = rules_.at(i).fast_pattern();
-        if (fp.nocase) {
-            fast_patterns_nocase_.add_pattern(fold_bytes(fp.bytes), uint32_t(i));
-        } else {
-            fast_patterns_.add_pattern(fp.bytes, uint32_t(i));
-        }
-    }
-    fast_patterns_.finalize();
-    fast_patterns_nocase_.finalize();
+    matcher_ = net::RuleMatcher(rules);
 }
 
 void
@@ -81,50 +36,25 @@ PigasusMatcher::reset() {
     busy_ = false;
     results_pending_ = false;
     staging_ = Job{};
+    jobs_counter_ = nullptr;
+    matches_counter_ = nullptr;
+}
+
+void
+PigasusMatcher::match(const uint8_t* payload, size_t len, uint32_t raw_ports, bool is_tcp,
+                      std::vector<uint32_t>& sids,
+                      std::vector<net::PatternMatch>& hits) const {
+    // The port-matcher stage sees one protocol group: TCP or UDP.
+    matcher_.match(payload, len, is_tcp ? net::L4Proto::kTcp : net::L4Proto::kUdp,
+                   dst_port_of(raw_ports), sids, hits);
 }
 
 std::vector<uint32_t>
 PigasusMatcher::match_payload(const uint8_t* payload, size_t len, uint32_t raw_ports,
                               bool is_tcp) const {
-    uint16_t src_port;
-    uint16_t dst_port;
-    decode_ports(raw_ports, src_port, dst_port);
-
-    std::vector<net::PatternMatch> hits;
-    fast_patterns_.scan(payload, len, hits);
-    if (fast_patterns_nocase_.pattern_count() > 0) {
-        std::vector<uint8_t> folded(payload, payload + len);
-        for (auto& b : folded) b = fold(b);
-        fast_patterns_nocase_.scan(folded.data(), folded.size(), hits);
-    }
-
     std::vector<uint32_t> sids;
-    std::vector<bool> seen(rules_.size(), false);
-    for (const auto& hit : hits) {
-        if (hit.pattern_id >= rules_.size() || seen[hit.pattern_id]) continue;
-        seen[hit.pattern_id] = true;
-        const net::IdsRule& rule = rules_.at(hit.pattern_id);
-
-        // Port-matcher stage: protocol group + destination port.
-        if (rule.proto == net::RuleProto::kTcp && !is_tcp) continue;
-        if (rule.proto == net::RuleProto::kUdp && is_tcp) continue;
-        if (rule.dst_port && *rule.dst_port != dst_port) continue;
-
-        // Verify every content of the rule, not just the fast pattern.
-        bool all = true;
-        for (const auto& c : rule.contents) {
-            bool found = c.nocase
-                             ? contains_nocase(payload, len, c.bytes)
-                             : std::search(payload, payload + len, c.bytes.begin(),
-                                           c.bytes.end()) != payload + len;
-            if (!found) {
-                all = false;
-                break;
-            }
-        }
-        if (all) sids.push_back(rule.sid);
-    }
-    std::sort(sids.begin(), sids.end());
+    std::vector<net::PatternMatch> hits;
+    match(payload, len, raw_ports, is_tcp, sids, hits);
     return sids;
 }
 
@@ -150,8 +80,9 @@ PigasusMatcher::tick(rpu::AccelContext& ctx) {
 
     if (!job_queue_.empty() && !results_pending_) {
         active_ = job_queue_.front();
-        job_queue_.pop_front();
-        uint32_t stream_cycles = (active_.len + params_.engines - 1) / params_.engines;
+        job_queue_.erase(job_queue_.begin());
+        uint64_t stream_cycles =
+            (uint64_t(active_.len) + params_.engines - 1) / params_.engines;
         done_at_ = ctx.now_cycles + params_.dequeue_cycles + stream_cycles +
                    params_.pipeline_cycles;
         busy_ = true;
@@ -160,25 +91,26 @@ PigasusMatcher::tick(rpu::AccelContext& ctx) {
 
 void
 PigasusMatcher::finish_job(rpu::AccelContext& ctx) {
-    // Read the payload through the accelerator's dedicated URAM port.
-    std::vector<uint8_t> payload(active_.len);
+    // Scan the payload in place through the accelerator's dedicated URAM
+    // port. A window outside packet memory yields only the end marker.
     uint32_t off = active_.addr;
     if (off >= 0x01000000) off -= 0x01000000;  // full address -> PMEM offset
-    if (off + active_.len <= ctx.pmem.size()) {
-        ctx.pmem.read_block(off, payload.data(), active_.len);
-    } else {
-        payload.clear();
+    sids_.clear();
+    if (uint64_t(off) + active_.len <= ctx.pmem.size()) {
+        bool is_tcp = active_.state_h != 0;  // firmware convention (Appendix B)
+        match(ctx.pmem.bytes().data() + off, active_.len, active_.ports, is_tcp, sids_, hits_);
     }
 
-    bool is_tcp = active_.state_h != 0;  // firmware convention (Appendix B)
-    auto sids = match_payload(payload.data(), payload.size(), active_.ports, is_tcp);
-
     pending_results_.clear();
-    for (uint32_t sid : sids) pending_results_.push_back({sid, active_.slot});
+    for (uint32_t sid : sids_) pending_results_.push_back({sid, active_.slot});
     pending_results_.push_back({0, active_.slot});  // end-of-packet marker
     results_pending_ = true;
-    ctx.stats.counter("pigasus.jobs").add();
-    ctx.stats.counter("pigasus.matches").add(sids.size());
+    if (!jobs_counter_) {
+        jobs_counter_ = &ctx.stats.counter("pigasus.jobs");
+        matches_counter_ = &ctx.stats.counter("pigasus.matches");
+    }
+    jobs_counter_->add();
+    matches_counter_->add(sids_.size());
 }
 
 bool
@@ -217,7 +149,7 @@ PigasusMatcher::mmio_write(uint32_t offset, uint32_t value, rpu::AccelContext& c
                 ctx.stats.counter("pigasus.job_queue_overflow").add();
             }
         } else if (value == 2) {
-            if (!result_fifo_.empty()) result_fifo_.pop_front();
+            if (!result_fifo_.empty()) result_fifo_.erase(result_fifo_.begin());
         }
         return true;
     case kPigRegDmaLen: staging_.len = value; return true;

@@ -27,11 +27,9 @@
 #ifndef ROSEBUD_ACCEL_PIGASUS_H
 #define ROSEBUD_ACCEL_PIGASUS_H
 
-#include <deque>
 #include <vector>
 
-#include "net/patmatch.h"
-#include "net/rules.h"
+#include "net/rulematch.h"
 #include "rpu/accelerator.h"
 
 namespace rosebud::accel {
@@ -71,8 +69,8 @@ class PigasusMatcher : public rpu::Accelerator {
     unsigned queue_count() const override { return 4; }
 
     /// Functional scan (no timing): matched rule sids for a payload given
-    /// the raw port word and TCP-ness. Used directly by tests and by the
-    /// software baseline cross-check.
+    /// the raw port word and TCP-ness, as a job computes them. Used
+    /// directly by tests and by the software baseline cross-check.
     std::vector<uint32_t> match_payload(const uint8_t* payload, size_t len,
                                         uint32_t raw_ports, bool is_tcp) const;
 
@@ -97,24 +95,30 @@ class PigasusMatcher : public rpu::Accelerator {
         uint8_t slot = 0;
     };
 
-    void start_job();
+    void match(const uint8_t* payload, size_t len, uint32_t raw_ports, bool is_tcp,
+               std::vector<uint32_t>& sids, std::vector<net::PatternMatch>& hits) const;
     void finish_job(rpu::AccelContext& ctx);
 
-    net::IdsRuleSet rules_;
-    net::AhoCorasick fast_patterns_;        ///< case-sensitive fast patterns
-    net::AhoCorasick fast_patterns_nocase_; ///< case-folded fast patterns
+    net::RuleMatcher matcher_;
     Params params_;
 
     // Latched registers for the next job.
     Job staging_;
 
-    std::deque<Job> job_queue_;
+    // Both FIFOs are vectors reserved to their depth, so jobs never allocate.
+    std::vector<Job> job_queue_;
     bool busy_ = false;
     Job active_;
     uint64_t done_at_ = 0;
     bool results_pending_ = false;
     std::vector<Result> pending_results_;
-    std::deque<Result> result_fifo_;
+    std::vector<Result> result_fifo_;
+
+    // Per-job scratch and counters, kept so a job does not allocate.
+    std::vector<uint32_t> sids_;
+    std::vector<net::PatternMatch> hits_;
+    sim::Counter* jobs_counter_ = nullptr;  ///< resolved on the first job
+    sim::Counter* matches_counter_ = nullptr;
 };
 
 }  // namespace rosebud::accel

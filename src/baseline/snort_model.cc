@@ -8,77 +8,27 @@ namespace rosebud::baseline {
 
 SnortModel::SnortModel(const net::IdsRuleSet& rules) : SnortModel(rules, Config{}) {}
 
-namespace {
-
-uint8_t
-fold(uint8_t b) {
-    return b >= 'A' && b <= 'Z' ? uint8_t(b + 32) : b;
-}
-
-bool
-contains_nocase(const uint8_t* hay, size_t hay_len, const std::vector<uint8_t>& needle) {
-    if (needle.size() > hay_len) return false;
-    for (size_t i = 0; i + needle.size() <= hay_len; ++i) {
-        size_t j = 0;
-        while (j < needle.size() && fold(hay[i + j]) == fold(needle[j])) ++j;
-        if (j == needle.size()) return true;
-    }
-    return false;
-}
-
-}  // namespace
-
 SnortModel::SnortModel(const net::IdsRuleSet& rules, Config config)
-    : rules_(rules), config_(config) {
-    for (size_t i = 0; i < rules_.size(); ++i) {
-        const auto& fp = rules_.at(i).fast_pattern();
-        std::vector<uint8_t> bytes = fp.bytes;
-        if (fp.nocase) {
-            for (auto& b : bytes) b = fold(b);
-            fast_patterns_nocase_.add_pattern(bytes, uint32_t(i));
-        } else {
-            fast_patterns_.add_pattern(bytes, uint32_t(i));
-        }
-    }
-    fast_patterns_.finalize();
-    fast_patterns_nocase_.finalize();
-}
+    : matcher_(rules), config_(config) {}
 
 bool
 SnortModel::packet_matches(const net::Packet& pkt) const {
     auto parsed = net::parse_packet(pkt);
     if (!parsed || parsed->payload_offset == 0) return false;
-    const uint8_t* payload = pkt.data.data() + parsed->payload_offset;
-    size_t len = parsed->payload_len;
-
+    net::L4Proto proto = net::L4Proto::kOther;
+    uint16_t dst = 0;
+    if (parsed->has_tcp) {
+        proto = net::L4Proto::kTcp;
+        dst = parsed->tcp.dst_port;
+    } else if (parsed->has_udp) {
+        proto = net::L4Proto::kUdp;
+        dst = parsed->udp.dst_port;
+    }
+    std::vector<uint32_t> sids;
     std::vector<net::PatternMatch> hits;
-    fast_patterns_.scan(payload, len, hits);
-    if (fast_patterns_nocase_.pattern_count() > 0) {
-        std::vector<uint8_t> folded(payload, payload + len);
-        for (auto& b : folded) b = fold(b);
-        fast_patterns_nocase_.scan(folded.data(), folded.size(), hits);
-    }
-    for (const auto& hit : hits) {
-        const net::IdsRule& rule = rules_.at(hit.pattern_id);
-        if (rule.proto == net::RuleProto::kTcp && !parsed->has_tcp) continue;
-        if (rule.proto == net::RuleProto::kUdp && !parsed->has_udp) continue;
-        uint16_t dst = parsed->has_tcp ? parsed->tcp.dst_port
-                                       : (parsed->has_udp ? parsed->udp.dst_port : 0);
-        if (rule.dst_port && *rule.dst_port != dst) continue;
-        bool all = true;
-        for (const auto& c : rule.contents) {
-            bool found = c.nocase
-                             ? contains_nocase(payload, len, c.bytes)
-                             : std::search(payload, payload + len, c.bytes.begin(),
-                                           c.bytes.end()) != payload + len;
-            if (!found) {
-                all = false;
-                break;
-            }
-        }
-        if (all) return true;
-    }
-    return false;
+    matcher_.match(pkt.data.data() + parsed->payload_offset, parsed->payload_len, proto, dst,
+                   sids, hits);
+    return !sids.empty();
 }
 
 double

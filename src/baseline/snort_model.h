@@ -20,8 +20,7 @@
 #include <cstdint>
 
 #include "net/packet.h"
-#include "net/patmatch.h"
-#include "net/rules.h"
+#include "net/rulematch.h"
 #include "net/tracegen.h"
 
 namespace rosebud::baseline {
@@ -59,9 +58,7 @@ class SnortModel {
     const Config& config() const { return config_; }
 
  private:
-    net::IdsRuleSet rules_;
-    net::AhoCorasick fast_patterns_;
-    net::AhoCorasick fast_patterns_nocase_;
+    net::RuleMatcher matcher_;
     Config config_;
 };
 

@@ -1,0 +1,43 @@
+/// \file
+/// IDS rule matching shared by the Pigasus accelerator model and the Snort
+/// baseline.
+///
+/// The rule set compiles into two fast-pattern automata (case-sensitive and
+/// `nocase`). A payload is scanned by both; each rule whose fast pattern
+/// hit is then verified once against the packet's protocol, its
+/// destination port and every content of the rule.
+
+#ifndef ROSEBUD_NET_RULEMATCH_H
+#define ROSEBUD_NET_RULEMATCH_H
+
+#include <cstdint>
+#include <vector>
+
+#include "net/patmatch.h"
+#include "net/rules.h"
+
+namespace rosebud::net {
+
+/// The L4 protocol a rule header's protocol selector is checked against.
+/// kOther matches neither TCP nor UDP rules.
+enum class L4Proto : uint8_t { kOther, kTcp, kUdp };
+
+class RuleMatcher {
+ public:
+    explicit RuleMatcher(const IdsRuleSet& rules);
+
+    /// Replace `sids` with the ascending sids of every rule that matches
+    /// the payload. `hits` is scratch: a caller that keeps it (and `sids`)
+    /// across calls matches without allocating.
+    void match(const uint8_t* payload, size_t len, L4Proto proto, uint16_t dst_port,
+               std::vector<uint32_t>& sids, std::vector<PatternMatch>& hits) const;
+
+ private:
+    IdsRuleSet rules_;
+    AhoCorasick exact_;
+    AhoCorasick nocase_{true};
+};
+
+}  // namespace rosebud::net
+
+#endif  // ROSEBUD_NET_RULEMATCH_H

@@ -215,6 +215,47 @@ TEST(Pigasus, JobProtocolDeliversRuleIdsAndEop) {
     EXPECT_EQ(rig.read(pig, kPigRegMatch), 0u);
 }
 
+TEST(Pigasus, OutOfRangeDmaWindowCompletesWithEopOnly) {
+    auto rules = net::IdsRuleSet::parse(
+        "alert tcp any any -> any any (content:\"needle9876\"; sid:42;)\n");
+    // Many engines keep a 4 GiB stream short: (2^32 - 1) / 2^24 = 256 cycles.
+    PigasusMatcher::Params params;
+    params.engines = 1u << 24;
+    PigasusMatcher pig(rules, params);
+    FakeRpu rig;
+    std::string needle = "needle9876";
+    for (uint32_t off : {0x0u, 0x100u}) {
+        rig.pmem.write_block(off, reinterpret_cast<const uint8_t*>(needle.data()),
+                             uint32_t(needle.size()));
+    }
+
+    // Kick a job over the firmware-supplied window; returns the cycles
+    // until its first result, then expects only the end-of-packet marker.
+    auto run_job = [&](uint32_t addr, uint32_t len) {
+        rig.write(pig, kPigRegDmaAddr, addr);
+        rig.write(pig, kPigRegDmaLen, len);
+        rig.write(pig, kPigRegStateH, 0x01ffffff);
+        rig.write(pig, kPigRegSlot, 5);
+        rig.write(pig, kPigRegCtrl, 1);
+        unsigned cycles = 0;
+        while (rig.read(pig, kPigRegMatch) == 0 && cycles < 100000) {
+            rig.tick(pig);
+            ++cycles;
+        }
+        EXPECT_EQ(rig.read(pig, kPigRegMatch), 1u);
+        EXPECT_EQ(rig.read(pig, kPigRegRuleId), 0u);
+        EXPECT_EQ(rig.read(pig, kPigRegSlot), 5u);
+        rig.write(pig, kPigRegCtrl, 2);
+        EXPECT_EQ(rig.read(pig, kPigRegMatch), 0u);
+        return cycles;
+    };
+
+    // A 4 GiB length: stream cycles are computed in 64 bits, not wrapped to 0.
+    EXPECT_GE(run_job(0x01000000, 0xffffffff), 256u);
+    // A window whose end wraps past 2^32: 0x100 + 0xffffff40 = 0x40 mod 2^32.
+    run_job(0x01000100, 0xffffff40);
+}
+
 TEST(Pigasus, StreamingTimeScalesWithPayload) {
     sim::Rng rng(5);
     auto rules = net::IdsRuleSet::synthesize(8, rng);

@@ -185,16 +185,19 @@ TEST(Blacklist, BadPrefixLengthFatal) {
 
 // --- Aho-Corasick ----------------------------------------------------------------
 
-/// Naive multi-pattern reference.
+/// Naive multi-pattern reference; `nocase` compares ASCII-folded bytes.
 std::vector<PatternMatch>
 naive_scan(const std::vector<std::vector<uint8_t>>& patterns, const uint8_t* data,
-           size_t len) {
+           size_t len, bool nocase = false) {
+    auto eq = [nocase](uint8_t a, uint8_t b) {
+        return nocase ? fold_case(a) == fold_case(b) : a == b;
+    };
     std::vector<PatternMatch> out;
     for (size_t i = 0; i < len; ++i) {
         for (size_t pi = 0; pi < patterns.size(); ++pi) {
             const auto& p = patterns[pi];
             if (p.empty() || i + 1 < p.size()) continue;
-            if (std::equal(p.begin(), p.end(), data + i + 1 - p.size())) {
+            if (std::equal(p.begin(), p.end(), data + i + 1 - p.size(), eq)) {
                 out.push_back({uint32_t(pi), uint32_t(i + 1)});
             }
         }
@@ -202,27 +205,54 @@ naive_scan(const std::vector<std::vector<uint8_t>>& patterns, const uint8_t* dat
     return out;
 }
 
-TEST(AhoCorasick, MatchesNaiveReferenceOnRandomInput) {
-    sim::Rng rng(21);
-    for (int trial = 0; trial < 30; ++trial) {
+/// Shape of the random inputs of one check_against_naive run.
+struct RandomCase {
+    size_t min_text, max_text;  ///< text length range
+    size_t max_pattern;         ///< pattern lengths are 1..max_pattern
+    unsigned alphabet;          ///< letters 'a'..('a' + alphabet - 1)
+    bool nocase;                ///< nocase automaton; mixed-case patterns and text
+    size_t plants;              ///< copies of each pattern written into the text
+};
+
+/// Scan random texts with random patterns and compare with naive_scan:
+/// the same matches, emitted with end offsets ascending.
+void
+check_against_naive(sim::Rng& rng, int trials, const RandomCase& c) {
+    auto letter = [&] {
+        uint8_t b = uint8_t('a' + rng.below(c.alphabet));
+        return c.nocase && rng.chance(0.5) ? uint8_t(b - 32) : b;
+    };
+    for (int trial = 0; trial < trials; ++trial) {
         std::vector<std::vector<uint8_t>> patterns;
-        AhoCorasick ac;
+        AhoCorasick ac(c.nocase);
         size_t n = 1 + rng.below(8);
         for (size_t i = 0; i < n; ++i) {
-            std::vector<uint8_t> p(1 + rng.below(6));
-            for (auto& b : p) b = uint8_t('a' + rng.below(4));  // small alphabet
+            std::vector<uint8_t> p(1 + rng.below(c.max_pattern));
+            for (auto& b : p) b = letter();
             patterns.push_back(p);
             ac.add_pattern(p, uint32_t(i));
         }
         ac.finalize();
 
-        std::vector<uint8_t> text(200);
-        for (auto& b : text) b = uint8_t('a' + rng.below(4));
+        size_t len = c.min_text == c.max_text
+                         ? c.min_text
+                         : c.min_text + rng.below(c.max_text - c.min_text + 1);
+        std::vector<uint8_t> text(len);
+        for (auto& b : text) b = letter();
+        for (const auto& p : patterns) {
+            for (size_t k = 0; k < c.plants && p.size() <= len; ++k) {
+                size_t off = rng.below(len - p.size() + 1);
+                std::copy(p.begin(), p.end(), text.begin() + off);
+            }
+        }
 
         std::vector<PatternMatch> got;
         ac.scan(text.data(), text.size(), got);
-        auto want = naive_scan(patterns, text.data(), text.size());
+        auto want = naive_scan(patterns, text.data(), text.size(), c.nocase);
 
+        EXPECT_TRUE(std::is_sorted(got.begin(), got.end(), [](auto& a, auto& b) {
+            return a.end_offset < b.end_offset;
+        })) << "trial " << trial << ", text " << len << " B: not in serial order";
         auto key = [](const PatternMatch& m) {
             return uint64_t(m.end_offset) << 32 | m.pattern_id;
         };
@@ -230,11 +260,23 @@ TEST(AhoCorasick, MatchesNaiveReferenceOnRandomInput) {
                   [&](auto& a, auto& b) { return key(a) < key(b); });
         std::sort(want.begin(), want.end(),
                   [&](auto& a, auto& b) { return key(a) < key(b); });
-        ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+        ASSERT_EQ(got.size(), want.size()) << "trial " << trial << ", text " << len << " B";
         for (size_t i = 0; i < got.size(); ++i) {
             EXPECT_EQ(got[i].pattern_id, want[i].pattern_id);
             EXPECT_EQ(got[i].end_offset, want[i].end_offset);
         }
+    }
+}
+
+TEST(AhoCorasick, MatchesNaiveReferenceOnRandomInput) {
+    sim::Rng rng(21);
+    check_against_naive(rng, 30, {200, 200, 6, 4, false, 0});
+    // Texts of 0-5000 B cross the interleaved-scan split, and patterns up
+    // to 16 B over a 3-4 letter alphabet match across every stream
+    // boundary; nocase patterns meet mixed-case text.
+    for (unsigned alphabet : {3u, 4u}) {
+        check_against_naive(rng, 40, {0, 5000, 16, alphabet, false, 3});
+        check_against_naive(rng, 40, {0, 5000, 16, alphabet, true, 3});
     }
 }
 
@@ -250,17 +292,6 @@ TEST(AhoCorasick, OverlappingAndNestedPatterns) {
     ac.scan(reinterpret_cast<const uint8_t*>(text.data()), text.size(), out);
     // ab@2, bc@3, abc@3, c@3.
     EXPECT_EQ(out.size(), 4u);
-}
-
-TEST(AhoCorasick, MatchesAnyEarlyExit) {
-    AhoCorasick ac;
-    ac.add_pattern({'x', 'y', 'z'}, 0);
-    ac.finalize();
-    std::string hit = "aaaxyzaaa";
-    std::string miss = "aaaxyaaaz";
-    EXPECT_TRUE(ac.matches_any(reinterpret_cast<const uint8_t*>(hit.data()), hit.size()));
-    EXPECT_FALSE(
-        ac.matches_any(reinterpret_cast<const uint8_t*>(miss.data()), miss.size()));
 }
 
 TEST(AhoCorasick, EmptyPatternIgnored) {

@@ -212,30 +212,33 @@ TEST(OracleRuleMatch, AgreesWithPigasusMatcher) {
     net::IdsRuleSet rules = net::IdsRuleSet::synthesize(32, rng);
     accel::PigasusMatcher matcher(rules);
 
-    // Random payloads seeded with real rule contents so matches happen.
-    for (int i = 0; i < 300; ++i) {
-        std::vector<uint8_t> payload(200);
-        for (auto& b : payload) b = uint8_t(rng.range(0x20, 0x7e));
-        const net::IdsRule& r = rules.at(rng.below(rules.size()));
-        size_t off = 0;
-        for (const auto& c : r.contents) {
-            if (off + c.bytes.size() > payload.size()) break;
-            std::copy(c.bytes.begin(), c.bytes.end(), payload.begin() + off);
-            off += c.bytes.size();
-        }
-        bool tcp = rng.chance(0.5);
-        uint16_t dport = r.dst_port ? *r.dst_port : uint16_t(rng.range(1, 65535));
-        // Raw port word as firmware passes it: network-order bytes read LE.
-        uint8_t port_bytes[4];
-        net::store_be16(port_bytes, 999);
-        net::store_be16(port_bytes + 2, dport);
-        uint32_t raw_ports = uint32_t(port_bytes[0]) | uint32_t(port_bytes[1]) << 8 |
-                             uint32_t(port_bytes[2]) << 16 |
-                             uint32_t(port_bytes[3]) << 24;
+    // Random payloads seeded with real rule contents at random offsets so
+    // matches happen, on both sides of the matcher's interleaved-scan split.
+    for (size_t size : {16, 200, 970, 1500, 4000}) {
+        for (int i = 0; i < 200; ++i) {
+            std::vector<uint8_t> payload(size);
+            for (auto& b : payload) b = uint8_t(rng.range(0x20, 0x7e));
+            const net::IdsRule& r = rules.at(rng.below(rules.size()));
+            for (const auto& c : r.contents) {
+                if (c.bytes.size() > payload.size()) continue;
+                size_t off = rng.below(payload.size() - c.bytes.size() + 1);
+                std::copy(c.bytes.begin(), c.bytes.end(), payload.begin() + off);
+            }
+            bool tcp = rng.chance(0.5);
+            uint16_t dport = r.dst_port ? *r.dst_port : uint16_t(rng.range(1, 65535));
+            // Raw port word as firmware passes it: network-order bytes read LE.
+            uint8_t port_bytes[4];
+            net::store_be16(port_bytes, 999);
+            net::store_be16(port_bytes + 2, dport);
+            uint32_t raw_ports = uint32_t(port_bytes[0]) | uint32_t(port_bytes[1]) << 8 |
+                                 uint32_t(port_bytes[2]) << 16 |
+                                 uint32_t(port_bytes[3]) << 24;
 
-        EXPECT_EQ(DataplaneOracle::ref_rule_match(rules, payload.data(), payload.size(),
-                                                  dport, tcp),
-                  matcher.match_payload(payload.data(), payload.size(), raw_ports, tcp));
+            EXPECT_EQ(DataplaneOracle::ref_rule_match(rules, payload.data(), payload.size(),
+                                                      dport, tcp),
+                      matcher.match_payload(payload.data(), payload.size(), raw_ports, tcp))
+                << size << " B payload, case " << i;
+        }
     }
 }
 

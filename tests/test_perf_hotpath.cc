@@ -17,6 +17,7 @@
 #include <memory>
 #include <new>
 
+#include "accel/pigasus.h"
 #include "core/system.h"
 #include "firmware/programs.h"
 #include "net/tracegen.h"
@@ -183,6 +184,54 @@ TEST(HotPath, TrafficWithHealthAttachedStaysBoundedPerPacket) {
         << "health layer allocations grew with cycles, not packets ("
         << g_allocs.load() << " allocs for " << packets << " packets)";
     mon.detach();
+}
+
+// The Pigasus matcher runs one job per packet in the IPS pipelines. Its
+// scratch buffers, FIFOs and counter handles live in the matcher, and it
+// scans packet memory in place, so a job that matches nothing allocates
+// nothing.
+TEST(HotPath, PigasusJobAllocatesNothing) {
+    sim::Rng rng(5);
+    accel::PigasusMatcher pig(net::IdsRuleSet::synthesize(64, rng));
+    mem::Memory pmem("pmem", 64 * 1024);
+    mem::Memory amem("amem", 4 * 1024);
+    sim::Stats stats;
+    rpu::AccelContext ctx{pmem, amem, stats, 0};
+    // 1 KB of text that no rule matches; its letters walk the automaton.
+    std::string text;
+    while (text.size() < 1024) text += "GET /index.html HTTP/1.1 host: example.org ";
+    pmem.write_block(0x100, reinterpret_cast<const uint8_t*>(text.data()), 1024);
+
+    // One job through the firmware's MMIO protocol; returns the first
+    // result's rule id (0 = only the end-of-packet marker).
+    auto job = [&] {
+        pig.mmio_write(accel::kPigRegDmaAddr, 0x01000100, ctx);
+        pig.mmio_write(accel::kPigRegDmaLen, 1024, ctx);
+        pig.mmio_write(accel::kPigRegStateH, 1, ctx);
+        pig.mmio_write(accel::kPigRegCtrl, 1, ctx);
+        uint32_t ready = 0;
+        for (int cycle = 0; !ready && cycle < 1000; ++cycle) {
+            ++ctx.now_cycles;
+            pig.tick(ctx);
+            pig.mmio_read(accel::kPigRegMatch, ready, ctx);
+        }
+        if (!ready) return ~0u;
+        uint32_t rule = 0;
+        pig.mmio_read(accel::kPigRegRuleId, rule, ctx);
+        pig.mmio_write(accel::kPigRegCtrl, 2, ctx);
+        return rule;
+    };
+    ASSERT_EQ(job(), 0u);  // warm-up: resolves the counters, sizes the scratch
+
+    uint32_t rules_seen = 0;
+    g_allocs.store(0);
+    g_counting.store(true);
+    for (int i = 0; i < 100; ++i) rules_seen |= job();
+    g_counting.store(false);
+
+    EXPECT_EQ(rules_seen, 0u) << "a job matched or did not complete";
+    EXPECT_EQ(stats.get("pigasus.jobs"), 101u);
+    EXPECT_EQ(g_allocs.load(), 0u) << "Pigasus jobs touched the heap";
 }
 
 }  // namespace
