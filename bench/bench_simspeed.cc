@@ -1,20 +1,18 @@
 /// Simulation-speed benchmark (host time, not simulated time).
 ///
-/// Three execution modes of the same workloads:
+/// Two execution modes of the same workloads:
 ///  * reference — predecode off, idle skipping off: the plain
 ///    interpret-everything two-phase kernel;
-///  * tuned     — predecoded RV32 dispatch + quiescence skipping (the
-///    defaults every experiment harness runs with);
-///  * decoupled — tuned plus time-decoupled cooperative execution over
-///    the certified 4-way ShardPlan (DESIGN.md §16).
+///  * tuned     — predecoded RV32 dispatch + quiescence skipping with
+///    timed sleep (the defaults every experiment harness runs with).
 ///
-/// All modes must produce bit-identical architectural state: every run is
+/// Both modes must produce bit-identical architectural state: every run is
 /// fingerprinted (System::state_fingerprint) and any divergence fails the
 /// benchmark — speed from a wrong simulation is meaningless. Further rows:
-/// the health layer's attached-vs-detached overhead, the low-load 4-shard
-/// decoupled speedup (gated at >= 1.5x over the serial tuned kernel), and
-/// the Figure 7 forwarding sweep, reference vs tuned (results must match
-/// exactly).
+/// the health layer's attached-vs-detached overhead, the low-load speedup
+/// (gated at >= 1.5x over reference, and on at least 75% of its cycles
+/// being fast-forwarded), and the Figure 7 forwarding sweep, reference vs
+/// tuned (results must match exactly).
 ///
 /// Set ROSEBUD_BENCH_JSON=<dir> to export machine-readable rows.
 
@@ -43,9 +41,6 @@ now_s() {
 struct Mode {
     const char* name;
     SimTuning tuning;
-    /// >1: time-decoupled cooperative execution over the certified
-    /// ShardPlan with this many shards (System::set_decouple_shards).
-    unsigned shards = 0;
 };
 
 // "reference" interprets every issued instruction and ticks every
@@ -53,11 +48,8 @@ struct Mode {
 const Mode kModes[] = {
     {"reference", {.predecode = false, .idle_skip = false}},
     {"tuned", {.predecode = true, .idle_skip = true}},
-    // Pigasus falls back to the barrier kernel (the hardware reassembler
-    // is a structural obstacle) — the row then simply measures tuned,
-    // still fingerprint-gated.
-    {"decoupled", {.predecode = true, .idle_skip = true}, 4},
 };
+const Mode& kReference = kModes[0];
 const Mode& kTuned = kModes[1];
 
 struct RunResult {
@@ -65,7 +57,7 @@ struct RunResult {
     uint64_t cycles = 0;
     uint64_t packets = 0;
     uint64_t fingerprint = 0;
-    bool decoupled = false;  ///< the decoupled executor actually installed
+    uint64_t fast_forwarded = 0;  ///< cycles skipped by whole-system fast-forward
 };
 
 /// The three fixed workloads (8 RPUs, round-robin LB, tables seeded 11).
@@ -117,12 +109,6 @@ run_pipeline(const Workload& w, const Mode& m,
         sys.add_source({.port = port, .line_gbps = 100.0, .load = 0.7},
                        [gen]() { return gen->next(); });
     }
-    if (m.shards > 1) {
-        // Single host thread: cooperative interleaving is the honest
-        // executor (kThreads would just add rendezvous spinning).
-        sys.set_decouple_exec(sim::ShardSpec::Exec::kCoop);
-        sys.set_decouple_shards(m.shards);
-    }
     sys.run_cycles(run_cycles);
 
     RunResult out;
@@ -139,23 +125,18 @@ run_pipeline(const Workload& w, const Mode& m,
     return out;
 }
 
-/// The low-duty forwarding point where time-decoupled execution pays: 16
-/// RPUs, 2x100G of 256 B frames at 0.5% of line rate, so the DUT idles
-/// between packets while the paced sources still tick every cycle. Host
-/// time covers the measured cycles only; construction and the one-time
-/// plan certification (run_cycles(0) installs the latent request) are
-/// outside it on both sides.
+/// The low-duty forwarding point where timed sleep pays: 16 RPUs, 2x100G
+/// of 256 B frames at 0.5% of line rate, so the DUT idles between packets
+/// and the paced sources sleep until their next frame is due. Host time
+/// covers the measured cycles only; construction is outside it.
 RunResult
-run_lowload(unsigned shards) {
+run_lowload(const Mode& m) {
     constexpr sim::Cycle kCycles = 242'000;
     PipelineSpec spec;
     spec.system.rpu_count = 16;
+    spec.system.tuning = m.tuning;
     PipelineFixture fx = build_pipeline(spec);
     System& sys = fx.system();
-    if (shards > 1) {
-        sys.set_decouple_exec(sim::ShardSpec::Exec::kCoop);
-        sys.set_decouple_shards(shards);
-    }
     sys.run_cycles(500);
     for (unsigned port = 0; port < 2; ++port) {
         net::TrafficSpec tspec;
@@ -165,8 +146,8 @@ run_lowload(unsigned shards) {
         sys.add_source({.port = port, .line_gbps = 100.0, .load = 0.005},
                        [gen]() { return gen->next(); });
     }
-    sys.run_cycles(0);
 
+    const sim::Cycle ff0 = sys.kernel().fast_forwarded_cycles();
     const double t0 = now_s();
     sys.run_cycles(kCycles);
     RunResult out;
@@ -174,7 +155,7 @@ run_lowload(unsigned shards) {
     out.cycles = kCycles;
     out.packets = sys.sink(0).frames() + sys.sink(1).frames();
     out.fingerprint = sys.state_fingerprint();
-    out.decoupled = sys.decoupled_active();
+    out.fast_forwarded = sys.kernel().fast_forwarded_cycles() - ff0;
     return out;
 }
 
@@ -322,58 +303,60 @@ main() {
         }
     }
 
-    bench::heading("Time-decoupled execution at low load: 16 RPUs, 2x100G, "
-                   "256B @ load 0.005, 4-shard coop vs serial tuned");
+    bench::heading("Timed sleep at low load: 16 RPUs, 2x100G, 256B @ load "
+                   "0.005, tuned vs reference");
     {
         // Best of 3 pairs (one-core hosts jitter); every rep is gated on
-        // fingerprint equality and on the executor having installed — a
-        // silent serial fallback would fake a 1.0x "speedup".
-        RunResult ref, dec;
+        // fingerprint equality.
+        RunResult ref, tuned;
         double speedup = 0;
         for (int rep = 0; rep < 3; ++rep) {
-            RunResult s = run_lowload(0);
-            RunResult d = run_lowload(4);
-            if (d.fingerprint != s.fingerprint) {
-                std::fprintf(stderr, "FATAL: decoupled-4shard fingerprint "
-                                     "diverges from the serial tuned run\n");
+            RunResult r = run_lowload(kReference);
+            RunResult t = run_lowload(kTuned);
+            if (t.fingerprint != r.fingerprint) {
+                std::fprintf(stderr, "FATAL: lowload tuned fingerprint diverges "
+                                     "from the reference run\n");
                 ++failures;
             }
-            if (!d.decoupled) {
-                std::fprintf(stderr, "FATAL: decoupled-4shard ran on the serial "
-                                     "fallback (executor never installed)\n");
-                ++failures;
-            }
-            if (s.host_s / d.host_s > speedup) {
-                speedup = s.host_s / d.host_s;
-                ref = s;
-                dec = d;
+            if (r.host_s / t.host_s > speedup) {
+                speedup = r.host_s / t.host_s;
+                ref = r;
+                tuned = t;
             }
         }
-        const bool match = dec.fingerprint == ref.fingerprint;
-        std::printf("serial tuned: %.3f s   4-shard decoupled: %.3f s   "
-                    "speedup: %.2fx (floor 1.5x)   fingerprint: %s\n",
-                    ref.host_s, dec.host_s, speedup,
+        const bool match = tuned.fingerprint == ref.fingerprint;
+        // Deterministic companion to the host-time floor: the sources must
+        // really sleep between frames. Without timed sleep the share is ~0.
+        const double ff_share = double(tuned.fast_forwarded) / double(tuned.cycles);
+        std::printf("reference: %.3f s   tuned: %.3f s   speedup: %.2fx (floor "
+                    "1.5x)   fast-forwarded: %.3f (floor 0.75)   fingerprint: %s\n",
+                    ref.host_s, tuned.host_s, speedup, ff_share,
                     match ? "identical" : "MISMATCH");
-        // The serial pass doubles as the regression gate's machine-speed
-        // calibration row for this workload.
         json.row({{"workload", "lowload"},
                   {"mode", "reference"},
                   {"host_s", bench::num(ref.host_s)},
                   {"cycles", std::to_string(ref.cycles)},
                   {"cycles_per_s", bench::num(double(ref.cycles) / ref.host_s)}});
         json.row({{"workload", "lowload"},
-                  {"mode", "decoupled-4shard"},
-                  {"host_s", bench::num(dec.host_s)},
-                  {"cycles", std::to_string(dec.cycles)},
-                  {"packets", std::to_string(dec.packets)},
-                  {"cycles_per_s", bench::num(double(dec.cycles) / dec.host_s)},
-                  {"packets_per_s", bench::num(double(dec.packets) / dec.host_s)},
+                  {"mode", "tuned"},
+                  {"host_s", bench::num(tuned.host_s)},
+                  {"cycles", std::to_string(tuned.cycles)},
+                  {"packets", std::to_string(tuned.packets)},
+                  {"cycles_per_s", bench::num(double(tuned.cycles) / tuned.host_s)},
+                  {"packets_per_s", bench::num(double(tuned.packets) / tuned.host_s)},
                   {"speedup", bench::num(speedup)},
+                  {"ff_share", bench::num(ff_share)},
                   {"fingerprint_match", match ? "yes" : "NO"}});
         if (speedup < 1.5) {
             std::fprintf(stderr,
-                         "FATAL: low-load 4-shard speedup %.2fx below the "
-                         "1.5x floor\n", speedup);
+                         "FATAL: low-load speedup %.2fx below the 1.5x floor\n",
+                         speedup);
+            ++failures;
+        }
+        if (ff_share < 0.75) {
+            std::fprintf(stderr,
+                         "FATAL: low-load fast-forward share %.3f below 0.75 "
+                         "(timed sleep lost)\n", ff_share);
             ++failures;
         }
     }
@@ -381,7 +364,7 @@ main() {
     bench::heading("Figure 7a forwarding sweep: reference vs tuned host time");
     std::vector<exp::ForwardingPoint> ref_pts, tuned_pts;
     uint64_t cycles = 0;
-    double ref_s = fig7_sweep(kModes[0].tuning, ref_pts, cycles);
+    double ref_s = fig7_sweep(kReference.tuning, ref_pts, cycles);
     double tuned_s = fig7_sweep(kTuned.tuning, tuned_pts, cycles);
     bool diverged = false;
     for (size_t i = 0; i < ref_pts.size(); ++i) {

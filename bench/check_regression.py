@@ -26,10 +26,8 @@ import sys
 # Absolute ceiling for the production-health overhead ratio: 2x the 5%
 # design target, matching the hard gate inside bench_simspeed itself.
 HEALTH_OVERHEAD_MAX = 0.10
-# Modes whose host-time numbers are stable enough to gate. The decoupled
-# modes run on one thread (coop executor) and their speedups are
-# serial-vs-decoupled ratios from the same run, so they gate cleanly.
-GATED_MODES = ("tuned", "tuned+health", "decoupled", "decoupled-4shard")
+# Modes whose host-time numbers are stable enough to gate.
+GATED_MODES = ("tuned", "tuned+health")
 
 
 def row_key(row):

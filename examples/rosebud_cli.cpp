@@ -117,9 +117,10 @@ usage() {
                  "             (static firmware verification; exits 1 on any error)\n"
                  "  lint       --rpus N (omit to sweep 4/8/16) --dot FILE\n"
                  "             --shards [N] (certify a partition of the paper\n"
-                 "              configuration for the time-decoupled kernel; bare\n"
-                 "              --shards sweeps 2/4/8-way plans; with --dot the\n"
-                 "              dump is annotated with shard clusters + cut edges)\n"
+                 "              configuration: checks every cut edge's latency\n"
+                 "              bound, nothing executes the plan; bare --shards\n"
+                 "              sweeps 2/4/8-way plans; with --dot the dump is\n"
+                 "              annotated with shard clusters + cut edges)\n"
                  "             --json FILE (netlist summary, violations and every\n"
                  "              certified shard plan as JSON)\n"
                  "             (elaborate every shipped config and run the static\n"

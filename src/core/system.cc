@@ -1,10 +1,8 @@
 #include "core/system.h"
 
 #include <cstring>
-#include <unordered_map>
 
 #include "sim/log.h"
-#include "sim/shard.h"
 
 namespace rosebud {
 
@@ -147,8 +145,8 @@ System::attach_accelerators(
 
 dist::TrafficSource&
 System::add_source(const dist::TrafficSource::Config& cfg, dist::TrafficSource::GenFn gen) {
-    sources_.push_back(std::make_unique<dist::TrafficSource>(kernel_, stats_, cfg, *fabric_,
-                                                             std::move(gen)));
+    sources_.push_back(
+        std::make_unique<dist::TrafficSource>(kernel_, cfg, *fabric_, std::move(gen)));
     return *sources_.back();
 }
 
@@ -257,202 +255,6 @@ System::lint_check() const {
 lint::ShardPlan
 System::shard_plan(unsigned shards) const {
     return lint::certify_partition(kernel_, shards);
-}
-
-// --- time-decoupled execution (DESIGN.md §16) --------------------------------
-
-void
-System::set_decouple_shards(unsigned shards) {
-    decouple_request_ = shards;
-    decouple_failed_ = false;
-    if (shards <= 1) {
-        // The null plan: one shard IS the barrier kernel, bit-identical to
-        // a serial run by definition.
-        kernel_.clear_shard_spec();
-        detach_cut_channels();
-        decouple_installed_ = false;
-        decouple_plan_.reset();
-    }
-}
-
-void
-System::detach_cut_channels() {
-    if (fabric_) {
-        for (unsigned p = 0; p < 2; ++p) fabric_->set_cut_rx_channel(p, nullptr);
-    }
-    for (auto& s : sources_) s->set_cut_channel(nullptr, 0);
-    cut_channels_.clear();
-}
-
-std::vector<sim::CutChannelStats>
-System::decoupled_channel_report() const {
-    std::vector<sim::CutChannelStats> out;
-    out.reserve(cut_channels_.size());
-    for (const auto& ch : cut_channels_) out.push_back(ch->stats());
-    return out;
-}
-
-void
-System::try_install_decoupled() {
-    // Decoupling targets the tester-boundary cuts; until traffic sources
-    // exist the certified plan has a single executable shard (certifying
-    // during boot would see only the DUT atom), so the request stays
-    // pending across boot-time runs.
-    if (sources_.empty()) return;
-
-    auto reject = [this](const std::string& why) {
-        sim::warn("decouple: falling back to the barrier kernel: " + why);
-        detach_cut_channels();
-        kernel_.clear_shard_spec();
-        decouple_failed_ = true;
-    };
-    if (config_.hw_reassembler)
-        return reject(
-            "the hardware reassembler holds cross-packet state on the mac_rx "
-            "path (the cut-channel mirror requires a pass-through MAC)");
-    if (observer_hooks_installed_)
-        return reject("packet observers require the single-clock barrier kernel");
-    if (kernel_.telemetry() != nullptr)
-        return reject("a telemetry sink is attached");
-
-    auto plan =
-        std::make_unique<lint::ShardPlan>(shard_plan(decouple_request_));
-    if (!plan->sound) return reject("plan unsound: " + plan->verdict);
-
-    std::unordered_map<std::string, sim::Component*> by_name;
-    for (sim::Component* c : kernel_.components()) by_name[c->name()] = c;
-    auto find = [&](const std::string& n) -> sim::Component* {
-        auto it = by_name.find(n);
-        return it == by_name.end() ? nullptr : it->second;
-    };
-
-    // Map plan shards (which also list netlist pseudo components — the
-    // LB's port-declaring name, the passive sinks) onto executable shards
-    // of kernel components. Plan shards holding only pseudo components
-    // are not executable; cuts touching them need no synchronization (a
-    // pseudo endpoint is a passive call on the adjacent real component's
-    // thread, e.g. a mac_tx sink delivery at fabric-local time).
-    sim::ShardSpec spec;
-    std::vector<int> exec_of(plan->shards.size(), -1);
-    for (unsigned ps = 0; ps < plan->shards.size(); ++ps) {
-        std::vector<sim::Component*> comps;
-        for (const std::string& n : plan->shards[ps]) {
-            if (sim::Component* c = find(n)) comps.push_back(c);
-        }
-        if (comps.empty()) continue;
-        exec_of[ps] = int(spec.shards.size());
-        spec.shards.push_back({});
-        spec.shards.back().components = std::move(comps);
-    }
-    if (spec.shards.size() < 2)
-        return reject("plan yields fewer than 2 executable shards");
-
-    int fabric_exec = -1;
-    for (unsigned s = 0; s < spec.shards.size(); ++s) {
-        for (sim::Component* c : spec.shards[s].components) {
-            if (c == fabric_.get()) fabric_exec = int(s);
-        }
-    }
-    if (fabric_exec < 0) return reject("fabric not in any executable shard");
-
-    // Translate the certified cuts into channels and waits. Only the
-    // tester-boundary mac_rx cuts carry real->real traffic today; any
-    // other real->real cut has no channel adapter yet.
-    detach_cut_channels();
-    std::unordered_map<std::string, sim::CutChannel<net::PacketPtr>*> by_net;
-    auto add_end_wait = [&](int shard, unsigned dep) {
-        for (unsigned u : spec.shards[shard].end_waits) {
-            if (u == dep) return;
-        }
-        spec.shards[shard].end_waits.push_back(dep);
-    };
-    bool any_channel = false;
-    // (channel, producer exec shard, consumer exec shard) — the kernel's
-    // per-shard done counters are bound after set_shard_spec succeeds.
-    std::vector<std::tuple<sim::CutChannelBase*, unsigned, unsigned>> binds;
-    for (const lint::ShardCut& cut : plan->cuts) {
-        sim::Component* from = find(cut.edge.from);
-        sim::Component* to = find(cut.edge.to);
-        if (!from || !to) continue;  // pseudo endpoint: no sync needed
-        const bool mac_rx_net =
-            cut.edge.net.rfind("fabric.mac_rx.p", 0) == 0 &&
-            cut.edge.net.size() == sizeof("fabric.mac_rx.p") &&
-            (cut.edge.net.back() == '0' || cut.edge.net.back() == '1');
-        if (!mac_rx_net)
-            return reject("no decoupled channel adapter for cut net '" +
-                          cut.edge.net + "'");
-        const unsigned port = unsigned(cut.edge.net.back() - '0');
-        const int from_exec = exec_of[cut.from_shard];
-        const int to_exec = exec_of[cut.to_shard];
-        if (from_exec < 0 || to_exec < 0)
-            return reject("mac_rx cut touches a non-executable shard");
-        if (cut.edge.kind == lint::LatencyEdge::kData) {
-            // Producer (TrafficSource) -> consumer (Fabric): replace the
-            // direct call with the latency-tagged channel; the consumer's
-            // end-of-cycle hook integrates same-cycle pushes, so it waits
-            // for the producer to finish each cycle before closing it.
-            if (to != fabric_.get())
-                return reject("unexpected mac_rx data-cut consumer '" +
-                              cut.edge.to + "'");
-            dist::TrafficSource* src = nullptr;
-            for (auto& s : sources_) {
-                if (s->name() == cut.edge.from) src = s.get();
-            }
-            if (!src)
-                return reject("mac_rx data-cut producer '" + cut.edge.from +
-                              "' is not a traffic source");
-            auto ch = std::make_unique<sim::CutChannel<net::PacketPtr>>(
-                cut.edge.net, cut.edge.latency);
-            by_net[cut.edge.net] = ch.get();
-            src->set_cut_channel(ch.get(), fabric_->config().mac_rx_fifo_bytes);
-            fabric_->set_cut_rx_channel(port, ch.get());
-            spec.shards[to_exec].in_channels.push_back(ch.get());
-            binds.emplace_back(ch.get(), unsigned(from_exec), unsigned(to_exec));
-            cut_channels_.push_back(std::move(ch));
-            add_end_wait(to_exec, unsigned(from_exec));
-            any_channel = true;
-        } else {
-            // Registered credit return (Fabric -> TrafficSource, latency
-            // >= 1). No conservative wait: the source's free-run gate
-            // (TrafficSource::decoupled_runnable) bounds occupancy with the
-            // channel's snapshot + its own undrained pushes, falling back
-            // to the exact lockstep snapshot only when the bound nears the
-            // FIFO capacity — that admission dominance is exactly what the
-            // registered-credit certificate licenses.
-        }
-    }
-    if (!any_channel) return reject("no mac_rx data cut in the plan");
-
-    spec.primary = unsigned(fabric_exec);
-    spec.shards[fabric_exec].begin_hook = [this] {
-        fabric_->decoupled_begin_run();
-    };
-    spec.shards[fabric_exec].end_hook = [this](sim::Cycle t) {
-        fabric_->decoupled_end_cycle(t);
-    };
-    spec.exec = decouple_exec_;
-
-    std::string err = kernel_.set_shard_spec(std::move(spec));
-    if (!err.empty()) return reject(err);
-
-    // Bind the kernel's per-shard progress counters into each channel so
-    // both endpoints can tell lockstep (exact credit) from free-run.
-    for (auto& [ch, prod, cons] : binds) {
-        ch->bind_producer_done(kernel_.shard_done_ptr(prod));
-        ch->bind_consumer_done(kernel_.shard_done_ptr(cons));
-    }
-
-    // The race detector needs a single attributable actor per cycle; the
-    // certified plan plus the dynamic channel-latency cross-check stand in
-    // for it while decoupled.
-    kernel_.set_race_check(false);
-    decouple_installed_ = true;
-    decouple_plan_ = std::move(plan);
-    sim::inform("decouple: installed " +
-                std::to_string(kernel_.components().size()) +
-                " components over " + std::to_string(decouple_request_) +
-                "-way certified plan (" + std::to_string(cut_channels_.size()) +
-                " cut channels)");
 }
 
 namespace {

@@ -342,61 +342,6 @@ Fabric::set_mac_tx_sink(unsigned port, SinkFn fn) {
 }
 
 void
-Fabric::set_cut_rx_channel(unsigned port, sim::CutChannel<net::PacketPtr>* ch) {
-    if (port > 1) sim::fatal("set_cut_rx_channel: bad port");
-    cut_rx_[port] = ch;
-}
-
-void
-Fabric::decoupled_begin_run() {
-    for (unsigned p = 0; p < 2; ++p) {
-        if (!cut_rx_[p]) continue;
-        const IngressSource& src = sources_[p];
-        cut_rx_[p]->publish_credit(src.queue_bytes, src.queue.size());
-        cut_pub_bytes_[p] = src.queue_bytes;
-        cut_pub_count_[p] = src.queue.size();
-    }
-}
-
-void
-Fabric::decoupled_end_cycle(sim::Cycle t) {
-    // Mirror of mac_rx's host-phase arrival path: deliveries mutate
-    // sleeper-visible queues, so settle the skipped window before the first
-    // one, and wake afterwards so the next executed cycle ticks us.
-    bool delivered = false;
-    for (unsigned p = 0; p < 2; ++p) {
-        sim::CutChannel<net::PacketPtr>* ch = cut_rx_[p];
-        if (!ch) continue;
-        IngressSource& src = sources_[p];
-        sim::Cycle tag = 0;
-        if (ch->earliest_pending(&tag) && tag <= t) {
-            ch->drain_upto(t, [&](sim::Cycle, net::PacketPtr pkt) {
-                if (!delivered) {
-                    flush_skipped();
-                    delivered = true;
-                }
-                src.queue_bytes += pkt->size();
-                src.queue.push_back(std::move(pkt));
-            });
-        }
-        // Refresh the registered admission snapshot when occupancy moved
-        // (a drain above, or our own tick popping this cycle); the
-        // producer reads this snapshot next cycle. Unchanged occupancy
-        // republished would be byte-identical, so skipping the lock is
-        // invisible.
-        if (src.queue_bytes != cut_pub_bytes_[p] ||
-            src.queue.size() != cut_pub_count_[p]) {
-            src.admit_bytes = src.queue_bytes;
-            src.admit_count = src.queue.size();
-            ch->publish_credit(src.queue_bytes, src.queue.size());
-            cut_pub_bytes_[p] = src.queue_bytes;
-            cut_pub_count_[p] = src.queue.size();
-        }
-    }
-    if (delivered) wake();
-}
-
-void
 Fabric::set_host_sink(SinkFn fn) {
     host_sink_ = std::move(fn);
 }

@@ -1,12 +1,14 @@
 /// \file
 /// Static shard-cut certifier over the elaboration netlist.
 ///
-/// The time-decoupled kernel (sim/shard.h, DESIGN.md §16) needs cut edges
-/// with *provably* nonzero forwarding latency: a
+/// A partition of the design into independently clocked shards is only
+/// sound when every cut edge has *provably* nonzero forwarding latency: a
 /// conservative parallel scheduler may only advance a shard's local clock
 /// by the minimum latency of its incoming cut edges (the FireSim
 /// latency-bounded-channel argument). This pass derives those bounds from
-/// the netlist the primitives and components already declare:
+/// the netlist the primitives and components already declare, as a check
+/// of the netlist's latency contract (DESIGN.md §14); no executor runs the
+/// plans:
 ///
 ///  * a registered FIFO net forwards with latency >= 1 (a push at cycle T
 ///    is first poppable at T+1 — the two-phase commit plus the dynamic

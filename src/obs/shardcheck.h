@@ -27,7 +27,6 @@
 
 #include "lint/shard.h"
 #include "sim/kernel.h"
-#include "sim/shard.h"
 #include "sim/telemetry.h"
 
 namespace rosebud::obs {
@@ -93,15 +92,6 @@ struct ShardCheckSpec {
     double load = 0.7;
     sim::Cycle run_cycles = 20'000;
     bool fault_on_undercut = true;
-    /// >1: additionally run the *same* workload time-decoupled over a
-    /// certified plan with that many shards and cross-check the cut
-    /// channels themselves — every decoupled channel with deliveries must
-    /// show observed latency >= its certified lookahead, and the
-    /// decoupled fingerprint must equal the barrier run's. (The telemetry
-    /// recorder cannot ride along decoupled — attaching a sink forces the
-    /// barrier kernel — so this pass reads the channels' own stats via
-    /// System::decoupled_channel_report.)
-    unsigned decouple = 0;
 };
 
 struct ShardCheckResult {
@@ -110,13 +100,6 @@ struct ShardCheckResult {
     bool ok = false;  ///< plan internally consistent and no undercuts
     uint64_t cycles = 0;
     uint64_t messages = 0;  ///< total matched cross-cut messages
-
-    // Decoupled pass (spec.decouple > 1); folded into `ok`.
-    bool decoupled_ran = false;
-    bool decoupled_ok = true;  ///< channels respected bounds, fingerprints equal
-    uint64_t barrier_fingerprint = 0;
-    uint64_t decoupled_fingerprint = 0;
-    std::vector<sim::CutChannelStats> channels;  ///< decoupled cut channels
 };
 
 ShardCheckResult run_shard_check(const ShardCheckSpec& spec);

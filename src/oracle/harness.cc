@@ -57,7 +57,7 @@ run_differential(const RunSpec& spec) {
     tspec.reorder_fraction = spec.reorder_fraction;
     tspec.flow_count = spec.flow_count;
     tspec.udp_fraction = spec.udp_fraction;
-    tspec.seed = spec.seed * 2654435761u + 1;  // decouple from rule synthesis
+    tspec.seed = spec.seed * 2654435761u + 1;  // independent of rule synthesis
 
     dist::TrafficSource::Config src;
     src.port = 0;

@@ -20,29 +20,26 @@
 ///    netlist (nets + directed ports) that the static checker in
 ///    src/lint/ validates before cycle 0.
 ///
-/// Host-speed machinery (DESIGN.md §11):
-///  * **Quiescence skipping** — a component may override `quiescent()` to
-///    report that, absent new input, its tick()/commit() have no observable
-///    effect. The kernel keeps an active set; sleeping components are not
-///    ticked. Wake edges derived from the elaboration netlist (plus
-///    explicit `wake()` calls on direct-call boundaries) re-activate a
-///    consumer the moment a producer stages input for it. When *every*
-///    component is asleep the run loop fast-forwards the cycle counter in
-///    one step. Skipping is exact by construction and is automatically
-///    disabled while a TelemetrySink is attached (per-cycle event streams
-///    must see every cycle).
-///  * **Time-decoupled shards** — `set_shard_spec` runs each shard of a
-///    certified plan under its own local clock (DESIGN.md §16). Every
-///    shard is one serial tick loop; the barrier kernel is the one-shard
-///    case.
+/// Host-speed machinery (DESIGN.md §11): **quiescence skipping**. A
+/// component may override `quiescent()` to report that, absent new input,
+/// its tick()/commit() have no observable effect. The kernel keeps an
+/// active set; sleeping components are not ticked. Wake edges derived
+/// from the elaboration netlist (plus explicit `wake()` calls on
+/// direct-call boundaries) re-activate a consumer the moment a producer
+/// stages input for it. A sleeper whose idle ticks only advance internal
+/// time (a paced traffic source between frames) also reports, through
+/// `wake_due()`, the cycle at which it must tick again; the kernel wakes
+/// it then and it replays the skipped ticks in `on_wake()`. When *every*
+/// component is asleep the run loop fast-forwards the cycle counter to
+/// the earliest due cycle in one step. Skipping is exact by construction
+/// and is automatically disabled while a TelemetrySink is attached
+/// (per-cycle event streams must see every cycle).
 
 #ifndef ROSEBUD_SIM_KERNEL_H
 #define ROSEBUD_SIM_KERNEL_H
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -69,6 +66,9 @@ inline constexpr double cycles_to_us(Cycle c) { return double(c) * kNsPerCycle /
 /// Convert a cycle count to seconds of simulated time.
 inline constexpr double cycles_to_s(Cycle c) { return double(c) / kClockHz; }
 
+/// "No due cycle": a sleeper that only an input can wake.
+inline constexpr Cycle kNever = ~Cycle(0);
+
 /// Anything with per-cycle staged state that must become visible at the
 /// clock edge. Fifos, registers, and components all implement this.
 class Clocked {
@@ -86,7 +86,6 @@ class Clocked {
 };
 
 class Kernel;
-struct ShardSpec;  // sim/shard.h: time-decoupled execution (DESIGN.md §16)
 
 // --- elaboration netlist -----------------------------------------------------
 
@@ -170,11 +169,19 @@ class Component : public Clocked {
     /// Conservative idle report, polled by the kernel after each commit
     /// when idle skipping is enabled. Return true only if — given no new
     /// input — this component's tick() and commit() can have no observable
-    /// effect on any cycle until an input arrives. Inputs of a sleeping
-    /// component must be sim::Fifo pushes (which wake it through the
-    /// netlist wake edges) or direct calls instrumented with wake().
-    /// The default keeps the component permanently active.
+    /// effect on any cycle until an input arrives or its wake_due() cycle
+    /// comes. Inputs of a sleeping component must be sim::Fifo pushes
+    /// (which wake it through the netlist wake edges) or direct calls
+    /// instrumented with wake(). The default keeps the component
+    /// permanently active.
     virtual bool quiescent() const { return false; }
+
+    /// Asked by the sleep sweep right after quiescent() returned true: the
+    /// first cycle at which this component must tick again even without
+    /// input. The ticks it sleeps through are replayed by on_wake(), so
+    /// they must change nothing but internal, time-derived state. The
+    /// default, kNever, means only an input wakes it.
+    virtual Cycle wake_due() const { return kNever; }
 
     /// Re-activate this component. Idempotent. A wake issued during the
     /// tick phase takes effect on the *next* cycle — registered semantics:
@@ -182,8 +189,6 @@ class Component : public Clocked {
     /// this cycle anyway — which keeps serial and shuffled schedules
     /// bit-identical. Its commit() still runs this cycle, so staged input
     /// handed over by a direct call (e.g. begin_rx) is integrated on time.
-    /// Only the thread that ticks this component may wake it (during a
-    /// decoupled run, its own shard's worker).
     void wake();
 
     /// False while the kernel has this component in the skipped set.
@@ -211,39 +216,6 @@ class Component : public Clocked {
     /// firmware polls), so the replayed cycles see pre-mutation state.
     void flush_skipped();
 
-    // --- time-decoupled self-advance contract (DESIGN.md §16) ---------------
-    //
-    // These hooks are consulted only by the decoupled shard runner, and
-    // only for components that opted in by setting decoupled_gated_ (so
-    // the common case pays one flag test, not a virtual call, per cycle).
-
-    /// May local cycle `t` be decided right now? Return false when this
-    /// component's tick at `t` depends on peer-shard state that is not
-    /// yet conservatively bounded (e.g. a cut-FIFO admission too close to
-    /// capacity while the consumer shard is behind). The runner then
-    /// parks this shard until the peer advances.
-    virtual bool decoupled_runnable(Cycle t) const {
-        (void)t;
-        return true;
-    }
-
-    /// How many upcoming ticks (starting at the shard's current cycle)
-    /// are pure internal time advance — no output, no staged state, no
-    /// cross-component effect. The runner may batch them through
-    /// decoupled_advance() instead of calling tick(). Conservative: 0 is
-    /// always correct.
-    virtual Cycle decoupled_lookahead() const { return 0; }
-
-    /// Replay `n` ticks previously promised by decoupled_lookahead().
-    /// Must reproduce bit-identical internal state to `n` live tick()
-    /// calls (replay the arithmetic; never summarize floating point).
-    virtual void decoupled_advance(Cycle n) { (void)n; }
-
- protected:
-    /// Subclasses overriding the hooks above must set this so the shard
-    /// runner knows to consult them.
-    bool decoupled_gated_ = false;
-
  private:
     friend class Kernel;
 
@@ -254,25 +226,24 @@ class Component : public Clocked {
     Cycle wake_at_ = 0;              ///< first cycle allowed to tick again
     Cycle sleep_since_ = 0;          ///< first skipped cycle (if unaccounted_)
     bool unaccounted_ = false;       ///< skipped cycles not yet reported
+    Cycle due_ = kNever;             ///< timed sleeper's wake_due(), if asleep
 };
 
 /// The clock driver: owns the component/clocked registries and advances
-/// simulated time. Host-side calls are not thread safe; one kernel per
-/// simulated system.
+/// simulated time. Single-threaded; one kernel per simulated system.
 class Kernel {
  public:
     /// Where the clock currently stands within Kernel::step().
     enum class Phase : uint8_t { kIdle, kTick, kCommit };
 
-    Kernel();  // out of line: members reference the incomplete ShardRun
-    ~Kernel();
+    Kernel() = default;
     Kernel(const Kernel&) = delete;
     Kernel& operator=(const Kernel&) = delete;
 
     /// Register a component (called from Component's constructor).
     void add_component(Component* c) {
         components_.push_back(c);
-        awake_count_.fetch_add(1, std::memory_order_relaxed);
+        ++awake_count_;
     }
 
     /// Register a non-component clocked element. A `lazy` element promises
@@ -295,10 +266,6 @@ class Kernel {
     void request_commit(Clocked* c) {
         if (c->commit_queued_) return;
         c->commit_queued_ = true;
-        if (decoupled_live_.load(std::memory_order_relaxed)) {
-            decoupled_request_commit(c);
-            return;
-        }
         commit_queue_.push_back(c);
     }
 
@@ -307,14 +274,16 @@ class Kernel {
 
     /// Advance the simulation by `cycles` clock cycles. When the whole
     /// system is quiescent (idle skipping on, every component asleep) the
-    /// remaining cycles are fast-forwarded in one jump: nothing can wake
-    /// without a host-side call, which cannot happen inside this loop.
+    /// clock jumps to the earlier of the run's end and the earliest timed
+    /// sleeper's due cycle: nothing else can wake without a host-side
+    /// call, which cannot happen inside this loop.
     void run(Cycle cycles);
 
     /// Run until `pred()` returns true or `max_cycles` elapse.
     /// Returns true if the predicate fired. While the whole system is
-    /// quiescent, cycles advance without tick/commit work but `pred` is
-    /// still evaluated each cycle (it may be time-dependent).
+    /// quiescent, cycles before the earliest due cycle advance without
+    /// tick/commit work but `pred` is still evaluated each cycle (it may
+    /// be time-dependent).
     template <typename Pred>
     bool run_until(Pred&& pred, Cycle max_cycles) {
         bool hit = false;
@@ -323,9 +292,9 @@ class Kernel {
                 hit = true;
                 break;
             }
-            if (prestep_done_ && idle_skip_effective() &&
-                awake_count_.load(std::memory_order_relaxed) == 0) {
+            if (all_asleep() && now_ < next_due_) {
                 ++now_;  // quiescent: the cycle is empty by construction
+                ++fast_forwarded_;
             } else {
                 step();
             }
@@ -335,13 +304,8 @@ class Kernel {
         return hit;
     }
 
-    /// Current simulation time in cycles since reset. During a decoupled
-    /// run (DESIGN.md §16) every shard thread sees its *local* clock here;
-    /// between runs all clocks agree and this is the single global time.
-    Cycle now() const {
-        if (decoupled_live_.load(std::memory_order_relaxed)) return decoupled_now();
-        return now_;
-    }
+    /// Current simulation time in cycles since reset.
+    Cycle now() const { return now_; }
 
     /// Current simulation time in nanoseconds.
     double now_ns() const { return cycles_to_ns(now()); }
@@ -349,18 +313,10 @@ class Kernel {
     /// Number of registered components.
     size_t component_count() const { return components_.size(); }
 
-    /// Registered components in current tick order (shard-spec builders
-    /// map certified plan shards onto these).
-    const std::vector<Component*>& components() const { return components_; }
-
     // --- phase/actor tracking (race detector substrate) ---------------------
 
-    /// Where the clock stands right now (the calling shard's local phase
-    /// during a decoupled run).
-    Phase phase() const {
-        if (decoupled_live_.load(std::memory_order_relaxed)) return decoupled_phase();
-        return phase_;
-    }
+    /// Where the clock stands right now.
+    Phase phase() const { return phase_; }
 
     /// True while some component's tick() is on the stack.
     bool in_tick() const { return phase() == Phase::kTick; }
@@ -381,9 +337,8 @@ class Kernel {
     /// must detach (or outlive the kernel) before it dies. Events flow from
     /// the registered primitives and instrumented components; end_cycle
     /// fires once per step after all commits. Attaching a sink disables
-    /// idle skipping and decoupled execution (the accessors below report
-    /// the effective state) so per-cycle accounting stays exact and event
-    /// order deterministic.
+    /// idle skipping (the accessors below report the effective state) so
+    /// per-cycle accounting stays exact and event order deterministic.
     void set_telemetry(TelemetrySink* sink) {
         if (sink) wake_all();
         telemetry_ = sink;
@@ -445,7 +400,7 @@ class Kernel {
     bool idle_skip_effective() const { return idle_skip_ && telemetry_ == nullptr; }
 
     /// Components currently in the active set.
-    size_t awake_count() const { return awake_count_.load(std::memory_order_relaxed); }
+    size_t awake_count() const { return awake_count_; }
 
     /// Wake every component (and report skipped cycles to each sleeper).
     void wake_all();
@@ -453,47 +408,13 @@ class Kernel {
     /// Report pending skipped cycles to every sleeper without waking it,
     /// so host code can observe exact time-derived state (core cycle
     /// counters) between runs. Called automatically at run()/run_until()
-    /// boundaries.
+    /// boundaries; exact for timed sleepers too, because no run ends past
+    /// a sleeper's due cycle.
     void sync_sleepers();
 
     /// Cumulative cycles whose tick/commit work was skipped by whole-
     /// system fast-forward (diagnostics for bench_simspeed).
     Cycle fast_forwarded_cycles() const { return fast_forwarded_; }
-
-    // --- time-decoupled execution (DESIGN.md §16) -----------------------------
-
-    /// Install an executable shard specification (derived from a certified
-    /// lint::ShardPlan — System::set_decouple_shards is the production
-    /// path). Every registered component must appear in exactly one shard.
-    /// Returns an empty string on success; otherwise a reason and nothing
-    /// is installed. While installed and effective, run() executes each
-    /// shard as one serial tick loop under a local cycle counter with
-    /// conservative lookahead synchronization, on its own thread or
-    /// interleaved cooperatively on the caller's (ShardSpec::exec).
-    std::string set_shard_spec(ShardSpec spec);
-
-    /// Drop the installed spec; run() returns to the barrier executor.
-    void clear_shard_spec();
-
-    bool shard_spec_installed() const { return spec_ != nullptr; }
-
-    /// True while a decoupled run() is in flight — i.e. the calling thread
-    /// is on a shard-local clock. Cheap enough to poll per frame.
-    bool decoupled_running() const {
-        return decoupled_live_.load(std::memory_order_relaxed);
-    }
-
-    /// True when the next run() will use the decoupled executor: a spec is
-    /// installed and nothing demanding a single global clock is attached
-    /// (the race detector, a telemetry sink and a health probe all require
-    /// the barrier regime).
-    bool decoupled_effective() const;
-
-    /// Progress counter ("done" cursor) of an installed shard: the number
-    /// of cycles that shard has completed in the current (or last) run.
-    /// Stable for the lifetime of the spec — System binds these into the
-    /// cut channels so endpoints can reason about peer progress.
-    const std::atomic<Cycle>* shard_done_ptr(unsigned shard) const;
 
     // --- tick-order shuffling -------------------------------------------------
 
@@ -546,19 +467,17 @@ class Kernel {
  private:
     friend class Component;
 
-    struct ShardRun;
+    /// True when the whole system may skip the current cycle.
+    bool all_asleep() const {
+        return prestep_done_ && idle_skip_effective() && awake_count_ == 0;
+    }
 
     void note_wake(Component& c);
     void flush_wake_accounting(Component* c);
     void sleep_sweep();
+    void wake_timed();
+    void drop_timed(Component& c);
     void build_wake_map();
-    void decoupled_request_commit(Clocked* c);
-    Cycle decoupled_now() const;
-    Phase decoupled_phase() const;
-    void run_decoupled(Cycle cycles);
-    bool advance_shard(ShardRun& sr, Cycle budget);
-    void run_shard_threaded(ShardRun& sr);
-    void shard_sleep_sweep(ShardRun& sr, Cycle next);
 
     std::vector<Component*> components_;
     std::vector<Clocked*> clocked_;
@@ -574,22 +493,15 @@ class Kernel {
     std::vector<OccupancyProbe> occupancy_probes_;
 
     bool idle_skip_ = true;
-    /// Shared by every shard's sleep sweep during a decoupled run.
-    std::atomic<size_t> awake_count_{0};
+    size_t awake_count_ = 0;
     Cycle fast_forwarded_ = 0;
+    /// Sleepers with a due cycle, and the earliest of their due cycles.
+    std::vector<Component*> timed_;
+    Cycle next_due_ = kNever;
 
     bool wake_map_built_ = false;
     uint64_t wake_epoch_ = 0;
     std::unordered_map<std::string, std::vector<Component*>> wake_readers_;
-
-    std::unique_ptr<ShardSpec> spec_;
-    std::vector<std::unique_ptr<ShardRun>> shard_runs_;
-    std::atomic<bool> decoupled_live_{false};
-    /// The shard the calling thread executes during a decoupled run (null
-    /// on host threads and between runs). Static: shard identity is a
-    /// property of the thread, and a thread runs at most one shard of one
-    /// kernel at a time (run() returns before the thread serves another).
-    static thread_local ShardRun* t_shard_;
 
     std::vector<NetRecord> nets_;
     std::vector<PortRecord> ports_;

@@ -19,10 +19,6 @@
 namespace rosebud::sim {
 
 /// A monotonically increasing event/byte counter.
-///
-/// Each counter is bumped by the components of one tick loop only: during
-/// a decoupled run every cell belongs to a single shard (a source shard
-/// counts its own port's ingress), and the host reads between runs.
 class Counter {
  public:
     void add(uint64_t n = 1) { value_ += n; }
@@ -82,9 +78,8 @@ class Sampler {
 /// `counter()`/`sampler()` return node-stable references: components cache
 /// the returned handle at elaboration time and bump it directly on the hot
 /// path (no per-event string building or map walk). Cold-path lookups
-/// (e.g. an accelerator resolving a counter on its first event) come only
-/// from the DUT's tick loop; traffic-source shards resolve their handles
-/// before a decoupled run starts.
+/// (e.g. an accelerator resolving a counter on its first event) are
+/// allowed too.
 class Stats {
  public:
     /// Find-or-create a counter by dotted name.

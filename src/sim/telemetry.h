@@ -19,7 +19,7 @@
 ///
 /// HealthProbe is the *production* counterpart: where a TelemetrySink wants
 /// the complete per-primitive event stream (and therefore disables idle
-/// skipping and decoupled execution), a HealthProbe only needs a periodic
+/// skipping), a HealthProbe only needs a periodic
 /// heartbeat plus on-demand reads of committed state. Attaching one costs a
 /// single pointer compare per stepped cycle and leaves every kernel fast
 /// path enabled — that is what lets the always-on health layer (obs::

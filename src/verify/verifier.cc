@@ -1328,7 +1328,8 @@ Verifier::find_busy_loops() {
         // A loop the bound inference proved finite terminates by that very
         // proof — exempt it even when the side-effect heuristic sees nothing
         // (counted delay loops). A finitely-bounded loop always has an exit
-        // edge, so this is belt-and-braces, but it decouples the two passes.
+        // edge, so this is belt-and-braces, but it keeps the two passes
+        // independent.
         bool proven_finite = false;
         for (size_t b = 0; b < n; ++b) {
             if (comp[b] != c) continue;

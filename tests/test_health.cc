@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "core/pipeline.h"
 #include "core/system.h"
 #include "core/tracer.h"
 #include "firmware/programs.h"
+#include "net/tracegen.h"
 #include "obs/health.h"
 #include "obs/perfetto.h"
 #include "obs/telemetry.h"
@@ -320,6 +322,49 @@ TEST(HealthMonitor, HealthySweepDoesNotTrip) {
     EXPECT_FALSE(r.metrics_prom.empty());
     EXPECT_NE(r.metrics_prom.find("rosebud_health_ingress_packets_total"),
               std::string::npos);
+}
+
+// The health layer checks the fastest kernel mode: at 0.5% load the paced
+// sources time-sleep between frames, so most cycles are fast-forwarded,
+// and the monitor must still see every packet and close every epoch.
+TEST(HealthMonitor, ChecksTimedSleepAtLowLoad) {
+    constexpr sim::Cycle kCycles = 242'500;
+    auto run = [](obs::HealthMonitor* mon, sim::Cycle* fast_forwarded) {
+        PipelineSpec spec;
+        spec.system.rpu_count = 16;
+        PipelineFixture fx = build_pipeline(spec);
+        System& sys = fx.system();
+        if (mon) mon->attach(sys);
+        for (unsigned port = 0; port < 2; ++port) {
+            net::TrafficSpec tspec;
+            tspec.packet_size = 256;
+            tspec.seed = 2654435761u + port;
+            auto gen = std::make_shared<net::TraceGenerator>(tspec, nullptr, nullptr);
+            sys.add_source({.port = port, .line_gbps = 100.0, .load = 0.005},
+                           [gen] { return gen->next(); });
+        }
+        sys.run_cycles(kCycles);
+        *fast_forwarded = sys.kernel().fast_forwarded_cycles();
+        const uint64_t fp = sys.state_fingerprint();
+        if (mon) {
+            mon->flush_epoch();
+            mon->detach();  // before the System dies
+        }
+        return fp;
+    };
+    sim::Cycle ff_detached = 0, ff_attached = 0;
+    const uint64_t detached = run(nullptr, &ff_detached);
+    obs::HealthMonitor mon;
+    const uint64_t attached = run(&mon, &ff_attached);
+
+    EXPECT_EQ(attached, detached);
+    EXPECT_EQ(ff_attached, ff_detached);
+    EXPECT_GE(2 * ff_attached, kCycles);
+    EXPECT_GT(mon.egress_packets(), 0u);
+    EXPECT_EQ(mon.watchdog_trips(), 0u);
+    EXPECT_EQ(mon.slo_violations(), 0u);
+    const uint64_t epoch = obs::HealthConfig{}.epoch_cycles;
+    EXPECT_EQ(mon.epochs_closed(), (kCycles + epoch - 1) / epoch);
 }
 
 // ------------------------------------------------------ host-side query

@@ -527,6 +527,19 @@ TEST(ShardCertifier, PaperConfigEightWayIsProvenNoSafeCut) {
     EXPECT_TRUE(lint::validate_plan(sys->kernel(), plan, &why)) << why;
 }
 
+TEST(ShardCertifier, EightWayVerdictIsStable) {
+    auto sys = paper_system_with_sources();
+    const lint::ShardPlan a = sys->shard_plan(8);
+    const lint::ShardPlan b = sys->shard_plan(8);
+    EXPECT_FALSE(a.sound);
+    EXPECT_EQ(a.verdict, b.verdict);
+    EXPECT_NE(a.verdict.find("cheapest registerization"), std::string::npos);
+    EXPECT_EQ(a.cheapest_registerization, b.cheapest_registerization);
+    EXPECT_GE(a.unlocked_atoms, 8u);
+    ASSERT_EQ(a.blockers.size(), a.blocker_multiplicity.size());
+    for (unsigned m : a.blocker_multiplicity) EXPECT_GE(m, 1u);
+}
+
 TEST(ShardCertifier, UnregisteredCreditLoopAcrossCutIsRejected) {
     // Two components cross-pushing skid-credit FIFOs: each credit
     // observation is combinational in the reverse direction, so the pair

@@ -221,6 +221,33 @@ TEST(OracleDivergence, HaltedRpuShowsUpAsStuckPackets) {
     EXPECT_NE(res.report.find("stuck-packet"), std::string::npos) << res.report;
 }
 
+// --- timed sleep under the scoreboard ---------------------------------------
+
+TEST(OracleTimedSleep, LowLoadForwarderFastForwardsWithZeroDivergences) {
+    // An uncapped-rate source at load 0.05 sleeps between 1500 B frames and
+    // the idle DUT lets the kernel fast-forward, with every packet scored.
+    RunSpec s;
+    s.pipeline = Pipeline::kForwarder;
+    s.packet_size = 1500;
+    s.load = 0.05;
+    s.max_packets = 100;
+    sim::Cycle fast_forwarded = 0;
+    uint64_t offered = 0;
+    s.mid_run = [&](System& sys) {
+        fast_forwarded = sys.kernel().fast_forwarded_cycles();
+        offered = sys.stats().get("port0.rx_frames");
+    };
+    RunResult res = run_differential(s);
+    EXPECT_TRUE(res.ok) << res.report;
+    EXPECT_EQ(res.counts.divergences, 0u) << res.report;
+    EXPECT_EQ(res.counts.offered, s.max_packets);
+    // Halfway through, the kernel had already fast-forwarded while the
+    // source still had packets left to offer.
+    EXPECT_GT(fast_forwarded, 0u);
+    EXPECT_GT(offered, 0u);
+    EXPECT_LT(offered, s.max_packets);
+}
+
 // --- determinism ------------------------------------------------------------
 
 TEST(OracleDeterminism, IdenticalSeedsProduceIdenticalOutputBytes) {

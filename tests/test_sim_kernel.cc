@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <tuple>
+#include <vector>
 
+#include "core/pipeline.h"
 #include "core/system.h"
-#include "firmware/programs.h"
 #include "net/tracegen.h"
 #include "sim/fifo.h"
 #include "sim/kernel.h"
@@ -283,6 +285,115 @@ TEST(Quiescence, TickPlusSkippedAccountingIsExact) {
     EXPECT_EQ(c.sum, 0 + 1 + 2 + 3 + 4 + 99);
 }
 
+// --- timed sleep --------------------------------------------------------------
+
+/// Quiescent until cycle `due`: its ticks before then change nothing, so
+/// it sleeps with a due cycle and replays the skipped ticks on wake. An
+/// input FIFO lets a test wake it early.
+class TimedSleeper : public Component {
+ public:
+    TimedSleeper(Kernel& k, Fifo<int>& in, Cycle due)
+        : Component(k, "timed"), in_(in), due_(due) {
+        k.declare_port({name(), in.name(), PortRecord::kRead, 32, 1});
+    }
+    void tick() override {
+        ticked.push_back(now());
+        if (!in_.empty()) in_.pop();
+    }
+    bool quiescent() const override { return now() < due_ && in_.empty(); }
+    Cycle wake_due() const override { return due_; }
+    void on_wake(Cycle skipped) override { replays.push_back(skipped); }
+
+    Cycle replayed() const {
+        Cycle n = 0;
+        for (Cycle r : replays) n += r;
+        return n;
+    }
+
+    Fifo<int>& in_;
+    Cycle due_;
+    std::vector<Cycle> ticked;   ///< cycles tick() ran on
+    std::vector<Cycle> replays;  ///< on_wake() arguments, in order
+};
+
+// The first sleep sweep runs at cycle 4, so the sleeper ticks 0..3 live,
+// skips 4..T-1 and must tick again at exactly T.
+constexpr Cycle kDue = 1000;
+
+TEST(TimedSleep, RunWakesAtTheDueCycleAndFastForwardsTheGap) {
+    Kernel k;
+    Fifo<int> in(k, "in", 4);
+    TimedSleeper c(k, in, kDue);
+    k.run(kDue + 10);
+    ASSERT_GE(c.ticked.size(), 5u);
+    EXPECT_EQ(c.ticked[3], 3u);
+    EXPECT_EQ(c.ticked[4], kDue);
+    EXPECT_EQ(c.replayed(), kDue - 4);
+    EXPECT_EQ(c.ticked.size() + c.replayed(), k.now());
+    // The sleeper was the only component: the whole gap was one jump.
+    EXPECT_EQ(k.fast_forwarded_cycles(), kDue - 4);
+}
+
+TEST(TimedSleep, RunUntilHonoursTheDueCycle) {
+    Kernel k;
+    Fifo<int> in(k, "in", 4);
+    TimedSleeper c(k, in, kDue);
+    EXPECT_TRUE(k.run_until([&] { return c.ticked.size() == 5; }, 10 * kDue));
+    EXPECT_EQ(c.ticked[4], kDue);
+    EXPECT_EQ(k.now(), kDue + 1);
+    EXPECT_EQ(c.replayed(), kDue - 4);
+    EXPECT_EQ(k.fast_forwarded_cycles(), kDue - 4);
+}
+
+TEST(TimedSleep, PlainStepWakesAtTheDueCycle) {
+    Kernel k;
+    Fifo<int> in(k, "in", 4);
+    TimedSleeper c(k, in, kDue);
+    for (Cycle i = 0; i < kDue + 10; ++i) k.step();
+    ASSERT_GE(c.ticked.size(), 5u);
+    EXPECT_EQ(c.ticked[4], kDue);
+    ASSERT_EQ(c.replays.size(), 1u);
+    EXPECT_EQ(c.replays[0], kDue - 4);
+    EXPECT_EQ(k.fast_forwarded_cycles(), 0u);
+}
+
+TEST(TimedSleep, EarlyInputWakeReplaysOnlyTheSkippedPrefix) {
+    Kernel k;
+    Fifo<int> in(k, "in", 4);
+    TimedSleeper c(k, in, kDue);
+    constexpr Cycle kWake = 300;
+    k.run(kWake);
+    ASSERT_FALSE(c.awake());
+    ASSERT_TRUE(in.push(1));  // host-phase input: the wake edge fires now
+    k.run(1);
+    ASSERT_EQ(c.ticked.size(), 5u);
+    EXPECT_EQ(c.ticked[4], kWake);
+    EXPECT_EQ(c.replayed(), kWake - 4);
+    // It sleeps again and still wakes at exactly its due cycle.
+    k.run(kDue + 10 - k.now());
+    const auto first_at_due =
+        std::find(c.ticked.begin(), c.ticked.end(), kDue);
+    ASSERT_NE(first_at_due, c.ticked.end());
+    EXPECT_LT(*(first_at_due - 1), kDue - 1);  // it slept right up to kDue
+    EXPECT_EQ(c.ticked.size() + c.replayed(), k.now());
+}
+
+TEST(TimedSleep, RunBoundaryBeforeDueLeavesItAsleepAndAccounted) {
+    Kernel k;
+    Fifo<int> in(k, "in", 4);
+    TimedSleeper c(k, in, kDue);
+    constexpr Cycle kStop = 600;
+    k.run(kStop);
+    EXPECT_FALSE(c.awake());
+    EXPECT_EQ(c.ticked.size(), 4u);
+    EXPECT_EQ(c.replayed(), kStop - 4);  // synced at the run boundary
+    k.run(kDue + 10 - kStop);
+    ASSERT_GE(c.ticked.size(), 5u);
+    EXPECT_EQ(c.ticked[4], kDue);
+    EXPECT_EQ(c.replayed(), kDue - 4);
+    EXPECT_EQ(k.fast_forwarded_cycles(), kDue - 4);
+}
+
 // --- registered-credit wake edges ---------------------------------------------
 //
 // A kCreditRegistered FIFO returns credit with one cycle of latency, so a
@@ -393,51 +504,111 @@ enum class Sched {
     kShuffled,    ///< permuted tick order
 };
 
-uint64_t
-run_sched_fingerprint(Sched s) {
-    rosebud::SystemConfig cfg;
-    cfg.rpu_count = 4;
-    if (s == Sched::kNoIdleSkip || s == Sched::kReference) cfg.tuning.idle_skip = false;
-    if (s == Sched::kReference) cfg.tuning.predecode = false;
-    rosebud::System sys(cfg);
+/// One fingerprinted workload. The default is a capped 200-packet
+/// forwarder run; kTimedShapes below cover the shapes whose sources sleep
+/// between frames while the idle DUT fast-forwards.
+struct Shape {
+    const char* name = "capped 4-RPU forwarder";
+    rosebud::Pipeline pipeline = rosebud::Pipeline::kForwarder;
+    unsigned rpus = 4;
+    unsigned ports = 1;
+    uint32_t size = 0;  ///< 0 = the trace generator's default size
+    double load = 0.6;
+    double max_pps = 0;
+    uint64_t max_packets = 200;
+    Cycle cycles = 25'000;
+    bool fast_forwards = false;  ///< whole-system fast-forward must occur
+};
+
+struct SchedRun {
+    uint64_t fingerprint = 0;
+    Cycle fast_forwarded = 0;
+};
+
+SchedRun
+run_sched(Sched s, const Shape& shape = {}) {
+    rosebud::PipelineSpec spec;
+    spec.pipeline = shape.pipeline;
+    spec.system.rpu_count = shape.rpus;
+    spec.system.hw_reassembler = shape.pipeline == rosebud::Pipeline::kPigasusHwReorder;
+    if (s == Sched::kNoIdleSkip || s == Sched::kReference)
+        spec.system.tuning.idle_skip = false;
+    if (s == Sched::kReference) spec.system.tuning.predecode = false;
+    rosebud::PipelineFixture fx = rosebud::build_pipeline(spec);
+    rosebud::System& sys = fx.system();
     // A tuning field the constructor silently ignored would make the
     // equivalence checks below vacuous.
-    EXPECT_EQ(sys.kernel().idle_skip(), cfg.tuning.idle_skip);
+    EXPECT_EQ(sys.kernel().idle_skip(), spec.system.tuning.idle_skip);
     for (unsigned i = 0; i < sys.rpu_count(); ++i)
-        EXPECT_EQ(sys.rpu(i).core().predecode(), cfg.tuning.predecode) << "rpu" << i;
+        EXPECT_EQ(sys.rpu(i).core().predecode(), spec.system.tuning.predecode)
+            << "rpu" << i;
     if (s == Sched::kShuffled) sys.kernel().shuffle_tick_order(0x5eedf00d);
 
-    auto fw = rosebud::fwlib::forwarder();
-    sys.host().load_firmware_all(fw.image, fw.entry);
-    sys.host().boot_all();
+    for (unsigned port = 0; port < shape.ports; ++port) {
+        rosebud::net::TrafficSpec tspec;
+        tspec.seed = 5 + port;
+        if (shape.size) tspec.packet_size = shape.size;
+        auto gen = std::make_shared<rosebud::net::TraceGenerator>(
+            tspec, fx.rules.get(), fx.blacklist.get());
+        rosebud::dist::TrafficSource::Config src;
+        src.port = port;
+        src.load = shape.load;
+        src.max_pps = shape.max_pps;
+        src.max_packets = shape.max_packets;
+        sys.add_source(src, [gen] { return gen->next(); });
+    }
 
-    rosebud::net::TrafficSpec tspec;
-    tspec.seed = 5;
-    auto gen = std::make_shared<rosebud::net::TraceGenerator>(tspec, nullptr,
-                                                              nullptr);
-    rosebud::dist::TrafficSource::Config src;
-    src.port = 0;
-    src.load = 0.6;
-    src.max_packets = 200;
-    sys.add_source(src, [gen] { return gen->next(); });
-
-    sys.run_cycles(25000);
-    return sys.state_fingerprint();
+    sys.run_cycles(shape.cycles);
+    return {sys.state_fingerprint(), sys.kernel().fast_forwarded_cycles()};
 }
 
 TEST(ScheduleEquivalence, SerialAndShuffledAreBitIdentical) {
-    const uint64_t base = run_sched_fingerprint(Sched::kSerial);
-    EXPECT_EQ(run_sched_fingerprint(Sched::kShuffled), base);
+    const uint64_t base = run_sched(Sched::kSerial).fingerprint;
+    EXPECT_EQ(run_sched(Sched::kShuffled).fingerprint, base);
 }
 
 TEST(ScheduleEquivalence, IdleSkipIsBitIdentical) {
-    const uint64_t base = run_sched_fingerprint(Sched::kSerial);
-    EXPECT_EQ(run_sched_fingerprint(Sched::kNoIdleSkip), base);
+    const uint64_t base = run_sched(Sched::kSerial).fingerprint;
+    EXPECT_EQ(run_sched(Sched::kNoIdleSkip).fingerprint, base);
 }
 
 TEST(ScheduleEquivalence, ReferenceTuningIsBitIdentical) {
-    const uint64_t base = run_sched_fingerprint(Sched::kSerial);
-    EXPECT_EQ(run_sched_fingerprint(Sched::kReference), base);
+    const uint64_t base = run_sched(Sched::kSerial).fingerprint;
+    EXPECT_EQ(run_sched(Sched::kReference).fingerprint, base);
+}
+
+// Uncapped sources time-sleep between frames: every one of these must
+// reach the same fingerprint with idle skip on, off and shuffled.
+const Shape kTimedShapes[] = {
+    {.name = "lowload: 16 RPUs, 2 ports, 256 B @ 0.005",
+     .rpus = 16, .ports = 2, .size = 256, .load = 0.005, .max_packets = 0,
+     .cycles = 60'000, .fast_forwards = true},
+    {.name = "Fig 7c low load: 16 RPUs, 2 ports, 1500 B @ 0.05",
+     .rpus = 16, .ports = 2, .size = 1500, .load = 0.05, .max_packets = 0,
+     .cycles = 40'000, .fast_forwards = true},
+    {.name = "Fig 7c low load: 16 RPUs, 2 ports, 9000 B @ 0.05",
+     .rpus = 16, .ports = 2, .size = 9000, .load = 0.05, .max_packets = 0,
+     .cycles = 60'000, .fast_forwards = true},
+    // The packet-rate cap dominates: the byte bucket sits clamped at its
+    // burst limit while the pps bucket fills.
+    {.name = "pps-capped: 4 RPUs, 64 B @ 1.0, 1 Mpps",
+     .size = 64, .load = 1.0, .max_pps = 1e6, .max_packets = 0,
+     .cycles = 30'000, .fast_forwards = true},
+    {.name = "ips1k: Pigasus HW reorder, 8 RPUs, 2 ports, 1024 B",
+     .pipeline = rosebud::Pipeline::kPigasusHwReorder, .rpus = 8, .ports = 2,
+     .size = 1024, .load = 1.0, .max_packets = 0, .cycles = 20'000},
+};
+
+TEST(ScheduleEquivalence, TimedSleepShapesAreBitIdentical) {
+    for (const Shape& shape : kTimedShapes) {
+        SCOPED_TRACE(shape.name);
+        const SchedRun base = run_sched(Sched::kSerial, shape);
+        EXPECT_EQ(run_sched(Sched::kNoIdleSkip, shape).fingerprint, base.fingerprint);
+        EXPECT_EQ(run_sched(Sched::kShuffled, shape).fingerprint, base.fingerprint);
+        if (shape.fast_forwards) {
+            EXPECT_GT(base.fast_forwarded, 0u);
+        }
+    }
 }
 
 TEST(Resources, Arithmetic) {
