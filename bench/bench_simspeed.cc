@@ -11,8 +11,10 @@
 /// benchmark — speed from a wrong simulation is meaningless. Further rows:
 /// the health layer's attached-vs-detached overhead, the low-load speedup
 /// (gated at >= 1.5x over reference, and on at least 75% of its cycles
-/// being fast-forwarded), and the Figure 7 forwarding sweep, reference vs
-/// tuned (results must match exactly).
+/// being fast-forwarded), the line-rate MTU point (gated on a mean awake
+/// share <= 0.5: the RPUs must sleep through their own transfers), and the
+/// Figure 7 forwarding sweep, reference vs tuned (results must match
+/// exactly).
 ///
 /// Set ROSEBUD_BENCH_JSON=<dir> to export machine-readable rows.
 
@@ -58,6 +60,7 @@ struct RunResult {
     uint64_t packets = 0;
     uint64_t fingerprint = 0;
     uint64_t fast_forwarded = 0;  ///< cycles skipped by whole-system fast-forward
+    double awake_share = 0;       ///< mean awake share at the sample points
 };
 
 /// The three fixed workloads (8 RPUs, round-robin LB, tables seeded 11).
@@ -125,13 +128,14 @@ run_pipeline(const Workload& w, const Mode& m,
     return out;
 }
 
-/// The low-duty forwarding point where timed sleep pays: 16 RPUs, 2x100G
-/// of 256 B frames at 0.5% of line rate, so the DUT idles between packets
-/// and the paced sources sleep until their next frame is due. Host time
-/// covers the measured cycles only; construction is outside it.
+/// The 16-RPU forwarder at 2x100G of `size` B frames at `load` of line
+/// rate, for `cycles` after a 500-cycle boot. Host time covers the
+/// measured cycles only; construction is outside it. A nonzero
+/// `sample_every` slices the run and records the mean share of awake
+/// components at the slice ends.
 RunResult
-run_lowload(const Mode& m) {
-    constexpr sim::Cycle kCycles = 242'000;
+run_fwd16(const Mode& m, uint32_t size, double load, sim::Cycle cycles,
+          sim::Cycle sample_every = 0) {
     PipelineSpec spec;
     spec.system.rpu_count = 16;
     spec.system.tuning = m.tuning;
@@ -140,23 +144,96 @@ run_lowload(const Mode& m) {
     sys.run_cycles(500);
     for (unsigned port = 0; port < 2; ++port) {
         net::TrafficSpec tspec;
-        tspec.packet_size = 256;
+        tspec.packet_size = size;
         tspec.seed = 2654435761u + port;
         auto gen = std::make_shared<net::TraceGenerator>(tspec, nullptr, nullptr);
-        sys.add_source({.port = port, .line_gbps = 100.0, .load = 0.005},
+        sys.add_source({.port = port, .line_gbps = 100.0, .load = load},
                        [gen]() { return gen->next(); });
     }
 
-    const sim::Cycle ff0 = sys.kernel().fast_forwarded_cycles();
-    const double t0 = now_s();
-    sys.run_cycles(kCycles);
+    sim::Kernel& k = sys.kernel();
+    const sim::Cycle ff0 = k.fast_forwarded_cycles();
     RunResult out;
+    const double t0 = now_s();
+    if (sample_every == 0) {
+        sys.run_cycles(cycles);
+    } else {
+        unsigned samples = 0;
+        for (sim::Cycle c = 0; c < cycles; c += sample_every, ++samples) {
+            sys.run_cycles(sample_every);
+            out.awake_share += double(k.awake_count()) / double(k.component_count());
+        }
+        out.awake_share /= samples;
+    }
     out.host_s = now_s() - t0;
-    out.cycles = kCycles;
+    out.cycles = cycles;
     out.packets = sys.sink(0).frames() + sys.sink(1).frames();
     out.fingerprint = sys.state_fingerprint();
-    out.fast_forwarded = sys.kernel().fast_forwarded_cycles() - ff0;
+    out.fast_forwarded = k.fast_forwarded_cycles() - ff0;
     return out;
+}
+
+/// The low-duty forwarding point where timed sleep pays: 256 B frames at
+/// 0.5% of line rate, so the DUT idles between packets and the paced
+/// sources sleep until their next frame is due.
+RunResult
+run_lowload(const Mode& m) {
+    return run_fwd16(m, 256, 0.005, 242'000);
+}
+
+/// The Figure 7a MTU point: 1500 B frames at line rate. Each forwarder
+/// core polls an empty descriptor register through most of every packet
+/// interval while its RPU streams the frame in and out, so the RPUs sleep
+/// until their next engine event is due.
+RunResult
+run_mtu(const Mode& m) {
+    return run_fwd16(m, 1500, 1.0, 120'000, 100);
+}
+
+/// Best of 3 reference/tuned pairs by speedup (hosts jitter); every rep is
+/// gated on fingerprint equality.
+struct Pair {
+    RunResult ref, tuned;
+    double speedup = 0;
+};
+
+Pair
+best_pair(const char* workload, RunResult (*run)(const Mode&), int& failures) {
+    Pair best;
+    for (int rep = 0; rep < 3; ++rep) {
+        RunResult r = run(kReference);
+        RunResult t = run(kTuned);
+        if (t.fingerprint != r.fingerprint) {
+            std::fprintf(stderr, "FATAL: %s tuned fingerprint diverges from the "
+                                 "reference run\n", workload);
+            ++failures;
+        }
+        if (r.host_s / t.host_s > best.speedup) best = {r, t, r.host_s / t.host_s};
+    }
+    return best;
+}
+
+/// The JSON rows of a best_pair() measurement; the tuned row also carries
+/// `key` = `value`, the workload's deterministic gate.
+void
+pair_rows(bench::JsonResults& json, const char* workload, const Pair& p,
+          const char* key, double value) {
+    json.row({{"workload", workload},
+              {"mode", "reference"},
+              {"host_s", bench::num(p.ref.host_s)},
+              {"cycles", std::to_string(p.ref.cycles)},
+              {"cycles_per_s", bench::num(double(p.ref.cycles) / p.ref.host_s)}});
+    json.row({{"workload", workload},
+              {"mode", "tuned"},
+              {"host_s", bench::num(p.tuned.host_s)},
+              {"cycles", std::to_string(p.tuned.cycles)},
+              {"packets", std::to_string(p.tuned.packets)},
+              {"cycles_per_s", bench::num(double(p.tuned.cycles) / p.tuned.host_s)},
+              {"packets_per_s", bench::num(double(p.tuned.packets) / p.tuned.host_s)},
+              {"speedup", bench::num(p.speedup)},
+              {key, bench::num(value)},
+              {"fingerprint_match",
+               p.tuned.fingerprint == p.ref.fingerprint ? "yes" : "NO"}});
 }
 
 /// The Figure 7a forwarding sweep (16 RPUs, 2x100G, every packet size)
@@ -306,57 +383,46 @@ main() {
     bench::heading("Timed sleep at low load: 16 RPUs, 2x100G, 256B @ load "
                    "0.005, tuned vs reference");
     {
-        // Best of 3 pairs (one-core hosts jitter); every rep is gated on
-        // fingerprint equality.
-        RunResult ref, tuned;
-        double speedup = 0;
-        for (int rep = 0; rep < 3; ++rep) {
-            RunResult r = run_lowload(kReference);
-            RunResult t = run_lowload(kTuned);
-            if (t.fingerprint != r.fingerprint) {
-                std::fprintf(stderr, "FATAL: lowload tuned fingerprint diverges "
-                                     "from the reference run\n");
-                ++failures;
-            }
-            if (r.host_s / t.host_s > speedup) {
-                speedup = r.host_s / t.host_s;
-                ref = r;
-                tuned = t;
-            }
-        }
-        const bool match = tuned.fingerprint == ref.fingerprint;
+        const Pair p = best_pair("lowload", run_lowload, failures);
         // Deterministic companion to the host-time floor: the sources must
         // really sleep between frames. Without timed sleep the share is ~0.
-        const double ff_share = double(tuned.fast_forwarded) / double(tuned.cycles);
+        const double ff_share = double(p.tuned.fast_forwarded) / double(p.tuned.cycles);
         std::printf("reference: %.3f s   tuned: %.3f s   speedup: %.2fx (floor "
                     "1.5x)   fast-forwarded: %.3f (floor 0.75)   fingerprint: %s\n",
-                    ref.host_s, tuned.host_s, speedup, ff_share,
-                    match ? "identical" : "MISMATCH");
-        json.row({{"workload", "lowload"},
-                  {"mode", "reference"},
-                  {"host_s", bench::num(ref.host_s)},
-                  {"cycles", std::to_string(ref.cycles)},
-                  {"cycles_per_s", bench::num(double(ref.cycles) / ref.host_s)}});
-        json.row({{"workload", "lowload"},
-                  {"mode", "tuned"},
-                  {"host_s", bench::num(tuned.host_s)},
-                  {"cycles", std::to_string(tuned.cycles)},
-                  {"packets", std::to_string(tuned.packets)},
-                  {"cycles_per_s", bench::num(double(tuned.cycles) / tuned.host_s)},
-                  {"packets_per_s", bench::num(double(tuned.packets) / tuned.host_s)},
-                  {"speedup", bench::num(speedup)},
-                  {"ff_share", bench::num(ff_share)},
-                  {"fingerprint_match", match ? "yes" : "NO"}});
-        if (speedup < 1.5) {
+                    p.ref.host_s, p.tuned.host_s, p.speedup, ff_share,
+                    p.tuned.fingerprint == p.ref.fingerprint ? "identical" : "MISMATCH");
+        pair_rows(json, "lowload", p, "ff_share", ff_share);
+        if (p.speedup < 1.5) {
             std::fprintf(stderr,
                          "FATAL: low-load speedup %.2fx below the 1.5x floor\n",
-                         speedup);
+                         p.speedup);
             ++failures;
         }
         if (ff_share < 0.75) {
             std::fprintf(stderr,
                          "FATAL: low-load fast-forward share %.3f below 0.75 "
                          "(timed sleep lost)\n", ff_share);
+            ++failures;
+        }
+    }
+
+    bench::heading("Line rate at MTU: 16 RPUs, 2x100G, 1500B @ load 1.0, "
+                   "tuned vs reference");
+    {
+        const Pair p = best_pair("mtu", run_mtu, failures);
+        // Deterministic companion to host time, like ff_share above: the
+        // RPUs must sleep through their own RX and TX transfers. With
+        // per-cycle engine countdowns the share is ~0.76.
+        const double awake = p.tuned.awake_share;
+        std::printf("reference: %.3f s   tuned: %.3f s   speedup: %.2fx   "
+                    "awake share: %.3f (ceiling 0.5)   fingerprint: %s\n",
+                    p.ref.host_s, p.tuned.host_s, p.speedup, awake,
+                    p.tuned.fingerprint == p.ref.fingerprint ? "identical" : "MISMATCH");
+        pair_rows(json, "mtu", p, "awake_share", awake);
+        if (awake > 0.5) {
+            std::fprintf(stderr,
+                         "FATAL: MTU awake share %.3f above 0.5 (the RPUs no "
+                         "longer sleep through their transfers)\n", awake);
             ++failures;
         }
     }

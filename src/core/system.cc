@@ -306,6 +306,10 @@ System::state_fingerprint() const {
         fnv_mix(h, r->debug_low());
         fnv_mix(h, r->debug_high());
         fnv_mix(h, r->occupancy());
+        // Core time: a sleeping RPU's catch-up replay must land the core on
+        // exactly the cycle and instruction counts a live run reaches.
+        fnv_mix(h, r->core().cycles());
+        fnv_mix(h, r->core().instret());
     }
     for (unsigned r = 0; r < config_.rpu_count; ++r) {
         fnv_mix(h, lb_->free_slots(uint8_t(r)));

@@ -167,7 +167,8 @@ class System {
 
     /// Order-insensitive digest of the architecturally visible state:
     /// every stats counter, sink frame/byte/latency records, per-RPU
-    /// debug registers and slot occupancy, and the LB free-slot lists.
+    /// debug registers, slot occupancy and core time (cycles() and
+    /// instret()), and the LB free-slot lists.
     /// Two runs of the same workload must produce the same fingerprint
     /// regardless of component tick order (kernel().shuffle_tick_order).
     uint64_t state_fingerprint() const;

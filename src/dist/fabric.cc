@@ -1,5 +1,7 @@
 #include "dist/fabric.h"
 
+#include <algorithm>
+
 #include "sim/log.h"
 
 namespace rosebud::dist {
@@ -22,7 +24,7 @@ Fabric::Fabric(sim::Kernel& kernel, sim::Stats& stats, const FabricConfig& confi
       rpus_per_cluster_((config.rpu_count + config.clusters - 1) / config.clusters),
       voqs_(config.rpu_count * kSourceCount),
       rpu_rr_(config.rpu_count, 0),
-      voq_pkts_rpu_(config.rpu_count, 0),
+      voq_head_ready_(config.rpu_count, sim::kNever),
       egress_queues_(config.rpu_count),
       egress_staged_(config.rpu_count),
       egress_committed_(config.rpu_count, 0) {
@@ -388,21 +390,10 @@ Fabric::tick_ingress_source(unsigned s) {
 
     // Retry a cut-through push that found its VOQ full.
     if (src.stalled) {
-        auto& q = voq(src.stalled->dest_rpu, s);
-        if (q.size() < config_.voq_depth) {
-            if (kernel().telemetry())
-                tel(voq_net(src.stalled->dest_rpu, s),
-                    sim::TelemetrySink::NetEvent::kPushOk);
-            q.push_back({src.stalled, now() + config_.ingress_pipe_cycles});
-            ++voq_pkts_;
-            ++voq_pkts_rpu_[src.stalled->dest_rpu];
+        if (try_push_voq(s, src.stalled))
             src.stalled.reset();
-        } else {
+        else
             ctr_voq_stall_->add();
-            if (kernel().telemetry())
-                tel(voq_net(src.stalled->dest_rpu, s),
-                    sim::TelemetrySink::NetEvent::kPushBlocked);
-        }
     }
 
     // Advance the active stage-1 transfer (bandwidth accounting only: the
@@ -434,44 +425,58 @@ Fabric::tick_ingress_source(unsigned s) {
 
     // Cut-through: hand the packet to the cluster VOQ now; it becomes
     // visible to the per-RPU link after the fixed distribution pipe.
-    auto& q = voq(head->dest_rpu, s);
-    if (q.size() < config_.voq_depth) {
-        if (kernel().telemetry())
-            tel(voq_net(head->dest_rpu, s), sim::TelemetrySink::NetEvent::kPushOk);
-        q.push_back({head, now() + config_.ingress_pipe_cycles});
-        ++voq_pkts_;
-        ++voq_pkts_rpu_[head->dest_rpu];
-    } else {
-        if (kernel().telemetry())
-            tel(voq_net(head->dest_rpu, s), sim::TelemetrySink::NetEvent::kPushBlocked);
-        src.stalled = head;
+    if (!try_push_voq(s, head)) src.stalled = head;
+}
+
+bool
+Fabric::try_push_voq(unsigned s, const net::PacketPtr& pkt) {
+    const uint8_t r = pkt->dest_rpu;
+    auto& q = voq(r, s);
+    const bool ok = q.size() < config_.voq_depth;
+    if (kernel().telemetry()) {
+        tel(voq_net(r, s), ok ? sim::TelemetrySink::NetEvent::kPushOk
+                              : sim::TelemetrySink::NetEvent::kPushBlocked);
     }
+    if (!ok) return false;
+    // The pipe is fixed, so a push never moves a non-empty VOQ's head.
+    const sim::Cycle ready = now() + config_.ingress_pipe_cycles;
+    q.push_back({pkt, ready});
+    voq_head_ready_[r] = std::min(voq_head_ready_[r], ready);
+    voq_next_ready_ = std::min(voq_next_ready_, ready);
+    return true;
 }
 
 void
 Fabric::tick_rpu_links() {
-    if (voq_pkts_ == 0) return;
+    if (now() < voq_next_ready_) return;  // every head is still in the pipe
+    sim::Cycle next = sim::kNever;
     for (unsigned r = 0; r < config_.rpu_count; ++r) {
-        if (voq_pkts_rpu_[r] == 0) continue;
+        sim::Cycle& head_ready = voq_head_ready_[r];
         rpu::Rpu* rpu = rpus_[r];
-        if (!rpu->rx_ready()) continue;
-        for (unsigned i = 0; i < kSourceCount; ++i) {
-            unsigned s = (rpu_rr_[r] + i) % kSourceCount;
-            auto& q = voq(uint8_t(r), s);
-            if (q.empty() || q.front().ready > now()) continue;
-            trace("rpu_link_dispatch", *q.front().pkt);
-            if (kernel().telemetry()) {
-                tel(voq_net(uint8_t(r), s), sim::TelemetrySink::NetEvent::kPop);
-                tel(rpu->name() + ".link_in", sim::TelemetrySink::NetEvent::kPushOk);
+        if (now() >= head_ready && rpu->rx_ready()) {
+            for (unsigned i = 0; i < kSourceCount; ++i) {
+                unsigned s = (rpu_rr_[r] + i) % kSourceCount;
+                auto& q = voq(uint8_t(r), s);
+                if (q.empty() || q.front().ready > now()) continue;
+                trace("rpu_link_dispatch", *q.front().pkt);
+                if (kernel().telemetry()) {
+                    tel(voq_net(uint8_t(r), s), sim::TelemetrySink::NetEvent::kPop);
+                    tel(rpu->name() + ".link_in", sim::TelemetrySink::NetEvent::kPushOk);
+                }
+                rpu->begin_rx(q.front().pkt);
+                q.pop_front();
+                rpu_rr_[r] = (s + 1) % kSourceCount;
+                break;
             }
-            rpu->begin_rx(q.front().pkt);
-            q.pop_front();
-            --voq_pkts_;
-            --voq_pkts_rpu_[r];
-            rpu_rr_[r] = (s + 1) % kSourceCount;
-            break;
+            head_ready = sim::kNever;
+            for (unsigned s = 0; s < kSourceCount; ++s) {
+                const auto& q = voq(uint8_t(r), s);
+                if (!q.empty()) head_ready = std::min(head_ready, q.front().ready);
+            }
         }
+        next = std::min(next, head_ready);
     }
+    voq_next_ready_ = next;
 }
 
 void

@@ -184,6 +184,9 @@ class Fabric : public sim::Component {
     }
     void report_occupancies() const;
     void tick_ingress_source(unsigned s);
+    /// Push `pkt` onto its (dest_rpu, s) VOQ behind the fixed ingress
+    /// pipe; false when the VOQ is full.
+    bool try_push_voq(unsigned s, const net::PacketPtr& pkt);
     void tick_rpu_links();
     void tick_egress();
     bool try_egress_handoff(unsigned d, const net::PacketPtr& p);
@@ -214,8 +217,11 @@ class Fabric : public sim::Component {
     IngressSource sources_[kSourceCount];
     std::vector<std::deque<TimedPkt>> voqs_;  ///< [rpu][source]
     std::vector<unsigned> rpu_rr_;            ///< per-RPU source arbitration
-    size_t voq_pkts_ = 0;     ///< total packets across all VOQs (scan guard)
-    std::vector<uint32_t> voq_pkts_rpu_;  ///< per-RPU VOQ packets (scan guard)
+    /// Earliest `ready` cycle over each RPU's VOQ heads (kNever when its
+    /// VOQs are empty), and the minimum over all RPUs: the link scan skips
+    /// RPUs whose heads are still inside the ingress pipe.
+    std::vector<sim::Cycle> voq_head_ready_;
+    sim::Cycle voq_next_ready_ = sim::kNever;
     size_t egress_pkts_ = 0;  ///< total packets across egress queues
     uint32_t egress_pkts_dest_[kSourceCount] = {0, 0, 0, 0};  ///< per destination
     /// Set by any queue mutation whose effect commit() must integrate or

@@ -1,5 +1,6 @@
 #include "rpu/rpu.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sim/log.h"
@@ -99,6 +100,7 @@ Rpu::load_firmware(const std::vector<uint32_t>& image, uint32_t entry) {
     std::copy(image.begin(), image.end(), imem_.begin());
     entry_pc_ = entry;
     core_.icache_invalidate();
+    set_idle_watching(false);  // a loop proven on the old image is void
     wake();
 }
 
@@ -125,6 +127,7 @@ Rpu::boot() {
     flush_skipped();
     wake();
     core_.reset(entry_pc_);
+    set_idle_watching(false);  // the reset core must prove its own loop
     if (accel_) accel_->reset();
     slots_ = SlotConfig{};
     staged_slots_ = SlotConfig{};
@@ -132,18 +135,14 @@ Rpu::boot() {
     rx_fifo_.clear();
     tx_fifo_.clear();
     rx_pkt_.reset();
-    rx_remaining_ = 0;
-    rx_gap_ = 0;
-    rx_next_remaining_ = 0;
-    rx_next_gap_ = 0;
+    rx_free_at_ = 0;
     rx_pending_.reset();
     bcast_pending_.clear();
     tx_cur_.reset();
     tx_out_.reset();
-    tx_remaining_ = 0;
     occupancy_ = 0;
     irq_status_ = 0;
-    timer_cmp_ = 0;
+    timer_fire_at_ = sim::kNever;
     slot_resp_.reset();
 }
 
@@ -172,19 +171,8 @@ Rpu::raise_evict() {
 
 bool
 Rpu::rx_ready() const {
-    if (!kernel().in_tick()) return rx_remaining_ == 0 && rx_gap_ == 0;
-    if (rx_pending_) return false;
-    // Post-tick lookahead: replay this cycle's RX-engine transition on the
-    // committed state, so the answer is the same whether or not this RPU
-    // has already ticked.
-    uint32_t rem = rx_remaining_;
-    uint32_t gap = rx_gap_;
-    if (rem > 0) {
-        if (--rem == 0) gap = config_.ingress_gap_cycles;
-    } else if (gap > 0) {
-        --gap;
-    }
-    return rem == 0 && gap == 0;
+    if (!kernel().in_tick()) return now() >= rx_free_at_;
+    return !rx_pending_ && now() + 1 >= rx_free_at_;
 }
 
 void
@@ -196,15 +184,17 @@ Rpu::begin_rx(net::PacketPtr pkt) {
         return;
     }
     flush_skipped();
-    apply_begin_rx(std::move(pkt));
+    apply_begin_rx(std::move(pkt), now());
     wake();
 }
 
 void
-Rpu::apply_begin_rx(net::PacketPtr pkt) {
+Rpu::apply_begin_rx(net::PacketPtr pkt, sim::Cycle start) {
     uint32_t bytes = pkt->size() + (pkt->hash_prepended ? 4 : 0);
     rx_pkt_ = std::move(pkt);
-    rx_remaining_ = div_ceil(bytes == 0 ? 1 : bytes, config_.link_bytes_per_cycle);
+    const uint32_t cycles = div_ceil(bytes == 0 ? 1 : bytes, config_.link_bytes_per_cycle);
+    rx_done_at_ = start + cycles - 1;
+    rx_free_at_ = start + cycles + config_.ingress_gap_cycles;
     ++occupancy_;
 }
 
@@ -259,58 +249,74 @@ Rpu::finish_rx() {
 }
 
 bool
-Rpu::inputs_frozen() const {
-    // Every term is committed state: no engine mid-transfer, no staged
-    // cross-component input, no pending work the core could pick up, no
-    // time-driven events, no accelerator (which may act spontaneously).
-    return !accel_ && timer_cmp_ == 0 &&
-           !rx_pkt_ && rx_remaining_ == 0 && rx_gap_ == 0 &&
-           !rx_pending_ &&
-           !tx_cur_ && !tx_out_ && tx_fifo_.size() == 0 &&
-           rx_fifo_.size() == 0 && bcast_notify_.size() == 0 &&
+Rpu::core_inputs_frozen() const {
+    // Every term is committed state the core can read: no descriptor, no
+    // broadcast notification (delivered or staged), no slot response, no
+    // masked IRQ, no accelerator (which may act spontaneously). Engines
+    // mid-transfer and a running timer do not count: the core cannot see
+    // them until they act, and they act only on ticks wake_due() names.
+    return !accel_ && rx_fifo_.size() == 0 && bcast_notify_.size() == 0 &&
            bcast_pending_.empty() && !slot_resp_ &&
            (irq_status_ & irq_mask_) == 0;
+}
+
+void
+Rpu::set_idle_watching(bool on) {
+    idle_watching_ = on;
+    core_.set_idle_watch(on);
 }
 
 bool
 Rpu::quiescent() const {
     if (core_.profile()) return false;  // the PC histogram must see every cycle
     if (!core_.halted() && !(idle_watching_ && core_.stable_loop())) return false;
-    return inputs_frozen();
+    // The engines may be mid-transfer (wake_due() covers their next event)
+    // but must have nothing staged, queued, or retrying every cycle.
+    return core_inputs_frozen() && !rx_pending_ && !tx_out_ &&
+           tx_fifo_.size() == 0;
+}
+
+sim::Cycle
+Rpu::wake_due() const {
+    sim::Cycle due = timer_fire_at_;
+    if (rx_pkt_) due = std::min(due, rx_done_at_);
+    if (tx_cur_ && !tx_out_) due = std::min(due, tx_done_at_);
+    return due;
 }
 
 void
 Rpu::on_wake(sim::Cycle skipped_cycles) {
-    // Engines, timer and accelerator were provably inert for the whole
-    // window (inputs_frozen); only the core's time advances.
+    // The skipped ticks of the engines and the timer were no-ops: their
+    // next event is an absolute cycle no earlier than this wake. Only the
+    // core's time advances.
     core_.skip_idle_cycles(skipped_cycles);
 }
 
 void
 Rpu::tick() {
-    // Arm/disarm the core's idle-loop watcher as the inputs freeze and
-    // unfreeze. Only while the kernel may actually skip: with telemetry
-    // attached every cycle runs anyway and the watcher is pure overhead.
-    // While not yet watching, the (multi-FIFO) freeze probe runs every
-    // 8th cycle only — arming a few cycles late just delays sleep; the
-    // disarm direction stays per-cycle so a stale watch never lingers
-    // once inputs move again.
+    // Arm/disarm the core's idle-loop watcher as the core-visible inputs
+    // freeze and unfreeze; it stays armed across engine transfers, which
+    // the core cannot see until they complete. Only while the kernel may
+    // actually skip: with telemetry attached every cycle runs anyway and
+    // the watcher is pure overhead. While not yet watching, the
+    // (multi-FIFO) freeze probe runs every 8th cycle only — arming a few
+    // cycles late just delays sleep; the disarm direction stays per-cycle
+    // so a stale watch never lingers once inputs move again.
     if (kernel().idle_skip_effective()) {
         if (idle_watching_ || (now() & 7) == 0) {
-            const bool frozen = inputs_frozen();
-            if (frozen != idle_watching_) {
-                idle_watching_ = frozen;
-                core_.set_idle_watch(frozen);
-            }
+            const bool frozen = core_inputs_frozen();
+            if (frozen != idle_watching_) set_idle_watching(frozen);
         }
     } else if (idle_watching_) {
-        idle_watching_ = false;
-        core_.set_idle_watch(false);
+        set_idle_watching(false);
     }
 
     // Internal watchdog timer (paper Section 3.4: firmware detects hangs
     // "using internal timer interrupt").
-    if (timer_cmp_ > 0 && --timer_cmp_ == 0) irq_status_ |= kIrqTimer;
+    if (now() == timer_fire_at_) {
+        irq_status_ |= kIrqTimer;
+        timer_fire_at_ = sim::kNever;
+    }
     core_.set_irq((irq_status_ & irq_mask_) != 0);
     core_.tick();
 
@@ -319,22 +325,14 @@ Rpu::tick() {
         accel_->tick(ctx);
     }
 
-    // RX engine: one packet in flight, 16 B/cycle, then a setup gap. The
-    // transition is staged (committed state stays observable to the fabric
-    // through rx_ready's lookahead) and applied in commit().
-    rx_next_remaining_ = rx_remaining_;
-    rx_next_gap_ = rx_gap_;
-    if (rx_next_remaining_ > 0) {
+    // RX engine: one packet in flight at 16 B/cycle, then a setup gap that
+    // only rx_ready() observes.
+    if (rx_pkt_) {
         // A flit moves on the 128-bit ingress link this cycle.
         if (sim::TelemetrySink* t = kernel().telemetry()) {
             t->net_event(name() + ".link_in", sim::TelemetrySink::NetEvent::kPop);
         }
-        if (--rx_next_remaining_ == 0) {
-            finish_rx();
-            rx_next_gap_ = config_.ingress_gap_cycles;
-        }
-    } else if (rx_next_gap_ > 0) {
-        --rx_next_gap_;
+        if (now() == rx_done_at_) finish_rx();
     }
 
     tick_tx();
@@ -342,9 +340,8 @@ Rpu::tick() {
 
 void
 Rpu::commit() {
-    rx_remaining_ = rx_next_remaining_;
-    rx_gap_ = rx_next_gap_;
-    if (rx_pending_) apply_begin_rx(std::move(rx_pending_));
+    // A begin_rx staged this cycle transfers from the next tick on.
+    if (rx_pending_) apply_begin_rx(std::move(rx_pending_), now() + 1);
     for (const auto& [offset, value] : bcast_pending_) {
         std::memcpy(&bcast_mem_[offset], &value, 4);
     }
@@ -372,8 +369,7 @@ Rpu::tick_tx() {
 
     // Stage 2: serializing out of packet memory.
     if (tx_cur_) {
-        if (tx_remaining_ > 0) --tx_remaining_;
-        if (tx_remaining_ == 0) {
+        if (now() >= tx_done_at_) {
             const Desc& d = tx_cur_->desc;
             uint32_t addr = d.addr ? d.addr
                                    : slots_.base + (d.slot - 1) * slots_.size;
@@ -418,7 +414,7 @@ Rpu::tick_tx() {
             return;
         }
         tx_cur_ = cmd;
-        tx_remaining_ = div_ceil(cmd.desc.len, config_.link_bytes_per_cycle);
+        tx_done_at_ = now() + div_ceil(cmd.desc.len, config_.link_bytes_per_cycle);
     }
 }
 
@@ -479,7 +475,8 @@ Rpu::io_write(uint32_t offset, uint32_t value) {
         send_dest_latch_ = uint16_t(value);
         break;
     case kRegTimerCmp:
-        timer_cmp_ = value;
+        // Fires on the value-th tick after this one (0 disarms).
+        timer_fire_at_ = value ? now() + value : sim::kNever;
         irq_status_ &= ~kIrqTimer;
         break;
     case kRegDebugLow: debug_low_ = value; break;
@@ -646,7 +643,7 @@ Rpu::RpuBus::watch_safe_read(uint32_t addr) const {
         case kRegLbSlotResp:  // reading consumes the response
             return false;
         default:
-            return true;  // frozen while the RPU's inputs are frozen
+            return true;  // frozen while the core-visible inputs are frozen
         }
     }
     // Accelerator MMIO may mutate on read. The watcher is only armed with

@@ -104,17 +104,21 @@ class Rpu : public sim::Component {
 
     // --- distribution-subsystem interface -----------------------------------
 
-    /// True if the ingress link can accept a new packet this cycle. During
-    /// the tick phase this is a post-tick lookahead of the committed RX
-    /// engine state, so the answer does not depend on whether this RPU has
-    /// ticked yet (tick-order independence); outside the tick phase it
-    /// reports the committed state directly.
+    /// True if the ingress link can accept a new packet this cycle. The
+    /// answer is one compare of now() against the absolute cycle at which
+    /// the link frees, so it is the same whether this RPU has ticked yet,
+    /// has not, or is asleep (tick-order independence). During the tick
+    /// phase it asks whether the link is free once this cycle ends.
     bool rx_ready() const;
 
     /// Begin streaming `pkt` into packet memory (dest_slot must be set).
     /// Precondition: rx_ready(). During the tick phase the transfer is
-    /// staged and starts at this cycle's commit; host/test callers outside
-    /// the tick phase start it immediately.
+    /// staged, applied at this cycle's commit, and its first transfer tick
+    /// is the next cycle; host/test callers outside the tick phase start
+    /// it on the coming cycle directly. Either way, a transfer of R cycles
+    /// whose first tick is S delivers its descriptor on tick S+R-1 and
+    /// frees the link for a tick-phase begin_rx at S+R+G-1
+    /// (G = ingress_gap_cycles).
     void begin_rx(net::PacketPtr pkt);
 
     /// Number of packets currently buffered in this RPU (in flight +
@@ -175,14 +179,19 @@ class Rpu : public sim::Component {
 
     void tick() override;
 
-    /// Applies the RX-engine state transition staged by tick() plus any
-    /// begin_rx/broadcast delivery staged by other components this cycle.
+    /// Applies any begin_rx/broadcast delivery staged by other components
+    /// this cycle.
     void commit() override;
 
-    /// Quiescent when every input is frozen and the core is either halted
-    /// or spinning in a proven stable poll loop (rv::Core's idle-loop
-    /// watcher) — see DESIGN.md §11.
+    /// Quiescent when every core-visible input is frozen, the core is
+    /// either halted or spinning in a proven stable poll loop (rv::Core's
+    /// idle-loop watcher), and the engines are parked or mid-transfer with
+    /// nothing staged or queued — see DESIGN.md §11.
     bool quiescent() const override;
+
+    /// The earliest engine or timer event: RX completion, TX serializer
+    /// completion, or the watchdog firing (kNever if none is pending).
+    sim::Cycle wake_due() const override;
 
     /// Footprint of the base RPU (core + memory subsystem + accelerator
     /// manager), excluding the attached accelerator.
@@ -196,8 +205,10 @@ class Rpu : public sim::Component {
  protected:
     /// Catch the core up on cycles skipped while asleep (arithmetic for
     /// whole loop periods or a halted core, tick replay for the remainder;
-    /// exact because the replayed instructions see the same frozen inputs
-    /// they would have seen live).
+    /// exact because the replayed instructions see the same frozen
+    /// core-visible inputs they would have seen live). The engines and the
+    /// timer need no replay: they are absolute cycles, and wake_due()
+    /// wakes the RPU on the tick that acts on them.
     void on_wake(sim::Cycle skipped_cycles) override;
 
  private:
@@ -218,16 +229,21 @@ class Rpu : public sim::Component {
 
     uint32_t io_read(uint32_t offset);
     void io_write(uint32_t offset, uint32_t value);
-    void apply_begin_rx(net::PacketPtr pkt);
+    /// Start a transfer whose first transfer tick is `start`.
+    void apply_begin_rx(net::PacketPtr pkt, sim::Cycle start);
     void finish_rx();
     void tick_tx();
     void declare_netlist(sim::Kernel& kernel);
     std::string stat(const char* suffix) const;
 
-    /// True when no RPU engine can make progress and no input can change
-    /// without an external call: the license both for arming the core's
-    /// idle-loop watcher and (in quiescent()) for sleeping.
-    bool inputs_frozen() const;
+    /// True when nothing the core can observe (descriptor, broadcast and
+    /// slot-response registers, the masked IRQ line, an accelerator) can
+    /// change without an engine event or an external call: the license for
+    /// arming the core's idle-loop watcher.
+    bool core_inputs_frozen() const;
+
+    /// Arm or disarm the core's idle-loop watcher.
+    void set_idle_watching(bool on);
 
     Config config_;
     sim::Stats& stats_;
@@ -249,17 +265,15 @@ class Rpu : public sim::Component {
     SlotConfig staged_slots_;  ///< being written by firmware, pre-commit
     std::vector<net::PacketPtr> slot_pkts_;
 
-    // RX engine. `rx_remaining_`/`rx_gap_` are the committed state other
-    // components may observe (through rx_ready's lookahead); tick() stages
-    // the next values and commit() applies them, so the engine advances
-    // identically under any component tick order.
+    // RX engine. Both ends of a transfer are absolute cycles set when it
+    // starts, so neither needs a per-cycle countdown: other components
+    // read rx_free_at_ through rx_ready(), and a sleeping RPU wakes for
+    // rx_done_at_ through wake_due().
     sim::Fifo<Desc> rx_fifo_;
-    net::PacketPtr rx_pkt_;
-    uint32_t rx_remaining_ = 0;  ///< cycles left in the current transfer
-    uint32_t rx_gap_ = 0;        ///< post-transfer setup gap
-    uint32_t rx_next_remaining_ = 0;  ///< staged by tick()
-    uint32_t rx_next_gap_ = 0;        ///< staged by tick()
-    net::PacketPtr rx_pending_;       ///< begin_rx staged during a tick
+    net::PacketPtr rx_pkt_;          ///< in flight until rx_done_at_
+    sim::Cycle rx_done_at_ = 0;      ///< the tick that runs finish_rx
+    sim::Cycle rx_free_at_ = 0;      ///< first host-phase cycle the link is free
+    net::PacketPtr rx_pending_;      ///< begin_rx staged during a tick
     uint32_t occupancy_ = 0;
 
     // TX engine.
@@ -270,12 +284,12 @@ class Rpu : public sim::Component {
     sim::Fifo<TxCmd> tx_fifo_;
     std::optional<TxCmd> tx_cur_;
     net::PacketPtr tx_out_;      ///< assembled packet waiting for egress space
-    uint32_t tx_remaining_ = 0;
+    sim::Cycle tx_done_at_ = 0;  ///< the tick that assembles tx_out_
     uint32_t send_low_latch_ = 0;
     uint16_t send_dest_latch_ = 0;
 
     // Interconnect registers.
-    uint32_t timer_cmp_ = 0;  ///< cycles until the watchdog fires (0 = off)
+    sim::Cycle timer_fire_at_ = sim::kNever;  ///< the tick the watchdog fires on
     uint32_t debug_low_ = 0;
     uint32_t debug_high_ = 0;
     uint32_t irq_mask_ = 0;
@@ -292,7 +306,7 @@ class Rpu : public sim::Component {
     std::optional<uint32_t> slot_resp_;
     uint32_t slot_resp_ready_cycle_ = 0;
 
-    // Idle-loop watcher arm state (tracks inputs_frozen across ticks).
+    // Idle-loop watcher arm state (tracks core_inputs_frozen across ticks).
     bool idle_watching_ = false;
 
     // Hot-path counter handles, resolved once at construction (the tick

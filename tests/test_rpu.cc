@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mem/memory.h"
 #include "net/headers.h"
 #include "rpu/descriptor.h"
@@ -37,6 +39,29 @@ slot_config_firmware(uint32_t count = 8, uint32_t size = 16384) {
     a.sw(zero, kRegSlotCommit, gp);
     a.label("park");
     a.j("park");
+    return a.assemble();
+}
+
+/// The minimal receive/release/send loop (its poll is a pure MMIO load,
+/// so the idle-loop watcher can prove it).
+std::vector<uint32_t>
+forwarder_firmware() {
+    Assembler a;
+    a.lui(gp, 0x2000);
+    a.li(t0, 8);
+    a.sw(t0, kRegSlotCount, gp);
+    a.lui(t0, 0x1000);
+    a.sw(t0, kRegSlotBase, gp);
+    a.lui(t0, 0x4);
+    a.sw(t0, kRegSlotSize, gp);
+    a.sw(zero, kRegSlotCommit, gp);
+    a.label("loop");
+    a.lw(a0, kRegRecvLow, gp);
+    a.beqz(a0, "loop");
+    a.sw(zero, kRegRecvRelease, gp);
+    a.sw(a0, kRegSendLow, gp);
+    a.sw(zero, kRegSendHigh, gp);
+    a.j("loop");
     return a.assemble();
 }
 
@@ -129,21 +154,31 @@ TEST(RpuTest, RxWritesPacketAndHeaderCopy) {
     EXPECT_EQ(f.rpu.occupancy(), 1u);
 }
 
+// 1024 B at 16 B/cycle: R = 64 transfer cycles, then G = 11 setup cycles.
+constexpr sim::Cycle kXferR = 64;
+constexpr sim::Cycle kXferG = 11;
+
 TEST(RpuTest, RxSerializationTakesLinkCycles) {
-    Fixture f;
-    f.boot(slot_config_firmware());
-    auto pkt = f.make_pkt(1024, 1);
-    f.rpu.begin_rx(pkt);
-    // 1024 bytes at 16 B/cycle = 64 cycles; not ready during transfer.
-    f.kernel.run(32);
-    EXPECT_FALSE(f.rpu.rx_ready());
-    EXPECT_EQ(f.stats.get("rpu3.rx_packets"), 0u);
-    f.kernel.run(40);
-    EXPECT_EQ(f.stats.get("rpu3.rx_packets"), 1u);
-    // Setup gap still holds rx_ready low right after the transfer.
-    EXPECT_FALSE(f.rpu.rx_ready());
-    f.kernel.run(16);
-    EXPECT_TRUE(f.rpu.rx_ready());
+    // A host-phase begin_rx at cycle N frees the link at exactly N+R+G,
+    // whether the parked RPU sleeps through the transfer or not.
+    for (bool skip : {true, false}) {
+        SCOPED_TRACE(skip ? "idle skip on" : "idle skip off");
+        Fixture f;
+        f.kernel.set_idle_skip(skip);
+        f.boot(slot_config_firmware());
+        const sim::Cycle n = f.kernel.now();
+        f.rpu.begin_rx(f.make_pkt(1024, 1));
+        f.kernel.run(kXferR - 1);  // not ready during the transfer
+        EXPECT_FALSE(f.rpu.rx_ready());
+        EXPECT_EQ(f.stats.get("rpu3.rx_packets"), 0u);
+        f.kernel.run(1);
+        EXPECT_EQ(f.stats.get("rpu3.rx_packets"), 1u);
+        f.kernel.run(kXferG - 1);  // the setup gap holds rx_ready low
+        EXPECT_FALSE(f.rpu.rx_ready());
+        f.kernel.run(1);
+        EXPECT_EQ(f.kernel.now(), n + kXferR + kXferG);
+        EXPECT_TRUE(f.rpu.rx_ready());
+    }
 }
 
 TEST(RpuTest, HashPrependedPacketStoresHashFirst) {
@@ -232,24 +267,7 @@ TEST(RpuTest, EgressBackpressureStallsTx) {
         if (accept) f.egressed.push_back(p);
         return accept;
     });
-    // Forwarder firmware.
-    Assembler a;
-    a.lui(gp, 0x2000);
-    a.li(t0, 8);
-    a.sw(t0, kRegSlotCount, gp);
-    a.lui(t0, 0x1000);
-    a.sw(t0, kRegSlotBase, gp);
-    a.lui(t0, 0x4);
-    a.sw(t0, kRegSlotSize, gp);
-    a.sw(zero, kRegSlotCommit, gp);
-    a.label("loop");
-    a.lw(a0, kRegRecvLow, gp);
-    a.beqz(a0, "loop");
-    a.sw(zero, kRegRecvRelease, gp);
-    a.sw(a0, kRegSendLow, gp);
-    a.sw(zero, kRegSendHigh, gp);
-    a.j("loop");
-    f.boot(a.assemble());
+    f.boot(forwarder_firmware());
 
     f.rpu.begin_rx(f.make_pkt(64, 1));
     f.kernel.run(300);
@@ -412,6 +430,119 @@ TEST(RpuTest, BootResetsEngineState) {
     EXPECT_EQ(f.rpu.slot_config().count, 0u);
     f.kernel.run(100);  // firmware reconfigures slots again
     EXPECT_EQ(f.rpu.slot_config().count, 8u);
+}
+
+// A core parked in a proven idle loop lets the RPU sleep. A boot must not
+// inherit that proof: the reset core runs its image from the entry point.
+TEST(RpuTest, BootAfterIdleSleepRerunsFirmware) {
+    Fixture f;
+    f.boot(slot_config_firmware());
+    f.kernel.run(1000);
+    ASSERT_FALSE(f.rpu.awake());  // parked and asleep
+    f.rpu.boot();
+    EXPECT_EQ(f.rpu.slot_config().count, 0u);
+    f.kernel.run(100);
+    EXPECT_EQ(f.rpu.slot_config().count, 8u);
+}
+
+TEST(RpuTest, ReloadAfterIdleSleepRunsNewFirmware) {
+    Fixture f;
+    f.boot(slot_config_firmware());
+    f.kernel.run(1000);
+    ASSERT_FALSE(f.rpu.awake());
+    f.rpu.halt();
+    f.rpu.load_firmware(slot_config_firmware(4, 8192));
+    f.rpu.boot();
+    f.kernel.run(100);
+    EXPECT_EQ(f.rpu.slot_config().count, 4u);
+    EXPECT_EQ(f.rpu.slot_config().size, 8192u);
+}
+
+/// Drives the RPU's ingress link from the tick phase, as the fabric does:
+/// begins one transfer on cycle `start`, then records the first cycle
+/// whose tick-phase rx_ready() is true again.
+class LinkFeeder : public sim::Component {
+ public:
+    LinkFeeder(sim::Kernel& k, Rpu& rpu, net::PacketPtr pkt, sim::Cycle start)
+        : sim::Component(k, "feeder"), rpu_(rpu), pkt_(std::move(pkt)), start_(start) {}
+
+    void tick() override {
+        if (now() == start_) {
+            ASSERT_TRUE(rpu_.rx_ready());
+            rpu_.begin_rx(pkt_);
+            EXPECT_FALSE(rpu_.rx_ready());
+        } else if (now() > start_ && ready_at == sim::kNever && rpu_.rx_ready()) {
+            ready_at = now();
+        }
+        if (now() > start_ && !rpu_.awake()) slept = true;
+    }
+
+    sim::Cycle ready_at = sim::kNever;
+    bool slept = false;
+
+ private:
+    Rpu& rpu_;
+    net::PacketPtr pkt_;
+    sim::Cycle start_;
+};
+
+TEST(RpuTest, TickPhaseBeginRxFreesLinkAtNPlusRPlusG) {
+    for (bool skip : {true, false}) {
+        SCOPED_TRACE(skip ? "idle skip on" : "idle skip off");
+        Fixture f;
+        f.kernel.set_idle_skip(skip);
+        const sim::Cycle n = 1001;
+        LinkFeeder feeder(f.kernel, f.rpu, f.make_pkt(1024, 1), n);
+        f.boot(slot_config_firmware());
+        f.kernel.run(n + 200 - f.kernel.now());
+        EXPECT_EQ(feeder.ready_at, n + kXferR + kXferG);
+        // With idle skip on, the parked RPU sleeps through its transfer.
+        EXPECT_EQ(feeder.slept, skip);
+    }
+}
+
+// A forwarder RPU sleeps through the transfer of a 1500 B frame, yet the
+// descriptor lands, the send serializes and the core's time advances on
+// exactly the cycles they do when every cycle is ticked.
+TEST(RpuTest, ForwarderSleepsMidTransferWithExactTiming) {
+    struct Timeline {
+        sim::Cycle rx_complete = 0, fw_send = 0, egress = 0;
+        uint64_t core_cycles = 0, instret = 0;
+        bool asleep_mid_transfer = false;
+    };
+    auto run = [](bool skip) {
+        Timeline t;
+        Fixture f;
+        f.kernel.set_idle_skip(skip);
+        f.rpu.set_trace([&](const char* ev, const net::Packet&) {
+            if (std::string(ev) == "rpu_rx_complete") t.rx_complete = f.kernel.now();
+            if (std::string(ev) == "fw_send") t.fw_send = f.kernel.now();
+        });
+        f.rpu.set_egress_handler([&](net::PacketPtr) {
+            t.egress = f.kernel.now();
+            return true;
+        });
+        f.boot(forwarder_firmware());
+        f.kernel.run(500);
+        f.rpu.begin_rx(f.make_pkt(1500, 2));
+        f.kernel.run(47);  // half of the 94-cycle transfer
+        t.asleep_mid_transfer = !f.rpu.awake();
+        f.kernel.run(500);
+        t.core_cycles = f.rpu.core().cycles();
+        t.instret = f.rpu.core().instret();
+        return t;
+    };
+    const Timeline on = run(true);
+    const Timeline off = run(false);
+    EXPECT_TRUE(on.asleep_mid_transfer);
+    EXPECT_FALSE(off.asleep_mid_transfer);
+    EXPECT_EQ(on.rx_complete, 600u + 93);  // first transfer tick 600, R = 94
+    EXPECT_EQ(on.rx_complete, off.rx_complete);
+    EXPECT_EQ(on.fw_send, off.fw_send);
+    EXPECT_EQ(on.egress, off.egress);
+    EXPECT_GT(on.egress, on.rx_complete);
+    EXPECT_EQ(on.core_cycles, off.core_cycles);
+    EXPECT_EQ(on.instret, off.instret);
 }
 
 TEST(RpuTest, ResourcesScaleWithMemories) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/system.h"
 #include "rpu/descriptor.h"
 #include "rv/assembler.h"
@@ -131,14 +134,11 @@ TEST(Irq, MaskedInsideHandlerUntilMret) {
     EXPECT_GT(core.reg(t1), 1u);
 }
 
-TEST(Watchdog, TimerInterruptReportsHangToHost) {
-    // The paper's debugging flow end-to-end: firmware arms the watchdog,
-    // "hangs" in a loop, the timer interrupt fires, and the handler dumps
-    // state to the host debug channel.
-    SystemConfig cfg;
-    cfg.rpu_count = 4;
-    System sys(cfg);
-
+/// The paper's debugging flow: firmware arms the watchdog, "hangs" in a
+/// loop, the timer interrupt fires, and the handler dumps state to the
+/// host debug channel.
+std::vector<uint32_t>
+hang_firmware() {
     Assembler a;
     a.lui(gp, 0x2000);
     a.lui(t0, 0);
@@ -161,26 +161,12 @@ TEST(Watchdog, TimerInterruptReportsHangToHost) {
     a.csrrs(t3, kCsrMepc, zero);      // where we were stuck
     a.sw(t3, rpu::kRegDebugHigh, gp);
     a.ebreak();                       // spin-wait for the host (Section 3.4)
-    sys.host().load_firmware(0, a.assemble());
-    sys.host().boot(0);
-
-    sys.run_cycles(400);
-    EXPECT_EQ(sys.host().debug_low(0), 0u);  // not fired yet
-    sys.run_cycles(400);
-    EXPECT_EQ(sys.host().debug_low(0), 0xdeadu << 12);
-    // mepc points into the hang loop.
-    uint32_t hang_pc = sys.host().debug_high(0);
-    EXPECT_GE(hang_pc, 0x20u);
-    EXPECT_LT(hang_pc, 0x200u);
-    EXPECT_TRUE(sys.rpu(0).core_halted());
+    return a.assemble();
 }
 
-TEST(Watchdog, RearmedTimerKeepsQuietSystemAlive) {
-    // A healthy main loop re-arms the watchdog before it fires.
-    SystemConfig cfg;
-    cfg.rpu_count = 4;
-    System sys(cfg);
-
+/// A healthy main loop that re-arms the watchdog before it fires.
+std::vector<uint32_t>
+rearm_firmware() {
     Assembler a;
     a.lui(gp, 0x2000);
     a.lui(t0, 0);
@@ -206,12 +192,86 @@ TEST(Watchdog, RearmedTimerKeepsQuietSystemAlive) {
     a.lui(t3, 0xbad);
     a.sw(t3, rpu::kRegDebugHigh, gp);
     a.mret();
-    sys.host().load_firmware(0, a.assemble());
-    sys.host().boot(0);
+    return a.assemble();
+}
+
+std::unique_ptr<System>
+boot_rpu0(const std::vector<uint32_t>& image, bool idle_skip = true) {
+    SystemConfig cfg;
+    cfg.rpu_count = 4;
+    cfg.tuning.idle_skip = idle_skip;
+    auto sys = std::make_unique<System>(cfg);
+    sys->host().load_firmware(0, image);
+    sys->host().boot(0);
+    return sys;
+}
+
+TEST(Watchdog, TimerInterruptReportsHangToHost) {
+    std::unique_ptr<System> owned = boot_rpu0(hang_firmware());
+    System& sys = *owned;
+
+    sys.run_cycles(400);
+    EXPECT_EQ(sys.host().debug_low(0), 0u);  // not fired yet
+    sys.run_cycles(400);
+    EXPECT_EQ(sys.host().debug_low(0), 0xdeadu << 12);
+    // mepc points into the hang loop.
+    uint32_t hang_pc = sys.host().debug_high(0);
+    EXPECT_GE(hang_pc, 0x20u);
+    EXPECT_LT(hang_pc, 0x200u);
+    EXPECT_TRUE(sys.rpu(0).core_halted());
+}
+
+TEST(Watchdog, RearmedTimerKeepsQuietSystemAlive) {
+    std::unique_ptr<System> owned = boot_rpu0(rearm_firmware());
+    System& sys = *owned;
     sys.run_cycles(5000);
     EXPECT_GT(sys.host().debug_low(0), 10u);   // heartbeats flowing
     EXPECT_EQ(sys.host().debug_high(0), 0u);   // watchdog never fired
     EXPECT_FALSE(sys.rpu(0).core_halted());
+}
+
+// The watchdog is an absolute due cycle: a core hung in a pure loop lets
+// the whole system sleep until the timer fires, and the handler still
+// runs on exactly the cycle it does when every cycle is ticked.
+TEST(Watchdog, FiresOnTheSameCycleWithIdleSkipOnAndOff) {
+    struct Report {
+        sim::Cycle cycle = 0, fast_forwarded = 0;
+        uint64_t core_cycles = 0, instret = 0;
+        uint32_t mepc = 0;
+    };
+    auto report = [](bool idle_skip) {
+        std::unique_ptr<System> sys = boot_rpu0(hang_firmware(), idle_skip);
+        const bool hit = sys->kernel().run_until(
+            [&] { return sys->host().debug_low(0) != 0; }, 2000);
+        EXPECT_TRUE(hit);
+        return Report{sys->kernel().now(), sys->kernel().fast_forwarded_cycles(),
+                      sys->rpu(0).core().cycles(), sys->rpu(0).core().instret(),
+                      sys->host().debug_high(0)};
+    };
+    const Report on = report(true);
+    const Report off = report(false);
+    EXPECT_EQ(on.cycle, off.cycle);
+    // Pinned, so a dog that fires a tick early or late in both modes is
+    // caught too: the boot sequence, 500 timer ticks, then the report.
+    EXPECT_EQ(on.cycle, 518u);
+    EXPECT_GT(on.fast_forwarded, 0u);  // everything slept until the timer was due
+    EXPECT_EQ(off.fast_forwarded, 0u);
+    // The hung core's skipped loop iterations are replayed exactly.
+    EXPECT_EQ(on.core_cycles, off.core_cycles);
+    EXPECT_EQ(on.instret, off.instret);
+    EXPECT_EQ(on.mepc, off.mepc);
+
+    // The re-armed dog never fires either way, and the heartbeat loop
+    // reaches the same state.
+    std::unique_ptr<System> a = boot_rpu0(rearm_firmware(), true);
+    std::unique_ptr<System> b = boot_rpu0(rearm_firmware(), false);
+    a->run_cycles(5000);
+    b->run_cycles(5000);
+    EXPECT_EQ(a->host().debug_low(0), b->host().debug_low(0));
+    EXPECT_EQ(a->host().debug_high(0), 0u);
+    EXPECT_EQ(b->host().debug_high(0), 0u);
+    EXPECT_EQ(a->rpu(0).core().cycles(), b->rpu(0).core().cycles());
+    EXPECT_EQ(a->rpu(0).core().instret(), b->rpu(0).core().instret());
 }
 
 }  // namespace

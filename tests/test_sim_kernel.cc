@@ -518,6 +518,10 @@ struct Shape {
     uint64_t max_packets = 200;
     Cycle cycles = 25'000;
     bool fast_forwards = false;  ///< whole-system fast-forward must occur
+    /// Run Section 6.3's loopback benchmark instead of the pipeline's
+    /// firmware: the first half of the RPUs relays every packet to its
+    /// partner over the loopback channel.
+    bool two_step = false;
 };
 
 struct SchedRun {
@@ -543,6 +547,12 @@ run_sched(Sched s, const Shape& shape = {}) {
         EXPECT_EQ(sys.rpu(i).core().predecode(), spec.system.tuning.predecode)
             << "rpu" << i;
     if (s == Sched::kShuffled) sys.kernel().shuffle_tick_order(0x5eedf00d);
+    if (shape.two_step) {
+        const rosebud::fwlib::Program fw = rosebud::fwlib::two_step_forwarder(shape.rpus);
+        sys.host().load_firmware_all(fw.image, fw.entry);
+        sys.host().boot_all();
+        sys.host().set_recv_mask((1u << (shape.rpus / 2)) - 1);
+    }
 
     for (unsigned port = 0; port < shape.ports; ++port) {
         rosebud::net::TrafficSpec tspec;
@@ -597,6 +607,19 @@ const Shape kTimedShapes[] = {
     {.name = "ips1k: Pigasus HW reorder, 8 RPUs, 2 ports, 1024 B",
      .pipeline = rosebud::Pipeline::kPigasusHwReorder, .rpus = 8, .ports = 2,
      .size = 1024, .load = 1.0, .max_packets = 0, .cycles = 20'000},
+    // Line rate: the sources never idle, but the forwarder RPUs sleep
+    // through their own RX and TX transfers (due-cycle wakes).
+    {.name = "fwd1500: 16 RPUs, 2 ports, 1500 B @ 1.0",
+     .rpus = 16, .ports = 2, .size = 1500, .load = 1.0, .max_packets = 0,
+     .cycles = 20'000},
+    {.name = "jumbo: 16 RPUs, 2 ports, 9000 B @ 1.0",
+     .rpus = 16, .ports = 2, .size = 9000, .load = 1.0, .max_packets = 0,
+     .cycles = 30'000},
+    // The relays poll the LB's slot response, a core-visible input, and
+    // hand every packet to a partner RPU over the loopback channel.
+    {.name = "two-step loopback: 16 RPUs, 1500 B @ 1.0",
+     .rpus = 16, .size = 1500, .load = 1.0, .max_packets = 0,
+     .cycles = 20'000, .two_step = true},
 };
 
 TEST(ScheduleEquivalence, TimedSleepShapesAreBitIdentical) {
