@@ -267,6 +267,14 @@ fnv_mix(uint64_t& h, uint64_t v) {
     }
 }
 
+/// splitmix64's finalizer: spreads every input bit over the whole word.
+uint64_t
+mix_bits(uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
 void
 fnv_mix(uint64_t& h, const std::string& s) {
     for (char c : s) {
@@ -281,26 +289,26 @@ fnv_mix(uint64_t& h, const std::string& s) {
 uint64_t
 System::state_fingerprint() const {
     uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-    // Stats maps are ordered, so iteration itself is deterministic; the
-    // per-sampler XOR absorbs any same-cycle sample reordering.
+    // The stats map is ordered, so iteration itself is deterministic.
     for (const auto& [name, c] : stats_.counters()) {
         fnv_mix(h, name);
         fnv_mix(h, c.get());
     }
-    for (const auto& [name, s] : stats_.samplers()) {
-        fnv_mix(h, name);
-        fnv_mix(h, uint64_t(s.count()));
-        uint64_t bag = 0;
-        for (double v : s.samples()) {
-            uint64_t bits;
-            std::memcpy(&bits, &v, sizeof bits);
-            bag ^= bits;
-        }
-        fnv_mix(h, bag);
-    }
     for (const auto& sink : sinks_) {
         fnv_mix(h, sink->frames());
         fnv_mix(h, sink->bytes());
+        // Latency samples: their count and an order-independent bag (a sum
+        // of mixed bit patterns, so equal samples do not cancel) that
+        // absorbs any same-cycle delivery reordering.
+        const sim::Sampler& latency = sink->latency();
+        fnv_mix(h, uint64_t(latency.count()));
+        uint64_t bag = 0;
+        for (double v : latency.samples()) {
+            uint64_t bits;
+            std::memcpy(&bits, &v, sizeof bits);
+            bag += mix_bits(bits);
+        }
+        fnv_mix(h, bag);
     }
     for (const auto& r : rpus_) {
         fnv_mix(h, r->debug_low());

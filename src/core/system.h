@@ -166,7 +166,8 @@ class System {
     lint::ShardPlan shard_plan(unsigned shards) const;
 
     /// Order-insensitive digest of the architecturally visible state:
-    /// every stats counter, sink frame/byte/latency records, per-RPU
+    /// every stats counter, sink frame/byte counts and latency samples
+    /// (their count and an order-independent hash of their bits), per-RPU
     /// debug registers, slot occupancy and core time (cycles() and
     /// instret()), and the LB free-slot lists.
     /// Two runs of the same workload must produce the same fingerprint

@@ -1,6 +1,7 @@
 #include "dist/fabric.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/log.h"
 
@@ -154,12 +155,13 @@ Fabric::mac_rx(unsigned port, net::PacketPtr pkt) {
 
     // The hardware reassembler (when configured into the LB) sits before
     // the MAC FIFO logically: it may hold the packet or release several.
-    std::vector<net::PacketPtr> released = lb_.reassemble(std::move(pkt));
+    released_.clear();
+    lb_.reassemble(std::move(pkt), released_);
 
     IngressSource& src = sources_[port];
     bool all_ok = true;
     bool admitted = false;
-    for (auto& p : released) {
+    for (auto& p : released_) {
         uint64_t occupied = in_tick ? src.admit_bytes + src.staged_bytes : src.queue_bytes;
         if (occupied + p->size() > config_.mac_rx_fifo_bytes) {
             ctr_rx_drops_[port]->add();
@@ -183,8 +185,9 @@ Fabric::mac_rx(unsigned port, net::PacketPtr pkt) {
             src.admit_count = src.queue.size();
         }
     }
+    released_.clear();  // drops what overflowed
     if (admitted) {
-        commit_dirty_ = true;
+        kernel().request_commit(this);
         wake();
     }
     return all_ok;
@@ -212,7 +215,7 @@ Fabric::host_inject(net::PacketPtr pkt) {
         src.admit_count = src.queue.size();
     }
     ctr_host_tx_frames_->add();
-    commit_dirty_ = true;
+    kernel().request_commit(this);
     wake();
     return true;
 }
@@ -233,7 +236,7 @@ Fabric::rpu_egress(uint8_t rpu, net::PacketPtr pkt) {
         trace("rpu_egress", *pkt);
         tel(enet, sim::TelemetrySink::NetEvent::kPushOk);
         egress_staged_[rpu].push_back({std::move(pkt), now() + 1});
-        commit_dirty_ = true;
+        note_egress_change(rpu);
         wake();
         return true;
     }
@@ -245,19 +248,34 @@ Fabric::rpu_egress(uint8_t rpu, net::PacketPtr pkt) {
     tel(enet, sim::TelemetrySink::NetEvent::kPushOk);
     trace("rpu_egress", *pkt);
     q.push_back({std::move(pkt), now() + 1});
-    ++egress_pkts_;
-    unsigned dd = unsigned(q.back().pkt->out_iface);
-    if (dd < kSourceCount) ++egress_pkts_dest_[dd];
     egress_committed_[rpu] = q.size();
-    commit_dirty_ = true;
+    refresh_egress_head(rpu);
+    note_egress_change(rpu);
     wake();
     return true;
+}
+
+void
+Fabric::refresh_egress_head(unsigned r) {
+    const uint32_t bit = 1u << r;
+    for (uint32_t& heads : egress_heads_) heads &= ~bit;
+    const auto& q = egress_queues_[r];
+    if (!q.empty()) {
+        const unsigned d = unsigned(q.front().pkt->out_iface);
+        if (d < kSourceCount) egress_heads_[d] |= bit;
+    }
+}
+
+void
+Fabric::note_egress_change(unsigned r) {
+    egress_touched_ |= 1u << r;
+    kernel().request_commit(this);
 }
 
 bool
 Fabric::quiescent() const {
     for (const IngressSource& src : sources_) {
-        if (!src.queue.empty() || !src.staged.empty() || src.active ||
+        if (!src.queue.empty() || !src.staged.empty() || now() <= src.busy_until ||
             src.stalled || src.issue_cd != 0) {
             return false;
         }
@@ -269,7 +287,7 @@ Fabric::quiescent() const {
     for (const auto& v : egress_staged_)
         if (!v.empty()) return false;
     for (const EgressDest& d : egress_)
-        if (d.active || d.done) return false;
+        if (now() <= d.busy_until || d.done) return false;
     for (const MacTx& m : mac_tx_)
         if (m.active || !m.fifo.empty()) return false;
     if (!host_out_.empty() || pcie_tags_in_use_ != 0 || loopback_.active)
@@ -283,13 +301,8 @@ Fabric::quiescent() const {
 void
 Fabric::commit() {
     // Every path that stages a packet or mutates a committed queue (pop,
-    // push, loopback re-entry) raises commit_dirty_; on untouched cycles
-    // both integration loops below are identity refreshes and are skipped.
-    if (!commit_dirty_) {
-        if (kernel().telemetry()) report_occupancies();
-        return;
-    }
-    commit_dirty_ = false;
+    // push, loopback re-entry) requests this commit; the telemetry sweep
+    // runs it every cycle, when the refreshes below are identities.
     for (unsigned s = 0; s < kSourceCount; ++s) {
         IngressSource& src = sources_[s];
         if (!src.staged.empty()) {
@@ -303,18 +316,15 @@ Fabric::commit() {
         src.admit_bytes = src.queue_bytes;
         src.admit_count = src.queue.size();
     }
-    for (unsigned r = 0; r < config_.rpu_count; ++r) {
-        if (!egress_staged_[r].empty()) {
-            egress_pkts_ += egress_staged_[r].size();
-            for (auto& tp : egress_staged_[r]) {
-                unsigned dd = unsigned(tp.pkt->out_iface);
-                if (dd < kSourceCount) ++egress_pkts_dest_[dd];
-                egress_queues_[r].push_back(std::move(tp));
-            }
-            egress_staged_[r].clear();
-        }
-        egress_committed_[r] = egress_queues_[r].size();
+    for (uint32_t touched = egress_touched_; touched; touched &= touched - 1) {
+        const unsigned r = unsigned(std::countr_zero(touched));
+        auto& q = egress_queues_[r];
+        for (auto& tp : egress_staged_[r]) q.push_back(std::move(tp));
+        egress_staged_[r].clear();
+        egress_committed_[r] = q.size();
+        refresh_egress_head(r);  // an empty queue may have a head now
     }
+    egress_touched_ = 0;
     if (kernel().telemetry()) report_occupancies();
 }
 
@@ -352,10 +362,7 @@ void
 Fabric::tick() {
     for (unsigned s = 0; s < kSourceCount; ++s) {
         const IngressSource& src = sources_[s];
-        if (src.issue_cd == 0 && !src.active && !src.stalled &&
-            src.queue.empty()) {
-            continue;
-        }
+        if (src.issue_cd == 0 && !src.stalled && src.queue.empty()) continue;
         tick_ingress_source(s);
     }
     tick_rpu_links();
@@ -372,13 +379,15 @@ Fabric::tick() {
     }
     while (!host_out_.empty() && host_out_.front().ready <= now() &&
            pcie_credit_ >= double(host_out_.front().pkt->size())) {
-        pcie_credit_ -= double(host_out_.front().pkt->size());
-        --pcie_tags_in_use_;
-        trace("host_deliver", *host_out_.front().pkt);
-        if (host_sink_) host_sink_(host_out_.front().pkt);
-        ctr_host_rx_frames_->add();
-        ctr_host_rx_bytes_->add(host_out_.front().pkt->size());
+        net::PacketPtr pkt = std::move(host_out_.front().pkt);
         host_out_.pop_front();
+        const uint32_t size = pkt->size();
+        pcie_credit_ -= double(size);
+        --pcie_tags_in_use_;
+        trace("host_deliver", *pkt);
+        if (host_sink_) host_sink_(std::move(pkt));
+        ctr_host_rx_frames_->add();
+        ctr_host_rx_bytes_->add(size);
     }
 }
 
@@ -389,47 +398,40 @@ Fabric::tick_ingress_source(unsigned s) {
     if (src.issue_cd > 0) --src.issue_cd;
 
     // Retry a cut-through push that found its VOQ full.
-    if (src.stalled) {
-        if (try_push_voq(s, src.stalled))
-            src.stalled.reset();
-        else
-            ctr_voq_stall_->add();
+    if (src.stalled && !try_push_voq(s, src.stalled)) ctr_voq_stall_->add();
+
+    // The stage-1 serializer is busy until the previous transfer's last
+    // cycle has passed (bandwidth accounting only: the switch is
+    // cut-through, the packet was pushed downstream at start).
+    if (now() < src.busy_until || src.issue_cd > 0 || src.stalled ||
+        src.queue.empty()) {
+        return;
     }
 
-    // Advance the active stage-1 transfer (bandwidth accounting only: the
-    // switch is cut-through, the packet was pushed downstream at start).
-    if (src.active) {
-        if (src.cycles_left > 0) --src.cycles_left;
-        if (src.cycles_left > 0) return;
-        src.active.reset();
-    }
-
-    if (src.issue_cd > 0 || src.stalled || src.queue.empty()) return;
-
-    net::PacketPtr head = src.queue.front();
     // Loopback packets carry their destination already (the sending RPU
     // asked the LB for a remote slot); everything else goes to the LB.
     if (s != kSrcLoopback) {
-        if (!lb_.try_assign(head)) return;  // wait: no eligible slot
-        trace("lb_assign", *head);
+        if (!lb_.try_assign(src.queue.front())) return;  // wait: no eligible slot
+        trace("lb_assign", *src.queue.front());
     }
+    net::PacketPtr head = std::move(src.queue.front());
     src.queue.pop_front();
     src.queue_bytes -= head->size();
-    commit_dirty_ = true;
+    kernel().request_commit(this);
     if (kernel().telemetry())
         tel(source_net(s), sim::TelemetrySink::NetEvent::kPop);
-    src.active = head;
     uint32_t bytes = head->size() + (head->hash_prepended ? 4 : 0);
-    src.cycles_left = div_ceil(bytes, config_.stage1_bytes_per_cycle);
+    src.busy_until =
+        now() + std::max(1u, div_ceil(bytes, config_.stage1_bytes_per_cycle));
     src.issue_cd = config_.issue_interval_cycles;
 
     // Cut-through: hand the packet to the cluster VOQ now; it becomes
     // visible to the per-RPU link after the fixed distribution pipe.
-    if (!try_push_voq(s, head)) src.stalled = head;
+    if (!try_push_voq(s, head)) src.stalled = std::move(head);
 }
 
 bool
-Fabric::try_push_voq(unsigned s, const net::PacketPtr& pkt) {
+Fabric::try_push_voq(unsigned s, net::PacketPtr& pkt) {
     const uint8_t r = pkt->dest_rpu;
     auto& q = voq(r, s);
     const bool ok = q.size() < config_.voq_depth;
@@ -440,7 +442,7 @@ Fabric::try_push_voq(unsigned s, const net::PacketPtr& pkt) {
     if (!ok) return false;
     // The pipe is fixed, so a push never moves a non-empty VOQ's head.
     const sim::Cycle ready = now() + config_.ingress_pipe_cycles;
-    q.push_back({pkt, ready});
+    q.push_back({std::move(pkt), ready});
     voq_head_ready_[r] = std::min(voq_head_ready_[r], ready);
     voq_next_ready_ = std::min(voq_next_ready_, ready);
     return true;
@@ -463,7 +465,7 @@ Fabric::tick_rpu_links() {
                     tel(voq_net(uint8_t(r), s), sim::TelemetrySink::NetEvent::kPop);
                     tel(rpu->name() + ".link_in", sim::TelemetrySink::NetEvent::kPushOk);
                 }
-                rpu->begin_rx(q.front().pkt);
+                rpu->begin_rx(std::move(q.front().pkt));
                 q.pop_front();
                 rpu_rr_[r] = (s + 1) % kSourceCount;
                 break;
@@ -481,56 +483,50 @@ Fabric::tick_rpu_links() {
 
 void
 Fabric::tick_egress() {
-    if (egress_pkts_ == 0) {
-        bool busy = false;
-        for (const EgressDest& d : egress_)
-            if (d.active || d.done) { busy = true; break; }
-        if (!busy) return;
-    }
     for (unsigned d = 0; d < kSourceCount; ++d) {
         EgressDest& dest = egress_[d];
-        // Nothing queued for this destination and its serializer is idle:
-        // the per-RPU scan below cannot pick anything, skip it.
-        if (!dest.active && !dest.done && egress_pkts_dest_[d] == 0)
-            continue;
-
         // Retry a cut-through handoff that found no downstream space.
-        if (dest.done && try_egress_handoff(d, dest.done)) dest.done.reset();
+        if (dest.done && !try_egress_handoff(d, dest.done)) continue;
 
-        // Advance the active egress serialization (bandwidth accounting;
-        // the switch is cut-through, the handoff happened at pick time).
-        if (dest.active) {
-            if (dest.cycles_left > 0) --dest.cycles_left;
-            if (dest.cycles_left > 0) continue;
-            dest.active.reset();
-        }
-        if (dest.done) continue;
+        // The serializer is busy until the previous transfer's last cycle
+        // has passed (bandwidth accounting; the switch is cut-through, the
+        // handoff happened at pick time). With no queue head for this
+        // destination there is nothing to pick.
+        if (egress_heads_[d] != 0 && now() >= dest.busy_until) pick_egress(d);
+    }
+}
 
-        // Pick the next RPU egress queue with a packet for this destination.
-        for (unsigned i = 0; i < config_.rpu_count; ++i) {
-            unsigned r = (dest.rr + i) % config_.rpu_count;
+void
+Fabric::pick_egress(unsigned d) {
+    // Round-robin from dest.rr over the RPUs whose egress queue head goes
+    // to this destination; the first ready head wins.
+    EgressDest& dest = egress_[d];
+    const uint32_t heads = egress_heads_[d];
+    const uint32_t from_rr = ~0u << dest.rr;
+    for (uint32_t m : {heads & from_rr, heads & ~from_rr}) {
+        for (; m; m &= m - 1) {
+            const unsigned r = unsigned(std::countr_zero(m));
             auto& q = egress_queues_[r];
-            if (q.empty() || q.front().ready > now()) continue;
-            if (unsigned(q.front().pkt->out_iface) != d) continue;
-            dest.active = q.front().pkt;
-            dest.cycles_left = div_ceil(dest.active->size(), config_.stage1_bytes_per_cycle);
+            if (q.front().ready > now()) continue;
+            net::PacketPtr pkt = std::move(q.front().pkt);
             q.pop_front();
-            --egress_pkts_;
-            --egress_pkts_dest_[d];
-            commit_dirty_ = true;
+            refresh_egress_head(r);
+            note_egress_change(r);
             if (kernel().telemetry()) {
                 tel("fabric.egress.r" + std::to_string(r),
                     sim::TelemetrySink::NetEvent::kPop);
             }
+            dest.busy_until =
+                now() + std::max(1u, div_ceil(pkt->size(), config_.stage1_bytes_per_cycle));
             dest.rr = (r + 1) % config_.rpu_count;
-            if (!try_egress_handoff(d, dest.active)) dest.done = dest.active;
-            break;
+            if (!try_egress_handoff(d, pkt)) dest.done = std::move(pkt);
+            return;
         }
     }
 }
 
 bool
-Fabric::try_egress_handoff(unsigned d, const net::PacketPtr& p) {
+Fabric::try_egress_handoff(unsigned d, net::PacketPtr& p) {
     if (d <= 1) {
         MacTx& mac = mac_tx_[d];
         const std::string mnet =
@@ -541,7 +537,7 @@ Fabric::try_egress_handoff(unsigned d, const net::PacketPtr& p) {
         }
         tel(mnet, sim::TelemetrySink::NetEvent::kPushOk);
         mac.fifo_bytes += p->size();
-        mac.fifo.push_back({p, now() + config_.egress_pipe_cycles});
+        mac.fifo.push_back({std::move(p), now() + config_.egress_pipe_cycles});
         return true;
     }
     if (d == kSrcHost) {
@@ -553,7 +549,7 @@ Fabric::try_egress_handoff(unsigned d, const net::PacketPtr& p) {
         }
         tel("fabric.host_out", sim::TelemetrySink::NetEvent::kPushOk);
         ++pcie_tags_in_use_;
-        host_out_.push_back({p, now() + config_.pcie_latency_cycles});
+        host_out_.push_back({std::move(p), now() + config_.pcie_latency_cycles});
         return true;
     }
     // Loopback: the single 100G channel with a per-packet routing header.
@@ -563,8 +559,8 @@ Fabric::try_egress_handoff(unsigned d, const net::PacketPtr& p) {
         return false;
     }
     tel("fabric.loopback_q", sim::TelemetrySink::NetEvent::kPushOk);
-    loopback_.active = p;
     uint32_t wire = p->size() + config_.loopback_header_bytes;
+    loopback_.active = std::move(p);
     uint32_t need = wire > loopback_.line_credit ? wire - loopback_.line_credit : 0;
     loopback_.cycles_left = std::max(1u, div_ceil(need, config_.line_bytes_per_cycle));
     loopback_.line_credit =
@@ -581,13 +577,13 @@ Fabric::tick_loopback() {
     if (loopback_.cycles_left > 0) --loopback_.cycles_left;
     if (loopback_.cycles_left == 0) {
         IngressSource& lp = sources_[kSrcLoopback];
-        lp.queue_bytes += loopback_.active->size();
-        lp.queue.push_back(loopback_.active);
-        commit_dirty_ = true;
-        trace("loopback_reenter", *loopback_.active);
+        const uint32_t size = loopback_.active->size();
+        lp.queue_bytes += size;
+        lp.queue.push_back(std::move(loopback_.active));
+        kernel().request_commit(this);
+        trace("loopback_reenter", *lp.queue.back());
         ctr_loopback_frames_->add();
-        ctr_loopback_bytes_->add(loopback_.active->size());
-        loopback_.active.reset();
+        ctr_loopback_bytes_->add(size);
     }
 }
 
@@ -602,12 +598,12 @@ Fabric::tick_mac_tx() {
             ctr_tx_frames_[port]->add();
             ctr_tx_bytes_[port]->add(mac.active->size());
             trace("mac_tx", *mac.active);
-            if (mac.sink) mac.sink(mac.active);
+            if (mac.sink) mac.sink(std::move(mac.active));
             mac.active.reset();
             // Fall through: the line is back-to-back at full rate.
         }
         if (!mac.fifo.empty() && mac.fifo.front().ready <= now()) {
-            mac.active = mac.fifo.front().pkt;
+            mac.active = std::move(mac.fifo.front().pkt);
             mac.fifo_bytes -= mac.active->size();
             mac.fifo.pop_front();
             if (kernel().telemetry()) {

@@ -23,7 +23,6 @@
 #define ROSEBUD_DIST_FABRIC_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "rpu/rpu.h"
 #include "sim/kernel.h"
 #include "sim/resources.h"
+#include "sim/ring.h"
 #include "sim/stats.h"
 
 namespace rosebud::dist {
@@ -102,7 +102,9 @@ class Fabric : public sim::Component {
 
     /// Clock edge: integrate tick-phase arrivals (mac_rx / host_inject /
     /// rpu_egress staged by other components) into the ingress and egress
-    /// queues and refresh the registered admission credit.
+    /// queues and refresh the registered admission credit. Requested by
+    /// every queue mutation; it touches only the RPUs whose egress queue
+    /// changed this cycle.
     void commit() override;
 
     /// The fabric can sleep when every queue, serializer and staged buffer
@@ -131,12 +133,12 @@ class Fabric : public sim::Component {
     };
 
     struct IngressSource {
-        std::deque<net::PacketPtr> queue;
+        sim::Ring<net::PacketPtr> queue;
         uint64_t queue_bytes = 0;
         unsigned issue_cd = 0;
-        // Stage-1 serializer state.
-        net::PacketPtr active;
-        uint32_t cycles_left = 0;
+        // Stage-1 serializer: cut-through, so the packet goes downstream
+        // when its transfer starts and only the bandwidth is accounted.
+        sim::Cycle busy_until = 0;  ///< first cycle a new transfer may start
         // Completed transfer waiting for VOQ space.
         net::PacketPtr stalled;
         // Registered-credit admission: occupancy snapshot taken at the last
@@ -150,14 +152,13 @@ class Fabric : public sim::Component {
     };
 
     struct EgressDest {
-        net::PacketPtr active;
-        uint32_t cycles_left = 0;
-        net::PacketPtr done;  ///< waiting for downstream space
+        sim::Cycle busy_until = 0;  ///< cut-through serializer, as ingress
+        net::PacketPtr done;        ///< waiting for downstream space
         unsigned rr = 0;
     };
 
     struct MacTx {
-        std::deque<TimedPkt> fifo;
+        sim::Ring<TimedPkt> fifo;
         uint64_t fifo_bytes = 0;
         net::PacketPtr active;
         uint32_t cycles_left = 0;
@@ -166,7 +167,7 @@ class Fabric : public sim::Component {
     };
 
     unsigned cluster_of(uint8_t rpu) const { return rpu / rpus_per_cluster_; }
-    std::deque<TimedPkt>& voq(uint8_t rpu, unsigned source) {
+    sim::Ring<TimedPkt>& voq(uint8_t rpu, unsigned source) {
         return voqs_[rpu * kSourceCount + source];
     }
     // Telemetry taps on the abstract (non-sim::Fifo) links; one pointer
@@ -184,12 +185,21 @@ class Fabric : public sim::Component {
     }
     void report_occupancies() const;
     void tick_ingress_source(unsigned s);
-    /// Push `pkt` onto its (dest_rpu, s) VOQ behind the fixed ingress
-    /// pipe; false when the VOQ is full.
-    bool try_push_voq(unsigned s, const net::PacketPtr& pkt);
+    /// Move `pkt` onto its (dest_rpu, s) VOQ behind the fixed ingress
+    /// pipe; false (and `pkt` untouched) when the VOQ is full.
+    bool try_push_voq(unsigned s, net::PacketPtr& pkt);
     void tick_rpu_links();
     void tick_egress();
-    bool try_egress_handoff(unsigned d, const net::PacketPtr& p);
+    /// Start the next egress transfer to destination `d`, if a head is ready.
+    void pick_egress(unsigned d);
+    /// Move `p` to destination `d`'s next stage; false (and `p`
+    /// untouched) when that stage has no space.
+    bool try_egress_handoff(unsigned d, net::PacketPtr& p);
+    /// Recompute RPU `r`'s bit in egress_heads_ from its queue head.
+    void refresh_egress_head(unsigned r);
+    /// RPU `r`'s egress queue or staging changed this cycle: have
+    /// commit() integrate it and refresh its registered credit.
+    void note_egress_change(unsigned r);
     void tick_mac_tx();
     void tick_loopback();
     void declare_netlist(sim::Kernel& kernel);
@@ -215,27 +225,29 @@ class Fabric : public sim::Component {
     sim::Counter* ctr_loopback_bytes_;
 
     IngressSource sources_[kSourceCount];
-    std::vector<std::deque<TimedPkt>> voqs_;  ///< [rpu][source]
+    std::vector<sim::Ring<TimedPkt>> voqs_;  ///< [rpu][source]
+    /// mac_rx's reassembler output, reused so admission allocates nothing.
+    std::vector<net::PacketPtr> released_;
     std::vector<unsigned> rpu_rr_;            ///< per-RPU source arbitration
     /// Earliest `ready` cycle over each RPU's VOQ heads (kNever when its
     /// VOQs are empty), and the minimum over all RPUs: the link scan skips
     /// RPUs whose heads are still inside the ingress pipe.
     std::vector<sim::Cycle> voq_head_ready_;
     sim::Cycle voq_next_ready_ = sim::kNever;
-    size_t egress_pkts_ = 0;  ///< total packets across egress queues
-    uint32_t egress_pkts_dest_[kSourceCount] = {0, 0, 0, 0};  ///< per destination
-    /// Set by any queue mutation whose effect commit() must integrate or
-    /// re-snapshot.
-    bool commit_dirty_ = false;
 
-    std::vector<std::deque<TimedPkt>> egress_queues_;  ///< per RPU
-    EgressDest egress_[kSourceCount];                  ///< per destination
+    std::vector<sim::Ring<TimedPkt>> egress_queues_;  ///< per RPU
+    EgressDest egress_[kSourceCount];                 ///< per destination
+    /// Per destination, bit r set when RPU r's egress queue head goes
+    /// there: the egress scan visits only those RPUs.
+    uint32_t egress_heads_[kSourceCount] = {0, 0, 0, 0};
     /// Registered egress credit, mirroring IngressSource's admission state.
     std::vector<std::vector<TimedPkt>> egress_staged_;  ///< per RPU
     std::vector<size_t> egress_committed_;              ///< per RPU
+    /// Bit r set when RPU r's egress queue or staging changed this cycle.
+    uint32_t egress_touched_ = 0;
 
     MacTx mac_tx_[2];
-    std::deque<TimedPkt> host_out_;
+    sim::Ring<TimedPkt> host_out_;
     SinkFn host_sink_;
     double pcie_credit_ = 0.0;      ///< byte credit for the host channel
     unsigned pcie_tags_in_use_ = 0; ///< outstanding DMA transfers

@@ -34,8 +34,7 @@ TrafficSource::tick() {
         staged_->tx_ns =
             kernel().now_ns() - double(staged_->wire_size()) / 50.0 * sim::kNsPerCycle;
         ++offered_;
-        if (!fabric_.mac_rx(config_.port, staged_)) ++dropped_;
-        staged_.reset();
+        if (!fabric_.mac_rx(config_.port, std::move(staged_))) ++dropped_;
         if (config_.max_packets && offered_ >= config_.max_packets) break;
         staged_ = gen_();
     }

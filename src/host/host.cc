@@ -82,17 +82,7 @@ HostContext::boot_all() {
 
 void
 HostContext::write_memory(unsigned rpu, uint32_t addr, const std::vector<uint8_t>& bytes) {
-    rpu::Rpu& r = *rpus_.at(rpu);
-    using namespace rosebud::rpu;
-    if (addr >= kDmemBase && addr + bytes.size() <= kDmemBase + kDmemSize) {
-        r.dmem().write_block(addr - kDmemBase, bytes.data(), uint32_t(bytes.size()));
-    } else if (addr >= kPmemBase && addr + bytes.size() <= kPmemBase + kPmemSize) {
-        r.pmem().write_block(addr - kPmemBase, bytes.data(), uint32_t(bytes.size()));
-    } else if (addr >= kAmemBase && addr + bytes.size() <= kAmemBase + kAmemSize) {
-        r.amem().write_block(addr - kAmemBase, bytes.data(), uint32_t(bytes.size()));
-    } else {
-        sim::fatal("host write_memory: address range not mapped");
-    }
+    rpus_.at(rpu)->write_memory(addr, bytes);
 }
 
 std::vector<uint8_t>

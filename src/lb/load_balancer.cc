@@ -1,17 +1,35 @@
 #include "lb/load_balancer.h"
 
-#include <algorithm>
+#include <bit>
+#include <functional>
 
 #include "sim/log.h"
 
 namespace rosebud::lb {
 
+namespace {
+
+/// Stable insertion sort: the staged lists hold a few entries per cycle,
+/// and unlike std::stable_sort it never takes a temporary buffer.
+template <typename T, typename Less>
+void
+stable_sort_small(std::vector<T>& v, Less less) {
+    for (size_t i = 1; i < v.size(); ++i) {
+        T x = std::move(v[i]);
+        size_t j = i;
+        for (; j > 0 && less(x, v[j - 1]); --j) v[j] = std::move(v[j - 1]);
+        v[j] = std::move(x);
+    }
+}
+
+}  // namespace
+
 LoadBalancer::LoadBalancer(sim::Stats& stats, const Config& config)
     : stats_(stats),
       config_(config),
       free_slots_(config.rpu_count),
-      recv_mask_(config.rpu_count >= 32 ? ~0u : (1u << config.rpu_count) - 1),
-      enable_mask_(config.rpu_count >= 32 ? ~0u : (1u << config.rpu_count) - 1) {
+      recv_mask_(rpu_mask()),
+      enable_mask_(rpu_mask()) {
     if (config.rpu_count == 0 || config.rpu_count > 32) {
         sim::fatal("LoadBalancer: rpu_count must be in [1,32]");
     }
@@ -56,6 +74,7 @@ LoadBalancer::on_slot_config(uint8_t rpu, const rpu::SlotConfig& cfg) {
     if (rpu >= config_.rpu_count) return;
     if (staging()) {
         staged_configs_.emplace_back(rpu, cfg);
+        request_commit();
         return;
     }
     free_slots_[rpu].clear();
@@ -67,6 +86,7 @@ LoadBalancer::on_slot_free(uint8_t rpu, uint8_t slot) {
     if (rpu >= config_.rpu_count) return;
     if (staging()) {
         staged_frees_.emplace_back(rpu, slot);
+        request_commit();
         return;
     }
     free_slots_[rpu].push_back(slot);
@@ -84,6 +104,7 @@ void
 LoadBalancer::request_slot_routed(uint8_t requester, uint8_t dst_rpu) {
     if (staging()) {
         staged_requests_.emplace_back(requester, dst_rpu);
+        request_commit();
         return;
     }
     if (slot_response_) slot_response_(requester, dst_rpu, request_slot(dst_rpu));
@@ -98,18 +119,18 @@ LoadBalancer::commit_staged() {
     // first: configs by RPU, then frees sorted by
     // (RPU, slot), then requests by requester id. Sorting makes the applied
     // order a function of the staged *set*, never of arrival order.
-    std::stable_sort(staged_configs_.begin(), staged_configs_.end(),
-                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    stable_sort_small(staged_configs_,
+                      [](const auto& a, const auto& b) { return a.first < b.first; });
     for (const auto& [rpu, cfg] : staged_configs_) {
         free_slots_[rpu].clear();
         for (uint32_t s = 1; s <= cfg.count; ++s) free_slots_[rpu].push_back(uint8_t(s));
     }
     staged_configs_.clear();
-    std::stable_sort(staged_frees_.begin(), staged_frees_.end());
+    stable_sort_small(staged_frees_, std::less<>());
     for (const auto& [rpu, slot] : staged_frees_) free_slots_[rpu].push_back(slot);
     staged_frees_.clear();
-    std::stable_sort(staged_requests_.begin(), staged_requests_.end(),
-                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    stable_sort_small(staged_requests_,
+                      [](const auto& a, const auto& b) { return a.first < b.first; });
     for (const auto& [requester, dst] : staged_requests_) {
         if (slot_response_) slot_response_(requester, dst, request_slot(dst));
     }
@@ -144,13 +165,13 @@ LoadBalancer::pick_for(const net::PacketPtr& pkt, uint32_t hash) {
         return r;
     }
     case Policy::kHash: {
-        // Steer by the low bits of the flow hash among *receiving* RPUs.
-        std::vector<uint8_t> eligible;
-        for (unsigned r = 0; r < config_.rpu_count; ++r) {
-            if ((recv_mask_ >> r & 1) && (enable_mask_ >> r & 1)) eligible.push_back(uint8_t(r));
-        }
-        if (eligible.empty()) return std::nullopt;
-        uint8_t r = eligible[hash % eligible.size()];
+        // Steer by the flow hash among *receiving* RPUs: the
+        // (hash % n)-th set bit of the receive-and-enable mask.
+        uint32_t eligible = recv_mask_ & enable_mask_ & rpu_mask();
+        if (eligible == 0) return std::nullopt;
+        for (unsigned k = hash % unsigned(std::popcount(eligible)); k > 0; --k)
+            eligible &= eligible - 1;
+        const uint8_t r = uint8_t(std::countr_zero(eligible));
         // Flow affinity is strict: if the flow's RPU has no free slot the
         // packet must wait (it cannot spill to another RPU).
         if (free_slots_[r].empty()) return std::nullopt;
@@ -208,12 +229,18 @@ LoadBalancer::try_assign(const net::PacketPtr& pkt) {
     return true;
 }
 
-std::vector<net::PacketPtr>
-LoadBalancer::reassemble(net::PacketPtr pkt) {
-    if (!config_.reassembler) return {std::move(pkt)};
+void
+LoadBalancer::reassemble(net::PacketPtr pkt, std::vector<net::PacketPtr>& out) {
+    if (!config_.reassembler) {
+        out.push_back(std::move(pkt));
+        return;
+    }
 
     auto parsed = net::parse_packet(*pkt);
-    if (!parsed || !parsed->has_tcp) return {std::move(pkt)};
+    if (!parsed || !parsed->has_tcp) {
+        out.push_back(std::move(pkt));
+        return;
+    }
 
     net::FiveTuple key = net::extract_five_tuple(*parsed);
     FlowRecord& rec = flows_[key];
@@ -223,10 +250,10 @@ LoadBalancer::reassemble(net::PacketPtr pkt) {
     if (!rec.seen) {
         rec.seen = true;
         rec.next_seq = seq + advance;
-        return {std::move(pkt)};
+        out.push_back(std::move(pkt));
+        return;
     }
 
-    std::vector<net::PacketPtr> out;
     if (seq == rec.next_seq) {
         rec.next_seq = seq + advance;
         out.push_back(std::move(pkt));
@@ -245,27 +272,27 @@ LoadBalancer::reassemble(net::PacketPtr pkt) {
                 }
             }
         }
-        return out;
+        return;
     }
 
     if (seq > rec.next_seq) {
         if (rec.held.size() < config_.reorder_buffer) {
             ctr_reasm_held_->add();
             rec.held.push_back(std::move(pkt));
-            return {};
+            return;
         }
         // Buffer exhausted: give up on ordering, flush everything.
         ctr_reasm_overflow_->add();
-        out = std::move(rec.held);
+        for (net::PacketPtr& h : rec.held) out.push_back(std::move(h));
         rec.held.clear();
         out.push_back(std::move(pkt));
         rec.next_seq = seq + advance;
-        return out;
+        return;
     }
 
     // Old/duplicate segment: pass through unchanged.
     ctr_reasm_stale_->add();
-    return {std::move(pkt)};
+    out.push_back(std::move(pkt));
 }
 
 void

@@ -28,7 +28,6 @@
 #define ROSEBUD_LB_LOAD_BALANCER_H
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -39,6 +38,7 @@
 #include "rpu/rpu.h"
 #include "sim/kernel.h"
 #include "sim/resources.h"
+#include "sim/ring.h"
 #include "sim/stats.h"
 
 namespace rosebud::lb {
@@ -101,10 +101,13 @@ class LoadBalancer {
     /// hash prepended (hash policy).
     bool try_assign(const net::PacketPtr& pkt);
 
-    /// Reassembler stage in front of assignment. Returns the packets
-    /// releasable *now* in flow order (usually {pkt}; possibly empty if
-    /// pkt is buffered; possibly several if pkt filled a gap).
-    std::vector<net::PacketPtr> reassemble(net::PacketPtr pkt);
+    /// Reassembler stage in front of assignment. Appends to `out` the
+    /// packets releasable *now*, in flow order: usually just `pkt`;
+    /// nothing when `pkt` is held; several when it fills a gap or the
+    /// reorder buffer overflows. `out` is the caller's reusable scratch
+    /// and is never cleared here, so the per-packet path allocates
+    /// nothing once its capacity has grown.
+    void reassemble(net::PacketPtr pkt, std::vector<net::PacketPtr>& out);
 
     // --- RPU control-channel callbacks --------------------------------------
 
@@ -140,9 +143,16 @@ class LoadBalancer {
     sim::ResourceFootprint resources() const;
 
  private:
+    /// Bit i set for every RPU i this LB serves.
+    uint32_t rpu_mask() const {
+        return config_.rpu_count >= 32 ? ~0u : (1u << config_.rpu_count) - 1;
+    }
     uint8_t pick_rr(uint32_t eligible);
     std::optional<uint8_t> pick_for(const net::PacketPtr& pkt, uint32_t hash);
+    /// True during the tick phase of an attached LB. Every caller that
+    /// then stages control traffic requests the adapter's commit.
     bool staging() const { return kernel_ && kernel_->in_tick(); }
+    void request_commit() { kernel_->request_commit(adapter_.get()); }
     void commit_staged();
 
     /// Clock-edge adapter registering the LB with the kernel on attach().
@@ -172,7 +182,7 @@ class LoadBalancer {
     std::vector<std::pair<uint8_t, rpu::SlotConfig>> staged_configs_;
     std::vector<std::pair<uint8_t, uint8_t>> staged_frees_;     ///< (rpu, slot)
     std::vector<std::pair<uint8_t, uint8_t>> staged_requests_;  ///< (requester, dst)
-    std::vector<std::deque<uint8_t>> free_slots_;
+    std::vector<sim::Ring<uint8_t>> free_slots_;
     uint32_t recv_mask_;
     uint32_t enable_mask_;
     unsigned rr_next_ = 0;

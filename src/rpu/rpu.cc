@@ -169,6 +169,29 @@ Rpu::raise_evict() {
     wake();
 }
 
+void
+Rpu::write_memory(uint32_t addr, const std::vector<uint8_t>& bytes) {
+    const uint64_t end = uint64_t(addr) + bytes.size();
+    mem::Memory* m = nullptr;
+    uint32_t base = 0;
+    if (addr >= kDmemBase && end <= uint64_t(kDmemBase) + kDmemSize) {
+        m = &dmem_;
+        base = kDmemBase;
+    } else if (addr >= kPmemBase && end <= uint64_t(kPmemBase) + kPmemSize) {
+        m = &pmem_;
+        base = kPmemBase;
+    } else if (addr >= kAmemBase && end <= uint64_t(kAmemBase) + kAmemSize) {
+        m = &amem_;
+        base = kAmemBase;
+    } else {
+        sim::fatal("host write_memory: address range not mapped");
+    }
+    flush_skipped();
+    set_idle_watching(false);
+    m->write_block(addr - base, bytes.data(), uint32_t(bytes.size()));
+    wake();
+}
+
 bool
 Rpu::rx_ready() const {
     if (!kernel().in_tick()) return now() >= rx_free_at_;
@@ -180,6 +203,7 @@ Rpu::begin_rx(net::PacketPtr pkt) {
     if (!rx_ready()) sim::panic(name() + ": begin_rx while busy");
     if (kernel().in_tick()) {
         rx_pending_ = std::move(pkt);  // transfer starts at this commit
+        kernel().request_commit(this);
         wake();  // staged input: a sleeping RPU resumes next cycle
         return;
     }
@@ -232,7 +256,6 @@ Rpu::finish_rx() {
         dmem_.write_block(hdr_addr - kDmemBase, hdr_scratch_.data(), hdr_bytes);
     }
 
-    slot_pkts_[slot] = pkt;
     Desc d;
     d.len = uint16_t(bytes);
     d.slot = slot;
@@ -246,6 +269,7 @@ Rpu::finish_rx() {
     trace("rpu_rx_complete", *pkt);
     ctr_rx_packets_->add();
     ctr_rx_bytes_->add(pkt->size());
+    slot_pkts_[slot] = std::move(pkt);
 }
 
 bool
@@ -379,18 +403,29 @@ Rpu::tick_tx() {
                            std::to_string(addr) + " len=" + std::to_string(d.len) +
                            " slot=" + std::to_string(d.slot) + ")");
             }
-            net::PacketPtr src = slot_pkts_[d.slot];
-            auto out = std::make_shared<net::Packet>();
+            net::PacketPtr& src = slot_pkts_[d.slot];
+            net::PacketPtr out;
+            if (src && src.use_count() == 1) {
+                // The slot holds the only reference: the received packet
+                // becomes the sent one, byte buffer and all. It already
+                // carries what a fresh packet copies from it; clear what a
+                // fresh one would not carry.
+                out = std::move(src);
+                out->hash_prepended = false;
+                out->matched_rules.clear();
+            } else {
+                out = std::make_shared<net::Packet>();
+                if (src) {
+                    out->id = src->id;
+                    out->tx_ns = src->tx_ns;
+                    out->in_iface = src->in_iface;
+                    out->is_attack = src->is_attack;
+                    out->flow_seq = src->flow_seq;
+                    out->lb_hash = src->lb_hash;
+                }
+            }
             out->data.resize(d.len);
             pmem_.read_block(off, out->data.data(), d.len);
-            if (src) {
-                out->id = src->id;
-                out->tx_ns = src->tx_ns;
-                out->in_iface = src->in_iface;
-                out->is_attack = src->is_attack;
-                out->flow_seq = src->flow_seq;
-                out->lb_hash = src->lb_hash;
-            }
             out->out_iface = net::Iface(d.port & 3);
             out->dest_rpu = uint8_t(tx_cur_->dest >> 8);
             out->dest_slot = uint8_t(tx_cur_->dest & 0xff);
@@ -427,6 +462,7 @@ Rpu::broadcast_deliver(uint32_t offset, uint32_t value) {
         // The notify push below wakes a sleeping RPU (and replays its
         // skipped window against the still-unmodified bcast_mem_).
         bcast_pending_.emplace_back(offset, value);
+        kernel().request_commit(this);
     } else {
         flush_skipped();  // replay must see the pre-delivery copy
         std::memcpy(&bcast_mem_[offset], &value, 4);

@@ -93,7 +93,15 @@ class Rpu : public sim::Component {
     uint32_t debug_low() const { return debug_low_; }
     uint32_t debug_high() const { return debug_high_; }
 
+    /// Host write into the DMEM, PMEM or AMEM range at `addr` (table
+    /// loads, flags the firmware polls; fatal if unmapped). Like the IRQ
+    /// pokes, it first settles a sleeper's skipped cycles against the old
+    /// contents, then voids a proven idle loop (the loop may poll these
+    /// bytes) and wakes the RPU.
+    void write_memory(uint32_t addr, const std::vector<uint8_t>& bytes);
+
     /// Direct host access to RPU memories (debug dumps, table loads).
+    /// Writes through these bypass write_memory()'s sleep handling.
     mem::Memory& dmem() { return dmem_; }
     mem::Memory& pmem() { return pmem_; }
     mem::Memory& amem() { return amem_; }
@@ -180,7 +188,7 @@ class Rpu : public sim::Component {
     void tick() override;
 
     /// Applies any begin_rx/broadcast delivery staged by other components
-    /// this cycle.
+    /// this cycle (both request it).
     void commit() override;
 
     /// Quiescent when every core-visible input is frozen, the core is

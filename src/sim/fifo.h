@@ -25,13 +25,13 @@
 #define ROSEBUD_SIM_FIFO_H
 
 #include <cassert>
-#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/kernel.h"
 #include "sim/log.h"
+#include "sim/ring.h"
 
 namespace rosebud::sim {
 
@@ -54,7 +54,7 @@ class Fifo : public Clocked {
         : kernel_(kernel), name_(std::move(name)), capacity_(capacity),
           credit_(credit) {
         assert(capacity >= 1);
-        kernel.add_clocked(this, /*lazy=*/true);
+        kernel.add_clocked(this);
         kernel.declare_net({name_, NetRecord::kFifo, width_bits, capacity_,
                             net_flags,
                             credit == CreditPolicy::kRegistered
@@ -144,11 +144,11 @@ class Fifo : public Clocked {
     }
 
     void commit() override {
-        // Early-out when the cycle neither popped nor pushed: commit runs
-        // for every FIFO every cycle, so idle FIFOs must cost one branch.
+        // Early-out when the cycle neither popped nor pushed: while a
+        // telemetry sink is attached every FIFO commits every cycle, so
+        // an idle one must cost one branch.
         if (popped_ != 0 || !staged_.empty()) {
-            stable_.erase(stable_.begin(), stable_.begin() + long(popped_));
-            popped_ = 0;
+            for (; popped_ > 0; --popped_) stable_.pop_front();
             for (auto& v : staged_) stable_.push_back(std::move(v));
             staged_.clear();
         }
@@ -253,7 +253,7 @@ class Fifo : public Clocked {
     std::string name_;
     size_t capacity_;
     CreditPolicy credit_;
-    std::deque<T> stable_;
+    Ring<T> stable_;
     std::vector<T> staged_;
     size_t popped_ = 0;
 
@@ -273,14 +273,14 @@ class Reg : public Clocked {
     /// Anonymous register (not recorded in the netlist).
     explicit Reg(Kernel& kernel, T reset = T{})
         : kernel_(kernel), value_(std::move(reset)) {
-        kernel.add_clocked(this, /*lazy=*/true);
+        kernel.add_clocked(this);
     }
 
     /// Named register, recorded in the elaboration netlist.
     Reg(Kernel& kernel, std::string name, T reset, unsigned width_bits,
         unsigned net_flags = 0)
         : kernel_(kernel), name_(std::move(name)), value_(std::move(reset)) {
-        kernel.add_clocked(this, /*lazy=*/true);
+        kernel.add_clocked(this);
         kernel.declare_net({name_, NetRecord::kReg, width_bits, 1, net_flags});
     }
 

@@ -205,34 +205,27 @@ Kernel::step() {
     active_ = nullptr;
 
     phase_ = Phase::kCommit;
-    for (Component* c : components_) {
-        // Commits run for every awake component — including ones woken
-        // mid-tick whose first tick is next cycle: their staged input
-        // (e.g. an RPU's rx_pending_) must be integrated this edge.
-        if (!c->awake_) continue;
-        active_ = c;
-        c->commit();
-    }
-    active_ = nullptr;
-    for (Clocked* c : clocked_) c->commit();
     if (telemetry_) {
-        // Telemetry needs per-cycle occupancy from every primitive, so the
-        // lazy set is swept in (deterministic) registration order.
-        for (Clocked* c : lazy_clocked_) {
-            c->commit_queued_ = false;
-            c->commit();
-        }
-        commit_queue_.clear();
+        // Telemetry needs per-cycle occupancy from every component and
+        // primitive, so everything is swept in (deterministic)
+        // registration order and the requests are dropped. Every commit is
+        // the identity on a cycle that staged nothing.
+        for (Component* c : components_)
+            if (c->awake_) c->commit();
+        for (Clocked* c : elements_) c->commit();
+        for (Clocked* c : commit_queue_) c->commit_queued_ = false;
     } else {
-        // Index loop: commits above (e.g. a component integrating staged
-        // input into one of its FIFOs) may append while we drain.
+        // Only what staged an update this cycle commits — including a
+        // sleeper woken mid-tick, whose staged input (e.g. an RPU's
+        // rx_pending_) must land this edge. Index loop: a commit may
+        // request another while we drain.
         for (size_t i = 0; i < commit_queue_.size(); ++i) {
             Clocked* c = commit_queue_[i];
             c->commit_queued_ = false;
             c->commit();
         }
-        commit_queue_.clear();
     }
+    commit_queue_.clear();
     phase_ = Phase::kIdle;
     if (telemetry_) telemetry_->end_cycle(now_);
     if (health_probe_) health_probe_->on_cycle(now_);

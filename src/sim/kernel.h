@@ -4,8 +4,8 @@
 /// Rosebud's hardware is a fully synchronous 250 MHz design; the kernel
 /// mirrors RTL semantics: every cycle, each registered Component runs its
 /// combinational/compute phase (`tick`) against the *previous* cycle's
-/// visible state, then every Clocked element commits its staged updates
-/// (`commit`). Inter-component communication happens exclusively through
+/// visible state, then every Clocked element that staged an update commits
+/// it (`commit`). Inter-component communication happens exclusively through
 /// registered primitives (sim::Fifo, sim::Reg), which makes results
 /// independent of component iteration order.
 ///
@@ -76,12 +76,14 @@ class Clocked {
     virtual ~Clocked() = default;
 
     /// Make updates staged during the current cycle visible to readers.
+    /// Runs at the clock edge of every cycle in which the element called
+    /// Kernel::request_commit(), so it must be the identity on a cycle
+    /// that staged nothing (the telemetry sweep calls it every cycle).
     virtual void commit() = 0;
 
  private:
     friend class Kernel;
-    /// Set while this element sits in the kernel's lazy-commit queue
-    /// (see Kernel::add_clocked / request_commit).
+    /// Set while this element sits in the kernel's commit queue.
     bool commit_queued_ = false;
 };
 
@@ -163,7 +165,9 @@ class Component : public Clocked {
     virtual void tick() = 0;
 
     /// Commit phase. Most components keep all state in registered
-    /// primitives and need no custom commit.
+    /// primitives and need no custom commit. One that stages input of
+    /// its own (a direct-call handoff from another component's tick)
+    /// calls kernel().request_commit(this) where it stages.
     void commit() override {}
 
     /// Conservative idle report, polled by the kernel after each commit
@@ -187,8 +191,8 @@ class Component : public Clocked {
     /// tick phase takes effect on the *next* cycle — registered semantics:
     /// the sleeper could not have observed the producer's staged output
     /// this cycle anyway — which keeps serial and shuffled schedules
-    /// bit-identical. Its commit() still runs this cycle, so staged input
-    /// handed over by a direct call (e.g. begin_rx) is integrated on time.
+    /// bit-identical. Staged input handed over by a direct call (e.g.
+    /// begin_rx) still lands this cycle: the call requests the commit.
     void wake();
 
     /// False while the kernel has this component in the skipped set.
@@ -246,30 +250,31 @@ class Kernel {
         ++awake_count_;
     }
 
-    /// Register a non-component clocked element. A `lazy` element promises
-    /// that commit() is the identity on cycles where it staged nothing and
-    /// popped nothing; it is committed only when it called request_commit()
-    /// that cycle (Fifo and Reg qualify). Non-lazy elements commit every
-    /// cycle. While a telemetry sink is attached, lazy elements are swept
-    /// every cycle too, so per-cycle occupancy reporting stays complete.
-    void add_clocked(Clocked* c, bool lazy = false) {
-        if (lazy)
-            lazy_clocked_.push_back(c);
-        else
-            clocked_.push_back(c);
-    }
+    /// Register a non-component clocked element (sim::Fifo, sim::Reg and
+    /// the LB's control channel do this at construction). Like a
+    /// component, it is committed on the cycles it calls request_commit().
+    /// The registry exists for the telemetry sweep only: while a sink is
+    /// attached, every element commits every cycle in registration order,
+    /// so per-cycle occupancy reporting stays complete.
+    void add_clocked(Clocked* c) { elements_.push_back(c); }
 
-    /// Queue a lazy clocked element for this cycle's clock edge. Idempotent
-    /// per cycle: the per-element flag makes the queue duplicate-free, and
-    /// fifo/reg commits are mutually independent, so queue order is
-    /// unobservable.
+    /// Queue a clocked element (a component or a registered element) for
+    /// this cycle's clock edge; call it wherever the element stages an
+    /// update. Idempotent per cycle: the per-element flag makes the queue
+    /// duplicate-free, and commits are mutually independent, so queue
+    /// order is unobservable.
     void request_commit(Clocked* c) {
         if (c->commit_queued_) return;
         c->commit_queued_ = true;
         commit_queue_.push_back(c);
     }
 
-    /// Advance the simulation by exactly one clock cycle.
+    /// Advance the simulation by exactly one clock cycle: tick every awake
+    /// component, then commit the queued elements in request order (one
+    /// commit path for components and primitives alike). While a
+    /// telemetry sink is attached, the commit phase instead sweeps every
+    /// awake component, then every registered element, each in
+    /// registration order.
     void step();
 
     /// Advance the simulation by `cycles` clock cycles. When the whole
@@ -321,8 +326,8 @@ class Kernel {
     /// True while some component's tick() is on the stack.
     bool in_tick() const { return phase() == Phase::kTick; }
 
-    /// The component whose tick()/commit() is currently running (null
-    /// between steps, i.e. for host/test code).
+    /// The component whose tick() is currently running (null outside the
+    /// tick phase, i.e. for commits and host/test code).
     const Component* active_component() const { return active_; }
 
     /// Enable/disable the dynamic same-cycle race checks in Fifo/Reg.
@@ -480,8 +485,7 @@ class Kernel {
     void build_wake_map();
 
     std::vector<Component*> components_;
-    std::vector<Clocked*> clocked_;
-    std::vector<Clocked*> lazy_clocked_;
+    std::vector<Clocked*> elements_;  ///< add_clocked(), for the telemetry sweep
     std::vector<Clocked*> commit_queue_;
     Cycle now_ = 0;
 

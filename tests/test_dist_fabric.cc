@@ -236,6 +236,30 @@ TEST(FabricPcie, TagExhaustionBackpressures) {
     EXPECT_EQ(sys.stats().get("host.rx_frames"), 64u);
 }
 
+// One RPU's egress queue holds a frame for each port. Both destinations
+// arbitrate in the same tick: once port 0 takes the head, the next head
+// (for port 1) is visible to port 1's scan on that very tick, so both
+// frames leave the wire on the same cycle.
+TEST(Fabric, EgressNextHeadServesAnotherPortOnTheSameCycle) {
+    SystemConfig cfg;
+    cfg.rpu_count = 4;
+    System sys(cfg);  // no firmware: only the egress path runs
+    std::vector<sim::Cycle> sent[2];
+    sys.add_packet_observer(
+        [&](const char* stage, const net::Packet& pkt, sim::Cycle now) {
+            if (std::string(stage) == "mac_tx") sent[unsigned(pkt.out_iface)].push_back(now);
+        });
+    for (unsigned port = 0; port < 2; ++port) {
+        auto pkt = udp_pkt(256, port);
+        pkt->out_iface = net::Iface(port);
+        ASSERT_TRUE(sys.fabric().rpu_egress(1, pkt));
+    }
+    sys.run_cycles(300);
+    ASSERT_EQ(sent[0].size(), 1u);
+    ASSERT_EQ(sent[1].size(), 1u);
+    EXPECT_EQ(sent[1][0], sent[0][0]);
+}
+
 TEST(Fabric, BadPortIsFatal) {
     SystemConfig cfg;
     cfg.rpu_count = 4;

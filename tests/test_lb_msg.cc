@@ -239,13 +239,21 @@ struct ReasmFixture {
                      .reassembler = true}) {}
 };
 
+/// The packets one reassemble() call releases.
+std::vector<net::PacketPtr>
+released(lb::LoadBalancer& lb, net::PacketPtr p) {
+    std::vector<net::PacketPtr> out;
+    lb.reassemble(std::move(p), out);
+    return out;
+}
+
 TEST(Reassembler, InOrderPassesThrough) {
     ReasmFixture f;
     uint32_t seq = 1000;
     for (int i = 0; i < 5; ++i) {
         auto p = tcp_pkt(7, 7, seq, 200);
         seq += 200 - 54;
-        auto out = f.lb.reassemble(p);
+        auto out = released(f.lb, p);
         ASSERT_EQ(out.size(), 1u);
         EXPECT_EQ(out[0], p);
     }
@@ -257,11 +265,11 @@ TEST(Reassembler, RepairsAdjacentSwap) {
     auto p0 = tcp_pkt(7, 7, 1000, 200);
     auto p1 = tcp_pkt(7, 7, 1000 + payload, 200);
     auto p2 = tcp_pkt(7, 7, 1000 + 2 * payload, 200);
-    EXPECT_EQ(f.lb.reassemble(p0).size(), 1u);
+    EXPECT_EQ(released(f.lb, p0).size(), 1u);
     // p2 arrives before p1: held.
-    EXPECT_EQ(f.lb.reassemble(p2).size(), 0u);
+    EXPECT_EQ(released(f.lb, p2).size(), 0u);
     // p1 fills the gap: both released in order.
-    auto out = f.lb.reassemble(p1);
+    auto out = released(f.lb, p1);
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0], p1);
     EXPECT_EQ(out[1], p2);
@@ -272,15 +280,15 @@ TEST(Reassembler, NonTcpPassesThrough) {
     net::PacketBuilder b;
     b.ipv4(1, 2).udp(5, 6).frame_size(64);
     auto p = b.build();
-    EXPECT_EQ(f.lb.reassemble(p).size(), 1u);
+    EXPECT_EQ(released(f.lb, p).size(), 1u);
 }
 
 TEST(Reassembler, StaleSegmentPassesThrough) {
     ReasmFixture f;
     auto p0 = tcp_pkt(9, 9, 5000, 200);
-    f.lb.reassemble(p0);
+    released(f.lb, p0);
     auto dup = tcp_pkt(9, 9, 4000, 200);  // old retransmission
-    EXPECT_EQ(f.lb.reassemble(dup).size(), 1u);
+    EXPECT_EQ(released(f.lb, dup).size(), 1u);
 }
 
 TEST(Reassembler, BufferOverflowFlushes) {
@@ -290,11 +298,11 @@ TEST(Reassembler, BufferOverflowFlushes) {
                                    .reassembler = true,
                                    .reorder_buffer = 2});
     auto p0 = tcp_pkt(9, 9, 1000, 200);
-    small.reassemble(p0);
+    released(small, p0);
     // Three future segments with growing gaps; buffer holds 2.
-    EXPECT_EQ(small.reassemble(tcp_pkt(9, 9, 5000, 200)).size(), 0u);
-    EXPECT_EQ(small.reassemble(tcp_pkt(9, 9, 9000, 200)).size(), 0u);
-    auto out = small.reassemble(tcp_pkt(9, 9, 13000, 200));
+    EXPECT_EQ(released(small, tcp_pkt(9, 9, 5000, 200)).size(), 0u);
+    EXPECT_EQ(released(small, tcp_pkt(9, 9, 9000, 200)).size(), 0u);
+    auto out = released(small, tcp_pkt(9, 9, 13000, 200));
     EXPECT_EQ(out.size(), 3u);  // everything flushed
     EXPECT_GT(stats.get("lb.reassembler.overflow"), 0u);
 }

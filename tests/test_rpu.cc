@@ -230,6 +230,51 @@ TEST(RpuTest, ForwarderRoundTrip) {
     EXPECT_EQ(f.rpu.occupancy(), 0u);
 }
 
+// When the slot holds the only reference, the TX engine sends the
+// received packet object itself. It must leave that object exactly as a
+// freshly assembled packet would be: same bytes and metadata, and no
+// hash-prepend flag or matcher results left over from the receive side.
+TEST(RpuTest, TxSendsSoleReferenceAsAFreshPacket) {
+    auto send = [](bool keep_reference) {
+        Fixture f;
+        f.boot(forwarder_firmware());
+        auto pkt = f.make_pkt(200, 2);
+        pkt->id = 77;
+        pkt->tx_ns = 12.5;
+        pkt->in_iface = net::Iface::kPort1;
+        pkt->lb_hash = 0xa1b2c3d4;
+        pkt->hash_prepended = true;
+        pkt->matched_rules = {7};
+        pkt->is_attack = true;
+        pkt->flow_seq = 9;
+        const net::Packet* received = pkt.get();
+        net::PacketPtr kept = keep_reference ? pkt : nullptr;
+        f.rpu.begin_rx(std::move(pkt));
+        f.kernel.run(300);
+        EXPECT_EQ(f.egressed.size(), 1u);
+        if (f.egressed.empty()) return std::make_pair(net::Packet{}, false);
+        return std::make_pair(*f.egressed[0], f.egressed[0].get() == received);
+    };
+    const auto [fresh, fresh_reused] = send(true);
+    const auto [reused, reused_reused] = send(false);
+    EXPECT_FALSE(fresh_reused);  // a second owner forces a new packet
+    EXPECT_TRUE(reused_reused);
+    EXPECT_EQ(reused.data, fresh.data);
+    EXPECT_EQ(reused.data.size(), 204u);  // the hash word goes out too
+    EXPECT_EQ(reused.id, fresh.id);
+    EXPECT_EQ(reused.tx_ns, fresh.tx_ns);
+    EXPECT_EQ(reused.in_iface, fresh.in_iface);
+    EXPECT_EQ(reused.out_iface, fresh.out_iface);
+    EXPECT_EQ(reused.dest_rpu, fresh.dest_rpu);
+    EXPECT_EQ(reused.dest_slot, fresh.dest_slot);
+    EXPECT_EQ(reused.lb_hash, fresh.lb_hash);
+    EXPECT_FALSE(reused.hash_prepended);
+    EXPECT_FALSE(fresh.hash_prepended);
+    EXPECT_TRUE(reused.matched_rules.empty());
+    EXPECT_EQ(reused.is_attack, fresh.is_attack);
+    EXPECT_EQ(reused.flow_seq, fresh.flow_seq);
+}
+
 TEST(RpuTest, ZeroLengthSendDropsPacket) {
     Assembler a;
     a.lui(gp, 0x2000);
@@ -456,6 +501,55 @@ TEST(RpuTest, ReloadAfterIdleSleepRunsNewFirmware) {
     f.kernel.run(100);
     EXPECT_EQ(f.rpu.slot_config().count, 4u);
     EXPECT_EQ(f.rpu.slot_config().size, 8192u);
+}
+
+// A core parked in a proven poll loop over a DMEM flag lets the RPU
+// sleep. A host write to that flag must settle the skipped cycles against
+// the old value, void the loop proof and wake the RPU, so the core leaves
+// the loop on exactly the cycle it does when every cycle is ticked. The
+// write lands mid-run (from a run_until predicate, as host drains do),
+// where the sleeper's skipped cycles are not yet accounted.
+TEST(RpuTest, HostWriteWakesCorePollingMemory) {
+    constexpr uint32_t kFlag = kDmemBase + 0x100;
+    Assembler a;
+    a.lui(gp, 0x2000);
+    a.li(t1, int32_t(kFlag));
+    a.label("poll");
+    a.lw(t0, 0, t1);
+    a.beqz(t0, "poll");
+    // Released: count loop iterations into the debug register, a loop
+    // that never repeats its state and so must run live.
+    a.label("count");
+    a.addi(t2, t2, 1);
+    a.sw(t2, kRegDebugLow, gp);
+    a.j("count");
+    const std::vector<uint32_t> image = a.assemble();
+
+    struct Outcome {
+        uint64_t cycles = 0, instret = 0;
+        uint32_t debug = 0;
+    };
+    auto run = [&](bool skip) {
+        Fixture f;
+        f.kernel.set_idle_skip(skip);
+        f.boot(image);
+        f.kernel.run(1000);
+        EXPECT_EQ(f.rpu.awake(), !skip);  // with idle skip on, it sleeps
+        f.kernel.run_until(
+            [&] {
+                if (f.kernel.now() == 1500) f.rpu.write_memory(kFlag, {1, 0, 0, 0});
+                return false;
+            },
+            700);
+        return Outcome{f.rpu.core().cycles(), f.rpu.core().instret(),
+                       f.rpu.debug_low()};
+    };
+    const Outcome on = run(true);
+    const Outcome off = run(false);
+    EXPECT_GT(off.debug, 0u);
+    EXPECT_EQ(on.debug, off.debug);
+    EXPECT_EQ(on.cycles, off.cycles);
+    EXPECT_EQ(on.instret, off.instret);
 }
 
 /// Drives the RPU's ingress link from the tick phase, as the fabric does:

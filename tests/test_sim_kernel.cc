@@ -518,6 +518,7 @@ struct Shape {
     uint64_t max_packets = 200;
     Cycle cycles = 25'000;
     bool fast_forwards = false;  ///< whole-system fast-forward must occur
+    bool mac_drops = false;      ///< the MAC RX FIFOs must overflow
     /// Run Section 6.3's loopback benchmark instead of the pipeline's
     /// firmware: the first half of the RPUs relays every packet to its
     /// partner over the loopback channel.
@@ -527,6 +528,7 @@ struct Shape {
 struct SchedRun {
     uint64_t fingerprint = 0;
     Cycle fast_forwarded = 0;
+    uint64_t mac_drops = 0;  ///< frames dropped at full MAC RX FIFOs
 };
 
 SchedRun
@@ -569,7 +571,8 @@ run_sched(Sched s, const Shape& shape = {}) {
     }
 
     sys.run_cycles(shape.cycles);
-    return {sys.state_fingerprint(), sys.kernel().fast_forwarded_cycles()};
+    return {sys.state_fingerprint(), sys.kernel().fast_forwarded_cycles(),
+            sys.stats().get("port0.rx_fifo_drops") + sys.stats().get("port1.rx_fifo_drops")};
 }
 
 TEST(ScheduleEquivalence, SerialAndShuffledAreBitIdentical) {
@@ -615,6 +618,13 @@ const Shape kTimedShapes[] = {
     {.name = "jumbo: 16 RPUs, 2 ports, 9000 B @ 1.0",
      .rpus = 16, .ports = 2, .size = 9000, .load = 1.0, .max_packets = 0,
      .cycles = 30'000},
+    // One packet per cycle: every handoff moves a packet, the TX engine
+    // sends the received packet object, and once the offered 1.14
+    // packets per cycle have filled each 256 KiB MAC RX FIFO (about
+    // 60,000 cycles) the drop path runs too.
+    {.name = "fwd64: 16 RPUs, 2 ports, 64 B @ 1.0",
+     .rpus = 16, .ports = 2, .size = 64, .load = 1.0, .max_packets = 0,
+     .cycles = 80'000, .mac_drops = true},
     // The relays poll the LB's slot response, a core-visible input, and
     // hand every packet to a partner RPU over the loopback channel.
     {.name = "two-step loopback: 16 RPUs, 1500 B @ 1.0",
@@ -630,6 +640,9 @@ TEST(ScheduleEquivalence, TimedSleepShapesAreBitIdentical) {
         EXPECT_EQ(run_sched(Sched::kShuffled, shape).fingerprint, base.fingerprint);
         if (shape.fast_forwards) {
             EXPECT_GT(base.fast_forwarded, 0u);
+        }
+        if (shape.mac_drops) {
+            EXPECT_GT(base.mac_drops, 0u);
         }
     }
 }

@@ -101,6 +101,21 @@ TEST(SystemInvariants, RunsAreBitIdenticalAcrossProcessReplays) {
     EXPECT_NE(fingerprint(11), fingerprint(12));
 }
 
+// The fingerprint is what the schedule-equivalence tests compare, so it
+// must cover the latency every delivered packet records at its sink.
+TEST(SystemInvariants, FingerprintCoversSinkLatencies) {
+    SystemConfig cfg;
+    cfg.rpu_count = 4;
+    System sys(cfg);
+    auto fw = fwlib::forwarder();
+    sys.host().load_firmware_all(fw.image, fw.entry);
+    sys.host().boot_all();
+    sys.run_cycles(500);
+    const uint64_t before = sys.state_fingerprint();
+    sys.sink(0).latency().add(1234.0);
+    EXPECT_NE(sys.state_fingerprint(), before);
+}
+
 TEST(SystemInvariants, FirewallConservationWithDrops) {
     // Scoreboard attached directly to a hand-built System: the oracle does
     // not just count drops, it checks each one was justified (blacklisted
