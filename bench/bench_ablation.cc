@@ -95,7 +95,7 @@ main() {
         sys.run_cycles(30000);
         sys.sink(1).start_window();
         sys.run_cycles(120000);
-        double us = sys.sink(1).latency().mean() / 1e3;
+        double us = sys.sink(1).latency().mean() / 1e6;
         double slope = 8.0 * (2.0 / 100.0 + 2.0 / (width * 2.0));
         std::printf("%14u %14.3f %14.2f  %s\n", width, us, slope,
                     broken.empty() ? "clean" : broken.c_str());
@@ -125,12 +125,12 @@ main() {
         sys.host().load_firmware_all(stress.image, stress.entry);
         sim::Cycle boot = sys.kernel().now();
         sys.host().boot_all();
-        sim::Sampler lat;
+        sim::Histogram lat;  // ns
         sys.broadcast().set_delivery_probe([&](uint32_t, uint32_t v, sim::Cycle now) {
-            if (now > boot + 20000) lat.add(sim::cycles_to_ns(now - boot - v));
+            if (now > boot + 20000) lat.record(uint64_t(sim::cycles_to_ns(now - boot - v)));
         });
         sys.run_cycles(80000);
-        std::printf("%8u %12.0f..%-8.0f\n", depth, lat.min(), lat.max());
+        std::printf("%8u %12.0f..%-8.0f\n", depth, double(lat.min()), double(lat.max()));
     }
 
     bench::heading("Ablation 5: LB policy under skewed flows (16 RPUs, 512 B @ 200G)");

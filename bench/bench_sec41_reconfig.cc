@@ -84,9 +84,9 @@ main() {
                 (unsigned long long)(sys.sink(0).frames() + sys.sink(1).frames()));
 
     // Measured health verdicts for the campaign.
-    const obs::Histogram& lat = mon.latency();
+    const sim::Histogram& lat = mon.latency();
     uint64_t offered =
-        mon.ingress_packets() + mon.dropped_at(obs::DropSite::kMacRxFifo);
+        mon.ingress_packets() + mon.dropped_at(net::Stage::kMacRxFifoDrop);
     double drop_rate =
         offered ? double(mon.dropped_packets()) / double(offered) : 0.0;
     std::printf("\nhealth during campaign (SLO \"%s\"):\n", hc.slo.text.c_str());

@@ -8,9 +8,9 @@
 #include <cstdio>
 
 #include "core/system.h"
-#include "core/tracer.h"
 #include "firmware/programs.h"
 #include "net/headers.h"
+#include "obs/recorder.h"
 #include "rpu/descriptor.h"
 #include "rv/assembler.h"
 #include "rv/disasm.h"
@@ -97,8 +97,8 @@ main() {
     fwd.host().load_firmware_all(fw_img.image, fw_img.entry);
     fwd.host().boot_all();
     fwd.run_us(2.0);
-    PacketTracer tracer;
-    tracer.attach(fwd);
+    obs::FlightRecorder recorder;
+    recorder.attach(fwd);
     net::PacketBuilder pb;
     pb.ipv4(net::parse_ipv4_addr("10.0.0.1"), net::parse_ipv4_addr("10.0.0.2"))
         .udp(1, 2)
@@ -107,7 +107,7 @@ main() {
     traced->id = 1;
     fwd.fabric().mac_rx(0, traced);
     fwd.run_us(5.0);
-    std::printf("%s", tracer.format_timeline(1).c_str());
+    std::printf("%s", recorder.format_timeline(1).c_str());
 
     return sys.rpu(0).core_halted() ? 0 : 1;
 }

@@ -50,7 +50,7 @@ main() {
                     (unsigned long long)sys.host().counter(name));
     }
     std::printf("  round-trip latency: %.2f us mean\n",
-                sys.sink(1).latency().mean() / 1e3);
+                sys.sink(1).latency().mean() / 1e6);
     std::printf("\nforwarded %llu/%u packets out of port 1 — quickstart OK\n",
                 (unsigned long long)sys.sink(1).frames(), 10);
     return sys.sink(1).frames() == 10 ? 0 : 1;

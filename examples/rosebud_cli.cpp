@@ -97,6 +97,8 @@ usage() {
                  "experiments:\n"
                  "  forward    --rpus N --size N --ports 1|2 --load F\n"
                  "  latency    --size N --load F\n"
+                 "             (round-trip mean/min/max are exact; p99 is the\n"
+                 "              upper bound of its latency-histogram bucket)\n"
                  "  ips        --mode hw|sw --size N --rpus N --attack F\n"
                  "  firewall   --size N --rpus N --attack F\n"
                  "  loopback   --rpus N --size N\n"
@@ -139,7 +141,7 @@ usage() {
                  "             (replay corpus case(s); exits 1 unless all green)\n"
                  "  profile    --pipeline forwarder|firewall|ids-hw|ids-sw|nat\n"
                  "             --policy rr|hash|ll --rpus N --size N --load F\n"
-                 "             --cycles N --seed N\n"
+                 "             --attack F --cycles N --seed N\n"
                  "             --epoch N --top N --vcd FILE --trace FILE --json FILE\n"
                  "             (full-stack telemetry run: stall attribution report,\n"
                  "              GTKWave waveforms, Perfetto trace, firmware hot spots;\n"
@@ -562,9 +564,9 @@ main(int argc, char** argv) {
         std::string label;
         obs::ProfileSpec s;
         s.build = pipeline_args(args, label);
-        s.packet_size = args.u32("size", 256);
-        s.load = args.f64("load", 0.7);
-        s.attack_fraction = args.f64("attack", 0.1);
+        s.traffic.packet_size = args.u32("size", 256);
+        s.traffic.load = args.f64("load", 0.7);
+        s.traffic.attack_fraction = args.f64("attack", 0.1);
         s.run_cycles = args.u32("cycles", 50'000);
         s.epoch_cycles = args.u32("epoch", 2048);
         auto r = obs::run_profile(s);

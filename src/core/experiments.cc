@@ -144,14 +144,12 @@ run_latency(const LatencyParams& p) {
 
     LatencyPoint out;
     out.size = p.size;
-    sim::Sampler all;
-    for (unsigned port = 0; port < 2; ++port) {
-        for (double v : sys.sink(port).latency().samples()) all.add(v);
-    }
-    out.mean_us = all.mean() / 1e3;
-    out.min_us = all.min() / 1e3;
-    out.max_us = all.max() / 1e3;
-    out.p99_us = all.percentile(0.99) / 1e3;
+    sim::Histogram all = sys.sink(0).latency();  // picoseconds
+    all.merge(sys.sink(1).latency());
+    out.mean_us = all.mean() / 1e6;
+    out.min_us = double(all.min()) / 1e6;
+    out.max_us = double(all.max()) / 1e6;
+    out.p99_us = double(all.percentile(0.99)) / 1e6;
     out.eq1_us = eq1_latency_us(p.size);
     return out;
 }
@@ -210,18 +208,17 @@ measure_broadcast(unsigned rpu_count, sim::Cycle window, const fwlib::Program& f
     sim::Cycle boot_cycle = sys.kernel().now();
     sys.host().boot_all();
 
-    sim::Sampler lat;
+    sim::Histogram lat;  // ns
     sim::Cycle measure_from = boot_cycle + window / 4;  // skip warm-up
     sys.broadcast().set_delivery_probe(
         [&](uint32_t /*offset*/, uint32_t value, sim::Cycle now) {
             if (now < measure_from) return;
-            double cycles = double(now - boot_cycle) - double(value);
-            lat.add(cycles * sim::kNsPerCycle);
+            lat.record(uint64_t(sim::cycles_to_ns(now - boot_cycle - value)));
         });
     sys.run_cycles(window);
 
-    min_ns = lat.empty() ? 0 : lat.min();
-    max_ns = lat.max();
+    min_ns = double(lat.min());
+    max_ns = double(lat.max());
     mean_ns = lat.mean();
     messages = lat.count();
 }

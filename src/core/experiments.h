@@ -55,6 +55,8 @@ struct LatencyPoint {
     double mean_us = 0;
     double min_us = 0;
     double max_us = 0;
+    /// Upper bound of the latency histogram bucket holding the p99 (at
+    /// most 12.5% above the true p99); mean, min and max are exact.
     double p99_us = 0;
     double eq1_us = 0;  ///< the paper's serialization model (Equation 1)
 };

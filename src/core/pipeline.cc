@@ -13,8 +13,8 @@ pipeline_name(Pipeline p) {
     switch (p) {
     case Pipeline::kForwarder: return "forwarder";
     case Pipeline::kFirewall: return "firewall";
-    case Pipeline::kPigasusHwReorder: return "pigasus_hw_reorder";
-    case Pipeline::kPigasusSwReorder: return "pigasus_sw_reorder";
+    case Pipeline::kPigasusHwReorder: return "ids-hw";
+    case Pipeline::kPigasusSwReorder: return "ids-sw";
     case Pipeline::kNat: return "nat";
     }
     return "?";

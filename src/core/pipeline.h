@@ -33,10 +33,12 @@ enum class Pipeline {
     kNat,               ///< fwlib::nat + accel::NatEngine
 };
 
+/// The pipeline's name as the CLI and the fuzz corpus spell it
+/// ("forwarder", "firewall", "ids-hw", "ids-sw", "nat").
 const char* pipeline_name(Pipeline p);
 
-/// Parse a pipeline name ("forwarder", "firewall", "ids-hw", "ids-sw",
-/// "nat"); fatals on unknown names.
+/// Inverse of pipeline_name (also accepts "pigasus-hw"/"pigasus-sw");
+/// fatals on unknown names.
 Pipeline parse_pipeline(const std::string& name);
 
 /// Which middlebox, in which framework configuration, with which tables.

@@ -1,7 +1,5 @@
 #include "core/system.h"
 
-#include <cstring>
-
 #include "sim/log.h"
 
 namespace rosebud {
@@ -92,6 +90,11 @@ System::System(const SystemConfig& config) : config_(config) {
         kernel_.declare_port(
             {rn, "lb.resp.r" + std::to_string(i), sim::PortRecord::kRead, 64, 1});
     }
+    auto hook = [this](net::Stage stage, const net::Packet& pkt) {
+        dispatch_packet_event(stage, pkt);
+    };
+    fabric_->set_trace(hook);
+    for (rpu::Rpu* r : raw) r->set_trace(hook);
     lb_->set_slot_response_handler(
         [this](uint8_t requester, uint8_t dst, std::optional<uint8_t> slot) {
             rpus_[requester]->slot_response(dst, slot);
@@ -152,14 +155,6 @@ System::add_source(const dist::TrafficSource::Config& cfg, dist::TrafficSource::
 
 uint64_t
 System::add_packet_observer(PacketObserver fn) {
-    if (!observer_hooks_installed_) {
-        auto hook = [this](const char* stage, const net::Packet& pkt) {
-            dispatch_packet_event(stage, pkt);
-        };
-        fabric_->set_trace(hook);
-        for (auto& r : rpus_) r->set_trace(hook);
-        observer_hooks_installed_ = true;
-    }
     // Compact slots freed by remove_packet_observer (never during a
     // dispatch, so iteration in dispatch_packet_event stays valid).
     std::erase_if(observers_, [](const Observer& o) { return !o.fn; });
@@ -178,7 +173,7 @@ System::remove_packet_observer(uint64_t handle) {
 }
 
 void
-System::dispatch_packet_event(const char* stage, const net::Packet& pkt) {
+System::dispatch_packet_event(net::Stage stage, const net::Packet& pkt) {
     sim::Cycle now = kernel_.now();
     for (size_t i = 0; i < observers_.size(); ++i) {
         if (observers_[i].fn) observers_[i].fn(stage, pkt, now);
@@ -267,14 +262,6 @@ fnv_mix(uint64_t& h, uint64_t v) {
     }
 }
 
-/// splitmix64's finalizer: spreads every input bit over the whole word.
-uint64_t
-mix_bits(uint64_t z) {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 void
 fnv_mix(uint64_t& h, const std::string& s) {
     for (char c : s) {
@@ -297,18 +284,18 @@ System::state_fingerprint() const {
     for (const auto& sink : sinks_) {
         fnv_mix(h, sink->frames());
         fnv_mix(h, sink->bytes());
-        // Latency samples: their count and an order-independent bag (a sum
-        // of mixed bit patterns, so equal samples do not cancel) that
-        // absorbs any same-cycle delivery reordering.
-        const sim::Sampler& latency = sink->latency();
-        fnv_mix(h, uint64_t(latency.count()));
-        uint64_t bag = 0;
-        for (double v : latency.samples()) {
-            uint64_t bits;
-            std::memcpy(&bits, &v, sizeof bits);
-            bag += mix_bits(bits);
-        }
-        fnv_mix(h, bag);
+        // The latency histogram does not depend on delivery order, so it
+        // absorbs any same-cycle reordering; its exact sum moves with any
+        // single latency.
+        const sim::Histogram& latency = sink->latency();
+        fnv_mix(h, latency.count());
+        fnv_mix(h, latency.sum());
+        fnv_mix(h, latency.min());
+        fnv_mix(h, latency.max());
+        latency.for_each_nonzero([&](uint64_t upper, uint64_t n) {
+            fnv_mix(h, upper);
+            fnv_mix(h, n);
+        });
     }
     for (const auto& r : rpus_) {
         fnv_mix(h, r->debug_low());

@@ -121,19 +121,19 @@ class System {
 
     // --- packet lifecycle observation ----------------------------------------
 
-    /// Per-packet lifecycle callback: fired at every stage boundary a
-    /// packet crosses (mac_rx, lb_assign, rpu_rx_complete, fw_send,
-    /// fw_drop, mac_tx, host_deliver, ...). Multiple observers may be
-    /// registered concurrently; this is the API the tracing tooling
-    /// (core/tracer.h) and the golden-model scoreboard (oracle/) share.
+    /// Per-packet lifecycle callback, fired synchronously at every stage
+    /// boundary a packet crosses (net::Stage), so an observer sees the
+    /// packet's bytes as they are at that moment. Multiple observers may
+    /// be registered; the flight recorder (obs/recorder.h), the health
+    /// monitor and the golden-model scoreboard (oracle/) all use this API.
     using PacketObserver =
-        std::function<void(const char* stage, const net::Packet& pkt, sim::Cycle now)>;
+        std::function<void(net::Stage stage, const net::Packet& pkt, sim::Cycle now)>;
 
     /// Register an observer; returns a handle for remove_packet_observer.
-    /// Registration takes over the Fabric/Rpu `set_trace` hooks — do not
-    /// mix direct set_trace calls with this API on the same System.
-    /// Observers that may die before the System must deregister; an
-    /// observer living at least as long as the System may skip that.
+    /// The System owns the Fabric/Rpu stage hooks from construction on, so
+    /// do not call their set_trace directly. Observers that may die before
+    /// the System must deregister; an observer living at least as long as
+    /// the System may skip that.
     uint64_t add_packet_observer(PacketObserver fn);
 
     /// Deregister. Safe to call from within a dispatch.
@@ -166,10 +166,10 @@ class System {
     lint::ShardPlan shard_plan(unsigned shards) const;
 
     /// Order-insensitive digest of the architecturally visible state:
-    /// every stats counter, sink frame/byte counts and latency samples
-    /// (their count and an order-independent hash of their bits), per-RPU
-    /// debug registers, slot occupancy and core time (cycles() and
-    /// instret()), and the LB free-slot lists.
+    /// every stats counter, sink frame/byte counts and latency histograms
+    /// (count, sum, min, max and every non-empty bucket), per-RPU debug
+    /// registers, slot occupancy and core time (cycles() and instret()),
+    /// and the LB free-slot lists.
     /// Two runs of the same workload must produce the same fingerprint
     /// regardless of component tick order (kernel().shuffle_tick_order).
     uint64_t state_fingerprint() const;
@@ -190,10 +190,9 @@ class System {
         uint64_t handle = 0;
         PacketObserver fn;  ///< null = removed, compacted lazily
     };
-    void dispatch_packet_event(const char* stage, const net::Packet& pkt);
+    void dispatch_packet_event(net::Stage stage, const net::Packet& pkt);
     std::vector<Observer> observers_;
     uint64_t next_observer_handle_ = 1;
-    bool observer_hooks_installed_ = false;
 };
 
 }  // namespace rosebud

@@ -165,13 +165,13 @@ Fabric::mac_rx(unsigned port, net::PacketPtr pkt) {
         uint64_t occupied = in_tick ? src.admit_bytes + src.staged_bytes : src.queue_bytes;
         if (occupied + p->size() > config_.mac_rx_fifo_bytes) {
             ctr_rx_drops_[port]->add();
-            trace("mac_rx_fifo_drop", *p);
+            trace(net::Stage::kMacRxFifoDrop, *p);
             if (kernel().telemetry())
                 tel(source_net(port), sim::TelemetrySink::NetEvent::kPushBlocked);
             all_ok = false;
             continue;
         }
-        trace("mac_rx", *p);
+        trace(net::Stage::kMacRx, *p);
         if (kernel().telemetry())
             tel(source_net(port), sim::TelemetrySink::NetEvent::kPushOk);
         admitted = true;
@@ -233,7 +233,7 @@ Fabric::rpu_egress(uint8_t rpu, net::PacketPtr pkt) {
             tel(enet, sim::TelemetrySink::NetEvent::kPushBlocked);
             return false;
         }
-        trace("rpu_egress", *pkt);
+        trace(net::Stage::kRpuEgress, *pkt);
         tel(enet, sim::TelemetrySink::NetEvent::kPushOk);
         egress_staged_[rpu].push_back({std::move(pkt), now() + 1});
         note_egress_change(rpu);
@@ -246,7 +246,7 @@ Fabric::rpu_egress(uint8_t rpu, net::PacketPtr pkt) {
         return false;
     }
     tel(enet, sim::TelemetrySink::NetEvent::kPushOk);
-    trace("rpu_egress", *pkt);
+    trace(net::Stage::kRpuEgress, *pkt);
     q.push_back({std::move(pkt), now() + 1});
     egress_committed_[rpu] = q.size();
     refresh_egress_head(rpu);
@@ -384,7 +384,7 @@ Fabric::tick() {
         const uint32_t size = pkt->size();
         pcie_credit_ -= double(size);
         --pcie_tags_in_use_;
-        trace("host_deliver", *pkt);
+        trace(net::Stage::kHostDeliver, *pkt);
         if (host_sink_) host_sink_(std::move(pkt));
         ctr_host_rx_frames_->add();
         ctr_host_rx_bytes_->add(size);
@@ -412,7 +412,7 @@ Fabric::tick_ingress_source(unsigned s) {
     // asked the LB for a remote slot); everything else goes to the LB.
     if (s != kSrcLoopback) {
         if (!lb_.try_assign(src.queue.front())) return;  // wait: no eligible slot
-        trace("lb_assign", *src.queue.front());
+        trace(net::Stage::kLbAssign, *src.queue.front());
     }
     net::PacketPtr head = std::move(src.queue.front());
     src.queue.pop_front();
@@ -460,7 +460,7 @@ Fabric::tick_rpu_links() {
                 unsigned s = (rpu_rr_[r] + i) % kSourceCount;
                 auto& q = voq(uint8_t(r), s);
                 if (q.empty() || q.front().ready > now()) continue;
-                trace("rpu_link_dispatch", *q.front().pkt);
+                trace(net::Stage::kRpuLinkDispatch, *q.front().pkt);
                 if (kernel().telemetry()) {
                     tel(voq_net(uint8_t(r), s), sim::TelemetrySink::NetEvent::kPop);
                     tel(rpu->name() + ".link_in", sim::TelemetrySink::NetEvent::kPushOk);
@@ -581,7 +581,7 @@ Fabric::tick_loopback() {
         lp.queue_bytes += size;
         lp.queue.push_back(std::move(loopback_.active));
         kernel().request_commit(this);
-        trace("loopback_reenter", *lp.queue.back());
+        trace(net::Stage::kLoopbackReenter, *lp.queue.back());
         ctr_loopback_frames_->add();
         ctr_loopback_bytes_->add(size);
     }
@@ -597,7 +597,7 @@ Fabric::tick_mac_tx() {
             if (mac.cycles_left > 0) continue;
             ctr_tx_frames_[port]->add();
             ctr_tx_bytes_[port]->add(mac.active->size());
-            trace("mac_tx", *mac.active);
+            trace(net::Stage::kMacTx, *mac.active);
             if (mac.sink) mac.sink(std::move(mac.active));
             mac.active.reset();
             // Fall through: the line is back-to-back at full rate.

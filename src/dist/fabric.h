@@ -113,9 +113,9 @@ class Fabric : public sim::Component {
     /// host_inject / rpu_egress) wake it.
     bool quiescent() const override;
 
-    /// Optional per-packet observation hook for the debugging tooling
-    /// (core/tracer.h): fired at every stage boundary a packet crosses.
-    using TraceFn = std::function<void(const char* event, const net::Packet& pkt)>;
+    /// Per-packet stage hook, fired synchronously at every stage boundary
+    /// a packet crosses here (System installs its observer fan-out).
+    using TraceFn = std::function<void(net::Stage stage, const net::Packet& pkt)>;
     void set_trace(TraceFn fn) { trace_ = std::move(fn); }
 
     /// The "Switching" row of Tables 1-2 (both switch planes + FIFOs).
@@ -260,8 +260,8 @@ class Fabric : public sim::Component {
     } loopback_;
 
     TraceFn trace_;
-    void trace(const char* event, const net::Packet& pkt) {
-        if (trace_) trace_(event, pkt);
+    void trace(net::Stage stage, const net::Packet& pkt) {
+        if (trace_) trace_(stage, pkt);
     }
 };
 

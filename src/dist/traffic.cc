@@ -1,5 +1,7 @@
 #include "dist/traffic.h"
 
+#include <cmath>
+
 namespace rosebud::dist {
 
 TrafficSource::TrafficSource(sim::Kernel& kernel, const Config& config, Fabric& fabric,
@@ -95,7 +97,8 @@ TrafficSink::deliver(const net::PacketPtr& pkt) {
     bytes_ += pkt->size();
     ++window_frames_;
     window_bytes_ += pkt->size();
-    latency_.add(kernel_.now_ns() - pkt->tx_ns);
+    const double ps = (kernel_.now_ns() - pkt->tx_ns) * 1e3;
+    latency_.record(ps > 0 ? uint64_t(std::llround(ps)) : 0);
     ctr_frames_->add();
     ctr_bytes_->add(pkt->size());
 }
@@ -105,7 +108,7 @@ TrafficSink::start_window() {
     window_frames_ = 0;
     window_bytes_ = 0;
     window_start_ = kernel_.now();
-    latency_.reset();
+    latency_.clear();
 }
 
 double

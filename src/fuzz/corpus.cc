@@ -15,28 +15,6 @@ namespace rosebud::fuzz {
 namespace {
 
 const char*
-pipeline_tag(oracle::Pipeline p) {
-    switch (p) {
-    case oracle::Pipeline::kForwarder: return "forwarder";
-    case oracle::Pipeline::kFirewall: return "firewall";
-    case oracle::Pipeline::kPigasusHwReorder: return "ids-hw";
-    case oracle::Pipeline::kPigasusSwReorder: return "ids-sw";
-    case oracle::Pipeline::kNat: return "nat";
-    }
-    return "forwarder";
-}
-
-oracle::Pipeline
-pipeline_from_tag(const std::string& tag) {
-    if (tag == "forwarder") return oracle::Pipeline::kForwarder;
-    if (tag == "firewall") return oracle::Pipeline::kFirewall;
-    if (tag == "ids-hw") return oracle::Pipeline::kPigasusHwReorder;
-    if (tag == "ids-sw") return oracle::Pipeline::kPigasusSwReorder;
-    if (tag == "nat") return oracle::Pipeline::kNat;
-    sim::fatal("corpus: unknown pipeline '" + tag + "'");
-}
-
-const char*
 policy_tag(lb::Policy p) {
     switch (p) {
     case lb::Policy::kRoundRobin: return "rr";
@@ -118,7 +96,7 @@ corpus_to_text(const CorpusCase& c) {
         }
         break;
     case CorpusCase::Kind::kPacket:
-        os << "pipeline " << pipeline_tag(c.pkt.pipeline) << "\n";
+        os << "pipeline " << oracle::pipeline_name(c.pkt.pipeline) << "\n";
         os << "policy " << policy_tag(c.pkt.policy) << "\n";
         os << "rpu_count " << c.pkt.rpu_count << "\n";
         os << "packet_size " << c.pkt.packet_size << "\n";
@@ -181,7 +159,7 @@ corpus_from_text(const std::string& text) {
         } else if (key == "pipeline") {
             std::string tag;
             ls >> tag;
-            c.pkt.pipeline = pipeline_from_tag(tag);
+            c.pkt.pipeline = oracle::parse_pipeline(tag);
         } else if (key == "policy") {
             std::string tag;
             ls >> tag;

@@ -76,6 +76,29 @@ struct Packet {
 
 using PacketPtr = std::shared_ptr<Packet>;
 
+/// The stage boundaries a packet crosses on its way through the DUT, in
+/// pipeline order. The fabric and the RPUs report each crossing
+/// synchronously (System::add_packet_observer); the flight recorder
+/// stores them as typed events.
+enum class Stage : uint8_t {
+    kMacRx,            ///< accepted into a MAC RX FIFO
+    kMacRxFifoDrop,    ///< MAC RX FIFO full: congestion loss
+    kLbAssign,         ///< LB picked an RPU and slot
+    kRpuLinkDispatch,  ///< left the VOQ onto the RPU link
+    kRpuRxComplete,    ///< DMA into packet memory done
+    kFwSend,           ///< firmware posted a send descriptor
+    kFwDrop,           ///< firmware dropped the slot
+    kRpuEgress,        ///< RPU handed the frame to the fabric
+    kLoopbackReenter,  ///< loopback frame re-entered the LB
+    kHostDeliver,      ///< delivered to the host
+    kMacTx,            ///< left on a wire port
+};
+
+inline constexpr unsigned kStageCount = unsigned(Stage::kMacTx) + 1;
+
+/// Stable lower-case name of a stage ("mac_rx", "fw_drop", ...).
+const char* stage_name(Stage s);
+
 /// Convenience factory for an empty packet of `size` zero bytes.
 PacketPtr make_packet(uint32_t size);
 

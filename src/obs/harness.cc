@@ -1,7 +1,7 @@
 #include "obs/harness.h"
 
-#include "core/tracer.h"
 #include "obs/perfetto.h"
+#include "obs/recorder.h"
 #include "obs/telemetry.h"
 
 namespace rosebud::obs {
@@ -20,19 +20,12 @@ run_profile(const ProfileSpec& spec) {
     Telemetry telem(tcfg);
     telem.attach(sys);
 
-    PacketTracer tracer;
-    tracer.set_max_packets(spec.trace_max_packets);
-    tracer.attach(sys);
+    FlightRecorder rec(spec.trace_max_packets * net::kStageCount);
+    rec.attach(sys);
 
     for (unsigned i = 0; i < sys.rpu_count(); ++i) sys.rpu(i).core().set_profile(true);
 
-    TrafficParams traffic;
-    traffic.packet_size = spec.packet_size;
-    traffic.load = spec.load;
-    traffic.max_packets = spec.max_packets;
-    traffic.attack_fraction = spec.attack_fraction;
-    traffic.udp_fraction = spec.udp_fraction;
-    traffic.flow_count = spec.flow_count;
+    TrafficParams traffic = spec.traffic;
     traffic.seed = spec.build.seed;
     add_traffic(fx, traffic);
 
@@ -44,13 +37,12 @@ run_profile(const ProfileSpec& spec) {
     res.cores = collect_profiles(sys);
     res.aggregate = aggregate_profiles(res.cores);
     res.firmware = fx.firmware;
-    res.trace = trace_json(tracer, &telem, spec.trace_max_packets);
+    res.trace = trace_json(rec, &telem, spec.trace_max_packets);
     if (spec.capture_vcd) res.vcd = telem.vcd().str();
     for (unsigned p = 0; p < 2; ++p) {
         res.rx_frames += sys.sink(p).frames();
         res.rx_bytes += sys.sink(p).bytes();
     }
-    res.stats_csv = sys.stats().to_csv();
     telem.detach();
     return res;
 }

@@ -2,9 +2,9 @@
 /// One-call profiling harness: build a named pipeline through
 /// build_pipeline (core/pipeline.h, the builder every harness shares),
 /// attach the whole observability stack — telemetry/stall attribution,
-/// packet tracing, firmware PC sampling, optional VCD capture — run seeded
-/// traffic, and return every artifact. This is the engine behind
-/// `rosebud_cli profile`.
+/// an all-stage flight recorder, firmware PC sampling, optional VCD
+/// capture — run seeded traffic, and return every artifact. This is the
+/// engine behind `rosebud_cli profile`.
 
 #ifndef ROSEBUD_OBS_HARNESS_H
 #define ROSEBUD_OBS_HARNESS_H
@@ -23,19 +23,17 @@ struct ProfileSpec {
     /// the seed also drives the traffic.
     PipelineSpec build;
 
-    // Traffic shape (unlimited by default: profiling wants steady state).
-    uint32_t packet_size = 256;
-    double load = 0.7;
-    uint64_t max_packets = 0;  ///< 0 = unlimited
-    double attack_fraction = 0.1;
-    double udp_fraction = 0.2;
-    size_t flow_count = 64;
+    /// Traffic shape (unlimited by default: profiling wants steady state).
+    /// Its seed is ignored: run_profile seeds the traffic from build.seed.
+    TrafficParams traffic;
 
     sim::Cycle run_cycles = 50'000;
 
     // Observability knobs.
     uint64_t epoch_cycles = 2048;
     bool capture_vcd = true;
+    /// Packets in the Perfetto trace; the flight recorder's ring holds
+    /// this many packets' worth of stage events.
     size_t trace_max_packets = 4096;
 };
 
@@ -49,7 +47,6 @@ struct ProfileResult {
     uint64_t cycles = 0;
     uint64_t rx_frames = 0;  ///< frames delivered to the tester sinks
     uint64_t rx_bytes = 0;
-    std::string stats_csv;   ///< full sim::Stats dump (counters + samplers)
 };
 
 /// Build, instrument, run, collect. Fatals on unknown configurations.

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "net/headers.h"
 #include "obs/json.h"
@@ -25,11 +24,6 @@ constexpr size_t kProbeLimit = 16;
 size_t
 slot_hash(uint64_t key) {
     return size_t((key * 0x9E3779B97F4A7C15ull) >> 32);
-}
-
-uint16_t
-clamp16(size_t v) {
-    return uint16_t(std::min<size_t>(v, 0xFFFF));
 }
 
 std::string
@@ -242,10 +236,10 @@ HealthMonitor::attach(System& sys) {
                          [this] { return egress_bytes_; });
     metrics_.add_counter("rosebud_health_dropped_packets_total",
                          "Packets dropped, by drop site", "site=\"mac_rx_fifo\"",
-                         [this] { return drops_[unsigned(DropSite::kMacRxFifo)]; });
+                         [this] { return dropped_at(net::Stage::kMacRxFifoDrop); });
     metrics_.add_counter("rosebud_health_dropped_packets_total",
                          "Packets dropped, by drop site", "site=\"firmware\"",
-                         [this] { return drops_[unsigned(DropSite::kFirmware)]; });
+                         [this] { return dropped_at(net::Stage::kFwDrop); });
     metrics_.add_counter("rosebud_health_watchdog_trips_total",
                          "Forward-progress watchdog trips", "",
                          [this] { return watchdog_trips_; });
@@ -278,7 +272,7 @@ HealthMonitor::attach(System& sys) {
     metrics_.set_kernel(&sys.kernel());
 
     observer_handle_ = sys.add_packet_observer(
-        [this](const char* stage, const net::Packet& pkt, sim::Cycle t) {
+        [this](net::Stage stage, const net::Packet& pkt, sim::Cycle t) {
             on_stage(stage, pkt, t);
         });
     sys.kernel().set_health_probe(this);
@@ -317,36 +311,21 @@ HealthMonitor::note_fault(unsigned rpu, const std::string& what) {
 // Per-packet path (hot; must not allocate)
 
 void
-HealthMonitor::on_stage(const char* stage, const net::Packet& pkt, sim::Cycle now) {
-    switch (stage[0]) {
-    case 'm':
-        if (std::strcmp(stage, "mac_rx") == 0) {
-            note_ingress(pkt, now);
-        } else if (std::strcmp(stage, "mac_tx") == 0) {
-            note_egress(pkt, now, uint8_t(pkt.out_iface));
-        } else if (std::strcmp(stage, "mac_rx_fifo_drop") == 0) {
-            note_drop(pkt, now, DropSite::kMacRxFifo);
-        }
-        break;
-    case 'f':
-        if (std::strcmp(stage, "fw_send") == 0) {
-            note_activity(pkt, now);
-        } else if (std::strcmp(stage, "fw_drop") == 0) {
-            note_drop(pkt, now, DropSite::kFirmware);
-        }
-        break;
-    case 'h':
-        if (std::strcmp(stage, "host_deliver") == 0) note_egress(pkt, now, 0xFF);
-        break;
-    case 'r':
-        // rpu_rx_complete / rpu_egress: descriptor-level liveness.
-        if (std::strcmp(stage, "rpu_rx_complete") == 0 ||
-            std::strcmp(stage, "rpu_egress") == 0) {
-            note_activity(pkt, now);
-        }
-        break;
-    default:
-        break;  // lb_assign, rpu_link_dispatch, loopback_reenter: ignored
+HealthMonitor::on_stage(net::Stage stage, const net::Packet& pkt, sim::Cycle now) {
+    using net::Stage;
+    switch (stage) {
+    case Stage::kMacRx: note_ingress(pkt, now); break;
+    case Stage::kMacTx:
+    case Stage::kHostDeliver: note_egress(stage, pkt, now); break;
+    case Stage::kMacRxFifoDrop:
+    case Stage::kFwDrop: note_drop(stage, pkt, now); break;
+    // Descriptor-level liveness.
+    case Stage::kRpuRxComplete:
+    case Stage::kFwSend:
+    case Stage::kRpuEgress: note_activity(pkt, now); break;
+    case Stage::kLbAssign:
+    case Stage::kRpuLinkDispatch:
+    case Stage::kLoopbackReenter: break;
     }
 }
 
@@ -356,14 +335,11 @@ HealthMonitor::note_ingress(const net::Packet& pkt, uint64_t now) {
     ++ingress_;
     ++epoch_ingress_[unsigned(cls)];
     insert_inflight(pkt.id, now, cls);
-    if (cfg_.record_packets) {
-        recorder_.record(FlightEventType::kIngress, now, uint8_t(pkt.in_iface),
-                         clamp16(pkt.data.size()), pkt.id);
-    }
+    if (cfg_.record_packets) recorder_.record(net::Stage::kMacRx, now, pkt);
 }
 
 void
-HealthMonitor::note_egress(const net::Packet& pkt, uint64_t now, uint8_t port) {
+HealthMonitor::note_egress(net::Stage stage, const net::Packet& pkt, uint64_t now) {
     ++egress_;
     ++epoch_egress_;
     egress_bytes_ += pkt.wire_size();
@@ -378,18 +354,15 @@ HealthMonitor::note_egress(const net::Packet& pkt, uint64_t now, uint8_t port) {
         epoch_all_.record(cycles);
         epoch_cls_[e.cls].record(cycles);
     }
-    if (cfg_.record_packets) {
-        recorder_.record(FlightEventType::kEgress, now, port,
-                         clamp16(pkt.data.size()), pkt.id, lat);
-    }
+    if (cfg_.record_packets) recorder_.record(stage, now, pkt, lat);
 }
 
 void
-HealthMonitor::note_drop(const net::Packet& pkt, uint64_t now, DropSite site) {
+HealthMonitor::note_drop(net::Stage stage, const net::Packet& pkt, uint64_t now) {
     FlowClass cls = classify(pkt);
-    ++drops_[unsigned(site)];
+    ++drops_[unsigned(stage)];
     ++epoch_drops_[unsigned(cls)];
-    if (site == DropSite::kMacRxFifo) {
+    if (stage == net::Stage::kMacRxFifoDrop) {
         // Never saw "mac_rx": count it as offered so drop rates have the
         // right denominator.
         ++epoch_ingress_[unsigned(cls)];
@@ -398,10 +371,7 @@ HealthMonitor::note_drop(const net::Packet& pkt, uint64_t now, DropSite site) {
         erase_inflight(pkt.id, &e);
         note_activity(pkt, now);  // the firmware actively dropped it
     }
-    if (cfg_.record_packets) {
-        recorder_.record(FlightEventType::kDrop, now, uint8_t(site),
-                         clamp16(pkt.data.size()), pkt.id);
-    }
+    if (cfg_.record_packets) recorder_.record(stage, now, pkt);
 }
 
 void
@@ -560,7 +530,7 @@ HealthMonitor::build_snapshot(uint64_t now) const {
                   "drops=%llu awake=%zu\n",
                   (unsigned long long)now, inflight_count_,
                   (unsigned long long)ingress_, (unsigned long long)egress_,
-                  (unsigned long long)(drops_[0] + drops_[1]),
+                  (unsigned long long)dropped_packets(),
                   sys_->kernel().awake_count());
     out += line;
     std::snprintf(line, sizeof(line), "  last egress %llu cycles ago\n",
@@ -631,7 +601,7 @@ HealthMonitor::epoch_measure(const SloBound& b, double* out) const {
         *out = double(drops) / double(offered);
         return true;
     }
-    const Histogram& h =
+    const sim::Histogram& h =
         b.cls == FlowClass::kClassCount ? epoch_all_ : epoch_cls_[unsigned(b.cls)];
     if (h.count() == 0) return false;
     double p = b.kind == SloBound::Kind::kLatencyP50    ? 0.50
@@ -718,9 +688,9 @@ HealthMonitor::dump() const {
                   "ingress=%llu egress=%llu drops=%llu (rx_fifo=%llu firmware=%llu) "
                   "inflight=%zu lost_samples=%llu\n",
                   (unsigned long long)ingress_, (unsigned long long)egress_,
-                  (unsigned long long)(drops_[0] + drops_[1]),
-                  (unsigned long long)drops_[unsigned(DropSite::kMacRxFifo)],
-                  (unsigned long long)drops_[unsigned(DropSite::kFirmware)],
+                  (unsigned long long)dropped_packets(),
+                  (unsigned long long)dropped_at(net::Stage::kMacRxFifoDrop),
+                  (unsigned long long)dropped_at(net::Stage::kFwDrop),
                   inflight_count_, (unsigned long long)lost_samples_);
     t += line;
     if (lat_all_.count()) {
@@ -762,8 +732,8 @@ HealthMonitor::dump() const {
     w.key("ingress").value(ingress_);
     w.key("egress").value(egress_);
     w.key("egress_bytes").value(egress_bytes_);
-    w.key("drops_mac_rx_fifo").value(drops_[unsigned(DropSite::kMacRxFifo)]);
-    w.key("drops_firmware").value(drops_[unsigned(DropSite::kFirmware)]);
+    w.key("drops_mac_rx_fifo").value(dropped_at(net::Stage::kMacRxFifoDrop));
+    w.key("drops_firmware").value(dropped_at(net::Stage::kFwDrop));
     w.key("core_faults").value(core_faults_);
     w.key("watchdog_trips").value(watchdog_trips_);
     w.key("slo_violations").value(slo_violations_);
@@ -880,12 +850,12 @@ run_health(const HealthSpec& spec) {
         row.drops = mon.dropped_packets();
         double ns = double(row.cycles) * sim::kNsPerCycle;
         row.gbps = ns > 0 ? double(mon.egress_bytes()) * 8.0 / ns : 0.0;
-        const Histogram& lat = mon.latency();
+        const sim::Histogram& lat = mon.latency();
         row.p50_us = double(lat.percentile(0.50)) * sim::kNsPerCycle / 1e3;
         row.p99_us = double(lat.percentile(0.99)) * sim::kNsPerCycle / 1e3;
         row.p999_us = double(lat.percentile(0.999)) * sim::kNsPerCycle / 1e3;
         uint64_t offered =
-            mon.ingress_packets() + mon.dropped_at(DropSite::kMacRxFifo);
+            mon.ingress_packets() + mon.dropped_at(net::Stage::kMacRxFifoDrop);
         row.drop_rate = offered ? double(row.drops) / double(offered) : 0.0;
         row.epochs = mon.epochs_closed();
         row.violations = mon.slo_violations();

@@ -2,8 +2,8 @@
 /// Always-on production health layer (DESIGN.md §15): flight recorder,
 /// forward-progress watchdog, SLO histograms, metrics registry — the
 /// instrumentation a deployed middlebox keeps attached *in production*,
-/// as opposed to the heavyweight debugging stack (obs::Telemetry,
-/// PacketTracer, VCD) that is attached for a repro run.
+/// as opposed to the heavyweight debugging stack (obs::Telemetry, an
+/// all-stage FlightRecorder, VCD) that is attached for a repro run.
 ///
 /// The cost contract, and why this is NOT a TelemetrySink:
 ///
@@ -116,8 +116,10 @@ struct WatchdogConfig {
 /// Health-layer configuration.
 struct HealthConfig {
     size_t recorder_capacity = 4096;
-    /// Record per-packet ingress/egress/drop events into the flight
-    /// recorder (cheap POD writes). Off leaves only rare events.
+    /// Record each packet's ingress (mac_rx), egress (mac_tx/host_deliver,
+    /// with its latency) and drop (mac_rx_fifo_drop/fw_drop) stage events
+    /// into the flight recorder (cheap POD writes). Off leaves only rare
+    /// events.
     bool record_packets = true;
     /// SLO evaluation period. Each epoch closes with a pass/fail verdict.
     uint64_t epoch_cycles = 16'384;
@@ -212,8 +214,11 @@ class HealthMonitor : public sim::HealthProbe {
     uint64_t ingress_packets() const { return ingress_; }
     uint64_t egress_packets() const { return egress_; }
     uint64_t egress_bytes() const { return egress_bytes_; }
-    uint64_t dropped_packets() const { return drops_[0] + drops_[1]; }
-    uint64_t dropped_at(DropSite s) const { return drops_[unsigned(s)]; }
+    uint64_t dropped_packets() const {
+        return dropped_at(net::Stage::kMacRxFifoDrop) + dropped_at(net::Stage::kFwDrop);
+    }
+    /// Drops at one drop stage (kMacRxFifoDrop or kFwDrop).
+    uint64_t dropped_at(net::Stage s) const { return drops_[unsigned(s)]; }
     uint64_t core_faults() const { return core_faults_; }
     uint64_t watchdog_trips() const { return watchdog_trips_; }
     uint64_t slo_violations() const { return slo_violations_; }
@@ -223,8 +228,8 @@ class HealthMonitor : public sim::HealthProbe {
     size_t inflight() const { return inflight_count_; }
 
     /// Cumulative all-traffic latency distribution (cycles).
-    const Histogram& latency() const { return lat_all_; }
-    const Histogram& latency(FlowClass c) const { return lat_cls_[unsigned(c)]; }
+    const sim::Histogram& latency() const { return lat_all_; }
+    const sim::Histogram& latency(FlowClass c) const { return lat_cls_[unsigned(c)]; }
 
     const std::vector<EpochVerdict>& verdicts() const { return verdicts_; }
     uint64_t epochs_closed() const { return epochs_closed_; }
@@ -248,10 +253,10 @@ class HealthMonitor : public sim::HealthProbe {
         uint8_t cls = 0;
     };
 
-    void on_stage(const char* stage, const net::Packet& pkt, sim::Cycle now);
+    void on_stage(net::Stage stage, const net::Packet& pkt, sim::Cycle now);
     void note_ingress(const net::Packet& pkt, uint64_t now);
-    void note_egress(const net::Packet& pkt, uint64_t now, uint8_t port);
-    void note_drop(const net::Packet& pkt, uint64_t now, DropSite site);
+    void note_egress(net::Stage stage, const net::Packet& pkt, uint64_t now);
+    void note_drop(net::Stage stage, const net::Packet& pkt, uint64_t now);
     void note_activity(const net::Packet& pkt, uint64_t now);
 
     void insert_inflight(uint64_t id, uint64_t now, FlowClass cls);
@@ -279,7 +284,7 @@ class HealthMonitor : public sim::HealthProbe {
     uint64_t ingress_ = 0;
     uint64_t egress_ = 0;
     uint64_t egress_bytes_ = 0;
-    uint64_t drops_[unsigned(DropSite::kSiteCount)] = {};
+    uint64_t drops_[net::kStageCount] = {};  ///< by drop stage
     uint64_t core_faults_ = 0;
     uint64_t watchdog_trips_ = 0;
     uint64_t slo_violations_ = 0;
@@ -288,8 +293,8 @@ class HealthMonitor : public sim::HealthProbe {
     // Latency tracking.
     std::vector<Inflight> inflight_;  ///< open-addressed, power-of-two size
     size_t inflight_count_ = 0;
-    Histogram lat_all_;
-    Histogram lat_cls_[kFlowClassCount];
+    sim::Histogram lat_all_;
+    sim::Histogram lat_cls_[kFlowClassCount];
 
     // Epoch state.
     uint64_t epoch_start_ = 0;
@@ -297,8 +302,8 @@ class HealthMonitor : public sim::HealthProbe {
     uint64_t epoch_ingress_[kFlowClassCount] = {};
     uint64_t epoch_egress_ = 0;
     uint64_t epoch_drops_[kFlowClassCount] = {};
-    Histogram epoch_all_;
-    Histogram epoch_cls_[kFlowClassCount];
+    sim::Histogram epoch_all_;
+    sim::Histogram epoch_cls_[kFlowClassCount];
     std::vector<EpochVerdict> verdicts_;
     uint64_t epochs_closed_ = 0;
 

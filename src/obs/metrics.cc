@@ -1,6 +1,5 @@
 #include "obs/metrics.h"
 
-#include <cmath>
 #include <cstdio>
 
 #include "obs/json.h"
@@ -8,37 +7,6 @@
 #include "sim/stats.h"
 
 namespace rosebud::obs {
-
-uint64_t
-Histogram::percentile(double p) const {
-    if (count_ == 0) return 0;
-    if (std::isnan(p) || p < 0.0) p = 0.0;
-    if (p > 1.0) p = 1.0;
-    uint64_t target = uint64_t(std::ceil(p * double(count_)));
-    if (target == 0) target = 1;
-    uint64_t cum = 0;
-    for (unsigned i = 0; i < kBuckets; ++i) {
-        cum += buckets_[i];
-        if (cum >= target) return bucket_upper(i);
-    }
-    return max_;
-}
-
-void
-Histogram::clear() {
-    for (uint64_t& b : buckets_) b = 0;
-    count_ = sum_ = min_ = max_ = 0;
-}
-
-void
-Histogram::merge(const Histogram& o) {
-    if (o.count_ == 0) return;
-    for (unsigned i = 0; i < kBuckets; ++i) buckets_[i] += o.buckets_[i];
-    if (count_ == 0 || o.min_ < min_) min_ = o.min_;
-    if (o.max_ > max_) max_ = o.max_;
-    count_ += o.count_;
-    sum_ += o.sum_;
-}
 
 std::string
 prom_name(const std::string& s) {
@@ -87,7 +55,7 @@ MetricsRegistry::add_gauge(std::string name, std::string help,
 
 void
 MetricsRegistry::add_histogram(std::string name, std::string help,
-                               std::string labels, const Histogram* h,
+                               std::string labels, const sim::Histogram* h,
                                double scale) {
     entries_.push_back({Kind::kHistogram, prom_name(name), std::move(help),
                         std::move(labels), IntGetter(), h, scale});
@@ -135,7 +103,7 @@ MetricsRegistry::prometheus_text() const {
         }
         if (e.kind == Kind::kHistogram) {
             uint64_t cum = 0;
-            const Histogram& h = *e.hist;
+            const sim::Histogram& h = *e.hist;
             h.for_each_nonzero([&](uint64_t upper, uint64_t n) {
                 cum += n;
                 std::string l = "le=\"" + fmt_double(double(upper) * e.scale) + "\"";
@@ -160,13 +128,6 @@ MetricsRegistry::prometheus_text() const {
             prom_series(out, "rosebud_stat_total",
                         "name=\"" + prom_label_value(name) + "\"",
                         std::to_string(ctr.get()));
-        }
-        out += "# HELP rosebud_stat_sampler_count Samples accumulated by a stats-registry sampler.\n";
-        out += "# TYPE rosebud_stat_sampler_count counter\n";
-        for (const auto& [name, s] : stats_->samplers()) {
-            prom_series(out, "rosebud_stat_sampler_count",
-                        "name=\"" + prom_label_value(name) + "\"",
-                        std::to_string(s.seen()));
         }
     }
     if (kernel_) {
@@ -198,7 +159,7 @@ MetricsRegistry::json() const {
         w.key("name").value(e.name);
         if (!e.labels.empty()) w.key("labels").value(e.labels);
         if (e.kind == Kind::kHistogram) {
-            const Histogram& h = *e.hist;
+            const sim::Histogram& h = *e.hist;
             w.key("kind").value("histogram");
             w.key("count").value(h.count());
             w.key("sum").value(double(h.sum()) * e.scale);

@@ -1,18 +1,10 @@
 /// \file
-/// Metrics registry and HDR-style histograms — the export surface of the
-/// production health layer (DESIGN.md §15).
-///
-/// Two pieces:
-///  * Histogram — a log-bucketed value distribution with fixed storage.
-///    Recording is a few shifts and one array increment (no allocation,
-///    ever), which is what lets the health layer account per-packet latency
-///    on production sweeps without breaking the zero-allocation hot-path
-///    proof. Relative error is bounded by the sub-bucket resolution
-///    (2^-kSubBits ≈ 12.5%); values below 2^kSubBits are exact.
-///  * MetricsRegistry — named counters/gauges/histograms registered by the
-///    subsystems (fabric/LB/RPU/host counters arrive via the sim::Stats
-///    mirror; the health layer adds its own gauges and histograms), with
-///    snapshot export as Prometheus text exposition format and JSON.
+/// Metrics registry — the export surface of the production health layer
+/// (DESIGN.md §15): named counters/gauges/histograms registered by the
+/// subsystems (fabric/LB/RPU/host counters arrive via the sim::Stats
+/// mirror; the health layer adds its own gauges and sim::Histogram
+/// latency distributions), with snapshot export as Prometheus text
+/// exposition format and JSON.
 ///
 /// Registration happens at attach/elaboration time (cold path, may
 /// allocate); export is host-phase only. Nothing here touches sim::Stats
@@ -28,81 +20,12 @@
 #include <vector>
 
 namespace rosebud::sim {
+class Histogram;
 class Kernel;
 class Stats;
 }  // namespace rosebud::sim
 
 namespace rosebud::obs {
-
-/// Log-bucketed histogram with fixed, allocation-free recording.
-///
-/// Layout: values < 2^kSubBits land in exact unit buckets; above that each
-/// power-of-two octave is split into 2^kSubBits sub-buckets keyed by the
-/// bits just below the leading one (the classic HDR scheme). Percentiles
-/// report the *upper bound* of the bucket containing the target rank, so a
-/// reported p99 never understates the true p99.
-class Histogram {
- public:
-    static constexpr unsigned kSubBits = 3;
-    static constexpr unsigned kSubBuckets = 1u << kSubBits;
-    static constexpr unsigned kOctaves = 64 - kSubBits + 1;
-    static constexpr unsigned kBuckets = kOctaves << kSubBits;
-
-    /// Record `n` occurrences of value `v`. Never allocates.
-    void record(uint64_t v, uint64_t n = 1) {
-        buckets_[bucket_index(v)] += n;
-        count_ += n;
-        sum_ += v * n;
-        if (count_ == n || v < min_) min_ = v;
-        if (v > max_) max_ = v;
-    }
-
-    uint64_t count() const { return count_; }
-    uint64_t sum() const { return sum_; }
-    uint64_t min() const { return count_ ? min_ : 0; }
-    uint64_t max() const { return max_; }
-    double mean() const { return count_ ? double(sum_) / double(count_) : 0.0; }
-
-    /// Upper bound of the bucket holding the p-quantile (p clamped to
-    /// [0,1]); 0 on an empty histogram.
-    uint64_t percentile(double p) const;
-
-    /// Zero every bucket and the summary stats.
-    void clear();
-
-    /// Add another histogram's buckets into this one (same layout).
-    void merge(const Histogram& o);
-
-    /// Visit every non-empty bucket in value order as (upper_bound, count).
-    template <typename Fn>
-    void for_each_nonzero(Fn&& fn) const {
-        for (unsigned i = 0; i < kBuckets; ++i)
-            if (buckets_[i]) fn(bucket_upper(i), buckets_[i]);
-    }
-
-    /// Index of the bucket containing `v`.
-    static unsigned bucket_index(uint64_t v) {
-        if (v < kSubBuckets) return unsigned(v);
-        unsigned msb = 63u - unsigned(__builtin_clzll(v));
-        unsigned sub = unsigned(v >> (msb - kSubBits)) & (kSubBuckets - 1);
-        return ((msb - kSubBits + 1) << kSubBits) | sub;
-    }
-
-    /// Largest value mapping to bucket `i`.
-    static uint64_t bucket_upper(unsigned i) {
-        uint64_t octave = i >> kSubBits;
-        uint64_t sub = i & (kSubBuckets - 1);
-        if (octave == 0) return sub;
-        return ((kSubBuckets + sub + 1) << (octave - 1)) - 1;
-    }
-
- private:
-    uint64_t buckets_[kBuckets] = {};
-    uint64_t count_ = 0;
-    uint64_t sum_ = 0;
-    uint64_t min_ = 0;
-    uint64_t max_ = 0;
-};
 
 /// Snapshot export format (mirrored by host::MetricsFormat so the host
 /// layer can expose the query without depending on obs).
@@ -135,11 +58,11 @@ class MetricsRegistry {
     /// Register a histogram. `scale` converts recorded units to the
     /// exported unit (e.g. cycles -> microseconds) in le/sum values.
     void add_histogram(std::string name, std::string help, std::string labels,
-                       const Histogram* h, double scale = 1.0);
+                       const sim::Histogram* h, double scale = 1.0);
 
-    /// Mirror every counter and sampler of the stats registry on export
-    /// (the fabric/LB/RPU/host counters of paper §4.3), as
-    /// rosebud_stat_total{name="..."} / rosebud_stat_sampler_*{name="..."}.
+    /// Mirror every counter of the stats registry on export (the
+    /// fabric/LB/RPU/host counters of paper §4.3), as
+    /// rosebud_stat_total{name="..."}.
     void set_stats(const sim::Stats* stats) { stats_ = stats; }
 
     /// Export the kernel's occupancy probes as per-net backlog gauges
@@ -167,7 +90,7 @@ class MetricsRegistry {
         std::string help;
         std::string labels;  ///< inner label text, may be empty
         IntGetter fn;        ///< counters/gauges
-        const Histogram* hist = nullptr;
+        const sim::Histogram* hist = nullptr;
         double scale = 1.0;
     };
 

@@ -1,7 +1,7 @@
 #include "obs/perfetto.h"
 
-#include "core/tracer.h"
 #include "obs/json.h"
+#include "obs/recorder.h"
 #include "obs/telemetry.h"
 #include "sim/kernel.h"
 
@@ -30,7 +30,7 @@ emit_meta(JsonWriter& w, int pid, const char* name) {
 }  // namespace
 
 std::string
-trace_json(const PacketTracer& tracer, const Telemetry* telem, size_t max_packets) {
+trace_json(const FlightRecorder& rec, const Telemetry* telem, size_t max_packets) {
     JsonWriter w;
     w.begin_object();
     w.key("displayTimeUnit").value("ns");
@@ -39,9 +39,8 @@ trace_json(const PacketTracer& tracer, const Telemetry* telem, size_t max_packet
     if (telem) emit_meta(w, kUtilPid, "utilization");
 
     size_t emitted = 0;
-    for (uint64_t id : tracer.packet_ids()) {
+    for (const auto& [id, tl] : rec.timelines()) {
         if (emitted++ >= max_packets) break;
-        const auto& tl = tracer.timeline(id);
         // Each consecutive stage pair becomes one async span named after
         // the stage the packet was *in*; the final event gets an instant
         // marker so drops/departures are visible.
@@ -52,12 +51,12 @@ trace_json(const PacketTracer& tracer, const Telemetry* telem, size_t max_packet
             w.key("ph").value("b");
             w.key("cat").value("packet");
             w.key("id").value(id);
-            w.key("name").value(a.stage);
+            w.key("name").value(net::stage_name(a.stage));
             w.key("pid").value(kPacketPid);
-            w.key("tid").value(uint64_t(a.rpu));
+            w.key("tid").value(uint64_t(a.a));
             w.key("ts").value(cycle_us(a.cycle));
             w.key("args").begin_object();
-            w.key("size").value(uint64_t(a.size));
+            w.key("size").value(uint64_t(a.b));
             w.end_object();
             w.end_object();
 
@@ -65,24 +64,22 @@ trace_json(const PacketTracer& tracer, const Telemetry* telem, size_t max_packet
             w.key("ph").value("e");
             w.key("cat").value("packet");
             w.key("id").value(id);
-            w.key("name").value(a.stage);
+            w.key("name").value(net::stage_name(a.stage));
             w.key("pid").value(kPacketPid);
-            w.key("tid").value(uint64_t(a.rpu));
+            w.key("tid").value(uint64_t(a.a));
             w.key("ts").value(cycle_us(b.cycle));
             w.end_object();
         }
-        if (!tl.empty()) {
-            const auto& last = tl.back();
-            w.begin_object();
-            w.key("ph").value("i");
-            w.key("s").value("t");
-            w.key("cat").value("packet");
-            w.key("name").value(last.stage);
-            w.key("pid").value(kPacketPid);
-            w.key("tid").value(uint64_t(last.rpu));
-            w.key("ts").value(cycle_us(last.cycle));
-            w.end_object();
-        }
+        const auto& last = tl.back();
+        w.begin_object();
+        w.key("ph").value("i");
+        w.key("s").value("t");
+        w.key("cat").value("packet");
+        w.key("name").value(net::stage_name(last.stage));
+        w.key("pid").value(kPacketPid);
+        w.key("tid").value(uint64_t(last.a));
+        w.key("ts").value(cycle_us(last.cycle));
+        w.end_object();
     }
 
     if (telem) {

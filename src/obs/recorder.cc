@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "core/system.h"
 #include "obs/json.h"
 
 namespace rosebud::obs {
@@ -9,6 +10,48 @@ namespace rosebud::obs {
 FlightRecorder::FlightRecorder(size_t capacity)
     : ring_(capacity ? capacity : 1) {
     notes_.reserve(64);
+}
+
+void
+FlightRecorder::attach(System& sys) {
+    sys.add_packet_observer([this](net::Stage stage, const net::Packet& pkt,
+                                   sim::Cycle now) { record(stage, now, pkt); });
+}
+
+std::vector<FlightEvent>
+FlightRecorder::timeline(uint64_t packet_id) const {
+    std::vector<FlightEvent> out;
+    for_each([&](const FlightEvent& e) {
+        if (e.type == FlightEventType::kPacket && e.c == packet_id) out.push_back(e);
+    });
+    return out;
+}
+
+std::map<uint64_t, std::vector<FlightEvent>>
+FlightRecorder::timelines() const {
+    std::map<uint64_t, std::vector<FlightEvent>> out;
+    for_each([&](const FlightEvent& e) {
+        if (e.type == FlightEventType::kPacket) out[e.c].push_back(e);
+    });
+    return out;
+}
+
+std::string
+FlightRecorder::format_timeline(uint64_t packet_id) const {
+    std::vector<FlightEvent> tl = timeline(packet_id);
+    std::string out = "packet " + std::to_string(packet_id);
+    if (tl.empty()) return out + ": no events\n";
+    out += ":\n";
+    char buf[128];
+    for (const FlightEvent& e : tl) {
+        uint64_t rel = e.cycle - tl.front().cycle;
+        std::snprintf(buf, sizeof(buf), "  +%6llu cyc (%8.1f ns)  %-18s %s%u size=%u\n",
+                      (unsigned long long)rel, sim::cycles_to_ns(rel),
+                      net::stage_name(e.stage), stage_at_port(e.stage) ? "port" : "rpu",
+                      e.a, e.b);
+        out += buf;
+    }
+    return out;
 }
 
 void
@@ -46,9 +89,7 @@ FlightRecorder::note(int32_t idx) const {
 const char*
 FlightRecorder::type_name(FlightEventType t) {
     switch (t) {
-    case FlightEventType::kIngress: return "ingress";
-    case FlightEventType::kEgress: return "egress";
-    case FlightEventType::kDrop: return "drop";
+    case FlightEventType::kPacket: return "packet";
     case FlightEventType::kFault: return "fault";
     case FlightEventType::kReconfigPhase: return "reconfig";
     case FlightEventType::kWatchdogTrip: return "watchdog_trip";
@@ -78,6 +119,7 @@ FlightRecorder::dump_json() const {
         w.begin_object();
         w.key("cycle").value(e.cycle);
         w.key("type").value(type_name(e.type));
+        if (e.type == FlightEventType::kPacket) w.key("stage").value(net::stage_name(e.stage));
         w.key("a").value(uint64_t(e.a));
         w.key("b").value(uint64_t(e.b));
         w.key("c").value(e.c);
@@ -102,26 +144,15 @@ FlightRecorder::dump_text() const {
     out += line;
     for_each([&](const FlightEvent& e) {
         switch (e.type) {
-        case FlightEventType::kIngress:
-            std::snprintf(line, sizeof(line),
-                          "  @%-10llu ingress       port%u pkt=%llu %uB\n",
-                          (unsigned long long)e.cycle, e.a,
-                          (unsigned long long)e.c, e.b);
+        case FlightEventType::kPacket: {
+            int n = std::snprintf(line, sizeof(line), "  @%-10llu %-16s %s%u pkt=%llu %uB",
+                                  (unsigned long long)e.cycle, net::stage_name(e.stage),
+                                  stage_at_port(e.stage) ? "port" : "rpu", e.a,
+                                  (unsigned long long)e.c, e.b);
+            if (e.d) std::snprintf(line + n, sizeof(line) - size_t(n), " latency=%uc\n", e.d);
+            else std::snprintf(line + n, sizeof(line) - size_t(n), "\n");
             break;
-        case FlightEventType::kEgress:
-            std::snprintf(line, sizeof(line),
-                          "  @%-10llu egress        port%u pkt=%llu %uB latency=%uc\n",
-                          (unsigned long long)e.cycle, e.a,
-                          (unsigned long long)e.c, e.b, e.d);
-            break;
-        case FlightEventType::kDrop:
-            std::snprintf(line, sizeof(line),
-                          "  @%-10llu drop          %s pkt=%llu %uB\n",
-                          (unsigned long long)e.cycle,
-                          e.a == uint8_t(DropSite::kMacRxFifo) ? "mac_rx_fifo"
-                                                               : "firmware",
-                          (unsigned long long)e.c, e.b);
-            break;
+        }
         case FlightEventType::kFault:
             std::snprintf(line, sizeof(line), "  @%-10llu FAULT         rpu%u %s\n",
                           (unsigned long long)e.cycle, e.a,

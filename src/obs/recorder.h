@@ -1,15 +1,20 @@
 /// \file
 /// Flight recorder — a fixed-capacity, zero-allocation ring of compact
-/// typed events for post-mortem debugging (DESIGN.md §15).
+/// typed events (DESIGN.md §15), and the one store of per-packet stage
+/// events.
 ///
-/// The production story this serves: a run wedges or blows an SLA at cycle
-/// 40M, and we need the story *without* re-running under a tracer. The
-/// health layer (obs/health.h) feeds the recorder from the per-packet
-/// observer and watchdog hooks; on a fault, a watchdog trip, or an explicit
-/// dump() the ring is rendered as JSON plus a human-readable timeline.
+/// Two uses share it. The health layer (obs/health.h) feeds its recorder
+/// from the per-packet observer and watchdog hooks, so when a run wedges or
+/// blows an SLA at cycle 40M the story is there *without* a re-run; on a
+/// fault, a watchdog trip, or an explicit dump() the ring is rendered as
+/// JSON plus a human-readable timeline. A recorder attach()ed to a System
+/// instead records every stage of every packet — the simulator's answer to
+/// "FPGA developers frequently debug their designs by looking at
+/// simulation waveforms" (paper Section 2.3) — and answers per-packet
+/// timeline queries and the Perfetto export (obs/perfetto.h).
 ///
 /// Recording is write-one-POD-struct-into-a-preallocated-ring — no strings,
-/// no allocation, no branches beyond the wrap check — so it is legal on the
+/// no allocation, a few compares — so it is legal on the
 /// hot path under the zero-allocation proof of tests/test_perf_hotpath.cc.
 /// Rare events (trips, faults, reconfig phases, SLO violations) may carry a
 /// short detail string; those intern into a bounded side table and only
@@ -19,17 +24,23 @@
 #define ROSEBUD_OBS_RECORDER_H
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
+
+#include "net/packet.h"
+
+namespace rosebud {
+class System;
+}
 
 namespace rosebud::obs {
 
 /// Event types held by the flight recorder. Keep this enum dense — the
 /// dump code indexes a name table by it.
 enum class FlightEventType : uint8_t {
-    kIngress = 0,      ///< packet entered at a MAC/host port (a = port, b = size, c = id)
-    kEgress,           ///< packet left (a = port/stage, b = size, c = id, d = latency cycles)
-    kDrop,             ///< packet dropped (a = where, b = size, c = id)
+    kPacket = 0,       ///< packet crossed `stage` (a = port or rpu, b = size, c = id,
+                       ///< d = latency cycles when known)
     kFault,            ///< component fault observed (a = rpu, note)
     kReconfigPhase,    ///< host PR flow phase (a = rpu, note = phase)
     kWatchdogTrip,     ///< forward-progress watchdog fired (note = summary)
@@ -38,8 +49,12 @@ enum class FlightEventType : uint8_t {
     kTypeCount,
 };
 
-/// Drop sites for FlightEventType::kDrop's `a` argument.
-enum class DropSite : uint8_t { kMacRxFifo = 0, kFirmware, kSiteCount };
+/// True for the stages that happen at a MAC or host port, where a packet
+/// event's `a` is the port; every other stage happens at an RPU.
+constexpr bool stage_at_port(net::Stage s) {
+    return s == net::Stage::kMacRx || s == net::Stage::kMacRxFifoDrop ||
+           s == net::Stage::kHostDeliver || s == net::Stage::kMacTx;
+}
 
 /// One recorded event: 32 bytes, POD, no ownership.
 struct FlightEvent {
@@ -47,10 +62,12 @@ struct FlightEvent {
     uint64_t c = 0;       ///< packet id or wide argument
     uint32_t d = 0;       ///< extra argument (e.g. latency in cycles)
     uint16_t b = 0;       ///< size or small argument
-    uint8_t a = 0;        ///< port / rpu / site
-    FlightEventType type = FlightEventType::kIngress;
+    uint8_t a = 0;        ///< port / rpu
+    FlightEventType type = FlightEventType::kPacket;
+    net::Stage stage = net::Stage::kMacRx;  ///< kPacket only
     int32_t note = -1;    ///< index into the note table, -1 = none
 };
+static_assert(sizeof(FlightEvent) == 32, "FlightEvent must stay 32 bytes");
 
 /// Fixed-capacity event ring. Construction sizes the ring (the only
 /// allocation); record() never allocates. When full, the oldest events are
@@ -59,16 +76,32 @@ class FlightRecorder {
  public:
     explicit FlightRecorder(size_t capacity = 4096);
 
-    /// Record a hot-path event (no note). Never allocates.
-    void record(FlightEventType type, uint64_t cycle, uint8_t a = 0,
-                uint16_t b = 0, uint64_t c = 0, uint32_t d = 0) {
+    // attach() hands `this` to the System's observer list.
+    FlightRecorder(const FlightRecorder&) = delete;
+    FlightRecorder& operator=(const FlightRecorder&) = delete;
+
+    /// Record every stage of every packet in `sys` from now on (through
+    /// System::add_packet_observer). The recorder must outlive the
+    /// system's remaining simulation.
+    void attach(System& sys);
+
+    /// Record one packet crossing `stage`: a = the port at MAC/host stages
+    /// (in_iface on the way in, out_iface on the way out), else the RPU;
+    /// b = size (saturating); c = id; d = `latency`. Never allocates.
+    void record(net::Stage stage, uint64_t cycle, const net::Packet& pkt,
+                uint32_t latency = 0) {
         FlightEvent& e = ring_[head_];
         e.cycle = cycle;
-        e.c = c;
-        e.d = d;
-        e.b = b;
-        e.a = a;
-        e.type = type;
+        e.c = pkt.id;
+        e.d = latency;
+        e.b = uint16_t(pkt.size() > 0xFFFF ? 0xFFFF : pkt.size());
+        e.a = pkt.dest_rpu;
+        if (stage == net::Stage::kMacRx || stage == net::Stage::kMacRxFifoDrop)
+            e.a = uint8_t(pkt.in_iface);
+        else if (stage_at_port(stage))
+            e.a = uint8_t(pkt.out_iface);
+        e.type = FlightEventType::kPacket;
+        e.stage = stage;
         e.note = -1;
         advance();
     }
@@ -95,6 +128,18 @@ class FlightRecorder {
         for (size_t i = 0; i < count_; ++i)
             fn(ring_[(start + i) % ring_.size()]);
     }
+
+    /// Packet events held for one packet id, oldest first (empty if none).
+    std::vector<FlightEvent> timeline(uint64_t packet_id) const;
+
+    /// Every held packet event grouped by packet id (ids ascending, each
+    /// timeline oldest first). A packet whose first events the ring has
+    /// already overwritten shows a partial timeline.
+    std::map<uint64_t, std::vector<FlightEvent>> timelines() const;
+
+    /// Human-readable timeline of one packet, in cycles and ns since its
+    /// first held event.
+    std::string format_timeline(uint64_t packet_id) const;
 
     /// Resolve a FlightEvent::note index ("" for -1 / out of range).
     const std::string& note(int32_t idx) const;

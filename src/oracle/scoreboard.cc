@@ -1,7 +1,6 @@
 #include "oracle/scoreboard.h"
 
 #include <cstdio>
-#include <cstring>
 
 namespace rosebud::oracle {
 
@@ -51,7 +50,7 @@ drop_reason_name(Prediction::DropReason r) {
 Scoreboard::Scoreboard(System& sys, const DataplaneOracle& oracle, Options opts)
     : sys_(sys), oracle_(oracle), opts_(opts) {
     observer_handle_ = sys_.add_packet_observer(
-        [this](const char* stage, const net::Packet& pkt, sim::Cycle now) {
+        [this](net::Stage stage, const net::Packet& pkt, sim::Cycle now) {
             on_event(stage, pkt, now);
         });
 }
@@ -77,14 +76,14 @@ Scoreboard::fold_output(char kind, uint64_t id, const std::vector<uint8_t>& byte
 }
 
 void
-Scoreboard::diverge(const char* kind, uint64_t id, const Entry* e, const char* stage,
+Scoreboard::diverge(const char* kind, uint64_t id, const Entry* e, const char* where,
                     const net::Packet* actual, sim::Cycle now,
                     const std::string& detail) {
     ++counts_.divergences;
     if (reports_.size() >= opts_.max_reports) return;
 
     std::string r = "divergence #" + std::to_string(counts_.divergences) + " [" + kind +
-                    "] packet " + std::to_string(id) + " at stage " + stage + ", cycle " +
+                    "] packet " + std::to_string(id) + " at stage " + where + ", cycle " +
                     std::to_string(now) + "\n";
     if (!detail.empty()) r += "  " + detail + "\n";
     if (e) {
@@ -137,13 +136,16 @@ Scoreboard::diverge(const char* kind, uint64_t id, const Entry* e, const char* s
 }
 
 void
-Scoreboard::on_event(const char* stage, const net::Packet& pkt, sim::Cycle now) {
-    bool is_mac_rx = std::strcmp(stage, "mac_rx") == 0;
-    if (is_mac_rx || std::strcmp(stage, "mac_rx_fifo_drop") == 0) {
-        bool dropped = !is_mac_rx;
+Scoreboard::on_event(net::Stage stage, const net::Packet& pkt, sim::Cycle now) {
+    using net::Stage;
+    const char* where = net::stage_name(stage);
+    switch (stage) {
+    case Stage::kMacRx:
+    case Stage::kMacRxFifoDrop: {
+        bool dropped = stage == Stage::kMacRxFifoDrop;
         auto [it, fresh] = entries_.try_emplace(pkt.id);
         if (!fresh) {
-            diverge("duplicate-ingress", pkt.id, &it->second, stage, &pkt, now,
+            diverge("duplicate-ingress", pkt.id, &it->second, where, &pkt, now,
                     "packet id registered at ingress twice");
             return;
         }
@@ -163,13 +165,13 @@ Scoreboard::on_event(const char* stage, const net::Packet& pkt, sim::Cycle now) 
         return;
     }
 
-    if (std::strcmp(stage, "lb_assign") == 0) {
+    case Stage::kLbAssign: {
         auto it = entries_.find(pkt.id);
         if (it == entries_.end()) return;  // host-injected / loopback traffic
         Entry& e = it->second;
         e.assigned_rpu = pkt.dest_rpu;
         if (pkt.hash_prepended != e.pred.hash_prepended) {
-            diverge("hash-prepend-mismatch", pkt.id, &e, stage, &pkt, now,
+            diverge("hash-prepend-mismatch", pkt.id, &e, where, &pkt, now,
                     std::string("hash_prepended = ") +
                         (pkt.hash_prepended ? "true" : "false") + ", predicted " +
                         (e.pred.hash_prepended ? "true" : "false"));
@@ -178,14 +180,14 @@ Scoreboard::on_event(const char* stage, const net::Packet& pkt, sim::Cycle now) 
                 char b[64];
                 std::snprintf(b, sizeof(b), "lb_hash 0x%08x, predicted 0x%08x",
                               pkt.lb_hash, e.pred.lb_hash);
-                diverge("lb-hash-mismatch", pkt.id, &e, stage, &pkt, now, b);
+                diverge("lb-hash-mismatch", pkt.id, &e, where, &pkt, now, b);
             } else if (opts_.check_steering) {
                 uint32_t eligible = sys_.lb().recv_mask() &
                                     sys_.lb().host_read(lb::kLbRegEnableMask);
                 unsigned want = DataplaneOracle::ref_hash_steer(e.pred.lb_hash, eligible,
                                                                 sys_.rpu_count());
                 if (want != 0xff && pkt.dest_rpu != want) {
-                    diverge("steering-mismatch", pkt.id, &e, stage, &pkt, now,
+                    diverge("steering-mismatch", pkt.id, &e, where, &pkt, now,
                             "assigned rpu " + std::to_string(pkt.dest_rpu) +
                                 ", hash steering predicts rpu " + std::to_string(want));
                 }
@@ -194,28 +196,36 @@ Scoreboard::on_event(const char* stage, const net::Packet& pkt, sim::Cycle now) 
         return;
     }
 
-    if (std::strcmp(stage, "fw_drop") == 0 || std::strcmp(stage, "mac_tx") == 0 ||
-        std::strcmp(stage, "host_deliver") == 0) {
+    case Stage::kFwDrop:
+    case Stage::kMacTx:
+    case Stage::kHostDeliver: {
         auto it = entries_.find(pkt.id);
         if (it == entries_.end()) {
-            diverge("unknown-packet", pkt.id, nullptr, stage, &pkt, now,
+            diverge("unknown-packet", pkt.id, nullptr, where, &pkt, now,
                     "terminal event for a packet never seen at ingress");
             return;
         }
         terminal(pkt.id, it->second, stage, pkt, now);
         return;
     }
-    // rpu_link_dispatch, rpu_rx_complete, fw_send, rpu_egress,
-    // loopback_reenter: intermediate stages, nothing to check yet.
+
+    // Intermediate stages: nothing to check yet.
+    case Stage::kRpuLinkDispatch:
+    case Stage::kRpuRxComplete:
+    case Stage::kFwSend:
+    case Stage::kRpuEgress:
+    case Stage::kLoopbackReenter: return;
+    }
 }
 
 void
-Scoreboard::terminal(uint64_t id, Entry& e, const char* stage, const net::Packet& pkt,
+Scoreboard::terminal(uint64_t id, Entry& e, net::Stage stage, const net::Packet& pkt,
                      sim::Cycle now) {
+    const char* where = net::stage_name(stage);
     ++e.terminals;
     if (e.terminals > 1) {
         diverge(e.congestion ? "output-after-congestion-drop" : "duplicate-terminal", id,
-                &e, stage, &pkt, now,
+                &e, where, &pkt, now,
                 "packet already reached a terminal state " +
                     std::to_string(e.terminals - 1) + " time(s)");
         return;
@@ -223,26 +233,26 @@ Scoreboard::terminal(uint64_t id, Entry& e, const char* stage, const net::Packet
     if (outstanding_ > 0) --outstanding_;
 
     using O = Prediction::Outcome;
-    if (std::strcmp(stage, "fw_drop") == 0) {
+    if (stage == net::Stage::kFwDrop) {
         ++counts_.fw_dropped;
         // NAT inbound legitimately drops when no mapping exists.
         if (e.pred.outcome != O::kDrop && !e.pred.nat_inbound) {
-            diverge("unexpected-drop", id, &e, stage, &pkt, now,
+            diverge("unexpected-drop", id, &e, where, &pkt, now,
                     "firmware dropped a packet the oracle expects to survive");
         }
         return;
     }
 
-    if (std::strcmp(stage, "mac_tx") == 0) {
+    if (stage == net::Stage::kMacTx) {
         ++counts_.forwarded_wire;
         fold_output('t', id, pkt.data);
         if (e.pred.outcome != O::kForwardWire) {
-            diverge("unexpected-wire-forward", id, &e, stage, &pkt, now,
+            diverge("unexpected-wire-forward", id, &e, where, &pkt, now,
                     std::string("oracle predicts ") + outcome_name(e.pred.outcome));
             return;
         }
         if (pkt.out_iface != e.pred.out_iface) {
-            diverge("egress-port-mismatch", id, &e, stage, &pkt, now,
+            diverge("egress-port-mismatch", id, &e, where, &pkt, now,
                     "egress port " + std::to_string(unsigned(pkt.out_iface)) +
                         ", predicted " + std::to_string(unsigned(e.pred.out_iface)));
             return;
@@ -250,7 +260,7 @@ Scoreboard::terminal(uint64_t id, Entry& e, const char* stage, const net::Packet
         if (opts_.check_bytes) {
             std::string why;
             if (!oracle_.check_output(e.pred, e.input, pkt.data, false, &why)) {
-                diverge("wire-byte-mismatch", id, &e, stage, &pkt, now, why);
+                diverge("wire-byte-mismatch", id, &e, where, &pkt, now, why);
                 return;
             }
         }
@@ -263,7 +273,7 @@ Scoreboard::terminal(uint64_t id, Entry& e, const char* stage, const net::Packet
             auto fwd_key = std::make_tuple(e.assigned_rpu, int_ip, int_port);
             auto [fit, ffresh] = nat_forward_.try_emplace(fwd_key, ext_port);
             if (!ffresh && fit->second != ext_port) {
-                diverge("nat-mapping-instability", id, &e, stage, &pkt, now,
+                diverge("nat-mapping-instability", id, &e, where, &pkt, now,
                         "flow previously mapped to external port " +
                             std::to_string(fit->second) + ", now " +
                             std::to_string(ext_port));
@@ -273,7 +283,7 @@ Scoreboard::terminal(uint64_t id, Entry& e, const char* stage, const net::Packet
             auto want = std::make_tuple(int_ip, int_port);
             auto [rit, rfresh] = nat_reverse_.try_emplace(rev_key, want);
             if (!rfresh && rit->second != want) {
-                diverge("nat-port-collision", id, &e, stage, &pkt, now,
+                diverge("nat-port-collision", id, &e, where, &pkt, now,
                         "external port " + std::to_string(ext_port) +
                             " already maps to a different internal flow on rpu " +
                             std::to_string(e.assigned_rpu));
@@ -286,7 +296,7 @@ Scoreboard::terminal(uint64_t id, Entry& e, const char* stage, const net::Packet
     ++counts_.host_delivered;
     fold_output('h', id, pkt.data);
     if (e.pred.outcome != O::kDeliverHost && !e.pred.may_punt_to_host) {
-        diverge("unexpected-host-delivery", id, &e, stage, &pkt, now,
+        diverge("unexpected-host-delivery", id, &e, where, &pkt, now,
                 std::string("oracle predicts ") + outcome_name(e.pred.outcome));
         return;
     }
@@ -294,7 +304,7 @@ Scoreboard::terminal(uint64_t id, Entry& e, const char* stage, const net::Packet
     if (opts_.check_bytes) {
         std::string why;
         if (!oracle_.check_output(e.pred, e.input, pkt.data, true, &why)) {
-            diverge("host-byte-mismatch", id, &e, stage, &pkt, now, why);
+            diverge("host-byte-mismatch", id, &e, where, &pkt, now, why);
         }
     }
 }

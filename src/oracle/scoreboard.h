@@ -86,10 +86,11 @@ class Scoreboard {
         bool congestion = false;
     };
 
-    void on_event(const char* stage, const net::Packet& pkt, sim::Cycle now);
-    void terminal(uint64_t id, Entry& e, const char* stage, const net::Packet& pkt,
+    void on_event(net::Stage stage, const net::Packet& pkt, sim::Cycle now);
+    void terminal(uint64_t id, Entry& e, net::Stage stage, const net::Packet& pkt,
                   sim::Cycle now);
-    void diverge(const char* kind, uint64_t id, const Entry* e, const char* stage,
+    /// `where` names the stage (or "finish") in the report.
+    void diverge(const char* kind, uint64_t id, const Entry* e, const char* where,
                  const net::Packet* actual, sim::Cycle now, const std::string& detail);
     void fold_output(char kind, uint64_t id, const std::vector<uint8_t>& bytes);
 

@@ -266,7 +266,7 @@ Rpu::finish_rx() {
         // at most one packet.
         sim::panic(name() + ": rx descriptor fifo overflow");
     }
-    trace("rpu_rx_complete", *pkt);
+    trace(net::Stage::kRpuRxComplete, *pkt);
     ctr_rx_packets_->add();
     ctr_rx_bytes_->add(pkt->size());
     slot_pkts_[slot] = std::move(pkt);
@@ -429,7 +429,7 @@ Rpu::tick_tx() {
             out->out_iface = net::Iface(d.port & 3);
             out->dest_rpu = uint8_t(tx_cur_->dest >> 8);
             out->dest_slot = uint8_t(tx_cur_->dest & 0xff);
-            trace("fw_send", *out);
+            trace(net::Stage::kFwSend, *out);
             tx_out_ = std::move(out);
         }
         return;
@@ -441,7 +441,7 @@ Rpu::tick_tx() {
         if (cmd.desc.len == 0) {
             // Drop: free the slot without transmitting.
             uint8_t slot = cmd.desc.slot;
-            if (slot_pkts_[slot]) trace("fw_drop", *slot_pkts_[slot]);
+            if (slot_pkts_[slot]) trace(net::Stage::kFwDrop, *slot_pkts_[slot]);
             ctr_dropped_packets_->add();
             slot_pkts_[slot].reset();
             --occupancy_;

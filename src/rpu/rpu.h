@@ -179,8 +179,8 @@ class Rpu : public sim::Component {
         return v;
     }
 
-    /// Optional per-packet observation hook (core/tracer.h).
-    using TraceFn = std::function<void(const char* event, const net::Packet& pkt)>;
+    /// Per-packet stage hook (see dist::Fabric::TraceFn).
+    using TraceFn = std::function<void(net::Stage stage, const net::Packet& pkt)>;
     void set_trace(TraceFn fn) { trace_ = std::move(fn); }
 
     // --- simulation ----------------------------------------------------------
@@ -332,8 +332,8 @@ class Rpu : public sim::Component {
 
     // Wiring.
     TraceFn trace_;
-    void trace(const char* event, const net::Packet& pkt) {
-        if (trace_) trace_(event, pkt);
+    void trace(net::Stage stage, const net::Packet& pkt) {
+        if (trace_) trace_(stage, pkt);
     }
     EgressHandler egress_;
     SlotFreeHandler slot_free_;

@@ -1,89 +1,39 @@
 #include "sim/stats.h"
 
 #include <cmath>
-#include <numeric>
 #include <sstream>
 
 namespace rosebud::sim {
 
-namespace {
-
-// splitmix64 step for the deterministic reservoir PRNG.
 uint64_t
-mix64(uint64_t& state) {
-    state += 0x9e3779b97f4a7c15ull;
-    uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-}  // namespace
-
-void
-Sampler::add(double v) {
-    if (seen_ == 0) {
-        exact_min_ = exact_max_ = v;
-    } else {
-        exact_min_ = std::min(exact_min_, v);
-        exact_max_ = std::max(exact_max_, v);
-    }
-    sum_ += v;
-    ++seen_;
-    if (reservoir_cap_ == 0 || samples_.size() < reservoir_cap_) {
-        samples_.push_back(v);
-        return;
-    }
-    // Algorithm R: keep the new sample with probability cap/seen.
-    uint64_t j = mix64(rng_state_) % seen_;
-    if (j < reservoir_cap_) samples_[size_t(j)] = v;
-}
-
-void
-Sampler::set_reservoir(size_t cap) {
-    reservoir_cap_ = cap;
-    if (cap != 0 && samples_.size() > cap) {
-        samples_.resize(cap);
-        samples_.shrink_to_fit();
-    }
-}
-
-void
-Sampler::reset() {
-    samples_.clear();
-    seen_ = 0;
-    sum_ = 0;
-    exact_min_ = exact_max_ = 0;
-}
-
-double
-Sampler::min() const {
-    return seen_ == 0 ? 0.0 : exact_min_;
-}
-
-double
-Sampler::max() const {
-    return seen_ == 0 ? 0.0 : exact_max_;
-}
-
-double
-Sampler::mean() const {
-    if (seen_ == 0) return 0.0;
-    return sum_ / double(seen_);
-}
-
-double
-Sampler::percentile(double p) const {
-    if (samples_.empty()) return 0.0;
+Histogram::percentile(double p) const {
+    if (count_ == 0) return 0;
     if (!(p > 0.0)) p = 0.0;  // negative and NaN clamp to the minimum
     if (p > 1.0) p = 1.0;
-    std::vector<double> s = samples_;
-    std::sort(s.begin(), s.end());
-    double idx = p * double(s.size() - 1);
-    size_t lo = size_t(std::floor(idx));
-    size_t hi = std::min(size_t(std::ceil(idx)), s.size() - 1);
-    double frac = idx - double(lo);
-    return s[lo] * (1.0 - frac) + s[hi] * frac;
+    uint64_t target = uint64_t(std::ceil(p * double(count_)));
+    if (target == 0) target = 1;
+    uint64_t cum = 0;
+    for (unsigned i = 0; i < kBuckets; ++i) {
+        cum += buckets_[i];
+        if (cum >= target) return bucket_upper(i);
+    }
+    return max_;
+}
+
+void
+Histogram::clear() {
+    for (uint64_t& b : buckets_) b = 0;
+    count_ = sum_ = min_ = max_ = 0;
+}
+
+void
+Histogram::merge(const Histogram& o) {
+    if (o.count_ == 0) return;
+    for (unsigned i = 0; i < kBuckets; ++i) buckets_[i] += o.buckets_[i];
+    if (count_ == 0 || o.min_ < min_) min_ = o.min_;
+    if (o.max_ > max_) max_ = o.max_;
+    count_ += o.count_;
+    sum_ += o.sum_;
 }
 
 uint64_t
@@ -95,17 +45,12 @@ Stats::get(const std::string& name) const {
 void
 Stats::reset_all() {
     for (auto& [_, c] : counters_) c.reset();
-    for (auto& [_, s] : samplers_) s.reset();
 }
 
 std::string
 Stats::to_string() const {
     std::ostringstream os;
     for (const auto& [name, c] : counters_) os << name << " = " << c.get() << "\n";
-    for (const auto& [name, s] : samplers_) {
-        os << name << " : n=" << s.count() << " mean=" << s.mean() << " min=" << s.min()
-           << " max=" << s.max() << "\n";
-    }
     return os.str();
 }
 
@@ -131,15 +76,8 @@ csv_field(const std::string& s) {
 std::string
 Stats::to_csv() const {
     std::ostringstream os;
-    os << "name,kind,count,mean,min,max,p50,p99\n";
-    for (const auto& [name, c] : counters_) {
-        os << csv_field(name) << ",counter," << c.get() << ",,,,,\n";
-    }
-    for (const auto& [name, s] : samplers_) {
-        os << csv_field(name) << ",sampler," << s.count() << "," << s.mean() << ","
-           << s.min() << "," << s.max() << "," << s.percentile(0.5) << ","
-           << s.percentile(0.99) << "\n";
-    }
+    os << "name,value\n";
+    for (const auto& [name, c] : counters_) os << csv_field(name) << "," << c.get() << "\n";
     return os.str();
 }
 

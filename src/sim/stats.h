@@ -4,17 +4,15 @@
 /// Models the host-readable status counters of Section 4.3 ("number of
 /// transferred bytes, frames, drops, or stalled cycles") and doubles as the
 /// bench harness's measurement substrate. Counters are plain uint64 cells
-/// addressed by hierarchical dotted names; Samplers accumulate value
-/// distributions (min/max/mean/percentiles) for latency measurements.
+/// addressed by hierarchical dotted names; Histograms hold value
+/// distributions (latency measurements) in fixed storage.
 
 #ifndef ROSEBUD_SIM_STATS_H
 #define ROSEBUD_SIM_STATS_H
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace rosebud::sim {
 
@@ -29,53 +27,80 @@ class Counter {
     uint64_t value_ = 0;
 };
 
-/// Accumulates a distribution of samples (e.g. per-packet latency in ns).
-///
-/// Unbounded by default (every sample is retained). For million-packet
-/// runs call set_reservoir(cap): retention switches to Vitter's algorithm R
-/// with a deterministic PRNG, so memory is bounded at `cap` samples while
-/// min/max/mean stay exact (they are tracked over *all* samples) and
-/// percentiles become reservoir estimates. Note the retained subset depends
-/// on sample arrival order, so reservoir mode is not suitable for runs that
-/// must produce tick-order-independent state fingerprints; the default
-/// (retain everything) remains order-independent.
-class Sampler {
+/// Log-bucketed value distribution with fixed, allocation-free recording
+/// (the classic HDR scheme). Count, sum, min and max are exact; values
+/// below 2^kSubBits land in exact unit buckets, and above that each
+/// power-of-two octave splits into 2^kSubBits sub-buckets, so a bucket's
+/// relative width is at most 2^-kSubBits (12.5%). Percentiles report the
+/// *upper bound* of the bucket holding the target rank, so a reported p99
+/// never understates the true p99. The contents do not depend on the
+/// order of recording.
+class Histogram {
  public:
-    void add(double v);
+    static constexpr unsigned kSubBits = 3;
+    static constexpr unsigned kSubBuckets = 1u << kSubBits;
+    static constexpr unsigned kOctaves = 64 - kSubBits + 1;
+    static constexpr unsigned kBuckets = kOctaves << kSubBits;
 
-    /// Retained sample count (== seen() unless a reservoir cap is active).
-    size_t count() const { return samples_.size(); }
-    /// Total samples ever added (survives reservoir eviction, not reset()).
-    uint64_t seen() const { return seen_; }
-    bool empty() const { return samples_.empty(); }
+    /// Record `n` occurrences of value `v`. Never allocates.
+    void record(uint64_t v, uint64_t n = 1) {
+        buckets_[bucket_index(v)] += n;
+        count_ += n;
+        sum_ += v * n;
+        if (count_ == n || v < min_) min_ = v;
+        if (v > max_) max_ = v;
+    }
 
-    double min() const;
-    double max() const;
-    double mean() const;
+    uint64_t count() const { return count_; }
+    uint64_t sum() const { return sum_; }
+    uint64_t min() const { return count_ ? min_ : 0; }
+    uint64_t max() const { return max_; }
+    double mean() const { return count_ ? double(sum_) / double(count_) : 0.0; }
 
-    /// p is clamped to [0,1] (NaN maps to 0); e.g. 0.5 for median.
-    double percentile(double p) const;
+    /// Upper bound of the bucket holding the p-quantile (p clamped to
+    /// [0,1], NaN to 0); 0 on an empty histogram.
+    uint64_t percentile(double p) const;
 
-    /// Bound retention to `cap` samples via reservoir sampling (0 restores
-    /// unbounded retention). Samples already held beyond `cap` are truncated.
-    void set_reservoir(size_t cap);
-    size_t reservoir() const { return reservoir_cap_; }
+    /// Zero every bucket and the summary stats.
+    void clear();
 
-    void reset();
+    /// Add another histogram's buckets into this one.
+    void merge(const Histogram& o);
 
-    const std::vector<double>& samples() const { return samples_; }
+    /// Visit every non-empty bucket in value order as (upper_bound, count).
+    template <typename Fn>
+    void for_each_nonzero(Fn&& fn) const {
+        for (unsigned i = 0; i < kBuckets; ++i)
+            if (buckets_[i]) fn(bucket_upper(i), buckets_[i]);
+    }
+
+    /// Index of the bucket containing `v`.
+    static unsigned bucket_index(uint64_t v) {
+        if (v < kSubBuckets) return unsigned(v);
+        unsigned msb = 63u - unsigned(__builtin_clzll(v));
+        unsigned sub = unsigned(v >> (msb - kSubBits)) & (kSubBuckets - 1);
+        return ((msb - kSubBits + 1) << kSubBits) | sub;
+    }
+
+    /// Largest value mapping to bucket `i`.
+    static uint64_t bucket_upper(unsigned i) {
+        uint64_t octave = i >> kSubBits;
+        uint64_t sub = i & (kSubBuckets - 1);
+        if (octave == 0) return sub;
+        return ((kSubBuckets + sub + 1) << (octave - 1)) - 1;
+    }
 
  private:
-    std::vector<double> samples_;
-    size_t reservoir_cap_ = 0;  ///< 0 = retain everything
-    uint64_t seen_ = 0;
-    uint64_t rng_state_ = 0x243f6a8885a308d3ull;  ///< deterministic reservoir PRNG
-    double exact_min_ = 0, exact_max_ = 0, sum_ = 0;  ///< over all seen samples
+    uint64_t buckets_[kBuckets] = {};
+    uint64_t count_ = 0;
+    uint64_t sum_ = 0;
+    uint64_t min_ = 0;
+    uint64_t max_ = 0;
 };
 
-/// Named registry of counters and samplers. One per simulated system.
+/// Named registry of counters. One per simulated system.
 ///
-/// `counter()`/`sampler()` return node-stable references: components cache
+/// `counter()` returns node-stable references: components cache
 /// the returned handle at elaboration time and bump it directly on the hot
 /// path (no per-event string building or map walk). Cold-path lookups
 /// (e.g. an accelerator resolving a counter on its first event) are
@@ -85,28 +110,23 @@ class Stats {
     /// Find-or-create a counter by dotted name.
     Counter& counter(const std::string& name) { return counters_[name]; }
 
-    /// Find-or-create a sampler by dotted name.
-    Sampler& sampler(const std::string& name) { return samplers_[name]; }
-
     /// Committed counter value, 0 if the counter does not exist.
     uint64_t get(const std::string& name) const;
 
-    /// Reset every counter and sampler (e.g. after warm-up).
+    /// Reset every counter (e.g. after warm-up).
     void reset_all();
 
     /// Dump all counters to a human-readable multi-line string.
     std::string to_string() const;
 
-    /// Dump counters and sampler summaries as CSV ("name,kind,value,...")
-    /// for spreadsheet/plotting pipelines.
+    /// Dump all counters as CSV ("name,value", RFC 4180 quoting) for
+    /// spreadsheet/plotting pipelines.
     std::string to_csv() const;
 
     const std::map<std::string, Counter>& counters() const { return counters_; }
-    const std::map<std::string, Sampler>& samplers() const { return samplers_; }
 
  private:
     std::map<std::string, Counter> counters_;
-    std::map<std::string, Sampler> samplers_;
 };
 
 }  // namespace rosebud::sim

@@ -122,7 +122,7 @@ TEST(Fabric, LatencyAccountingMatchesSerialization) {
                      [] { return udp_pkt(64); });
     f.sys.run_cycles(300000);
     ASSERT_GT(f.sys.sink(1).latency().count(), 10u);
-    double mean_us = f.sys.sink(1).latency().mean() / 1e3;
+    double mean_us = f.sys.sink(1).latency().mean() / 1e6;
     // Eq. 1 at 64 B: ~0.81 us.
     EXPECT_NEAR(mean_us, 0.81, 0.08);
 }
@@ -246,8 +246,8 @@ TEST(Fabric, EgressNextHeadServesAnotherPortOnTheSameCycle) {
     System sys(cfg);  // no firmware: only the egress path runs
     std::vector<sim::Cycle> sent[2];
     sys.add_packet_observer(
-        [&](const char* stage, const net::Packet& pkt, sim::Cycle now) {
-            if (std::string(stage) == "mac_tx") sent[unsigned(pkt.out_iface)].push_back(now);
+        [&](net::Stage stage, const net::Packet& pkt, sim::Cycle now) {
+            if (stage == net::Stage::kMacTx) sent[unsigned(pkt.out_iface)].push_back(now);
         });
     for (unsigned port = 0; port < 2; ++port) {
         auto pkt = udp_pkt(256, port);

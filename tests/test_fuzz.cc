@@ -60,6 +60,23 @@ TEST(FuzzCorpus, PacketCaseRoundTrips) {
     EXPECT_EQ(back.frames, c.frames);
 }
 
+// One name table serves the CLI and the corpus: every pipeline's name
+// parses back to it, and corpus files spell it the same way.
+TEST(FuzzCorpus, PipelineNamesRoundTrip) {
+    using oracle::Pipeline;
+    for (Pipeline p : {Pipeline::kForwarder, Pipeline::kFirewall, Pipeline::kPigasusHwReorder,
+                       Pipeline::kPigasusSwReorder, Pipeline::kNat}) {
+        const std::string name = oracle::pipeline_name(p);
+        EXPECT_EQ(oracle::parse_pipeline(name), p) << name;
+        CorpusCase c;
+        c.kind = CorpusCase::Kind::kPacket;
+        c.pkt.pipeline = p;
+        std::string text = fuzz::corpus_to_text(c);
+        EXPECT_NE(text.find("pipeline " + name + "\n"), std::string::npos) << text;
+        EXPECT_EQ(fuzz::corpus_from_text(text).pkt.pipeline, p) << name;
+    }
+}
+
 TEST(FuzzCorpus, ConfigCaseRoundTrips) {
     CorpusCase c;
     c.kind = CorpusCase::Kind::kConfig;

@@ -9,12 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 
 #include "core/pipeline.h"
 #include "core/system.h"
-#include "core/tracer.h"
 #include "firmware/programs.h"
 #include "net/tracegen.h"
 #include "obs/health.h"
@@ -30,9 +30,12 @@ namespace {
 
 TEST(FlightRecorder, RingWrapsKeepingMostRecent) {
     obs::FlightRecorder fr(8);
-    for (uint64_t i = 0; i < 20; ++i)
-        fr.record(obs::FlightEventType::kIngress, /*cycle=*/100 + i, /*a=*/0,
-                  /*b=*/64, /*c=*/i);
+    net::Packet pkt;
+    pkt.data.resize(64);
+    for (uint64_t i = 0; i < 20; ++i) {
+        pkt.id = i;
+        fr.record(net::Stage::kMacRx, /*cycle=*/100 + i, pkt);
+    }
     EXPECT_EQ(fr.size(), 8u);
     EXPECT_EQ(fr.capacity(), 8u);
     EXPECT_EQ(fr.recorded(), 20u);
@@ -70,14 +73,20 @@ TEST(FlightRecorder, NotesInternAndBound) {
 
 TEST(FlightRecorder, DumpFormatsContainEvents) {
     obs::FlightRecorder fr(16);
-    fr.record(obs::FlightEventType::kIngress, 10, 0, 64, 1);
-    fr.record(obs::FlightEventType::kEgress, 42, 1, 64, 1, /*d=*/32);
+    net::Packet pkt;
+    pkt.data.resize(64);
+    pkt.id = 1;
+    pkt.out_iface = net::Iface::kPort1;
+    fr.record(net::Stage::kMacRx, 10, pkt);
+    fr.record(net::Stage::kMacTx, 42, pkt, /*latency=*/32);
     fr.record_note(obs::FlightEventType::kWatchdogTrip, 99, "egress silent");
     std::string json = fr.dump_json();
     std::string text = fr.dump_text();
     EXPECT_NE(json.find("\"events\""), std::string::npos);
+    EXPECT_NE(json.find("\"stage\":\"mac_tx\""), std::string::npos);
     EXPECT_NE(json.find("egress silent"), std::string::npos);
-    EXPECT_NE(text.find("ingress"), std::string::npos);
+    EXPECT_NE(text.find("mac_rx           port0 pkt=1 64B"), std::string::npos);
+    EXPECT_NE(text.find("mac_tx           port1 pkt=1 64B latency=32c"), std::string::npos);
     EXPECT_NE(text.find("egress silent"), std::string::npos);
     fr.clear();
     EXPECT_EQ(fr.size(), 0u);
@@ -87,20 +96,20 @@ TEST(FlightRecorder, DumpFormatsContainEvents) {
 // ------------------------------------------------------------- histogram
 
 TEST(Histogram, ExactBelowSubBucketRange) {
-    obs::Histogram h;
-    for (uint64_t v = 0; v < obs::Histogram::kSubBuckets; ++v) h.record(v);
-    for (uint64_t v = 0; v < obs::Histogram::kSubBuckets; ++v)
-        EXPECT_EQ(obs::Histogram::bucket_upper(obs::Histogram::bucket_index(v)), v);
-    EXPECT_EQ(h.count(), uint64_t(obs::Histogram::kSubBuckets));
+    sim::Histogram h;
+    for (uint64_t v = 0; v < sim::Histogram::kSubBuckets; ++v) h.record(v);
+    for (uint64_t v = 0; v < sim::Histogram::kSubBuckets; ++v)
+        EXPECT_EQ(sim::Histogram::bucket_upper(sim::Histogram::bucket_index(v)), v);
+    EXPECT_EQ(h.count(), uint64_t(sim::Histogram::kSubBuckets));
     EXPECT_EQ(h.min(), 0u);
-    EXPECT_EQ(h.max(), obs::Histogram::kSubBuckets - 1);
+    EXPECT_EQ(h.max(), sim::Histogram::kSubBuckets - 1);
 }
 
 TEST(Histogram, BucketBoundsContainValueWithBoundedError) {
     for (uint64_t v : {1ull, 7ull, 8ull, 9ull, 100ull, 1000ull, 123456ull,
                        (1ull << 40) + 12345, ~0ull >> 1}) {
-        unsigned idx = obs::Histogram::bucket_index(v);
-        uint64_t upper = obs::Histogram::bucket_upper(idx);
+        unsigned idx = sim::Histogram::bucket_index(v);
+        uint64_t upper = sim::Histogram::bucket_upper(idx);
         EXPECT_GE(upper, v) << "v=" << v;
         // HDR guarantee: the bucket upper bound overshoots by at most the
         // sub-bucket resolution (12.5% for kSubBits=3).
@@ -109,18 +118,40 @@ TEST(Histogram, BucketBoundsContainValueWithBoundedError) {
 }
 
 TEST(Histogram, PercentilesNeverUnderstate) {
-    obs::Histogram h;
+    sim::Histogram h;
     for (uint64_t i = 1; i <= 1000; ++i) h.record(i);
     EXPECT_EQ(h.count(), 1000u);
     EXPECT_GE(h.percentile(0.50), 500u);
     EXPECT_GE(h.percentile(0.99), 990u);
     EXPECT_LE(h.percentile(0.99), 1200u);  // within one bucket overshoot
     EXPECT_GE(h.percentile(1.0), 1000u);
-    EXPECT_EQ(obs::Histogram().percentile(0.99), 0u);
+}
+
+TEST(Histogram, EmptyReadsZero) {
+    sim::Histogram h;
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.mean(), 0.0);
+    EXPECT_EQ(h.min(), 0u);
+    EXPECT_EQ(h.max(), 0u);
+    for (double p : {0.5, 0.99, -1.0, 2.0, std::nan("")}) EXPECT_EQ(h.percentile(p), 0u);
+}
+
+TEST(Histogram, PercentileClampsOutOfRange) {
+    sim::Histogram h;
+    for (uint64_t v : {1, 2, 3, 4}) h.record(v);  // exact unit buckets
+    // Out-of-range p must clamp, not index out of bounds; NaN reads as 0.
+    EXPECT_EQ(h.percentile(-0.5), 1u);
+    EXPECT_EQ(h.percentile(1.5), 4u);
+    EXPECT_EQ(h.percentile(17.0), 4u);
+    EXPECT_EQ(h.percentile(std::nan("")), 1u);
+    EXPECT_EQ(h.percentile(0.0), 1u);
+    EXPECT_EQ(h.percentile(1.0), 4u);
+    EXPECT_EQ(h.percentile(0.5), 2u);
+    EXPECT_EQ(h.mean(), 2.5);
 }
 
 TEST(Histogram, MergeAndClear) {
-    obs::Histogram a, b;
+    sim::Histogram a, b;
     a.record(10, 5);
     b.record(1000, 3);
     a.merge(b);
@@ -181,7 +212,7 @@ TEST(Metrics, RegistryExportsPrometheusAndJson) {
     uint64_t hits = 7;
     reg.add_counter("demo_hits_total", "demo hits", "", [&] { return hits; });
     reg.add_gauge("demo_depth", "queue depth", "net=\"rx\"", [&] { return 3ull; });
-    obs::Histogram h;
+    sim::Histogram h;
     h.record(4);
     h.record(100);
     reg.add_histogram("demo_latency_seconds", "latency", "", &h, 1e-6);
@@ -258,6 +289,38 @@ TEST(HealthMonitor, HealthyRunAccountsAndPassesLenientSlo) {
     EXPECT_NE(d.json.find("\"recorder\""), std::string::npos);
     mon.detach();
     EXPECT_FALSE(mon.attached());
+}
+
+// Every terminal stage lands in its counter: the IDS sends matched packets
+// through host_deliver, the firewall drops blacklisted ones at fw_drop,
+// and once the capped traffic drains nothing is left in flight.
+TEST(HealthMonitor, TerminalStagesBalanceIngress) {
+    for (Pipeline p : {Pipeline::kPigasusHwReorder, Pipeline::kFirewall}) {
+        PipelineSpec spec;
+        spec.pipeline = p;
+        spec.system.rpu_count = 4;
+        spec.system.hw_reassembler = p == Pipeline::kPigasusHwReorder;
+        PipelineFixture fx = build_pipeline(spec);
+        System& sys = fx.system();
+        obs::HealthMonitor mon;
+        mon.attach(sys);
+        TrafficParams tp;
+        tp.max_packets = 200;
+        tp.load = 0.3;
+        tp.attack_fraction = 0.3;
+        add_traffic(fx, tp);
+        sys.run_cycles(60'000);
+
+        const uint64_t wire = sys.sink(0).frames() + sys.sink(1).frames();
+        const uint64_t host = sys.stats().get("host.rx_frames");
+        const uint64_t fw_drops = mon.dropped_at(net::Stage::kFwDrop);
+        EXPECT_EQ(mon.ingress_packets(), 200u) << pipeline_name(p);
+        EXPECT_EQ(mon.egress_packets(), wire + host) << pipeline_name(p);
+        EXPECT_EQ(mon.ingress_packets(), mon.egress_packets() + fw_drops) << pipeline_name(p);
+        EXPECT_EQ(mon.inflight(), 0u) << pipeline_name(p);
+        EXPECT_GT(p == Pipeline::kFirewall ? fw_drops : host, 0u) << pipeline_name(p);
+        mon.detach();
+    }
 }
 
 TEST(HealthMonitor, ImpossibleSloProducesFailedVerdicts) {
@@ -430,13 +493,13 @@ TEST(Telemetry, MaxEpochsCoarsensButConserves) {
 
 TEST(Exporters, ZeroCycleRunProducesValidDocuments) {
     PipelineFixture fx = build_pipeline({});
-    PacketTracer tracer;
-    tracer.attach(fx.system());
+    obs::FlightRecorder rec;
+    rec.attach(fx.system());
     obs::Telemetry telem;
     telem.attach(fx.system());
     // No cycles at all: exporters must still emit well-formed documents.
     telem.detach();
-    std::string trace = obs::trace_json(tracer, &telem);
+    std::string trace = obs::trace_json(rec, &telem);
     EXPECT_NE(trace.find("traceEvents"), std::string::npos);
     obs::VcdWriter vcd;
     std::string dump = vcd.str();

@@ -373,9 +373,9 @@ TEST(Broadcast, RoundRobinFairUnderSaturation) {
 
 TEST(Broadcast, SparseLatencyInPaperBand) {
     BcastFixture f(16);
-    sim::Sampler lat;
+    sim::Histogram lat;  // ns
     f.net.set_delivery_probe([&](uint32_t, uint32_t value, sim::Cycle now) {
-        lat.add(sim::cycles_to_ns(now - value));
+        lat.record(uint64_t(sim::cycles_to_ns(now - value)));
     });
     sim::Cycle t = 100;
     for (int i = 0; i < 50; ++i) {
@@ -385,8 +385,8 @@ TEST(Broadcast, SparseLatencyInPaperBand) {
     }
     f.kernel.run(200);
     // Paper: 72-92 ns for sparse messages; allow the enqueue cycle.
-    EXPECT_GE(lat.min(), 60.0);
-    EXPECT_LE(lat.max(), 110.0);
+    EXPECT_GE(lat.min(), 60u);
+    EXPECT_LE(lat.max(), 110u);
 }
 
 TEST(Broadcast, GrantThrottleLimitsSustainedRate) {

@@ -1,18 +1,15 @@
-/// Observability-stack tests: sampler hardening (percentile clamp,
-/// reservoir bounding), CSV escaping, the VCD writer's header/format, the
-/// Perfetto exporter's structure, the telemetry cycle-classification
+/// Observability-stack tests: CSV escaping, the VCD writer's header/format,
+/// the Perfetto exporter's structure, the telemetry cycle-classification
 /// invariant (busy+stalled+starved+idle == observed cycles on every net),
-/// the firmware PC profiler's conservation property, tracer retention, and
-/// the guarantee that attaching telemetry leaves the architectural state
-/// fingerprint untouched.
+/// the firmware PC profiler's conservation property, flight-recorder
+/// retention of packet timelines, and the guarantee that attaching
+/// telemetry leaves the architectural state fingerprint untouched.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <tuple>
 
 #include "core/system.h"
-#include "core/tracer.h"
 #include "firmware/programs.h"
 #include "net/headers.h"
 #include "net/tracegen.h"
@@ -20,6 +17,7 @@
 #include "obs/json.h"
 #include "obs/perfetto.h"
 #include "obs/profile.h"
+#include "obs/recorder.h"
 #include "obs/report.h"
 #include "obs/shardcheck.h"
 #include "obs/telemetry.h"
@@ -29,68 +27,19 @@
 namespace rosebud {
 namespace {
 
-// ---------------------------------------------------------------- sampler
-
-TEST(Sampler, EmptyPercentileIsZero) {
-    sim::Sampler s;
-    EXPECT_EQ(s.percentile(0.5), 0.0);
-    EXPECT_EQ(s.percentile(-1.0), 0.0);
-    EXPECT_EQ(s.percentile(2.0), 0.0);
-}
-
-TEST(Sampler, PercentileClampsOutOfRange) {
-    sim::Sampler s;
-    for (double v : {1.0, 2.0, 3.0, 4.0}) s.add(v);
-    // Out-of-range p must clamp, not index out of bounds.
-    EXPECT_EQ(s.percentile(-0.5), 1.0);
-    EXPECT_EQ(s.percentile(1.5), 4.0);
-    EXPECT_EQ(s.percentile(17.0), 4.0);
-    EXPECT_EQ(s.percentile(std::nan("")), 1.0);
-    EXPECT_EQ(s.percentile(0.0), 1.0);
-    EXPECT_EQ(s.percentile(1.0), 4.0);
-    EXPECT_NEAR(s.percentile(0.5), 2.5, 1e-12);
-}
-
-TEST(Sampler, ReservoirBoundsRetentionKeepsExactAggregates) {
-    sim::Sampler s;
-    s.set_reservoir(64);
-    for (int i = 1; i <= 10000; ++i) s.add(double(i));
-    EXPECT_EQ(s.count(), 64u);          // bounded retention
-    EXPECT_EQ(s.seen(), 10000u);        // all samples accounted
-    EXPECT_EQ(s.min(), 1.0);            // aggregates exact over all samples
-    EXPECT_EQ(s.max(), 10000.0);
-    EXPECT_NEAR(s.mean(), 5000.5, 1e-9);
-    // Percentile is an estimate but must come from retained samples.
-    double p50 = s.percentile(0.5);
-    EXPECT_GE(p50, 1.0);
-    EXPECT_LE(p50, 10000.0);
-}
-
-TEST(Sampler, ReservoirTruncatesExistingSamples) {
-    sim::Sampler s;
-    for (int i = 0; i < 100; ++i) s.add(double(i));
-    s.set_reservoir(10);
-    EXPECT_EQ(s.count(), 10u);
-    EXPECT_EQ(s.seen(), 100u);
-}
-
 // -------------------------------------------------------------------- csv
 
-TEST(StatsCsv, QuotesNamesAndEmitsPercentiles) {
+TEST(StatsCsv, QuotesNames) {
     sim::Stats st;
     st.counter("plain").add(5);
     st.counter("weird,name").add(7);
     st.counter("has\"quote").add(1);
-    auto& s = st.sampler("lat");
-    for (double v : {1.0, 2.0, 3.0, 4.0}) s.add(v);
 
     std::string csv = st.to_csv();
-    EXPECT_NE(csv.find("name,kind,count,mean,min,max,p50,p99"), std::string::npos);
-    EXPECT_NE(csv.find("\"weird,name\",counter,7"), std::string::npos);
-    EXPECT_NE(csv.find("\"has\"\"quote\",counter,1"), std::string::npos);
-    EXPECT_NE(csv.find("plain,counter,5"), std::string::npos);
-    // Sampler row: count, mean, min, max, p50, p99.
-    EXPECT_NE(csv.find("lat,sampler,4,2.5,1,4,2.5,"), std::string::npos);
+    EXPECT_EQ(csv.rfind("name,value\n", 0), 0u);
+    EXPECT_NE(csv.find("\"weird,name\",7\n"), std::string::npos);
+    EXPECT_NE(csv.find("\"has\"\"quote\",1\n"), std::string::npos);
+    EXPECT_NE(csv.find("plain,5\n"), std::string::npos);
 
     // Round-trip: a minimal RFC 4180 parse of the quoted field recovers
     // the original name.
@@ -254,10 +203,19 @@ TEST(Perfetto, EmitsStructurallyValidTrace) {
     obs::ProfileSpec s;
     s.build.pipeline = Pipeline::kForwarder;
     s.build.system.rpu_count = 4;
+    s.traffic.max_packets = 20;
     s.run_cycles = 5000;
     s.capture_vcd = false;
     auto r = obs::run_profile(s);
+    // The traffic shape reaches the generator: exactly the capped packets
+    // come back, and each one's lifecycle ends in one instant marker.
+    EXPECT_EQ(r.rx_frames, 20u);
     const std::string& t = r.trace;
+    size_t instants = 0;
+    for (size_t at = t.find("\"ph\":\"i\""); at != std::string::npos;
+         at = t.find("\"ph\":\"i\"", at + 1))
+        ++instants;
+    EXPECT_EQ(instants, 20u);
     ASSERT_FALSE(t.empty());
     EXPECT_EQ(t.front(), '{');
     EXPECT_EQ(t.back(), '}');
@@ -297,9 +255,9 @@ TEST(Telemetry, VcdCaptureContainsSystemNets) {
     EXPECT_NE(r.vcd.find("$dumpvars"), std::string::npos);
 }
 
-// ---------------------------------------------------------------- tracer
+// --------------------------------------------------------- flight recorder
 
-TEST(PacketTracer, RetentionCapEvictsOldest) {
+TEST(FlightRecorder, RetentionCapEvictsOldest) {
     SystemConfig cfg;
     cfg.rpu_count = 4;
     System sys(cfg);
@@ -308,18 +266,20 @@ TEST(PacketTracer, RetentionCapEvictsOldest) {
     sys.host().boot_all();
     sys.run_cycles(300);
 
-    PacketTracer tracer;
-    tracer.set_max_packets(8);
-    tracer.attach(sys);
+    // A forwarded packet crosses seven stages, so 56 events hold about
+    // eight packets' timelines.
+    obs::FlightRecorder rec(56);
+    rec.attach(sys);
     for (int i = 0; i < 32; ++i) {
         sys.fabric().mac_rx(0, make_packet(128, uint64_t(1000 + i)));
         sys.run_cycles(400);
     }
-    EXPECT_LE(tracer.packet_ids().size(), 8u);
-    EXPECT_GT(tracer.evicted_packets(), 0u);
+    EXPECT_EQ(rec.recorded(), 32u * 7);
+    EXPECT_EQ(rec.timelines().size(), 8u);
+    EXPECT_GT(rec.overwritten(), 0u);
     // The newest ids survive, the oldest were evicted.
-    EXPECT_TRUE(tracer.timeline(1000).empty());
-    EXPECT_FALSE(tracer.timeline(1031).empty());
+    EXPECT_TRUE(rec.timeline(1000).empty());
+    EXPECT_FALSE(rec.timeline(1031).empty());
 }
 
 // -------------------------------------- zero-overhead / determinism guard

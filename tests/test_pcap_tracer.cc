@@ -1,17 +1,17 @@
 /// Tests for the pcap interchange format and the per-packet lifecycle
-/// tracer.
+/// timelines a flight recorder attached to a System holds.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 #include "core/system.h"
-#include "core/tracer.h"
 #include "accel/firewall.h"
 #include "firmware/programs.h"
 #include "net/headers.h"
 #include "net/pcap.h"
 #include "net/tracegen.h"
+#include "obs/recorder.h"
 
 namespace rosebud {
 namespace {
@@ -99,8 +99,8 @@ TEST(Tracer, RecordsFullPacketLifecycle) {
     sys.host().boot_all();
     sys.run_cycles(300);
 
-    PacketTracer tracer;
-    tracer.attach(sys);
+    obs::FlightRecorder rec;
+    rec.attach(sys);
 
     net::PacketBuilder b;
     b.ipv4(1, 2).udp(3, 4).frame_size(200);
@@ -109,24 +109,25 @@ TEST(Tracer, RecordsFullPacketLifecycle) {
     ASSERT_TRUE(sys.fabric().mac_rx(0, p));
     sys.run_cycles(2000);
 
-    const auto& tl = tracer.timeline(42);
+    const auto tl = rec.timeline(42);
     ASSERT_GE(tl.size(), 6u);
-    std::vector<std::string> stages;
+    std::vector<net::Stage> stages;
     for (const auto& e : tl) stages.push_back(e.stage);
     // The canonical path, in order.
-    auto idx = [&](const char* s) {
+    auto idx = [&](net::Stage s) {
         return std::find(stages.begin(), stages.end(), s) - stages.begin();
     };
-    EXPECT_LT(idx("mac_rx"), idx("lb_assign"));
-    EXPECT_LT(idx("lb_assign"), idx("rpu_link_dispatch"));
-    EXPECT_LT(idx("rpu_link_dispatch"), idx("rpu_rx_complete"));
-    EXPECT_LT(idx("rpu_rx_complete"), idx("fw_send"));
-    EXPECT_LT(idx("fw_send"), idx("mac_tx"));
+    EXPECT_LT(idx(net::Stage::kMacRx), idx(net::Stage::kLbAssign));
+    EXPECT_LT(idx(net::Stage::kLbAssign), idx(net::Stage::kRpuLinkDispatch));
+    EXPECT_LT(idx(net::Stage::kRpuLinkDispatch), idx(net::Stage::kRpuRxComplete));
+    EXPECT_LT(idx(net::Stage::kRpuRxComplete), idx(net::Stage::kFwSend));
+    EXPECT_LT(idx(net::Stage::kFwSend), idx(net::Stage::kMacTx));
+    EXPECT_LT(idx(net::Stage::kMacTx), std::ptrdiff_t(stages.size()));
     // Cycles are monotone.
     for (size_t i = 1; i < tl.size(); ++i) EXPECT_GE(tl[i].cycle, tl[i - 1].cycle);
-    EXPECT_GT(tracer.transit_cycles(42), 100u);  // ~0.8 us RTT
+    EXPECT_GT(tl.back().cycle - tl.front().cycle, 100u);  // ~0.8 us RTT
 
-    std::string text = tracer.format_timeline(42);
+    std::string text = rec.format_timeline(42);
     EXPECT_NE(text.find("mac_tx"), std::string::npos);
     EXPECT_NE(text.find("packet 42"), std::string::npos);
 }
@@ -144,8 +145,8 @@ TEST(Tracer, DropsAreVisible) {
     sys.host().boot_all();
     sys.run_cycles(300);
 
-    PacketTracer tracer;
-    tracer.attach(sys);
+    obs::FlightRecorder rec;
+    rec.attach(sys);
     net::PacketBuilder b;
     b.ipv4(net::parse_ipv4_addr("66.0.0.1"), 2).tcp(1, 2).frame_size(128);
     auto p = b.build();
@@ -153,17 +154,16 @@ TEST(Tracer, DropsAreVisible) {
     ASSERT_TRUE(sys.fabric().mac_rx(0, p));
     sys.run_cycles(2000);
 
-    std::vector<std::string> stages;
-    for (const auto& e : tracer.timeline(7)) stages.push_back(e.stage);
-    EXPECT_NE(std::find(stages.begin(), stages.end(), "fw_drop"), stages.end());
-    EXPECT_EQ(std::find(stages.begin(), stages.end(), "mac_tx"), stages.end());
+    std::vector<net::Stage> stages;
+    for (const auto& e : rec.timeline(7)) stages.push_back(e.stage);
+    EXPECT_NE(std::find(stages.begin(), stages.end(), net::Stage::kFwDrop), stages.end());
+    EXPECT_EQ(std::find(stages.begin(), stages.end(), net::Stage::kMacTx), stages.end());
 }
 
 TEST(Tracer, UnknownPacketHasEmptyTimeline) {
-    PacketTracer tracer;
-    EXPECT_TRUE(tracer.timeline(999).empty());
-    EXPECT_EQ(tracer.transit_cycles(999), 0u);
-    EXPECT_NE(tracer.format_timeline(999).find("no events"), std::string::npos);
+    obs::FlightRecorder rec;
+    EXPECT_TRUE(rec.timeline(999).empty());
+    EXPECT_NE(rec.format_timeline(999).find("no events"), std::string::npos);
 }
 
 }  // namespace

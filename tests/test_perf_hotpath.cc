@@ -26,6 +26,7 @@
 #include "net/headers.h"
 #include "net/tracegen.h"
 #include "obs/health.h"
+#include "obs/recorder.h"
 
 namespace {
 
@@ -140,9 +141,10 @@ TEST(HotPath, TrafficAllocationsAreBoundedPerPacket) {
 /// DUT allocations per forwarded packet on Fig 7a's 64 B point: 16 RPUs
 /// running the forwarder, both ports at line rate, 100,000 cycles after a
 /// 20,000-cycle warm-up. The generators hand out packets built before
-/// the run, so every allocation counted is the DUT's.
+/// the run, so every allocation counted is the DUT's. `observed` attaches
+/// the health monitor and an all-stage flight recorder first.
 double
-forwarding_allocs_per_packet(lb::Policy policy) {
+forwarding_allocs_per_packet(lb::Policy policy, bool observed = false) {
     constexpr sim::Cycle kWarmup = 20'000, kWindow = 100'000;
     SystemConfig cfg;
     cfg.rpu_count = 16;
@@ -151,6 +153,12 @@ forwarding_allocs_per_packet(lb::Policy policy) {
     auto fw = fwlib::forwarder();
     sys.host().load_firmware_all(fw.image, fw.entry);
     sys.host().boot_all();
+    obs::HealthMonitor mon;
+    obs::FlightRecorder rec;
+    if (observed) {
+        mon.attach(sys);
+        rec.attach(sys);
+    }
 
     // 64 B frames take 88 B of line time: at most 50/88 packets per cycle
     // per port. Distinct UDP source ports spread the flows over all RPUs
@@ -188,6 +196,11 @@ forwarding_allocs_per_packet(lb::Policy policy) {
     // packet per cycle (the hash policy's flow affinity costs a little).
     for (const auto& pool : pools) EXPECT_TRUE(pool->back()) << "pool ran dry";
     EXPECT_GT(packets, kWindow * 9 / 10);
+    if (observed) {
+        EXPECT_GE(mon.egress_packets(), packets);  // the observers really ran
+        EXPECT_GT(rec.recorded(), 7 * packets);
+        mon.detach();
+    }
     return double(g_allocs.load()) / double(packets);
 }
 
@@ -221,6 +234,14 @@ TEST(HotPath, IdleSteadyStateWithHealthAttachedAllocatesNothing) {
     EXPECT_EQ(g_allocs.load(), 0u)
         << "health layer touched the heap on the idle per-cycle path";
     mon.detach();
+}
+
+// The typed packet-event stream costs no allocation either: the System's
+// fan-out, the health monitor's per-packet accounting and an all-stage
+// flight recorder keep the forwarding path at the detached bound.
+TEST(HotPath, ForwardingPathWithHealthAndRecorderAllocatesNothingPerPacket) {
+    EXPECT_LE(forwarding_allocs_per_packet(lb::Policy::kRoundRobin, /*observed=*/true),
+              0.01);
 }
 
 TEST(HotPath, TrafficWithHealthAttachedStaysBoundedPerPacket) {

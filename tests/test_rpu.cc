@@ -608,9 +608,9 @@ TEST(RpuTest, ForwarderSleepsMidTransferWithExactTiming) {
         Timeline t;
         Fixture f;
         f.kernel.set_idle_skip(skip);
-        f.rpu.set_trace([&](const char* ev, const net::Packet&) {
-            if (std::string(ev) == "rpu_rx_complete") t.rx_complete = f.kernel.now();
-            if (std::string(ev) == "fw_send") t.fw_send = f.kernel.now();
+        f.rpu.set_trace([&](net::Stage stage, const net::Packet&) {
+            if (stage == net::Stage::kRpuRxComplete) t.rx_complete = f.kernel.now();
+            if (stage == net::Stage::kFwSend) t.fw_send = f.kernel.now();
         });
         f.rpu.set_egress_handler([&](net::PacketPtr) {
             t.egress = f.kernel.now();

@@ -154,27 +154,8 @@ TEST(Stats, CountersFindOrCreate) {
 TEST(Stats, ResetAll) {
     Stats s;
     s.counter("x").add(9);
-    s.sampler("y").add(1.0);
     s.reset_all();
     EXPECT_EQ(s.get("x"), 0u);
-    EXPECT_TRUE(s.sampler("y").empty());
-}
-
-TEST(Sampler, Statistics) {
-    Sampler s;
-    for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) s.add(v);
-    EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 5.0);
-    EXPECT_DOUBLE_EQ(s.percentile(0.5), 3.0);
-    EXPECT_DOUBLE_EQ(s.percentile(0.0), 1.0);
-    EXPECT_DOUBLE_EQ(s.percentile(1.0), 5.0);
-}
-
-TEST(Sampler, EmptyIsZero) {
-    Sampler s;
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.percentile(0.99), 0.0);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

@@ -112,7 +112,7 @@ TEST(SystemInvariants, FingerprintCoversSinkLatencies) {
     sys.host().boot_all();
     sys.run_cycles(500);
     const uint64_t before = sys.state_fingerprint();
-    sys.sink(0).latency().add(1234.0);
+    sys.sink(0).latency().record(1234);
     EXPECT_NE(sys.state_fingerprint(), before);
 }
 
