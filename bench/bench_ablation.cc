@@ -143,7 +143,7 @@ main() {
         cfg.rpu_count = 16;
         cfg.lb_policy = policy;
         System sys(cfg);
-        auto fw = fwlib::forwarder();
+        auto fw = fwlib::forwarder({}, policy == lb::Policy::kHash);
         sys.host().load_firmware_all(fw.image, fw.entry);
         sys.host().boot_all();
         sys.run_cycles(500);

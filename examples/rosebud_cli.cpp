@@ -25,7 +25,6 @@
 #include "fuzz/corpus.h"
 #include "fuzz/driver.h"
 #include "lint/netlist.h"
-#include "lint/shard.h"
 #include "obs/harness.h"
 #include "obs/health.h"
 #include "obs/profile.h"
@@ -118,16 +117,9 @@ usage() {
                  "             --json FILE (write the certificates as JSON)\n"
                  "             (static firmware verification; exits 1 on any error)\n"
                  "  lint       --rpus N (omit to sweep 4/8/16) --dot FILE\n"
-                 "             --shards [N] (certify a partition of the paper\n"
-                 "              configuration: checks every cut edge's latency\n"
-                 "              bound, nothing executes the plan; bare --shards\n"
-                 "              sweeps 2/4/8-way plans; with --dot the dump is\n"
-                 "              annotated with shard clusters + cut edges)\n"
-                 "             --json FILE (netlist summary, violations and every\n"
-                 "              certified shard plan as JSON)\n"
+                 "             --json FILE (netlist summary and violations as JSON)\n"
                  "             (elaborate every shipped config and run the static\n"
-                 "              netlist checks; exits 1 on any violation or on an\n"
-                 "              internally inconsistent shard plan)\n"
+                 "              netlist checks; exits 1 on any violation)\n"
                  "  fuzz       --seed N --budget-ms N --cases N (per-generator cap)\n"
                  "             --gen fw|pkt|cfg|all --corpus DIR --no-minimize\n"
                  "             --verbose\n"
@@ -235,16 +227,6 @@ main(int argc, char** argv) {
             std::strcmp(argv[i], "--deep") == 0 ||
             std::strcmp(argv[i], "--inject-stall") == 0) {
             args.kv[argv[i] + 2] = "1";
-            continue;
-        }
-        // `--shards [N]` takes an optional count: bare --shards sweeps the
-        // default 2/4/8-way plans (value 0 is the sweep sentinel).
-        if (std::strcmp(argv[i], "--shards") == 0) {
-            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-                args.kv["shards"] = argv[++i];
-            } else {
-                args.kv["shards"] = "0";
-            }
             continue;
         }
         if (i + 1 >= argc) return usage();
@@ -442,9 +424,8 @@ main(int argc, char** argv) {
                 total += violations.size();
             }
         }
-        // Paper-configuration instance for the JSON export, the DOT dump
-        // and the shard-cut certifier. Two inert traffic sources attach
-        // the MAC boundary components the certified plans cut along (no
+        // Paper-configuration instance for the JSON export and the DOT dump.
+        // Two inert traffic sources attach the MAC boundary components (no
         // cycle ever runs, so the generators are never called).
         SystemConfig cfg;
         cfg.rpu_count = rpu_counts.back();
@@ -457,36 +438,10 @@ main(int argc, char** argv) {
         auto paper_violations = sys.lint_check();
         total += paper_violations.size();
 
-        std::vector<unsigned> shard_counts;
-        if (args.has("shards")) {
-            unsigned n = args.u32("shards", 0);
-            if (n == 0) shard_counts = {2, 4, 8};
-            else shard_counts.push_back(n);
-        }
-        std::vector<lint::ShardPlan> plans;
-        size_t bad_plans = 0;
-        for (unsigned n : shard_counts) {
-            lint::ShardPlan plan = sys.shard_plan(n);
-            std::string why;
-            bool consistent = lint::validate_plan(sys.kernel(), plan, &why);
-            std::printf("%s", lint::plan_report(plan).c_str());
-            if (!consistent) {
-                std::printf("INCONSISTENT %u-shard plan: %s\n", n, why.c_str());
-                ++bad_plans;
-            }
-            plans.push_back(std::move(plan));
-        }
-
         std::string json_path = args.str("json", "");
         if (!json_path.empty()) {
             std::string json =
-                "{\"lint\":" + lint::lint_json(sys.kernel(), paper_violations) +
-                ",\"plans\":[";
-            for (size_t i = 0; i < plans.size(); ++i) {
-                if (i) json += ",";
-                json += lint::plan_json(plans[i]);
-            }
-            json += "]}\n";
+                "{\"lint\":" + lint::lint_json(sys.kernel(), paper_violations) + "}\n";
             if (FILE* f = std::fopen(json_path.c_str(), "w")) {
                 std::fwrite(json.data(), 1, json.size(), f);
                 std::fclose(f);
@@ -497,11 +452,7 @@ main(int argc, char** argv) {
             }
         }
         if (!dot.empty()) {
-            // With certified plans, dump the annotated partition view of
-            // the first (finest-grained sound intent is the 2-way plan);
-            // otherwise the plain netlist graph.
-            std::string graph = plans.empty() ? lint::to_dot(sys.kernel())
-                                              : lint::plan_dot(sys.kernel(), plans.front());
+            std::string graph = lint::to_dot(sys.kernel());
             if (FILE* f = std::fopen(dot.c_str(), "w")) {
                 std::fwrite(graph.data(), 1, graph.size(), f);
                 std::fclose(f);
@@ -512,10 +463,6 @@ main(int argc, char** argv) {
         }
         if (total != 0) {
             std::printf("%zu lint violation(s)\n", total);
-            return 1;
-        }
-        if (bad_plans != 0) {
-            std::printf("%zu inconsistent shard plan(s)\n", bad_plans);
             return 1;
         }
     } else if (args.experiment == "fuzz") {

@@ -41,7 +41,8 @@ build_pipeline(const PipelineSpec& spec) {
     sim::Rng rng(spec.seed);
     switch (spec.pipeline) {
     case Pipeline::kForwarder:
-        fx.firmware = fwlib::forwarder();
+        fx.firmware =
+            fwlib::forwarder({}, spec.system.lb_policy == lb::Policy::kHash);
         break;
     case Pipeline::kFirewall:
         fx.blacklist = std::make_unique<net::Blacklist>(

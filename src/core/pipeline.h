@@ -6,7 +6,7 @@
 /// only code that maps a pipeline name to its firmware image, its
 /// accelerator factory and the seeded synthesis of its rule table or
 /// blacklist. The paper experiments (core/experiments.h), the oracle
-/// differential, the profile/health/shard-check harnesses, the benches and
+/// differential, the profile and health harnesses, the benches and
 /// the CLI all build through it, so a verification run drives exactly the
 /// System configuration that gets measured.
 

@@ -111,28 +111,16 @@ System::System(const SystemConfig& config) : config_(config) {
                               sim::PortRecord::kRead, 512, 0});
     }
 
-    // Pre-cycle-0 gate: the static lint (and, when configured, the
-    // shard-cut certifier) runs once, right before the first tick, so late
-    // wiring (sources, accelerators) is already elaborated.
-    if (config_.lint != LintMode::kOff || config_.certify_shards > 0) {
+    // Pre-cycle-0 gate: the static lint runs once, right before the first
+    // tick, so late wiring (sources, accelerators) is already elaborated.
+    if (config_.lint != LintMode::kOff) {
         kernel_.set_prestep_hook([this](sim::Kernel&) {
-            if (config_.lint != LintMode::kOff) {
-                auto violations = lint_check();
-                if (!violations.empty()) {
-                    std::string msg =
-                        "netlist lint failed:\n" + lint::report(violations);
-                    if (config_.lint == LintMode::kEnforce) sim::fatal(msg);
-                    sim::warn(msg);
-                }
-            }
-            if (config_.certify_shards > 0) {
-                lint::ShardPlan plan = shard_plan(config_.certify_shards);
-                if (!plan.sound) {
-                    std::string msg = "shard-cut certification failed: " +
-                                      plan.verdict;
-                    if (config_.lint == LintMode::kEnforce) sim::fatal(msg);
-                    sim::warn(msg);
-                }
+            auto violations = lint_check();
+            if (!violations.empty()) {
+                std::string msg =
+                    "netlist lint failed:\n" + lint::report(violations);
+                if (config_.lint == LintMode::kEnforce) sim::fatal(msg);
+                sim::warn(msg);
             }
         });
     }
@@ -245,11 +233,6 @@ System::lint_check() const {
                                     pr_region_capacity(n)));
     append(lint::check_resource_fit("LB (PR block)", row("LB"), lb_region_capacity(n)));
     return violations;
-}
-
-lint::ShardPlan
-System::shard_plan(unsigned shards) const {
-    return lint::certify_partition(kernel_, shards);
 }
 
 namespace {

@@ -27,7 +27,6 @@
 #include "host/host.h"
 #include "lb/load_balancer.h"
 #include "lint/netlist.h"
-#include "lint/shard.h"
 #include "msg/broadcast.h"
 #include "rpu/rpu.h"
 #include "sim/kernel.h"
@@ -67,18 +66,13 @@ struct SystemConfig {
     host::FirmwareCheck firmware_check = host::FirmwareCheck::kEnforce;
     /// Line-rate admission gate: require a finite certified WCET, a finite
     /// stack bound and the text-write-separation proof on every firmware
-    /// load (off by default; the multi-tenant control plane turns it on).
+    /// load (off by default; nothing in the shipped pipelines turns it on).
     host::FirmwareCheck wcet_check = host::FirmwareCheck::kOff;
     /// Per-activation cycle budget enforced by the admission gate when
     /// non-zero (tenant QoS contract; 0 = bounded-only, no budget compare).
     uint64_t wcet_budget_cycles = 0;
     /// Elaboration-time netlist lint policy (see LintMode).
     LintMode lint = LintMode::kEnforce;
-    /// When non-zero, the pre-cycle-0 gate also runs the shard-cut
-    /// certifier (lint::certify_partition) for this shard count and
-    /// applies the LintMode policy to an unsound verdict. The plan is
-    /// checked, never executed: kernel scheduling is unchanged.
-    unsigned certify_shards = 0;
     /// Applied by the constructor to the kernel and every RPU core.
     SimTuning tuning{};
 };
@@ -158,12 +152,6 @@ class System {
     /// VU9P). Returns every violation found (empty = clean). This is what
     /// the automatic pre-cycle-0 gate runs under LintMode::kEnforce/kWarn.
     std::vector<lint::Violation> lint_check() const;
-
-    /// Certified shard partition of the elaborated netlist (see
-    /// lint/shard.h). Purely analytical: does not change scheduling.
-    /// Certify after all wiring (sources, accelerators) is declared —
-    /// any later declare_net/declare_port invalidates the plan.
-    lint::ShardPlan shard_plan(unsigned shards) const;
 
     /// Order-insensitive digest of the architecturally visible state:
     /// every stats counter, sink frame/byte counts and latency histograms

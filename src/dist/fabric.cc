@@ -84,9 +84,9 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
     // MAC-side FIFOs: depth in 512-bit words. The wire side is external.
     // mac_rx admission works on a committed+staged snapshot (see
     // IngressSource: admission cannot observe same-cycle pops), so its
-    // credit return is registered — one cycle of provable lookahead on the
-    // source->fabric feedback edge. mac_tx drains self-paced onto the line
-    // (the sink never returns credit), so no feedback edge exists at all.
+    // credit return is registered and a pop wakes the writing source.
+    // mac_tx drains self-paced onto the line (the sink never returns
+    // credit), so it declares skid credit: only the reader wakes.
     for (unsigned p = 0; p < 2; ++p) {
         std::string rx = "fabric.mac_rx.p" + std::to_string(p);
         kernel.declare_net({rx, NetRecord::kFifo, kSw, config_.mac_rx_fifo_bytes / 64,
@@ -94,7 +94,7 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
         kernel.declare_port({name(), rx, PortRecord::kRead, kSw, 0});
         std::string tx = "fabric.mac_tx.p" + std::to_string(p);
         kernel.declare_net({tx, NetRecord::kFifo, kSw, config_.mac_tx_fifo_bytes / 64,
-                            sim::kNetExternalSink, NetRecord::kCreditNone});
+                            sim::kNetExternalSink, NetRecord::kCreditSkid});
         kernel.declare_port({name(), tx, PortRecord::kWrite, kSw,
                              config_.mac_tx_fifo_bytes / 64});
     }
@@ -107,7 +107,7 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
                         sim::kNetExternalSource, NetRecord::kCreditRegistered});
     kernel.declare_port({name(), "fabric.host_q", PortRecord::kRead, kSw, 0});
     kernel.declare_net({"fabric.host_out", NetRecord::kFifo, kSw, config_.pcie_tags,
-                        sim::kNetExternalSink, NetRecord::kCreditNone});
+                        sim::kNetExternalSink, NetRecord::kCreditSkid});
     kernel.declare_port(
         {name(), "fabric.host_out", PortRecord::kWrite, kSw, config_.pcie_tags});
     kernel.declare_net(

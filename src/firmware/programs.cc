@@ -34,19 +34,27 @@ emit_prologue(Assembler& a, const SlotParams& slots) {
 }  // namespace
 
 Program
-forwarder(const SlotParams& slots) {
+forwarder(const SlotParams& slots, bool hash_prepended) {
     Assembler a;
     emit_prologue(a, slots);
+    if (hash_prepended) a.lui(s1, 0x40);  // 4 << 16: 4 off the length field
     // The minimal descriptor loop: 8 instructions, 16 cycles when a
-    // descriptor is always pending (Section 6.1).
+    // descriptor is always pending (Section 6.1); 10 and 18 with
+    // hash_prepended.
     a.label("loop");
     a.lw(a0, rp::kRegRecvLow, gp);      // 3 cycles (MMIO load)
     a.beqz(a0, "loop");                 // 1 cycle not taken
     a.lw(a1, rp::kRegRecvHigh, gp);     // 3
     a.sw(zero, rp::kRegRecvRelease, gp);// 2
     a.xori(a0, a0, 1);                  // 1: swap output port 0 <-> 1
+    if (hash_prepended) {
+        // Send the frame without the 4-byte hash word in front of it.
+        a.sub(a0, a0, s1);              // 1: length - 4
+        a.addi(a1, a1, 4);              // 1: address + 4
+    }
     a.sw(a0, rp::kRegSendLow, gp);      // 2
-    a.sw(zero, rp::kRegSendHigh, gp);   // 2: slot-default address
+    // 2: slot-default address, or past the hash word
+    a.sw(hash_prepended ? a1 : zero, rp::kRegSendHigh, gp);
     a.j("loop");                        // 2
     return {a.assemble(), 0};
 }

@@ -46,7 +46,10 @@ struct SlotParams {
     uint32_t size = 16 * 1024;
 };
 
-Program forwarder(const SlotParams& slots = {});
+/// `hash_prepended` must match the LB configuration, as for nat(): the
+/// hash policy prepends a 4-byte flow hash that the firmware leaves out of
+/// the sent frame, at two more instructions per packet.
+Program forwarder(const SlotParams& slots = {}, bool hash_prepended = false);
 
 /// `rpu_count` determines the partner mapping (i <-> i + rpu_count/2).
 Program two_step_forwarder(unsigned rpu_count, const SlotParams& slots = {});

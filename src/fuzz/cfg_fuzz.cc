@@ -79,7 +79,6 @@ cfg_kind_name(CfgKind k) {
     case CfgKind::kRejectedRuntime: return "rejected-runtime";
     case CfgKind::kDiverge: return "diverge";
     case CfgKind::kFingerprint: return "fingerprint-mismatch";
-    case CfgKind::kShardPlan: return "shard-plan";
     }
     return "?";
 }
@@ -136,17 +135,6 @@ run_config_case(const CfgCase& c, const CfgOptions& opts) {
         if (!violations.empty()) {
             v.kind = CfgKind::kRejectedLint;
             v.detail = lint::report(violations);
-            return v;
-        }
-        // Shard-plan oracle: every netlist that survives the linter must
-        // yield an internally consistent certifier verdict — a sound plan
-        // whose every cut edge carries lookahead >= 1, or a proven
-        // no-safe-cut explanation. Anything else is a certifier bug.
-        lint::ShardPlan plan = lint::certify_partition(sys.kernel(), 2);
-        std::string why;
-        if (!lint::validate_plan(sys.kernel(), plan, &why)) {
-            v.kind = CfgKind::kShardPlan;
-            v.detail = "shard-plan oracle: " + why;
             return v;
         }
     } catch (const sim::FatalError& e) {

@@ -72,7 +72,6 @@ enum class CfgKind : uint8_t {
     kRejectedRuntime,    ///< a runtime fatal during the probe
     kDiverge,            ///< scoreboard divergence on an accepted config
     kFingerprint,        ///< shuffled-tick-order fingerprint mismatch
-    kShardPlan,          ///< shard-cut certifier emitted an inconsistent plan
 };
 
 const char* cfg_kind_name(CfgKind k);

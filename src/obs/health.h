@@ -1,5 +1,5 @@
 /// \file
-/// Always-on production health layer (DESIGN.md §15): flight recorder,
+/// Always-on production health layer (DESIGN.md §14): flight recorder,
 /// forward-progress watchdog, SLO histograms, metrics registry — the
 /// instrumentation a deployed middlebox keeps attached *in production*,
 /// as opposed to the heavyweight debugging stack (obs::Telemetry, an

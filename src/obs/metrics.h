@@ -1,6 +1,6 @@
 /// \file
 /// Metrics registry — the export surface of the production health layer
-/// (DESIGN.md §15): named counters/gauges/histograms registered by the
+/// (DESIGN.md §14): named counters/gauges/histograms registered by the
 /// subsystems (fabric/LB/RPU/host counters arrive via the sim::Stats
 /// mirror; the health layer adds its own gauges and sim::Histogram
 /// latency distributions), with snapshot export as Prometheus text

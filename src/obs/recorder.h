@@ -1,6 +1,6 @@
 /// \file
 /// Flight recorder — a fixed-capacity, zero-allocation ring of compact
-/// typed events (DESIGN.md §15), and the one store of per-packet stage
+/// typed events (DESIGN.md §14), and the one store of per-packet stage
 /// events.
 ///
 /// Two uses share it. The health layer (obs/health.h) feeds its recorder

@@ -20,16 +20,6 @@ be32(const std::vector<uint8_t>& d, size_t off) {
            uint32_t(d[off + 2]) << 8 | uint32_t(d[off + 3]);
 }
 
-void
-append_hash_le(std::vector<uint8_t>& out, uint32_t hash) {
-    size_t off = out.size();
-    out.resize(off + 4);
-    out[off] = uint8_t(hash);
-    out[off + 1] = uint8_t(hash >> 8);
-    out[off + 2] = uint8_t(hash >> 16);
-    out[off + 3] = uint8_t(hash >> 24);
-}
-
 uint8_t
 fold_case(uint8_t b) {
     return b >= 'A' && b <= 'Z' ? uint8_t(b + 32) : b;
@@ -61,7 +51,8 @@ DataplaneOracle::DataplaneOracle(const OracleConfig& cfg) : cfg_(cfg) {
     bool ok = false;
     switch (cfg_.pipeline) {
     case P::kForwarder:
-        // The forwarder echoes whatever the LB stored, so any policy works.
+        // Like NAT, the forwarder takes hash_prepended as an assembly
+        // parameter, so both plain and hash layouts are supported.
         ok = cfg_.lb_policy == L::kRoundRobin || cfg_.lb_policy == L::kHash ||
              cfg_.lb_policy == L::kLeastLoaded;
         break;
@@ -214,11 +205,9 @@ DataplaneOracle::predict(const std::vector<uint8_t>& frame, net::Iface in_iface)
     case Pipeline::kForwarder:
         p.outcome = Prediction::Outcome::kForwardWire;
         p.out_iface = other;
-        // The forwarder echoes the stored bytes verbatim; under the hash
-        // policy that includes the LB-prepended little-endian hash word.
-        p.out_bytes.reserve(frame.size() + 4);
-        if (hashed) append_hash_le(p.out_bytes, p.lb_hash);
-        p.out_bytes.insert(p.out_bytes.end(), frame.begin(), frame.end());
+        // The forwarder echoes the frame verbatim, without the hash word
+        // the hash policy prepends to it in the slot.
+        p.out_bytes = frame;
         break;
 
     case Pipeline::kFirewall:

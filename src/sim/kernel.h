@@ -114,23 +114,22 @@ enum NetFlag : unsigned {
 struct NetRecord {
     enum Kind : uint8_t { kFifo, kReg, kLink };
 
-    /// Credit-return discipline the writer observes, declared so the
-    /// shard-cut certifier (lint/shard.h) can prove reverse-edge latency:
-    /// a registered credit return means a reader-side pop at cycle N is
-    /// first visible to the writer's admission check at N+1 (one cycle of
-    /// lookahead on the reader->writer feedback edge), while a skid-buffer
-    /// credit is combinational (zero latency). kCreditNone states the
-    /// writer never observes reader-side credit at all (self-paced drains
-    /// such as the MAC TX line), so no feedback edge exists.
-    enum CreditKind : uint8_t { kCreditNone, kCreditSkid, kCreditRegistered };
+    /// Credit-return discipline the writer observes. A registered credit
+    /// return means a reader-side pop at cycle N first changes the writer's
+    /// admission answer at N+1, so build_wake_map gives the writer a wake
+    /// edge on the net: a producer sleeping on a full FIFO ticks again when
+    /// space opens. A skid-buffer credit (the default) is combinational:
+    /// either writer and reader are one component, or the writer never
+    /// observes reader-side credit (self-paced drains such as the MAC TX
+    /// line), so only the reader gets a wake edge.
+    enum CreditKind : uint8_t { kCreditSkid, kCreditRegistered };
 
     std::string name;        ///< unique instance name, e.g. "rpu3.rx_fifo"
     Kind kind = kFifo;
     unsigned width_bits = 0; ///< datapath width (0 = unspecified)
     size_t depth = 0;        ///< entries (fifo capacity; 1 for reg/link)
     unsigned flags = 0;      ///< NetFlag bits
-    /// Conservative default: an unspecified credit path is assumed
-    /// combinational, which can only under-state lookahead, never claim it.
+    /// Default: no writer wake edge.
     CreditKind credit = kCreditSkid;
 };
 

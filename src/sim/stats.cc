@@ -47,13 +47,6 @@ Stats::reset_all() {
     for (auto& [_, c] : counters_) c.reset();
 }
 
-std::string
-Stats::to_string() const {
-    std::ostringstream os;
-    for (const auto& [name, c] : counters_) os << name << " = " << c.get() << "\n";
-    return os.str();
-}
-
 namespace {
 
 // RFC 4180 field quoting: names containing commas, quotes or newlines are

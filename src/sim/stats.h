@@ -116,9 +116,6 @@ class Stats {
     /// Reset every counter (e.g. after warm-up).
     void reset_all();
 
-    /// Dump all counters to a human-readable multi-line string.
-    std::string to_string() const;
-
     /// Dump all counters as CSV ("name,value", RFC 4180 quoting) for
     /// spreadsheet/plotting pipelines.
     std::string to_csv() const;

@@ -1,4 +1,4 @@
-/// Production health layer tests (DESIGN.md §15): flight-recorder ring
+/// Production health layer tests (DESIGN.md §14): flight-recorder ring
 /// semantics, HDR histogram bucket math, the declarative SLO parser,
 /// Prometheus/JSON metrics export, the attach-invariance guarantee
 /// (bit-identical fingerprints with the monitor attached), SLO epoch

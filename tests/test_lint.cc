@@ -22,7 +22,6 @@
 #include "core/system.h"
 #include "firmware/programs.h"
 #include "lint/netlist.h"
-#include "lint/shard.h"
 #include "net/rules.h"
 #include "net/tracegen.h"
 #include "sim/fifo.h"
@@ -458,11 +457,11 @@ TEST(TickOrderDeterminism, FirewallIsBitIdenticalUnderShuffledOrders) {
     }
 }
 
-// --- shard-cut certifier ------------------------------------------------------
+// --- paper netlist -----------------------------------------------------------
 
-/// Paper configuration plus two attached traffic sources: the sources and
-/// sinks are the MAC-boundary components every sound plan cuts along.
-/// No cycle ever runs, so the inert generators are never called.
+/// Paper configuration plus two attached traffic sources, so the netlist
+/// holds the MAC-boundary components too. No cycle ever runs, so the inert
+/// generators are never called.
 std::unique_ptr<System>
 paper_system_with_sources() {
     SystemConfig cfg;
@@ -474,148 +473,6 @@ paper_system_with_sources() {
         sys->add_source(src, [] { return net::PacketPtr(); });
     }
     return sys;
-}
-
-TEST(ShardCertifier, LatencyGraphCarriesDeclaredBounds) {
-    sim::Kernel k;
-    k.declare_net({"q", NetRecord::kFifo, 64, 8, 0, NetRecord::kCreditRegistered});
-    k.declare_port({"a", "q", PortRecord::kWrite, 64, 0});
-    k.declare_port({"b", "q", PortRecord::kRead, 64, 0});
-    k.declare_net({"r", NetRecord::kReg, 32, 1, 0, NetRecord::kCreditNone});
-    k.declare_port({"a", "r", PortRecord::kWrite, 32, 0});
-    k.declare_port({"b", "r", PortRecord::kRead, 32, 0});
-
-    auto edges = lint::latency_graph(k);
-    ASSERT_EQ(edges.size(), 3u);
-    unsigned data1 = 0, credit1 = 0, comb = 0;
-    for (const auto& e : edges) {
-        if (e.kind == lint::LatencyEdge::kData && e.latency == 1) ++data1;
-        if (e.kind == lint::LatencyEdge::kCredit && e.latency == 1) ++credit1;
-        if (e.latency == 0) ++comb;
-    }
-    EXPECT_EQ(data1, 1u);    // a -[q]-> b: registered fifo forwards at T+1
-    EXPECT_EQ(credit1, 1u);  // b -[q credit]-> a: registered credit return
-    EXPECT_EQ(comb, 1u);     // a -[r]-> b: polled register, no bound
-}
-
-TEST(ShardCertifier, PaperConfigTwoAndFourWayAreSound) {
-    auto sys = paper_system_with_sources();
-    for (unsigned shards : {2u, 4u}) {
-        lint::ShardPlan plan = sys->shard_plan(shards);
-        EXPECT_TRUE(plan.sound) << plan.verdict;
-        EXPECT_EQ(plan.shards.size(), shards);
-        EXPECT_GE(plan.min_lookahead, 1u);
-        EXPECT_FALSE(plan.cuts.empty());
-        for (const auto& c : plan.cuts) {
-            EXPECT_GE(c.edge.latency, 1u)
-                << c.edge.from << " -> " << c.edge.to << " via " << c.edge.net;
-        }
-        std::string why;
-        EXPECT_TRUE(lint::validate_plan(sys->kernel(), plan, &why)) << why;
-    }
-}
-
-TEST(ShardCertifier, PaperConfigEightWayIsProvenNoSafeCut) {
-    auto sys = paper_system_with_sources();
-    lint::ShardPlan plan = sys->shard_plan(8);
-    EXPECT_FALSE(plan.sound);
-    EXPECT_NE(plan.verdict.find("no safe 8-way cut"), std::string::npos)
-        << plan.verdict;
-    // The proof names what pins the components together.
-    EXPECT_NE(plan.verdict.find("zero-latency"), std::string::npos) << plan.verdict;
-    std::string why;
-    EXPECT_TRUE(lint::validate_plan(sys->kernel(), plan, &why)) << why;
-}
-
-TEST(ShardCertifier, EightWayVerdictIsStable) {
-    auto sys = paper_system_with_sources();
-    const lint::ShardPlan a = sys->shard_plan(8);
-    const lint::ShardPlan b = sys->shard_plan(8);
-    EXPECT_FALSE(a.sound);
-    EXPECT_EQ(a.verdict, b.verdict);
-    EXPECT_NE(a.verdict.find("cheapest registerization"), std::string::npos);
-    EXPECT_EQ(a.cheapest_registerization, b.cheapest_registerization);
-    EXPECT_GE(a.unlocked_atoms, 8u);
-    ASSERT_EQ(a.blockers.size(), a.blocker_multiplicity.size());
-    for (unsigned m : a.blocker_multiplicity) EXPECT_GE(m, 1u);
-}
-
-TEST(ShardCertifier, UnregisteredCreditLoopAcrossCutIsRejected) {
-    // Two components cross-pushing skid-credit FIFOs: each credit
-    // observation is combinational in the reverse direction, so the pair
-    // forms a directed zero-latency cycle and no 2-way cut between them
-    // can be sound.
-    sim::Kernel k;
-    k.declare_net({"a2b", NetRecord::kFifo, 64, 8, 0, NetRecord::kCreditSkid});
-    k.declare_net({"b2a", NetRecord::kFifo, 64, 8, 0, NetRecord::kCreditSkid});
-    k.declare_port({"a", "a2b", PortRecord::kWrite, 64, 0});
-    k.declare_port({"b", "a2b", PortRecord::kRead, 64, 0});
-    k.declare_port({"b", "b2a", PortRecord::kWrite, 64, 0});
-    k.declare_port({"a", "b2a", PortRecord::kRead, 64, 0});
-
-    lint::ShardPlan plan = lint::certify_partition(k, 2);
-    EXPECT_FALSE(plan.sound);
-    ASSERT_FALSE(plan.zero_cycles.empty());
-    // The report names the offending path through the credit edges.
-    EXPECT_NE(plan.verdict.find("zero-latency"), std::string::npos) << plan.verdict;
-    const std::string& path = plan.zero_cycles.front().path;
-    EXPECT_NE(path.find("credit"), std::string::npos) << path;
-    EXPECT_TRUE(path.find("a2b") != std::string::npos ||
-                path.find("b2a") != std::string::npos)
-        << path;
-    std::string why;
-    EXPECT_TRUE(lint::validate_plan(k, plan, &why)) << why;
-
-    // Positive control: registering both credit returns breaks the cycle
-    // and the same topology certifies with lookahead 1 on every cut edge.
-    sim::Kernel k2;
-    k2.declare_net({"a2b", NetRecord::kFifo, 64, 8, 0, NetRecord::kCreditRegistered});
-    k2.declare_net({"b2a", NetRecord::kFifo, 64, 8, 0, NetRecord::kCreditRegistered});
-    k2.declare_port({"a", "a2b", PortRecord::kWrite, 64, 0});
-    k2.declare_port({"b", "a2b", PortRecord::kRead, 64, 0});
-    k2.declare_port({"b", "b2a", PortRecord::kWrite, 64, 0});
-    k2.declare_port({"a", "b2a", PortRecord::kRead, 64, 0});
-    lint::ShardPlan fixed = lint::certify_partition(k2, 2);
-    EXPECT_TRUE(fixed.sound) << fixed.verdict;
-    EXPECT_EQ(fixed.cuts.size(), 4u);  // 2 data + 2 registered-credit edges
-    EXPECT_EQ(fixed.min_lookahead, 1u);
-}
-
-TEST(ShardCertifier, PlanJsonAndReportRenderVerdicts) {
-    auto sys = paper_system_with_sources();
-    lint::ShardPlan plan = sys->shard_plan(2);
-    std::string json = lint::plan_json(plan);
-    EXPECT_NE(json.find("\"sound\":true"), std::string::npos);
-    EXPECT_NE(json.find("\"min_lookahead\":1"), std::string::npos);
-    // No cut may carry zero lookahead (blockers legitimately do — they are
-    // the zero-latency edges the plan routes *around*).
-    size_t cuts_begin = json.find("\"cuts\":[");
-    size_t cuts_end = json.find("],\"blockers\"");
-    ASSERT_NE(cuts_begin, std::string::npos);
-    ASSERT_NE(cuts_end, std::string::npos);
-    std::string cuts = json.substr(cuts_begin, cuts_end - cuts_begin);
-    EXPECT_EQ(cuts.find("\"lookahead\":0"), std::string::npos);
-    std::string report = lint::plan_report(plan);
-    EXPECT_NE(report.find("sound"), std::string::npos);
-    EXPECT_NE(report.find("min lookahead 1"), std::string::npos);
-}
-
-TEST(ShardCertifier, SystemConfigGateWarnsOrFaultsOnUnsoundPlan) {
-    // certify_shards with an impossible count: kEnforce faults before
-    // cycle 0, kWarn proceeds (plan export is advisory there).
-    SystemConfig cfg;
-    cfg.rpu_count = 4;
-    cfg.certify_shards = 64;  // far more shards than atoms
-    cfg.lint = LintMode::kEnforce;
-    System sys(cfg);
-    EXPECT_THROW(sys.run_cycles(1), sim::FatalError);
-
-    SystemConfig cfg2;
-    cfg2.rpu_count = 4;
-    cfg2.certify_shards = 64;
-    cfg2.lint = LintMode::kWarn;
-    System sys2(cfg2);
-    EXPECT_NO_THROW(sys2.run_cycles(1));
 }
 
 // --- DOT escaping -------------------------------------------------------------
@@ -684,16 +541,9 @@ TEST(DotEscape, HostileNamesRoundTripThroughBothDumps) {
     std::string netlist_dot = lint::to_dot(k);
     EXPECT_TRUE(dot_well_formed(netlist_dot, &why)) << why << "\n" << netlist_dot;
 
-    lint::ShardPlan plan = lint::certify_partition(k, 2);
-    std::string shard_dot = lint::plan_dot(k, plan);
-    EXPECT_TRUE(dot_well_formed(shard_dot, &why)) << why << "\n" << shard_dot;
-
-    // And the real netlists stay well-formed too.
+    // And the real netlist stays well-formed too.
     auto sys = paper_system_with_sources();
     EXPECT_TRUE(dot_well_formed(lint::to_dot(sys->kernel()), &why)) << why;
-    EXPECT_TRUE(
-        dot_well_formed(lint::plan_dot(sys->kernel(), sys->shard_plan(2)), &why))
-        << why;
 }
 
 TEST(LintJson, SummarizesNetlistAndViolations) {

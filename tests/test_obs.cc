@@ -19,7 +19,6 @@
 #include "obs/profile.h"
 #include "obs/recorder.h"
 #include "obs/report.h"
-#include "obs/shardcheck.h"
 #include "obs/telemetry.h"
 #include "obs/vcd.h"
 #include "sim/stats.h"
@@ -329,92 +328,6 @@ TEST(Telemetry, ShuffleDeterminismHoldsWithTelemetryAttached) {
         return std::tuple<uint64_t, uint64_t, uint64_t>(fp, busy, stalled);
     };
     EXPECT_EQ(run(0), run(0xdeadbeef));
-}
-
-// ------------------------------------------------- shard-cut cross-check
-
-TEST(ShardCheck, CertifiedBoundsHoldUnderTraffic) {
-    obs::ShardCheckSpec spec;
-    spec.run_cycles = 10'000;
-    obs::ShardCheckResult res = obs::run_shard_check(spec);
-    EXPECT_TRUE(res.plan.sound) << res.plan.verdict;
-    EXPECT_TRUE(res.ok);
-    EXPECT_GT(res.messages, 0u);
-    // Every cut net that carried traffic respected its certified minimum.
-    bool any_traffic = false;
-    for (const obs::CutLatency& c : res.cuts) {
-        if (c.messages == 0) continue;
-        any_traffic = true;
-        EXPECT_GE(c.min_latency, uint64_t(c.certified)) << c.net;
-        EXPECT_FALSE(c.undercut) << c.net;
-    }
-    EXPECT_TRUE(any_traffic);
-}
-
-TEST(ShardCheck, RecorderFlagsAnOverstatedBound) {
-    // Negative control for the cross-check itself: inflate the certified
-    // bounds far beyond reality and the recorder must observe undercuts
-    // (with faulting off, it records instead of throwing).
-    SystemConfig cfg;
-    cfg.rpu_count = 8;
-    System sys(cfg);
-    auto fw = fwlib::forwarder();
-    sys.host().load_firmware_all(fw.image, fw.entry);
-    sys.host().boot_all();
-    net::TrafficSpec tspec;
-    tspec.seed = 7;
-    auto gen = std::make_shared<net::TraceGenerator>(tspec, nullptr, nullptr);
-    dist::TrafficSource::Config src;
-    src.port = 0;
-    src.load = 0.7;
-    sys.add_source(src, [gen] { return gen->next(); });
-
-    lint::ShardPlan plan = sys.shard_plan(2);
-    ASSERT_TRUE(plan.sound) << plan.verdict;
-    for (lint::ShardCut& c : plan.cuts) c.edge.latency = 1000;  // tampered
-
-    obs::ShardLatencyRecorder rec(sys.kernel(), plan, nullptr,
-                                  /*fault_on_undercut=*/false);
-    sys.kernel().set_telemetry(&rec);
-    sys.run_cycles(15'000);
-    sys.kernel().set_telemetry(nullptr);
-
-    EXPECT_FALSE(rec.ok()) << rec.report();
-}
-
-TEST(ShardCheck, RecorderForwardsToChainedSink) {
-    // The recorder must be transparent when stacked in front of another
-    // sink: same events in, same events out.
-    struct Counter : sim::TelemetrySink {
-        uint64_t events = 0, occupancies = 0, cycles = 0;
-        void net_event(const std::string&, NetEvent) override { ++events; }
-        void net_occupancy(const std::string&, size_t, size_t) override {
-            ++occupancies;
-        }
-        void end_cycle(uint64_t) override { ++cycles; }
-    };
-    SystemConfig cfg;
-    cfg.rpu_count = 4;
-    System sys(cfg);
-    lint::ShardPlan plan = sys.shard_plan(2);
-    Counter direct;
-    sys.kernel().set_telemetry(&direct);
-    sys.run_cycles(200);
-    sys.kernel().set_telemetry(nullptr);
-
-    SystemConfig cfg2;
-    cfg2.rpu_count = 4;
-    System sys2(cfg2);
-    lint::ShardPlan plan2 = sys2.shard_plan(2);
-    Counter chained;
-    obs::ShardLatencyRecorder rec(sys2.kernel(), plan2, &chained, false);
-    sys2.kernel().set_telemetry(&rec);
-    sys2.run_cycles(200);
-    sys2.kernel().set_telemetry(nullptr);
-
-    EXPECT_EQ(chained.events, direct.events);
-    EXPECT_EQ(chained.occupancies, direct.occupancies);
-    EXPECT_EQ(chained.cycles, direct.cycles);
 }
 
 }  // namespace

@@ -51,6 +51,7 @@ shipped_programs() {
     out.push_back({"pigasus_sw_reorder", fwlib::pigasus_sw_reorder()});
     out.push_back({"nat", fwlib::nat()});
     out.push_back({"nat_hash_prepended", fwlib::nat(fwlib::SlotParams{16, 16 * 1024}, true)});
+    out.push_back({"forwarder_hash_prepended", fwlib::forwarder({}, true)});
     out.push_back({"chained_firewall", fwlib::chained_firewall(16)});
     out.push_back({"broadcast_sender", fwlib::broadcast_sender(64)});
     out.push_back({"broadcast_sink", fwlib::broadcast_sink()});
@@ -498,8 +499,9 @@ TEST(Verifier, SrlRangePlacedOutsideEveryRegionIsRejected) {
 // --- line-rate certificate ---------------------------------------------------
 
 /// The five dataplane images named by the line-rate acceptance criteria
-/// (plus the hash-steered NAT variant): each must certify a finite WCET, a
-/// finite stack bound, and a clean text-segment write-separation proof.
+/// (plus the hash-steered NAT and forwarder variants): each must certify a
+/// finite WCET, a finite stack bound, and a clean text-segment
+/// write-separation proof.
 std::vector<Shipped>
 dataplane_programs() {
     std::vector<Shipped> out;
@@ -509,6 +511,8 @@ dataplane_programs() {
     out.push_back({"pigasus_hw_reorder", fwlib::pigasus_hw_reorder()});
     out.push_back({"pigasus_sw_reorder", fwlib::pigasus_sw_reorder()});
     out.push_back({"nat", fwlib::nat()});
+    out.push_back({"nat_hash_prepended", fwlib::nat(fwlib::SlotParams{16, 16 * 1024}, true)});
+    out.push_back({"forwarder_hash_prepended", fwlib::forwarder({}, true)});
     return out;
 }
 
