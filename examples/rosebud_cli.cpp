@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 
 #include "core/experiments.h"
@@ -54,6 +55,34 @@ struct Args {
         return it == kv.end() ? dflt : it->second;
     }
 };
+
+/// The flags each verb reads. main() rejects any other flag before the
+/// verb runs, so a typo or a retired flag cannot pass silently.
+const std::map<std::string, std::set<std::string>> kVerbFlags = {
+    {"forward", {"rpus", "size", "ports", "load"}},
+    {"latency", {"size", "load"}},
+    {"ips", {"mode", "size", "rpus", "attack"}},
+    {"firewall", {"size", "rpus", "attack"}},
+    {"loopback", {"rpus", "size"}},
+    {"broadcast", {"rpus"}},
+    {"reconfig", {"rpus", "loads", "seed"}},
+    {"resources", {"rpus"}},
+    {"oracle", {"pipeline", "policy", "rpus", "seed", "packets", "size", "load",
+                "attack", "reorder"}},
+    {"verify", {"program", "dot", "rpus", "wcet", "json"}},
+    {"lint", {"rpus", "dot", "json"}},
+    {"fuzz", {"replay", "seed", "budget-ms", "cases", "gen", "corpus",
+              "no-minimize", "verbose"}},
+    {"profile", {"pipeline", "policy", "rpus", "seed", "size", "load", "attack",
+                 "cycles", "epoch", "top", "vcd", "trace", "json"}},
+    {"health", {"pipeline", "policy", "rpus", "seed", "size", "sizes", "load",
+                "cycles", "slo", "epoch", "deep", "inject-stall", "stall-rpu",
+                "stall-at", "json", "dump", "prom"}},
+};
+
+/// Flags that take no value.
+const std::set<std::string> kSwitches = {"wcet", "deep", "inject-stall",
+                                         "no-minimize", "verbose"};
 
 /// The --pipeline/--policy/--rpus/--seed block of the oracle, profile and
 /// health verbs. ids-hw gets the LB reassembler its firmware expects, as
@@ -102,11 +131,11 @@ usage() {
                  "  firewall   --size N --rpus N --attack F\n"
                  "  loopback   --rpus N --size N\n"
                  "  broadcast  --rpus N\n"
-                 "  reconfig   --rpus N --loads N\n"
+                 "  reconfig   --rpus N --loads N --seed N\n"
                  "  resources  --rpus N\n"
                  "  oracle     --pipeline forwarder|firewall|ids-hw|ids-sw|nat\n"
                  "             --policy rr|hash|ll --rpus N --seed N --packets N\n"
-                 "             --size N --attack F --reorder F\n"
+                 "             --size N --load F --attack F --reorder F\n"
                  "             (differential run against the golden oracle;\n"
                  "              exits 1 on any divergence)\n"
                  "  verify     --program all|forwarder|two-step|firewall|ids-hw|ids-sw|nat\n"
@@ -220,18 +249,22 @@ main(int argc, char** argv) {
     if (argc < 2) return usage();
     Args args;
     args.experiment = argv[1];
+    auto verb = kVerbFlags.find(args.experiment);
+    if (verb == kVerbFlags.end()) return usage();
     for (int i = 2; i < argc; ++i) {
         if (std::strncmp(argv[i], "--", 2) != 0) return usage();
-        // Value-less boolean flags.
-        if (std::strcmp(argv[i], "--wcet") == 0 ||
-            std::strcmp(argv[i], "--deep") == 0 ||
-            std::strcmp(argv[i], "--inject-stall") == 0) {
-            args.kv[argv[i] + 2] = "1";
+        const std::string key = argv[i] + 2;
+        if (verb->second.count(key) == 0) {
+            std::fprintf(stderr, "rosebud_cli %s: unknown flag --%s\n",
+                         args.experiment.c_str(), key.c_str());
+            return 2;
+        }
+        if (kSwitches.count(key) != 0) {
+            args.kv[key] = "1";
             continue;
         }
         if (i + 1 >= argc) return usage();
-        args.kv[argv[i] + 2] = argv[i + 1];
-        ++i;
+        args.kv[key] = argv[++i];
     }
 
     auto host_t0 = std::chrono::steady_clock::now();

@@ -46,10 +46,9 @@ Fabric::Fabric(sim::Kernel& kernel, sim::Stats& stats, const FabricConfig& confi
     ctr_loopback_frames_ = &stats.counter("loopback.frames");
     ctr_loopback_bytes_ = &stats.counter("loopback.bytes");
     declare_netlist(kernel);
-    // Occupancy probes on the abstract (non-sim::Fifo) queues, so the
-    // health layer's backlog census and metrics gauges can read committed
-    // occupancy on demand without a TelemetrySink attached. Same names as
-    // report_occupancies() emits.
+    // Occupancy probes on the abstract (non-sim::Fifo) queues, named after
+    // their netlist nets: the telemetry's waveforms, the health layer's
+    // backlog census and the metrics gauges read committed occupancy here.
     for (unsigned s = 0; s < kSourceCount; ++s) {
         kernel.register_occupancy_probe(
             source_net(s), 0, this,
@@ -301,8 +300,7 @@ Fabric::quiescent() const {
 void
 Fabric::commit() {
     // Every path that stages a packet or mutates a committed queue (pop,
-    // push, loopback re-entry) requests this commit; the telemetry sweep
-    // runs it every cycle, when the refreshes below are identities.
+    // push, loopback re-entry) requests this commit.
     for (unsigned s = 0; s < kSourceCount; ++s) {
         IngressSource& src = sources_[s];
         if (!src.staged.empty()) {
@@ -325,27 +323,6 @@ Fabric::commit() {
         refresh_egress_head(r);  // an empty queue may have a head now
     }
     egress_touched_ = 0;
-    if (kernel().telemetry()) report_occupancies();
-}
-
-void
-Fabric::report_occupancies() const {
-    sim::TelemetrySink* t = kernel().telemetry();
-    for (unsigned s = 0; s < kSourceCount; ++s) {
-        t->net_occupancy(source_net(s), sources_[s].queue.size(), 0);
-    }
-    for (unsigned r = 0; r < config_.rpu_count; ++r) {
-        for (unsigned s = 0; s < kSourceCount; ++s) {
-            t->net_occupancy(voq_net(uint8_t(r), s),
-                             voqs_[r * kSourceCount + s].size(), config_.voq_depth);
-        }
-        t->net_occupancy("fabric.egress.r" + std::to_string(r),
-                         egress_queues_[r].size(), config_.egress_queue_depth);
-    }
-    for (unsigned p = 0; p < 2; ++p) {
-        t->net_occupancy("fabric.mac_tx.p" + std::to_string(p), mac_tx_[p].fifo.size(), 0);
-    }
-    t->net_occupancy("fabric.host_out", pcie_tags_in_use_, config_.pcie_tags);
 }
 
 void

@@ -183,7 +183,6 @@ class Fabric : public sim::Component {
         if (s == kSrcLoopback) return "fabric.loopback_q";
         return "fabric.mac_rx.p" + std::to_string(s);
     }
-    void report_occupancies() const;
     void tick_ingress_source(unsigned s);
     /// Move `pkt` onto its (dest_rpu, s) VOQ behind the fixed ingress
     /// pipe; false (and `pkt` untouched) when the VOQ is full.

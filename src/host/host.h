@@ -38,12 +38,6 @@ enum class FirmwareCheck {
     kOff,      ///< no static verification
 };
 
-/// Snapshot format for the health layer's metrics query. Mirrors
-/// obs::MetricsFormat — the host layer sits below obs and cannot include
-/// it; the provider closure installed by obs::HealthMonitor bridges the
-/// two enums.
-enum class MetricsFormat : uint8_t { kPrometheus, kJson };
-
 /// Breakdown of one partial-reconfiguration cycle.
 struct PrTiming {
     double drain_us = 0;      ///< waiting for in-flight packets (simulated)
@@ -69,9 +63,8 @@ class HostContext {
     /// Line-rate admission gate: when not kOff, firmware must certify with
     /// a finite per-activation WCET, a finite stack bound, and a clean
     /// text-segment write-separation proof; with a non-zero budget the
-    /// certified worst-case cycles must also fit it. This is the per-RPU /
-    /// per-tenant cycle-budget contract the multi-tenant control plane
-    /// admits against.
+    /// certified worst-case cycles must also fit it. Off by default; only
+    /// tests turn it on (SystemConfig::wcet_check).
     void set_wcet_check(FirmwareCheck mode) { wcet_check_ = mode; }
     FirmwareCheck wcet_check() const { return wcet_check_; }
     void set_wcet_budget_cycles(uint64_t cycles) { wcet_budget_cycles_ = cycles; }
@@ -132,23 +125,6 @@ class HostContext {
         reconfig_observer_ = std::move(fn);
     }
 
-    /// Provider of metrics snapshots, installed by obs::HealthMonitor on
-    /// attach. A closure keeps the dependency direction intact: the host
-    /// layer never links against obs.
-    using MetricsProvider = std::function<std::string(MetricsFormat)>;
-    void set_metrics_provider(MetricsProvider fn) {
-        metrics_provider_ = std::move(fn);
-    }
-    bool has_metrics_provider() const { return bool(metrics_provider_); }
-
-    /// Point-in-time metrics snapshot from the attached health layer
-    /// (paper §4.3's "status counters", grown into a full registry);
-    /// empty when no health layer is attached.
-    std::string metrics_snapshot(
-        MetricsFormat fmt = MetricsFormat::kPrometheus) const {
-        return metrics_provider_ ? metrics_provider_(fmt) : std::string();
-    }
-
  private:
     /// Run the static verifier over `image` per the current policy;
     /// sim::fatal on errors when enforcing.
@@ -157,7 +133,6 @@ class HostContext {
     FirmwareCheck firmware_check_ = FirmwareCheck::kEnforce;
     FirmwareCheck wcet_check_ = FirmwareCheck::kOff;
     ReconfigObserver reconfig_observer_;
-    MetricsProvider metrics_provider_;
     uint64_t wcet_budget_cycles_ = 0;  ///< 0 = no budget comparison
     sim::Kernel& kernel_;
     sim::Stats& stats_;

@@ -49,7 +49,6 @@ void
 LoadBalancer::attach(sim::Kernel& kernel) {
     kernel_ = &kernel;
     adapter_ = std::make_unique<CommitAdapter>(*this);
-    kernel.add_clocked(adapter_.get());
 
     // Elaborate the LB's control channels: a 64-bit request lane per RPU
     // (slot frees / configs / remote-slot requests), a response lane back,

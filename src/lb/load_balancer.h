@@ -155,7 +155,8 @@ class LoadBalancer {
     void request_commit() { kernel_->request_commit(adapter_.get()); }
     void commit_staged();
 
-    /// Clock-edge adapter registering the LB with the kernel on attach().
+    /// Clock-edge adapter: the kernel commits it on the cycles the LB
+    /// staged control traffic (request_commit()).
     struct CommitAdapter : sim::Clocked {
         explicit CommitAdapter(LoadBalancer& lb) : lb(lb) {}
         void commit() override { lb.commit_staged(); }

@@ -16,7 +16,6 @@ run_profile(const ProfileSpec& spec) {
     Telemetry::Config tcfg;
     tcfg.epoch_cycles = spec.epoch_cycles;
     tcfg.capture_vcd = spec.capture_vcd;
-    tcfg.watch_counters = {"lb.assign_stall", "fabric.voq_stall"};
     Telemetry telem(tcfg);
     telem.attach(sys);
 

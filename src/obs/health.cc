@@ -21,6 +21,16 @@ namespace {
 constexpr size_t kInflightSlots = 4096;
 constexpr size_t kProbeLimit = 16;
 
+/// Flight-recorder ring size, in events.
+constexpr size_t kRecorderCapacity = 4096;
+/// Retained per-epoch verdicts (later ones are counted, not stored).
+constexpr size_t kMaxVerdicts = 512;
+/// Retained watchdog-trip snapshots.
+constexpr size_t kMaxTrips = 16;
+/// Cycles between watchdog evaluations, so the common-case on_cycle cost
+/// stays one compare.
+constexpr uint64_t kWatchdogCheckInterval = 1024;
+
 size_t
 slot_hash(uint64_t key) {
     return size_t((key * 0x9E3779B97F4A7C15ull) >> 32);
@@ -177,7 +187,7 @@ slo_bound_text(const SloBound& b) {
 // HealthMonitor lifecycle
 
 HealthMonitor::HealthMonitor(HealthConfig cfg)
-    : cfg_(std::move(cfg)), recorder_(cfg_.recorder_capacity) {}
+    : cfg_(std::move(cfg)), recorder_(kRecorderCapacity) {}
 
 HealthMonitor::~HealthMonitor() {
     if (sys_) detach();
@@ -204,7 +214,7 @@ HealthMonitor::attach(System& sys) {
     epoch_start_ = now;
     epoch_deadline_ = now + cfg_.epoch_cycles;
     verdicts_.clear();
-    verdicts_.reserve(cfg_.max_verdicts);
+    verdicts_.reserve(kMaxVerdicts);
     epochs_closed_ = 0;
     recorder_.clear();
 
@@ -218,7 +228,7 @@ HealthMonitor::attach(System& sys) {
     was_faulted_.assign(n, 0);
     for (unsigned i = 0; i < n; ++i) was_faulted_[i] = sys.rpu(i).core_faulted();
     trips_.clear();
-    next_check_ = now + cfg_.watchdog.check_interval;
+    next_check_ = now + kWatchdogCheckInterval;
     last_egress_ = now;
     sys_tripped_ = false;
 
@@ -280,11 +290,6 @@ HealthMonitor::attach(System& sys) {
         recorder_.record_note(FlightEventType::kReconfigPhase,
                               sys_->kernel().now(), phase, uint8_t(rpu));
     });
-    sys.host().set_metrics_provider([this](host::MetricsFormat fmt) {
-        return metrics_.snapshot(fmt == host::MetricsFormat::kJson
-                                     ? MetricsFormat::kJson
-                                     : MetricsFormat::kPrometheus);
-    });
 }
 
 void
@@ -294,17 +299,9 @@ HealthMonitor::detach() {
     sys_->remove_packet_observer(observer_handle_);
     if (sys_->kernel().health_probe() == this) sys_->kernel().set_health_probe(nullptr);
     sys_->host().set_reconfig_observer({});
-    sys_->host().set_metrics_provider({});
     metrics_.set_stats(nullptr);
     metrics_.set_kernel(nullptr);
     sys_ = nullptr;
-}
-
-void
-HealthMonitor::note_fault(unsigned rpu, const std::string& what) {
-    ++core_faults_;
-    recorder_.record_note(FlightEventType::kFault,
-                          sys_ ? sys_->kernel().now() : 0, what, uint8_t(rpu));
 }
 
 // ---------------------------------------------------------------------------
@@ -335,7 +332,7 @@ HealthMonitor::note_ingress(const net::Packet& pkt, uint64_t now) {
     ++ingress_;
     ++epoch_ingress_[unsigned(cls)];
     insert_inflight(pkt.id, now, cls);
-    if (cfg_.record_packets) recorder_.record(net::Stage::kMacRx, now, pkt);
+    recorder_.record(net::Stage::kMacRx, now, pkt);
 }
 
 void
@@ -354,7 +351,7 @@ HealthMonitor::note_egress(net::Stage stage, const net::Packet& pkt, uint64_t no
         epoch_all_.record(cycles);
         epoch_cls_[e.cls].record(cycles);
     }
-    if (cfg_.record_packets) recorder_.record(stage, now, pkt, lat);
+    recorder_.record(stage, now, pkt, lat);
 }
 
 void
@@ -371,7 +368,7 @@ HealthMonitor::note_drop(net::Stage stage, const net::Packet& pkt, uint64_t now)
         erase_inflight(pkt.id, &e);
         note_activity(pkt, now);  // the firmware actively dropped it
     }
-    if (cfg_.record_packets) recorder_.record(stage, now, pkt);
+    recorder_.record(stage, now, pkt);
 }
 
 void
@@ -430,7 +427,7 @@ HealthMonitor::erase_inflight(uint64_t id, Inflight* out) {
 void
 HealthMonitor::on_cycle(uint64_t completed) {
     if (completed >= next_check_) {
-        next_check_ = completed + cfg_.watchdog.check_interval;
+        next_check_ = completed + kWatchdogCheckInterval;
         watchdog_check(completed);
     }
     if (completed >= epoch_deadline_) close_epoch(completed);
@@ -515,10 +512,7 @@ HealthMonitor::trip(uint64_t now, std::string what, std::string component) {
         note += " deepest=" + t.deepest_net + "(" +
                 std::to_string(t.deepest_occupancy) + ")";
     recorder_.record_note(FlightEventType::kWatchdogTrip, now, note);
-    if (trips_.size() < cfg_.max_trips) trips_.push_back(t);
-    if (on_trip_) on_trip_(t);
-    if (cfg_.watchdog.fault_on_trip)
-        sim::fatal("health watchdog trip @" + std::to_string(now) + ": " + note);
+    if (trips_.size() < kMaxTrips) trips_.push_back(t);
 }
 
 std::string
@@ -650,7 +644,7 @@ HealthMonitor::close_epoch(uint64_t now) {
         recorder_.record_note(FlightEventType::kSloViolation, now, note);
     }
 
-    if (verdicts_.size() < cfg_.max_verdicts) verdicts_.push_back(v);
+    if (verdicts_.size() < kMaxVerdicts) verdicts_.push_back(v);
     ++epochs_closed_;
 
     for (auto& c : epoch_ingress_) c = 0;

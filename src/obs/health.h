@@ -27,7 +27,6 @@
 #define ROSEBUD_OBS_HEALTH_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -97,7 +96,8 @@ std::string slo_bound_text(const SloBound& b);
 // ---------------------------------------------------------------------------
 // Configuration
 
-/// Forward-progress watchdog tuning.
+/// Forward-progress watchdog tuning (operator-facing; see
+/// docs/OBSERVABILITY.md).
 struct WatchdogConfig {
     /// Trip when packets are in flight but no packet has egressed for this
     /// many cycles ("ingress backlogged while egress silent").
@@ -105,29 +105,12 @@ struct WatchdogConfig {
     /// Per-RPU liveness: warn when an RPU holds packets but its firmware
     /// has shown no descriptor activity for this many cycles.
     uint64_t component_timeout = 20'000;
-    /// How often the watchdog predicate is evaluated. Power-of-two-ish
-    /// values keep the common-case on_cycle cost to one compare.
-    uint64_t check_interval = 1024;
-    /// Escalate a trip to sim::fatal (catchable FatalError) after the
-    /// snapshot is captured. Default: record and keep running.
-    bool fault_on_trip = false;
 };
 
 /// Health-layer configuration.
 struct HealthConfig {
-    size_t recorder_capacity = 4096;
-    /// Record each packet's ingress (mac_rx), egress (mac_tx/host_deliver,
-    /// with its latency) and drop (mac_rx_fifo_drop/fw_drop) stage events
-    /// into the flight recorder (cheap POD writes). Off leaves only rare
-    /// events.
-    bool record_packets = true;
     /// SLO evaluation period. Each epoch closes with a pass/fail verdict.
     uint64_t epoch_cycles = 16'384;
-    /// Bound on retained per-epoch verdicts (oldest beyond this are
-    /// counted but not stored).
-    size_t max_verdicts = 512;
-    /// Bound on retained watchdog-trip snapshots.
-    size_t max_trips = 16;
     WatchdogConfig watchdog;
     SloSpec slo;  ///< empty = no SLO checks
 };
@@ -175,9 +158,8 @@ class HealthMonitor : public sim::HealthProbe {
     HealthMonitor(const HealthMonitor&) = delete;
     HealthMonitor& operator=(const HealthMonitor&) = delete;
 
-    /// Install the packet observer, the per-cycle health probe, the host
-    /// reconfig observer, and the host metrics provider. Idle skipping
-    /// stays enabled.
+    /// Install the packet observer, the per-cycle health probe and the
+    /// host reconfig observer. Idle skipping stays enabled.
     void attach(System& sys);
 
     /// Close the final partial epoch and remove every hook.
@@ -190,19 +172,13 @@ class HealthMonitor : public sim::HealthProbe {
     /// production runs leave this null).
     void set_stall_telemetry(const Telemetry* telem) { deep_ = telem; }
 
-    /// Callback fired after a trip snapshot is captured.
-    using TripCallback = std::function<void(const WatchdogTrip&)>;
-    void set_on_trip(TripCallback fn) { on_trip_ = std::move(fn); }
-
-    /// Record an externally observed fault (e.g. oracle mismatch) into the
-    /// flight recorder.
-    void note_fault(unsigned rpu, const std::string& what);
-
     // --- sim::HealthProbe ----------------------------------------------------
     void on_cycle(uint64_t completed) override;
 
     // --- accessors -----------------------------------------------------------
     const FlightRecorder& recorder() const { return recorder_; }
+    /// The export surface: snapshot(MetricsFormat) renders the live
+    /// registry at any host-phase point of the run.
     MetricsRegistry& metrics() { return metrics_; }
     const MetricsRegistry& metrics() const { return metrics_; }
     const HealthConfig& config() const { return cfg_; }
@@ -317,7 +293,6 @@ class HealthMonitor : public sim::HealthProbe {
     std::vector<uint8_t> was_faulted_;
     std::vector<WatchdogTrip> trips_;
     const Telemetry* deep_ = nullptr;
-    TripCallback on_trip_;
 };
 
 // ---------------------------------------------------------------------------

@@ -27,8 +27,7 @@ class Stats;
 
 namespace rosebud::obs {
 
-/// Snapshot export format (mirrored by host::MetricsFormat so the host
-/// layer can expose the query without depending on obs).
+/// Snapshot export format.
 enum class MetricsFormat : uint8_t { kPrometheus, kJson };
 
 /// Sanitize a dotted/system name into a legal Prometheus metric name

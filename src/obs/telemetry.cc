@@ -3,7 +3,6 @@
 #include "core/system.h"
 #include "lint/netlist.h"
 #include "sim/kernel.h"
-#include "sim/stats.h"
 
 namespace rosebud::obs {
 
@@ -27,14 +26,12 @@ Telemetry::~Telemetry() { detach(); }
 void
 Telemetry::attach(System& sys) {
     kernel_ = &sys.kernel();
-    stats_ = &sys.stats();
     // Pre-seed every declared net so fully idle nets still show up with an
     // exact idle count (and so waveform widths come from declared depths).
     for (const auto& rec : kernel_->nets()) {
         NetStats& ns = nets_[rec.name];
         ns.capacity = std::max(ns.capacity, rec.depth);
     }
-    for (const auto& name : cfg_.watch_counters) counter_prev_[name] = stats_->get(name);
     kernel_->set_telemetry(this);
 }
 
@@ -42,7 +39,6 @@ void
 Telemetry::detach() {
     if (kernel_ && kernel_->telemetry() == this) kernel_->set_telemetry(nullptr);
     kernel_ = nullptr;
-    stats_ = nullptr;
 }
 
 Telemetry::NetStats&
@@ -86,20 +82,12 @@ Telemetry::net_event(const std::string& name, NetEvent ev) {
 }
 
 void
-Telemetry::net_occupancy(const std::string& name, size_t occupancy, size_t capacity) {
-    NetStats& ns = net(name);
-    ns.occ = occupancy;
-    ns.peak_occ = std::max(ns.peak_occ, occupancy);
-    if (capacity) ns.capacity = capacity;
-}
-
-void
 Telemetry::capture_net(const std::string& name, NetStats& ns, NetState state,
                        uint64_t completed_cycle) {
     const uint64_t t = uint64_t(sim::cycles_to_ns(completed_cycle));
     if (ns.sig_state < 0) {
         ns.sig_state = vcd_.add_signal(name + ".state", 2);
-        // Eventless links never report occupancy; give them no occ trace.
+        // Nets without an occupancy probe (abstract links) trace a flat 0.
         ns.sig_occ = vcd_.add_signal(name + ".occ",
                                      bits_for(std::max(ns.capacity, ns.peak_occ)));
     }
@@ -115,6 +103,13 @@ Telemetry::capture_net(const std::string& name, NetStats& ns, NetState state,
 
 void
 Telemetry::end_cycle(uint64_t completed) {
+    for (const auto& probe : kernel_->occupancy_probes()) {
+        auto it = nets_.find(probe.net);
+        if (it == nets_.end()) continue;  // not a netlist net (rpuN.slots)
+        NetStats& ns = it->second;
+        ns.occ = probe.fn();
+        ns.peak_occ = std::max(ns.peak_occ, ns.occ);
+    }
     for (auto& [name, ns] : nets_) {
         NetState state;
         if (ns.f_blocked) {
@@ -158,43 +153,7 @@ Telemetry::close_epoch() {
         ep.busy_frac[comp] = double(comp_busy[comp]) / denom;
         ep.stall_frac[comp] = double(comp_stalled[comp]) / denom;
     }
-    if (stats_) {
-        for (const auto& name : cfg_.watch_counters) {
-            const uint64_t now = stats_->get(name);
-            ep.counter_delta[name] = now - counter_prev_[name];
-            counter_prev_[name] = now;
-        }
-    }
     epochs_.push_back(std::move(ep));
-    if (cfg_.max_epochs && epochs_.size() > cfg_.max_epochs) coarsen_epochs();
-}
-
-void
-Telemetry::coarsen_epochs() {
-    // Merge adjacent pairs: each fraction averages weighted by how many
-    // base epochs the entries already cover, counter deltas sum, so the
-    // coarse series conserves the totals of the fine one.
-    std::vector<Epoch> merged;
-    merged.reserve(epochs_.size() / 2 + 1);
-    size_t i = 0;
-    for (; i + 1 < epochs_.size(); i += 2) {
-        Epoch& a = epochs_[i];
-        Epoch& b = epochs_[i + 1];
-        Epoch m;
-        m.end_cycle = b.end_cycle;
-        m.span = a.span + b.span;
-        const double wa = double(a.span) / double(m.span);
-        const double wb = double(b.span) / double(m.span);
-        for (const auto& [comp, f] : a.busy_frac) m.busy_frac[comp] += f * wa;
-        for (const auto& [comp, f] : b.busy_frac) m.busy_frac[comp] += f * wb;
-        for (const auto& [comp, f] : a.stall_frac) m.stall_frac[comp] += f * wa;
-        for (const auto& [comp, f] : b.stall_frac) m.stall_frac[comp] += f * wb;
-        for (const auto& [name, d] : a.counter_delta) m.counter_delta[name] += d;
-        for (const auto& [name, d] : b.counter_delta) m.counter_delta[name] += d;
-        merged.push_back(std::move(m));
-    }
-    if (i < epochs_.size()) merged.push_back(std::move(epochs_.back()));
-    epochs_.swap(merged);
 }
 
 }  // namespace rosebud::obs

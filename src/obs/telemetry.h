@@ -16,9 +16,13 @@
 /// For every net, busy + stalled + starved + idle == cycles_observed():
 /// nets that first appear mid-run are backfilled with idle cycles.
 ///
+/// Each net's committed occupancy (and its peak) is read at end_cycle from
+/// the kernel's occupancy probes; a probe that names no netlist net (an
+/// RPU's packet-slot census) is not tracked.
+///
 /// On top of the per-net totals the aggregator keeps:
 ///  * epoch time series — every `epoch_cycles` it rolls up per-component
-///    busy/stall fractions and deltas of watched sim::Stats counters;
+///    busy/stall fractions;
 ///  * an optional VCD capture — per-net occupancy and 2-bit flow state
 ///    signals, viewable in GTKWave (see obs/vcd.h).
 ///
@@ -40,7 +44,6 @@ namespace rosebud {
 class System;
 namespace sim {
 class Kernel;
-class Stats;
 }  // namespace sim
 }  // namespace rosebud
 
@@ -57,15 +60,6 @@ class Telemetry : public sim::TelemetrySink {
         /// Capture per-net occupancy/state waveforms (costs memory
         /// proportional to activity; off for pure stall attribution).
         bool capture_vcd = false;
-        /// sim::Stats counters sampled (as per-epoch deltas) into the
-        /// epoch series.
-        std::vector<std::string> watch_counters;
-        /// Bound on retained epochs (0 = unbounded). When the series would
-        /// exceed it, adjacent epochs merge pairwise — fractions average
-        /// weighted by span, counter deltas sum — so an arbitrarily long
-        /// run keeps a fixed-size series at progressively coarser (but
-        /// conserved) resolution.
-        size_t max_epochs = 0;
     };
 
     /// Lifetime totals for one net.
@@ -80,9 +74,9 @@ class Telemetry : public sim::TelemetrySink {
         uint64_t blocked = 0;      ///< refused pushes (may exceed stalled)
         uint64_t polls_empty = 0;  ///< empty-poll events
 
-        size_t occ = 0;       ///< latest committed occupancy
+        size_t occ = 0;       ///< committed occupancy at the last end_cycle
         size_t peak_occ = 0;
-        size_t capacity = 0;  ///< declared/observed capacity (0 = eventless link)
+        size_t capacity = 0;  ///< declared netlist depth
 
         uint64_t cycles() const { return busy + stalled + starved + idle; }
 
@@ -105,17 +99,10 @@ class Telemetry : public sim::TelemetrySink {
     /// One closed epoch of the utilization time series.
     struct Epoch {
         uint64_t end_cycle = 0;  ///< cycles_observed() when the epoch closed
-        /// Base epochs folded into this entry (1 until Config::max_epochs
-        /// coarsening kicks in; an odd-length series merges its tail into
-        /// non-power-of-two spans, but the spans always sum to the number
-        /// of base epochs closed).
-        uint64_t span = 1;
         /// Per-component fraction of net-cycles spent busy / stalled
         /// (averaged over the component's instrumented nets).
         std::map<std::string, double> busy_frac;
         std::map<std::string, double> stall_frac;
-        /// Watched counter deltas over this epoch.
-        std::map<std::string, uint64_t> counter_delta;
     };
 
     Telemetry();
@@ -132,7 +119,6 @@ class Telemetry : public sim::TelemetrySink {
 
     // sim::TelemetrySink interface.
     void net_event(const std::string& net, NetEvent ev) override;
-    void net_occupancy(const std::string& net, size_t occupancy, size_t capacity) override;
     void end_cycle(uint64_t completed) override;
 
     /// Cycles classified so far (== every net's four-bucket sum).
@@ -147,16 +133,13 @@ class Telemetry : public sim::TelemetrySink {
  private:
     NetStats& net(const std::string& name);
     void close_epoch();
-    void coarsen_epochs();
     void capture_net(const std::string& name, NetStats& ns, NetState state,
                      uint64_t completed_cycle);
 
     Config cfg_;
     sim::Kernel* kernel_ = nullptr;
-    sim::Stats* stats_ = nullptr;
     std::map<std::string, NetStats> nets_;
     std::vector<Epoch> epochs_;
-    std::map<std::string, uint64_t> counter_prev_;
     uint64_t cycles_observed_ = 0;
     VcdWriter vcd_;
 };

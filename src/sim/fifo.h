@@ -54,7 +54,6 @@ class Fifo : public Clocked {
         : kernel_(kernel), name_(std::move(name)), capacity_(capacity),
           credit_(credit) {
         assert(capacity >= 1);
-        kernel.add_clocked(this);
         kernel.declare_net({name_, NetRecord::kFifo, width_bits, capacity_,
                             net_flags,
                             credit == CreditPolicy::kRegistered
@@ -144,16 +143,9 @@ class Fifo : public Clocked {
     }
 
     void commit() override {
-        // Early-out when the cycle neither popped nor pushed: while a
-        // telemetry sink is attached every FIFO commits every cycle, so
-        // an idle one must cost one branch.
-        if (popped_ != 0 || !staged_.empty()) {
-            for (; popped_ > 0; --popped_) stable_.pop_front();
-            for (auto& v : staged_) stable_.push_back(std::move(v));
-            staged_.clear();
-        }
-        if (TelemetrySink* t = kernel_.telemetry())
-            t->net_occupancy(name_, stable_.size(), capacity_);
+        for (; popped_ > 0; --popped_) stable_.pop_front();
+        for (auto& v : staged_) stable_.push_back(std::move(v));
+        staged_.clear();
     }
 
     /// Drop all contents immediately (used on RPU reset/reconfiguration).
@@ -176,10 +168,7 @@ class Fifo : public Clocked {
     // the tick phase (host/test code, commit handlers) are exempt: they
     // run at a well-defined point relative to the clock.
 
-    const Component* actor() const {
-        if (!kernel_.race_check() || !kernel_.in_tick()) return nullptr;
-        return kernel_.active_component();
-    }
+    const Component* actor() const { return kernel_.active_component(); }
 
     void race(const std::string& what) const {
         fatal("race on fifo '" + name_ + "': " + what + " @cycle " +
@@ -272,15 +261,12 @@ class Reg : public Clocked {
  public:
     /// Anonymous register (not recorded in the netlist).
     explicit Reg(Kernel& kernel, T reset = T{})
-        : kernel_(kernel), value_(std::move(reset)) {
-        kernel.add_clocked(this);
-    }
+        : kernel_(kernel), value_(std::move(reset)) {}
 
     /// Named register, recorded in the elaboration netlist.
     Reg(Kernel& kernel, std::string name, T reset, unsigned width_bits,
         unsigned net_flags = 0)
         : kernel_(kernel), name_(std::move(name)), value_(std::move(reset)) {
-        kernel.add_clocked(this);
         kernel.declare_net({name_, NetRecord::kReg, width_bits, 1, net_flags});
     }
 
@@ -309,24 +295,15 @@ class Reg : public Clocked {
         setter_ = a;
         set_cycle_ = kernel_.now();
         staged_ = std::move(v);
-        dirty_ = true;
         kernel_.request_commit(this);
     }
 
-    void commit() override {
-        if (dirty_) {
-            value_ = std::move(staged_);
-            dirty_ = false;
-        }
-    }
+    void commit() override { value_ = std::move(staged_); }
 
     const std::string& name() const { return name_; }
 
  private:
-    const Component* actor() const {
-        if (!kernel_.race_check() || !kernel_.in_tick()) return nullptr;
-        return kernel_.active_component();
-    }
+    const Component* actor() const { return kernel_.active_component(); }
 
     void race(const std::string& what) const {
         fatal("race on reg '" + (name_.empty() ? "<anon>" : name_) + "': " +
@@ -337,7 +314,6 @@ class Reg : public Clocked {
     std::string name_;
     T value_;
     T staged_{};
-    bool dirty_ = false;
 
     const Component* setter_ = nullptr;
     Cycle set_cycle_ = ~Cycle(0);

@@ -204,26 +204,15 @@ Kernel::step() {
     }
     active_ = nullptr;
 
+    // Only what staged an update this cycle commits — including a sleeper
+    // woken mid-tick, whose staged input (e.g. an RPU's rx_pending_) must
+    // land this edge. Index loop: a commit may request another while we
+    // drain.
     phase_ = Phase::kCommit;
-    if (telemetry_) {
-        // Telemetry needs per-cycle occupancy from every component and
-        // primitive, so everything is swept in (deterministic)
-        // registration order and the requests are dropped. Every commit is
-        // the identity on a cycle that staged nothing.
-        for (Component* c : components_)
-            if (c->awake_) c->commit();
-        for (Clocked* c : elements_) c->commit();
-        for (Clocked* c : commit_queue_) c->commit_queued_ = false;
-    } else {
-        // Only what staged an update this cycle commits — including a
-        // sleeper woken mid-tick, whose staged input (e.g. an RPU's
-        // rx_pending_) must land this edge. Index loop: a commit may
-        // request another while we drain.
-        for (size_t i = 0; i < commit_queue_.size(); ++i) {
-            Clocked* c = commit_queue_[i];
-            c->commit_queued_ = false;
-            c->commit();
-        }
+    for (size_t i = 0; i < commit_queue_.size(); ++i) {
+        Clocked* c = commit_queue_[i];
+        c->commit_queued_ = false;
+        c->commit();
     }
     commit_queue_.clear();
     phase_ = Phase::kIdle;

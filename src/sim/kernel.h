@@ -76,9 +76,8 @@ class Clocked {
     virtual ~Clocked() = default;
 
     /// Make updates staged during the current cycle visible to readers.
-    /// Runs at the clock edge of every cycle in which the element called
-    /// Kernel::request_commit(), so it must be the identity on a cycle
-    /// that staged nothing (the telemetry sweep calls it every cycle).
+    /// Runs once at the clock edge of every cycle in which the element
+    /// called Kernel::request_commit(), and on no other cycle.
     virtual void commit() = 0;
 
  private:
@@ -249,14 +248,6 @@ class Kernel {
         ++awake_count_;
     }
 
-    /// Register a non-component clocked element (sim::Fifo, sim::Reg and
-    /// the LB's control channel do this at construction). Like a
-    /// component, it is committed on the cycles it calls request_commit().
-    /// The registry exists for the telemetry sweep only: while a sink is
-    /// attached, every element commits every cycle in registration order,
-    /// so per-cycle occupancy reporting stays complete.
-    void add_clocked(Clocked* c) { elements_.push_back(c); }
-
     /// Queue a clocked element (a component or a registered element) for
     /// this cycle's clock edge; call it wherever the element stages an
     /// update. Idempotent per cycle: the per-element flag makes the queue
@@ -270,10 +261,7 @@ class Kernel {
 
     /// Advance the simulation by exactly one clock cycle: tick every awake
     /// component, then commit the queued elements in request order (one
-    /// commit path for components and primitives alike). While a
-    /// telemetry sink is attached, the commit phase instead sweeps every
-    /// awake component, then every registered element, each in
-    /// registration order.
+    /// commit path for components and primitives alike).
     void step();
 
     /// Advance the simulation by `cycles` clock cycles. When the whole
@@ -329,18 +317,14 @@ class Kernel {
     /// tick phase, i.e. for commits and host/test code).
     const Component* active_component() const { return active_; }
 
-    /// Enable/disable the dynamic same-cycle race checks in Fifo/Reg.
-    /// On by default: the checks are a handful of integer compares.
-    void set_race_check(bool on) { race_check_ = on; }
-    bool race_check() const { return race_check_; }
-
     // --- telemetry ------------------------------------------------------------
 
     /// Attach/detach the observability sink (obs::Telemetry). Null (the
     /// default) disables all event emission; the caller owns the sink and
     /// must detach (or outlive the kernel) before it dies. Events flow from
     /// the registered primitives and instrumented components; end_cycle
-    /// fires once per step after all commits. Attaching a sink disables
+    /// fires once per step after all commits, when the sink reads
+    /// committed occupancy from the probes below. Attaching a sink disables
     /// idle skipping (the accessors below report the effective state) so
     /// per-cycle accounting stays exact and event order deterministic.
     void set_telemetry(TelemetrySink* sink) {
@@ -365,11 +349,11 @@ class Kernel {
 
     /// A registered on-demand reader of one net's committed occupancy.
     /// Primitives (sim::Fifo) and components owning abstract buffered links
-    /// (fabric VOQs, RPU packet slots) register a getter at construction so
-    /// host-side diagnostics — the watchdog's deepest-backlog census, the
-    /// metrics registry's gauges — can take a full occupancy snapshot at
-    /// any host-phase point without a TelemetrySink attached. Getters read
-    /// committed state only and are never called during tick/commit.
+    /// (fabric VOQs, RPU packet slots) register a getter at construction.
+    /// This registry is the one occupancy channel: the telemetry's
+    /// per-cycle waveforms, the watchdog's deepest-backlog census and the
+    /// metrics registry's gauges all read it at host-phase points. Getters
+    /// read committed state only and are never called during tick/commit.
     struct OccupancyProbe {
         std::string net;        ///< netlist name, e.g. "rpu3.rx_fifo"
         size_t capacity = 0;    ///< same unit as the getter (entries)
@@ -484,13 +468,11 @@ class Kernel {
     void build_wake_map();
 
     std::vector<Component*> components_;
-    std::vector<Clocked*> elements_;  ///< add_clocked(), for the telemetry sweep
     std::vector<Clocked*> commit_queue_;
     Cycle now_ = 0;
 
     Phase phase_ = Phase::kIdle;
     const Component* active_ = nullptr;
-    bool race_check_ = true;
     TelemetrySink* telemetry_ = nullptr;
     HealthProbe* health_probe_ = nullptr;
     std::vector<OccupancyProbe> occupancy_probes_;

@@ -2,13 +2,6 @@
 
 namespace rosebud::sim {
 
-namespace {
-int g_log_level = 0;
-}  // namespace
-
-int log_level() { return g_log_level; }
-void set_log_level(int level) { g_log_level = level; }
-
 void
 fatal(const std::string& msg) {
     std::fprintf(stderr, "fatal: %s\n", msg.c_str());
@@ -24,16 +17,6 @@ panic(const std::string& msg) {
 void
 warn(const std::string& msg) {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-inform(const std::string& msg) {
-    if (g_log_level >= 1) std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
-debug(const std::string& msg) {
-    if (g_log_level >= 2) std::fprintf(stderr, "debug: %s\n", msg.c_str());
 }
 
 }  // namespace rosebud::sim

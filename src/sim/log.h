@@ -3,7 +3,7 @@
 ///
 /// Mirrors the gem5 convention: `fatal` for user/config errors (throws,
 /// callers may catch), `panic` for internal invariant violations (aborts),
-/// `warn`/`inform` for status. Debug logging compiles away unless enabled.
+/// `warn` for a status the user should see.
 
 #ifndef ROSEBUD_SIM_LOG_H
 #define ROSEBUD_SIM_LOG_H
@@ -21,10 +21,6 @@ class FatalError : public std::runtime_error {
     explicit FatalError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Global log verbosity. 0 = quiet, 1 = inform, 2 = debug.
-int log_level();
-void set_log_level(int level);
-
 /// The simulation cannot continue due to a user error (bad config,
 /// invalid arguments). Throws FatalError.
 [[noreturn]] void fatal(const std::string& msg);
@@ -34,12 +30,6 @@ void set_log_level(int level);
 
 /// Something is off but the simulation can proceed.
 void warn(const std::string& msg);
-
-/// Status message for the user.
-void inform(const std::string& msg);
-
-/// Verbose per-event tracing; only emitted at log level >= 2.
-void debug(const std::string& msg);
 
 }  // namespace rosebud::sim
 

@@ -7,8 +7,9 @@
 /// registered with the Kernel receives a low-level event stream from every
 /// registered primitive (sim::Fifo) and from components that own abstract
 /// links (the fabric's VOQs, the LB assignment interface, the per-RPU ingress
-/// links): push accepted, push blocked on credit, pop, consumer-poll-found-
-/// empty, and end-of-cycle occupancy. The obs:: layer turns that stream into
+/// links): push accepted, push blocked on credit, pop, and consumer-poll-
+/// found-empty. Occupancy is not an event: at end_cycle the sink reads it
+/// from the kernel's occupancy probes. The obs:: layer turns both into
 /// per-cycle idle/busy/stalled/starved classification, VCD waveforms and
 /// Perfetto traces.
 ///
@@ -28,7 +29,6 @@
 #ifndef ROSEBUD_SIM_TELEMETRY_H
 #define ROSEBUD_SIM_TELEMETRY_H
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -53,13 +53,9 @@ class TelemetrySink {
     /// need not dedupe.
     virtual void net_event(const std::string& net, NetEvent ev) = 0;
 
-    /// Committed occupancy of `net` after this cycle's clock edge.
-    /// `capacity` is in the same unit as `occupancy` (entries or bytes).
-    virtual void net_occupancy(const std::string& net, size_t occupancy,
-                               size_t capacity) = 0;
-
     /// The clock edge: cycle `completed` has fully committed. Sinks close
-    /// the per-cycle classification window here.
+    /// the per-cycle classification window here; it runs in the host phase,
+    /// so the kernel's occupancy probes may be read.
     virtual void end_cycle(uint64_t completed) = 0;
 };
 

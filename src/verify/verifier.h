@@ -93,9 +93,10 @@ struct Options {
 // rejection (a diagnostic means every concrete execution misbehaves), the
 // certificate is sound in the opposite direction: every number is an upper
 // bound over all concrete executions, and every proof flag is only set when
-// the property holds on all executions. The host admission gate, the JIT
-// plans (ROADMAP item 2), and the multi-tenant control plane (item 4) all
-// consume these facts.
+// the property holds on all executions. Three consumers read these facts
+// today: CI's WCET report (`rosebud_cli verify --wcet --json`), the
+// firmware fuzzer's `wcet-exceeded` verdict, and the host's admission gate
+// (HostContext::set_wcet_check), which only tests turn on.
 
 /// Inferred trip bound for one CFG cycle (a nontrivial SCC).
 struct LoopBound {

@@ -354,16 +354,6 @@ TEST(RaceDetector, HostPhaseAccessIsExempt) {
     EXPECT_NO_THROW(k.step());
 }
 
-TEST(RaceDetector, DisablingRaceCheckSuppressesTheFault) {
-    sim::Kernel k;
-    k.set_race_check(false);
-    sim::Fifo<int> f(k, "f", 8, 32);
-    Poker a(k, "a"), b(k, "b");
-    a.fn = [&] { (void)!f.push(1); };
-    b.fn = [&] { (void)!f.push(2); };
-    EXPECT_NO_THROW(k.step());
-}
-
 // --- full-System lint + tick-order determinism --------------------------------
 
 TEST(LintSystem, CleanSystemElaboratesZeroViolations) {

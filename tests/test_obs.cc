@@ -1,12 +1,15 @@
 /// Observability-stack tests: CSV escaping, the VCD writer's header/format,
 /// the Perfetto exporter's structure, the telemetry cycle-classification
 /// invariant (busy+stalled+starved+idle == observed cycles on every net),
-/// the firmware PC profiler's conservation property, flight-recorder
+/// telemetry occupancy equal to the kernel's occupancy probes on every
+/// cycle, the firmware PC profiler's conservation property, flight-recorder
 /// retention of packet timelines, and the guarantee that attaching
 /// telemetry leaves the architectural state fingerprint untouched.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <tuple>
 
 #include "core/system.h"
@@ -163,6 +166,51 @@ TEST(Telemetry, StallReportRanksAndPreservesSums) {
     }
     std::string text = obs::format_stall_report(r.stalls, 5);
     EXPECT_NE(text.find("component rollup"), std::string::npos);
+}
+
+// ------------------------------------ occupancy comes from the probes
+
+TEST(Telemetry, OccupancyMatchesProbesEveryCycle) {
+    SystemConfig cfg;
+    cfg.rpu_count = 4;
+    System sys(cfg);
+    auto fw = fwlib::forwarder();
+    sys.host().load_firmware_all(fw.image, fw.entry);
+    sys.host().boot_all();
+    // Both ports at 64 B line rate: four RPUs cannot keep up, so the
+    // fabric queues and the RPU descriptor FIFOs back up.
+    uint64_t id = 0;
+    for (unsigned port = 0; port < 2; ++port) {
+        sys.add_source({.port = port}, [&id] { return make_packet(64, id++); });
+    }
+    obs::Telemetry telem;
+    telem.attach(sys);
+
+    std::map<std::string, const sim::Kernel::OccupancyProbe*> probes;
+    for (const auto& p : sys.kernel().occupancy_probes()) probes[p.net] = &p;
+    std::map<std::string, size_t> peak;
+    for (int cycle = 0; cycle < 2000; ++cycle) {
+        sys.run_cycles(1);
+        for (const auto& [name, ns] : telem.nets()) {
+            auto it = probes.find(name);
+            // A net without a probe (an abstract link) holds nothing.
+            const size_t occ = it == probes.end() ? 0 : it->second->fn();
+            size_t& p = peak[name];
+            p = std::max(p, occ);
+            ASSERT_EQ(ns.occ, occ) << name << " @" << cycle;
+            ASSERT_EQ(ns.peak_occ, p) << name << " @" << cycle;
+        }
+    }
+    // Not vacuous: an abstract fabric queue and a sim::Fifo both backed up.
+    EXPECT_GT(telem.nets().at("fabric.mac_rx.p0").peak_occ, 0u);
+    EXPECT_GT(telem.nets().at("rpu0.rx_fifo").peak_occ, 0u);
+    // rpuN.slots is a probe but not a net, so it gains no row.
+    for (unsigned r = 0; r < cfg.rpu_count; ++r) {
+        const std::string slots = "rpu" + std::to_string(r) + ".slots";
+        EXPECT_EQ(probes.count(slots), 1u);
+        EXPECT_EQ(telem.nets().count(slots), 0u);
+    }
+    telem.detach();
 }
 
 // ------------------------------------------------------------ pc profiler
