@@ -38,7 +38,9 @@ main() {
             .udp(1000, 2000)
             .payload_str("hello rosebud #" + std::to_string(i))
             .frame_size(128);
-        sys.fabric().mac_rx(0, b.build());
+        net::PacketPtr pkt = b.build();
+        pkt->tx_ns = sys.kernel().now_ns();  // send time, for the round trip
+        sys.fabric().mac_rx(0, std::move(pkt));
         sys.run_us(1.0);
     }
     sys.run_us(10.0);

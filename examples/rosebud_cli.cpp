@@ -13,6 +13,7 @@
 ///   $ ./examples/rosebud_cli verify --program firewall --dot fw.dot
 ///   $ ./examples/rosebud_cli lint --rpus 16 --dot netlist.dot
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -31,11 +32,25 @@
 #include "obs/profile.h"
 #include "obs/report.h"
 #include "oracle/harness.h"
+#include "sim/log.h"
 #include "verify/verifier.h"
 
 using namespace rosebud;
 
 namespace {
+
+/// All of `text` as a number, or a sim::fatal naming the flag (main turns
+/// it into exit 2).
+template <typename T>
+T
+parse_number(const std::string& flag, const std::string& text) {
+    T v{};
+    const char* end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end)
+        sim::fatal("--" + flag + " needs a number, got '" + text + "'");
+    return v;
+}
 
 struct Args {
     std::string experiment;
@@ -44,11 +59,11 @@ struct Args {
     bool has(const std::string& k) const { return kv.count(k) > 0; }
     uint32_t u32(const std::string& k, uint32_t dflt) const {
         auto it = kv.find(k);
-        return it == kv.end() ? dflt : uint32_t(std::stoul(it->second));
+        return it == kv.end() ? dflt : parse_number<uint32_t>(k, it->second);
     }
     double f64(const std::string& k, double dflt) const {
         auto it = kv.find(k);
-        return it == kv.end() ? dflt : std::stod(it->second);
+        return it == kv.end() ? dflt : parse_number<double>(k, it->second);
     }
     std::string str(const std::string& k, const std::string& dflt) const {
         auto it = kv.find(k);
@@ -242,6 +257,8 @@ verify_one(const char* name, const fwlib::Program& prog, const std::string& dot_
     return r;
 }
 
+int run(const Args& args);
+
 }  // namespace
 
 int
@@ -267,6 +284,20 @@ main(int argc, char** argv) {
         args.kv[key] = argv[++i];
     }
 
+    // A bad value or configuration is the caller's error: one line, exit 2.
+    try {
+        return run(args);
+    } catch (const sim::FatalError& e) {
+        std::fprintf(stderr, "rosebud_cli %s: %s\n", args.experiment.c_str(), e.what());
+        return 2;
+    }
+}
+
+namespace {
+
+/// Run the verb `args` names; its exit code.
+int
+run(const Args& args) {
     auto host_t0 = std::chrono::steady_clock::now();
 
     if (args.experiment == "forward") {
@@ -589,8 +620,8 @@ main(int argc, char** argv) {
                 size_t comma = list.find(',', start);
                 if (comma == std::string::npos) comma = list.size();
                 if (comma > start)
-                    s.packet_sizes.push_back(
-                        uint32_t(std::stoul(list.substr(start, comma - start))));
+                    s.packet_sizes.push_back(parse_number<uint32_t>(
+                        "sizes", list.substr(start, comma - start)));
                 start = comma + 1;
             }
             if (s.packet_sizes.empty()) return usage();
@@ -658,3 +689,5 @@ main(int argc, char** argv) {
     }
     return 0;
 }
+
+}  // namespace

@@ -45,7 +45,7 @@ PigasusMatcher::match(const uint8_t* payload, size_t len, uint32_t raw_ports, bo
                       std::vector<uint32_t>& sids,
                       std::vector<net::PatternMatch>& hits) const {
     // The port-matcher stage sees one protocol group: TCP or UDP.
-    matcher_.match(payload, len, is_tcp ? net::L4Proto::kTcp : net::L4Proto::kUdp,
+    matcher_.match(payload, len, is_tcp ? net::FlowClass::kTcp : net::FlowClass::kUdp,
                    dst_port_of(raw_ports), sids, hits);
 }
 

@@ -15,13 +15,13 @@ bool
 SnortModel::packet_matches(const net::Packet& pkt) const {
     auto parsed = net::parse_packet(pkt);
     if (!parsed || parsed->payload_offset == 0) return false;
-    net::L4Proto proto = net::L4Proto::kOther;
+    net::FlowClass proto = net::FlowClass::kOther;
     uint16_t dst = 0;
     if (parsed->has_tcp) {
-        proto = net::L4Proto::kTcp;
+        proto = net::FlowClass::kTcp;
         dst = parsed->tcp.dst_port;
     } else if (parsed->has_udp) {
-        proto = net::L4Proto::kUdp;
+        proto = net::FlowClass::kUdp;
         dst = parsed->udp.dst_port;
     }
     std::vector<uint32_t> sids;
@@ -33,12 +33,10 @@ SnortModel::packet_matches(const net::Packet& pkt) const {
 
 double
 SnortModel::mpps_for_size(uint32_t frame_size) const {
-    double per_packet_us = config_.per_packet_us;
-    if (!config_.use_afpacket) per_packet_us -= 0.0;  // AF_PACKET already included
     // The ramdisk experiment (Section 7.1.3) removes the NIC path:
     double overhead = config_.use_afpacket
-                          ? per_packet_us
-                          : per_packet_us - config_.afpacket_share_us;
+                          ? config_.per_packet_us
+                          : config_.per_packet_us - config_.afpacket_share_us;
     double t_us = overhead + double(frame_size) * config_.scan_ns_per_byte / 1e3;
     return double(config_.cores) / t_us;  // cores / us => MPPS
 }

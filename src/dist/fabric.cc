@@ -161,6 +161,10 @@ Fabric::mac_rx(unsigned port, net::PacketPtr pkt) {
     bool all_ok = true;
     bool admitted = false;
     for (auto& p : released_) {
+        // The MAC's receive stamp: admission time (release time for a packet
+        // the reassembler held) and the class of the frame as it arrived.
+        p->mac_rx_cycle = now();
+        p->flow_class = net::classify(*p);
         uint64_t occupied = in_tick ? src.admit_bytes + src.staged_bytes : src.queue_bytes;
         if (occupied + p->size() > config_.mac_rx_fifo_bytes) {
             ctr_rx_drops_[port]->add();
@@ -204,6 +208,7 @@ Fabric::host_inject(net::PacketPtr pkt) {
     }
     tel("fabric.host_q", sim::TelemetrySink::NetEvent::kPushOk);
     pkt->in_iface = net::Iface::kHost;
+    pkt->flow_class = net::classify(*pkt);
     if (in_tick) {
         src.staged_bytes += pkt->size();
         src.staged.push_back(std::move(pkt));

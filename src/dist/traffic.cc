@@ -107,16 +107,7 @@ void
 TrafficSink::start_window() {
     window_frames_ = 0;
     window_bytes_ = 0;
-    window_start_ = kernel_.now();
     latency_.clear();
-}
-
-double
-TrafficSink::gbps_since(sim::Cycle from_cycle) const {
-    sim::Cycle start = from_cycle ? from_cycle : window_start_;
-    sim::Cycle elapsed = kernel_.now() - start;
-    if (elapsed == 0) return 0.0;
-    return double(window_bytes_) * 8.0 / (double(elapsed) / sim::kClockHz) / 1e9;
 }
 
 }  // namespace rosebud::dist

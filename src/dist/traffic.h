@@ -87,9 +87,6 @@ class TrafficSink {
     uint64_t window_frames() const { return window_frames_; }
     uint64_t window_bytes() const { return window_bytes_; }
 
-    /// Average delivered goodput over [from_cycle, now].
-    double gbps_since(sim::Cycle from_cycle) const;
-
     /// Mark the start of the measurement window (drops warm-up counts).
     void start_window();
 
@@ -108,7 +105,6 @@ class TrafficSink {
     uint64_t bytes_ = 0;
     uint64_t window_frames_ = 0;
     uint64_t window_bytes_ = 0;
-    sim::Cycle window_start_ = 0;
     sim::Histogram latency_;
 };
 

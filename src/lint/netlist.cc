@@ -144,9 +144,9 @@ check_netlist(const sim::Kernel& kernel, const std::vector<WidthRule>& rules) {
             // kernel drops unresolvable read ports when building the wake
             // map). Scoped to kFifo nets — only Fifo::push routes wakes
             // through the map; kLink nets are callback boundaries whose
-            // producers wake consumers by direct wake() calls, and Reg
-            // readers poll. External drains are exempt via the same flag
-            // that exempts them from never-read.
+            // producers wake consumers by direct wake() calls. External
+            // drains are exempt via the same flag that exempts them from
+            // never-read.
             if (n.kind == NetRecord::kFifo && !registered.empty() &&
                 p->dir == PortRecord::kRead &&
                 !(n.flags & sim::kNetExternalSink) &&
@@ -285,9 +285,7 @@ to_dot(const sim::Kernel& kernel) {
            << "\" [shape=box, style=filled, fillcolor=lightblue];\n";
     }
     for (const NetRecord& n : kernel.nets()) {
-        const char* kind = n.kind == NetRecord::kFifo   ? "fifo"
-                           : n.kind == NetRecord::kReg  ? "reg"
-                                                        : "link";
+        const char* kind = n.kind == NetRecord::kFifo ? "fifo" : "link";
         os << "  \"" << dot_escape(n.name) << "\" [shape=ellipse, label=\""
            << dot_escape(n.name) << "\\n" << kind << " " << n.width_bits
            << "b x" << n.depth << "\"];\n";
@@ -307,11 +305,10 @@ to_dot(const sim::Kernel& kernel) {
 
 std::string
 lint_json(const sim::Kernel& kernel, const std::vector<Violation>& violations) {
-    size_t fifo = 0, reg = 0, link = 0;
+    size_t fifo = 0, link = 0;
     for (const NetRecord& n : kernel.nets()) {
         switch (n.kind) {
         case NetRecord::kFifo: ++fifo; break;
-        case NetRecord::kReg: ++reg; break;
         case NetRecord::kLink: ++link; break;
         }
     }
@@ -323,7 +320,6 @@ lint_json(const sim::Kernel& kernel, const std::vector<Violation>& violations) {
     w.key("netlist").begin_object();
     w.key("nets").value(uint64_t(kernel.nets().size()));
     w.key("fifo_nets").value(uint64_t(fifo));
-    w.key("reg_nets").value(uint64_t(reg));
     w.key("link_nets").value(uint64_t(link));
     w.key("ports").value(uint64_t(kernel.ports().size()));
     w.key("components").value(uint64_t(components.size()));

@@ -1,7 +1,7 @@
 /// \file
 /// Elaboration-time netlist linter.
 ///
-/// Every Fifo/Reg primitive self-declares a net at construction, and each
+/// Every Fifo primitive self-declares a net at construction, and each
 /// hardware component declares its directed ports (writer/reader endpoints,
 /// with the width and depth it *expects*) into the owning sim::Kernel. The
 /// checks here run over that graph before cycle 0 — the moral equivalent of

@@ -1,5 +1,7 @@
 #include "net/packet.h"
 
+#include "net/headers.h"
+
 namespace rosebud::net {
 
 PacketPtr
@@ -7,6 +9,29 @@ make_packet(uint32_t size) {
     auto p = std::make_shared<Packet>();
     p->data.assign(size, 0);
     return p;
+}
+
+const char*
+flow_class_name(FlowClass c) {
+    switch (c) {
+    case FlowClass::kTcp: return "tcp";
+    case FlowClass::kUdp: return "udp";
+    case FlowClass::kOther: return "other";
+    }
+    return "?";
+}
+
+FlowClass
+classify(const Packet& pkt) {
+    const auto& d = pkt.data;
+    size_t off = pkt.hash_prepended ? 4 : 0;
+    // Ethernet(14) + IPv4 header through the protocol byte at offset 23.
+    if (d.size() < off + 24) return FlowClass::kOther;
+    if (d[off + 12] != 0x08 || d[off + 13] != 0x00) return FlowClass::kOther;
+    uint8_t proto = d[off + 23];
+    if (proto == kIpProtoTcp) return FlowClass::kTcp;
+    if (proto == kIpProtoUdp) return FlowClass::kUdp;
+    return FlowClass::kOther;
 }
 
 const char*

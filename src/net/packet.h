@@ -3,8 +3,9 @@
 ///
 /// A Packet carries the frame bytes (FCS excluded, as in the paper's size
 /// conventions) plus out-of-band simulation metadata: generator timestamps
-/// for latency measurement, the ingress interface, the load balancer's
-/// destination assignment, and IDS match results appended by accelerators.
+/// for latency measurement, the cycle and flow class the MAC admitted it
+/// with, the ingress interface, the load balancer's destination
+/// assignment, and IDS match results appended by accelerators.
 
 #ifndef ROSEBUD_NET_PACKET_H
 #define ROSEBUD_NET_PACKET_H
@@ -29,6 +30,20 @@ enum class Iface : uint8_t {
     kLoopback = 3,
 };
 
+/// A packet's transport class: the rule matcher checks a rule's protocol
+/// selector against it, and the health monitor keeps per-class SLO
+/// accounting by it. kOther matches neither TCP nor UDP rules.
+enum class FlowClass : uint8_t { kTcp = 0, kUdp, kOther };
+
+inline constexpr unsigned kFlowClassCount = unsigned(FlowClass::kOther) + 1;
+
+/// "tcp", "udp" or "other".
+const char* flow_class_name(FlowClass c);
+
+/// `Packet::mac_rx_cycle` of a packet that never crossed a MAC (host
+/// injections, hand-built test packets).
+inline constexpr uint64_t kNoMacRx = ~uint64_t(0);
+
 /// A network packet plus simulation metadata.
 struct Packet {
     /// Frame bytes starting at the Ethernet destination MAC; no FCS.
@@ -37,8 +52,14 @@ struct Packet {
     /// Monotonic id assigned by the generator (debug/tracking).
     uint64_t id = 0;
 
-    /// Generator timestamp in simulated ns (latency measurement).
+    /// Generator timestamp in simulated ns (the tester's round trip).
     double tx_ns = 0.0;
+
+    /// Cycle a MAC admitted the packet into its RX FIFO (the LB
+    /// reassembler's release, when it held the packet); kNoMacRx if it
+    /// never crossed a MAC. Like a MAC's receive timestamp it travels with
+    /// the packet, so egress latency needs no per-packet table.
+    uint64_t mac_rx_cycle = kNoMacRx;
 
     /// Ingress interface at the DUT.
     Iface in_iface = Iface::kPort0;
@@ -58,6 +79,10 @@ struct Packet {
     /// True when the hash LB padded the 4-byte hash in front of the frame.
     bool hash_prepended = false;
 
+    /// Class of the frame as it entered the DUT (MAC admission or host
+    /// injection), kept when firmware rewrites or re-frames the bytes.
+    FlowClass flow_class = FlowClass::kOther;
+
     /// IDS rule ids appended to the packet by the matcher accelerator.
     std::vector<uint32_t> matched_rules;
 
@@ -75,6 +100,10 @@ struct Packet {
 };
 
 using PacketPtr = std::shared_ptr<Packet>;
+
+/// Classify a frame from its bytes (honors the LB's 4-byte prepended
+/// hash). Non-IPv4 and truncated frames are kOther.
+FlowClass classify(const Packet& pkt);
 
 /// The stage boundaries a packet crosses on its way through the DUT, in
 /// pipeline order. The fabric and the RPUs report each crossing

@@ -27,7 +27,7 @@ RuleMatcher::RuleMatcher(const IdsRuleSet& rules) : rules_(rules) {
 }
 
 void
-RuleMatcher::match(const uint8_t* payload, size_t len, L4Proto proto, uint16_t dst_port,
+RuleMatcher::match(const uint8_t* payload, size_t len, FlowClass proto, uint16_t dst_port,
                    std::vector<uint32_t>& sids, std::vector<PatternMatch>& hits) const {
     sids.clear();
     hits.clear();
@@ -41,8 +41,8 @@ RuleMatcher::match(const uint8_t* payload, size_t len, L4Proto proto, uint16_t d
     for (size_t i = 0; i < hits.size(); ++i) {
         if (i > 0 && hits[i].pattern_id == hits[i - 1].pattern_id) continue;
         const IdsRule& rule = rules_.at(hits[i].pattern_id);
-        if (rule.proto == RuleProto::kTcp && proto != L4Proto::kTcp) continue;
-        if (rule.proto == RuleProto::kUdp && proto != L4Proto::kUdp) continue;
+        if (rule.proto == RuleProto::kTcp && proto != FlowClass::kTcp) continue;
+        if (rule.proto == RuleProto::kUdp && proto != FlowClass::kUdp) continue;
         if (rule.dst_port && *rule.dst_port != dst_port) continue;
         bool all = std::all_of(rule.contents.begin(), rule.contents.end(),
                                [&](const ContentPattern& c) { return contains(payload, len, c); });

@@ -13,14 +13,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "net/packet.h"
 #include "net/patmatch.h"
 #include "net/rules.h"
 
 namespace rosebud::net {
-
-/// The L4 protocol a rule header's protocol selector is checked against.
-/// kOther matches neither TCP nor UDP rules.
-enum class L4Proto : uint8_t { kOther, kTcp, kUdp };
 
 class RuleMatcher {
  public:
@@ -29,7 +26,7 @@ class RuleMatcher {
     /// Replace `sids` with the ascending sids of every rule that matches
     /// the payload. `hits` is scratch: a caller that keeps it (and `sids`)
     /// across calls matches without allocating.
-    void match(const uint8_t* payload, size_t len, L4Proto proto, uint16_t dst_port,
+    void match(const uint8_t* payload, size_t len, FlowClass proto, uint16_t dst_port,
                std::vector<uint32_t>& sids, std::vector<PatternMatch>& hits) const;
 
  private:

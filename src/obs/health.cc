@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "net/headers.h"
 #include "obs/json.h"
 #include "obs/report.h"
 #include "obs/telemetry.h"
@@ -14,12 +13,6 @@
 namespace rosebud::obs {
 
 namespace {
-
-/// In-flight latency table geometry. The live population is bounded by the
-/// pipeline's packet slots (rpu_count * 32) plus queue depths — a few
-/// hundred — so 4096 slots keep the load factor comfortably below 10%.
-constexpr size_t kInflightSlots = 4096;
-constexpr size_t kProbeLimit = 16;
 
 /// Flight-recorder ring size, in events.
 constexpr size_t kRecorderCapacity = 4096;
@@ -31,11 +24,6 @@ constexpr size_t kMaxTrips = 16;
 /// stays one compare.
 constexpr uint64_t kWatchdogCheckInterval = 1024;
 
-size_t
-slot_hash(uint64_t key) {
-    return size_t((key * 0x9E3779B97F4A7C15ull) >> 32);
-}
-
 std::string
 trim(const std::string& s) {
     size_t b = 0, e = s.size();
@@ -45,33 +33,6 @@ trim(const std::string& s) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Flow classification
-
-const char*
-flow_class_name(FlowClass c) {
-    switch (c) {
-    case FlowClass::kTcp: return "tcp";
-    case FlowClass::kUdp: return "udp";
-    case FlowClass::kOther: return "other";
-    case FlowClass::kClassCount: break;
-    }
-    return "all";
-}
-
-FlowClass
-classify(const net::Packet& pkt) {
-    const auto& d = pkt.data;
-    size_t off = pkt.hash_prepended ? 4 : 0;
-    // Ethernet(14) + IPv4 header through the protocol byte at offset 23.
-    if (d.size() < off + 24) return FlowClass::kOther;
-    if (d[off + 12] != 0x08 || d[off + 13] != 0x00) return FlowClass::kOther;
-    uint8_t proto = d[off + 23];
-    if (proto == net::kIpProtoTcp) return FlowClass::kTcp;
-    if (proto == net::kIpProtoUdp) return FlowClass::kUdp;
-    return FlowClass::kOther;
-}
 
 // ---------------------------------------------------------------------------
 // SLO parsing
@@ -115,11 +76,10 @@ parse_slo(const std::string& text) {
         size_t colon = body.find(':');
         if (colon != std::string::npos) {
             std::string cls = trim(body.substr(0, colon));
-            if (cls == "tcp") b.cls = FlowClass::kTcp;
-            else if (cls == "udp") b.cls = FlowClass::kUdp;
-            else if (cls == "other") b.cls = FlowClass::kOther;
-            else if (cls == "all") b.cls = FlowClass::kClassCount;
-            else sim::fatal("parse_slo: unknown traffic class '" + cls + "' in clause '" + clause + "'");
+            if (cls == "tcp") b.cls = net::FlowClass::kTcp;
+            else if (cls == "udp") b.cls = net::FlowClass::kUdp;
+            else if (cls == "other") b.cls = net::FlowClass::kOther;
+            else if (cls != "all") sim::fatal("parse_slo: unknown traffic class '" + cls + "' in clause '" + clause + "'");
             body = trim(body.substr(colon + 1));
         }
 
@@ -160,8 +120,8 @@ parse_slo(const std::string& text) {
 std::string
 slo_bound_text(const SloBound& b) {
     std::string out;
-    if (b.cls != FlowClass::kClassCount) {
-        out += flow_class_name(b.cls);
+    if (b.cls) {
+        out += net::flow_class_name(*b.cls);
         out += ": ";
     }
     char buf[64];
@@ -203,7 +163,7 @@ HealthMonitor::attach(System& sys) {
     // Fresh accounting for this attachment.
     ingress_ = egress_ = egress_bytes_ = 0;
     for (auto& d : drops_) d = 0;
-    core_faults_ = watchdog_trips_ = slo_violations_ = lost_samples_ = 0;
+    core_faults_ = watchdog_trips_ = slo_violations_ = retired_ = 0;
     lat_all_.clear();
     for (auto& h : lat_cls_) h.clear();
     epoch_all_.clear();
@@ -217,9 +177,6 @@ HealthMonitor::attach(System& sys) {
     verdicts_.reserve(kMaxVerdicts);
     epochs_closed_ = 0;
     recorder_.clear();
-
-    inflight_.assign(kInflightSlots, Inflight{});
-    inflight_count_ = 0;
 
     unsigned n = sys.rpu_count();
     last_activity_.assign(n, now);
@@ -259,12 +216,9 @@ HealthMonitor::attach(System& sys) {
     metrics_.add_counter("rosebud_health_core_faults_total",
                          "RPU core fault transitions observed", "",
                          [this] { return core_faults_; });
-    metrics_.add_counter("rosebud_health_lost_latency_samples_total",
-                         "Latency samples dropped by in-flight-table pressure", "",
-                         [this] { return lost_samples_; });
     metrics_.add_gauge("rosebud_health_inflight_packets",
                        "Packets currently between ingress and egress", "",
-                       [this] { return uint64_t(inflight_count_); });
+                       [this] { return inflight(); });
     metrics_.add_gauge("rosebud_health_epochs_closed",
                        "SLO epochs evaluated", "",
                        [this] { return epochs_closed_; });
@@ -272,10 +226,11 @@ HealthMonitor::attach(System& sys) {
     metrics_.add_histogram("rosebud_packet_latency_seconds",
                            "Ingress-to-egress packet latency", "cls=\"all\"",
                            &lat_all_, cycles_to_seconds);
-    for (unsigned c = 0; c < kFlowClassCount; ++c) {
+    for (unsigned c = 0; c < net::kFlowClassCount; ++c) {
         metrics_.add_histogram("rosebud_packet_latency_seconds",
                                "Ingress-to-egress packet latency",
-                               std::string("cls=\"") + flow_class_name(FlowClass(c)) + "\"",
+                               std::string("cls=\"") +
+                                   net::flow_class_name(net::FlowClass(c)) + "\"",
                                &lat_cls_[c], cycles_to_seconds);
     }
     metrics_.set_stats(&sys.stats());
@@ -328,10 +283,8 @@ HealthMonitor::on_stage(net::Stage stage, const net::Packet& pkt, sim::Cycle now
 
 void
 HealthMonitor::note_ingress(const net::Packet& pkt, uint64_t now) {
-    FlowClass cls = classify(pkt);
     ++ingress_;
-    ++epoch_ingress_[unsigned(cls)];
-    insert_inflight(pkt.id, now, cls);
+    ++epoch_ingress_[unsigned(pkt.flow_class)];
     recorder_.record(net::Stage::kMacRx, now, pkt);
 }
 
@@ -342,30 +295,30 @@ HealthMonitor::note_egress(net::Stage stage, const net::Packet& pkt, uint64_t no
     egress_bytes_ += pkt.wire_size();
     last_egress_ = now;
     uint32_t lat = 0;
-    Inflight e;
-    if (erase_inflight(pkt.id, &e)) {
-        uint64_t cycles = now - e.cycle;
+    if (stamped_since_attach(pkt)) {
+        ++retired_;
+        uint64_t cycles = now - pkt.mac_rx_cycle;
         lat = uint32_t(std::min<uint64_t>(cycles, 0xFFFFFFFFu));
+        unsigned cls = unsigned(pkt.flow_class);
         lat_all_.record(cycles);
-        lat_cls_[e.cls].record(cycles);
+        lat_cls_[cls].record(cycles);
         epoch_all_.record(cycles);
-        epoch_cls_[e.cls].record(cycles);
+        epoch_cls_[cls].record(cycles);
     }
     recorder_.record(stage, now, pkt, lat);
 }
 
 void
 HealthMonitor::note_drop(net::Stage stage, const net::Packet& pkt, uint64_t now) {
-    FlowClass cls = classify(pkt);
+    unsigned cls = unsigned(pkt.flow_class);
     ++drops_[unsigned(stage)];
-    ++epoch_drops_[unsigned(cls)];
+    ++epoch_drops_[cls];
     if (stage == net::Stage::kMacRxFifoDrop) {
         // Never saw "mac_rx": count it as offered so drop rates have the
         // right denominator.
-        ++epoch_ingress_[unsigned(cls)];
+        ++epoch_ingress_[cls];
     } else {
-        Inflight e;
-        erase_inflight(pkt.id, &e);
+        if (stamped_since_attach(pkt)) ++retired_;
         note_activity(pkt, now);  // the firmware actively dropped it
     }
     recorder_.record(stage, now, pkt);
@@ -374,51 +327,6 @@ HealthMonitor::note_drop(net::Stage stage, const net::Packet& pkt, uint64_t now)
 void
 HealthMonitor::note_activity(const net::Packet& pkt, uint64_t now) {
     if (pkt.dest_rpu < last_activity_.size()) last_activity_[pkt.dest_rpu] = now;
-}
-
-void
-HealthMonitor::insert_inflight(uint64_t id, uint64_t now, FlowClass cls) {
-    uint64_t key = id + 1;  // 0 marks an empty slot; ids may be 0
-    size_t mask = inflight_.size() - 1;
-    size_t base = slot_hash(key) & mask;
-    size_t oldest = base;
-    for (size_t p = 0; p < kProbeLimit; ++p) {
-        size_t i = (base + p) & mask;
-        Inflight& s = inflight_[i];
-        if (s.key == 0 || s.key == key) {
-            if (s.key == 0) ++inflight_count_;
-            s.key = key;
-            s.cycle = now;
-            s.cls = uint8_t(cls);
-            return;
-        }
-        if (s.cycle < inflight_[oldest].cycle) oldest = i;
-    }
-    // Neighborhood full: evict the oldest sample (its latency is lost, the
-    // packet is still counted in the aggregate counters).
-    ++lost_samples_;
-    Inflight& s = inflight_[oldest];
-    s.key = key;
-    s.cycle = now;
-    s.cls = uint8_t(cls);
-}
-
-bool
-HealthMonitor::erase_inflight(uint64_t id, Inflight* out) {
-    uint64_t key = id + 1;
-    size_t mask = inflight_.size() - 1;
-    size_t base = slot_hash(key) & mask;
-    for (size_t p = 0; p < kProbeLimit; ++p) {
-        Inflight& s = inflight_[(base + p) & mask];
-        if (s.key == key) {
-            *out = s;
-            s.key = 0;
-            --inflight_count_;
-            return true;
-        }
-    }
-    ++lost_samples_;
-    return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -452,14 +360,15 @@ HealthMonitor::watchdog_check(uint64_t now) {
     // System-level forward progress: packets are in flight but nothing has
     // egressed for progress_timeout cycles.
     uint64_t egress_ref = std::max(last_egress_, attach_cycle_);
-    bool stalled = inflight_count_ > 0 &&
+    bool stalled = inflight() > 0 &&
                    now - egress_ref > cfg_.watchdog.progress_timeout;
     if (stalled && !sys_tripped_) {
         sys_tripped_ = true;
         char what[128];
         std::snprintf(what, sizeof(what),
-                      "egress silent %llu cycles with %zu packets in flight",
-                      (unsigned long long)(now - egress_ref), inflight_count_);
+                      "egress silent %llu cycles with %llu packets in flight",
+                      (unsigned long long)(now - egress_ref),
+                      (unsigned long long)inflight());
         trip(now, what, "");
     } else if (!stalled) {
         sys_tripped_ = false;
@@ -520,9 +429,9 @@ HealthMonitor::build_snapshot(uint64_t now) const {
     std::string out;
     char line[192];
     std::snprintf(line, sizeof(line),
-                  "health snapshot @%llu: inflight=%zu ingress=%llu egress=%llu "
+                  "health snapshot @%llu: inflight=%llu ingress=%llu egress=%llu "
                   "drops=%llu awake=%zu\n",
-                  (unsigned long long)now, inflight_count_,
+                  (unsigned long long)now, (unsigned long long)inflight(),
                   (unsigned long long)ingress_, (unsigned long long)egress_,
                   (unsigned long long)dropped_packets(),
                   sys_->kernel().awake_count());
@@ -582,21 +491,20 @@ bool
 HealthMonitor::epoch_measure(const SloBound& b, double* out) const {
     if (b.kind == SloBound::Kind::kDropRate) {
         uint64_t offered = 0, drops = 0;
-        if (b.cls == FlowClass::kClassCount) {
-            for (unsigned c = 0; c < kFlowClassCount; ++c) {
+        if (!b.cls) {
+            for (unsigned c = 0; c < net::kFlowClassCount; ++c) {
                 offered += epoch_ingress_[c];
                 drops += epoch_drops_[c];
             }
         } else {
-            offered = epoch_ingress_[unsigned(b.cls)];
-            drops = epoch_drops_[unsigned(b.cls)];
+            offered = epoch_ingress_[unsigned(*b.cls)];
+            drops = epoch_drops_[unsigned(*b.cls)];
         }
         if (offered == 0) return false;
         *out = double(drops) / double(offered);
         return true;
     }
-    const sim::Histogram& h =
-        b.cls == FlowClass::kClassCount ? epoch_all_ : epoch_cls_[unsigned(b.cls)];
+    const sim::Histogram& h = b.cls ? epoch_cls_[unsigned(*b.cls)] : epoch_all_;
     if (h.count() == 0) return false;
     double p = b.kind == SloBound::Kind::kLatencyP50    ? 0.50
                : b.kind == SloBound::Kind::kLatencyP99 ? 0.99
@@ -610,7 +518,7 @@ HealthMonitor::close_epoch(uint64_t now) {
     EpochVerdict v;
     v.start = epoch_start_;
     v.end = now;
-    for (unsigned c = 0; c < kFlowClassCount; ++c) {
+    for (unsigned c = 0; c < net::kFlowClassCount; ++c) {
         v.offered += epoch_ingress_[c];
         v.drops += epoch_drops_[c];
     }
@@ -663,7 +571,7 @@ HealthMonitor::flush_epoch() {
     // Only close when the epoch holds any evidence; an empty tail epoch
     // would dilute nothing but still burn a verdict slot.
     bool any = epoch_egress_ != 0;
-    for (unsigned c = 0; c < kFlowClassCount && !any; ++c)
+    for (unsigned c = 0; c < net::kFlowClassCount && !any; ++c)
         any = epoch_ingress_[c] != 0 || epoch_drops_[c] != 0;
     if (any) close_epoch(now);
 }
@@ -680,12 +588,12 @@ HealthMonitor::dump() const {
     t += "=== production health dump ===\n";
     std::snprintf(line, sizeof(line),
                   "ingress=%llu egress=%llu drops=%llu (rx_fifo=%llu firmware=%llu) "
-                  "inflight=%zu lost_samples=%llu\n",
+                  "inflight=%llu\n",
                   (unsigned long long)ingress_, (unsigned long long)egress_,
                   (unsigned long long)dropped_packets(),
                   (unsigned long long)dropped_at(net::Stage::kMacRxFifoDrop),
                   (unsigned long long)dropped_at(net::Stage::kFwDrop),
-                  inflight_count_, (unsigned long long)lost_samples_);
+                  (unsigned long long)inflight());
     t += line;
     if (lat_all_.count()) {
         std::snprintf(line, sizeof(line),
@@ -731,8 +639,7 @@ HealthMonitor::dump() const {
     w.key("core_faults").value(core_faults_);
     w.key("watchdog_trips").value(watchdog_trips_);
     w.key("slo_violations").value(slo_violations_);
-    w.key("lost_samples").value(lost_samples_);
-    w.key("inflight").value(uint64_t(inflight_count_));
+    w.key("inflight").value(inflight());
     w.end_object();
     w.key("latency_cycles").begin_object();
     w.key("count").value(lat_all_.count());

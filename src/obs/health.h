@@ -20,14 +20,20 @@
 ///    System::state_fingerprint) or mutates simulation state, so a run
 ///    with the health layer attached is bit-identical to one without.
 ///  * The per-packet path records into preallocated PODs (flight-recorder
-///    ring, HDR histogram buckets, open-addressed in-flight table) — zero
-///    steady-state allocations, proven by tests/test_perf_hotpath.cc.
+///    ring, HDR histogram buckets) — zero steady-state allocations, proven
+///    by tests/test_perf_hotpath.cc.
+///  * Latency needs no per-packet state here: the fabric stamps each
+///    packet with the cycle a MAC admitted it and its flow class
+///    (net::Packet::mac_rx_cycle, flow_class), so every egress of a
+///    packet stamped since attach is timed, and the in-flight count is
+///    plain counter arithmetic.
 
 #ifndef ROSEBUD_OBS_HEALTH_H
 #define ROSEBUD_OBS_HEALTH_H
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,29 +48,13 @@ namespace rosebud::obs {
 class Telemetry;
 
 // ---------------------------------------------------------------------------
-// Flow classification
-
-/// Traffic classes for per-class SLO accounting. Derived from raw frame
-/// bytes so classification works on any pipeline without firmware help.
-enum class FlowClass : uint8_t { kTcp = 0, kUdp, kOther, kClassCount };
-
-constexpr unsigned kFlowClassCount = unsigned(FlowClass::kClassCount);
-
-/// Human-readable class name ("tcp"/"udp"/"other").
-const char* flow_class_name(FlowClass c);
-
-/// Classify a packet from its bytes (honors the LB's 4-byte prepended
-/// hash). Non-IPv4 and truncated frames are kOther.
-FlowClass classify(const net::Packet& pkt);
-
-// ---------------------------------------------------------------------------
 // SLO specification
 
 /// One declarative bound, e.g. "tcp: latency_p99 <= 200us".
 struct SloBound {
     enum class Kind : uint8_t { kLatencyP50, kLatencyP99, kLatencyP999, kDropRate };
-    /// kClassCount means "all traffic".
-    FlowClass cls = FlowClass::kClassCount;
+    /// Unset means "all traffic".
+    std::optional<net::FlowClass> cls;
     Kind kind = Kind::kLatencyP99;
     double limit = 0;  ///< cycles for latency bounds, fraction for drop rate
 };
@@ -198,14 +188,15 @@ class HealthMonitor : public sim::HealthProbe {
     uint64_t core_faults() const { return core_faults_; }
     uint64_t watchdog_trips() const { return watchdog_trips_; }
     uint64_t slo_violations() const { return slo_violations_; }
-    /// Latency samples lost to in-flight-table pressure (sampling, not
-    /// accounting, degrades under pathological overload).
-    uint64_t lost_samples() const { return lost_samples_; }
-    size_t inflight() const { return inflight_count_; }
+    /// Packets admitted since attach that have neither egressed nor been
+    /// dropped by firmware. A packet that egresses twice (host and wire)
+    /// counts twice on the way out, so the count is clamped at 0.
+    uint64_t inflight() const { return ingress_ > retired_ ? ingress_ - retired_ : 0; }
 
-    /// Cumulative all-traffic latency distribution (cycles).
+    /// Cumulative all-traffic latency distribution (cycles): MAC admission
+    /// to egress of every packet stamped since attach.
     const sim::Histogram& latency() const { return lat_all_; }
-    const sim::Histogram& latency(FlowClass c) const { return lat_cls_[unsigned(c)]; }
+    const sim::Histogram& latency(net::FlowClass c) const { return lat_cls_[unsigned(c)]; }
 
     const std::vector<EpochVerdict>& verdicts() const { return verdicts_; }
     uint64_t epochs_closed() const { return epochs_closed_; }
@@ -223,21 +214,15 @@ class HealthMonitor : public sim::HealthProbe {
     Dump dump() const;
 
  private:
-    struct Inflight {
-        uint64_t key = 0;  ///< packet id + 1; 0 = empty
-        uint64_t cycle = 0;
-        uint8_t cls = 0;
-    };
-
     void on_stage(net::Stage stage, const net::Packet& pkt, sim::Cycle now);
     void note_ingress(const net::Packet& pkt, uint64_t now);
     void note_egress(net::Stage stage, const net::Packet& pkt, uint64_t now);
     void note_drop(net::Stage stage, const net::Packet& pkt, uint64_t now);
     void note_activity(const net::Packet& pkt, uint64_t now);
-
-    void insert_inflight(uint64_t id, uint64_t now, FlowClass cls);
-    /// Returns true and fills *out when the id was being tracked.
-    bool erase_inflight(uint64_t id, Inflight* out);
+    /// True for a packet a MAC admitted at or after attach.
+    bool stamped_since_attach(const net::Packet& pkt) const {
+        return pkt.mac_rx_cycle != net::kNoMacRx && pkt.mac_rx_cycle >= attach_cycle_;
+    }
 
     void watchdog_check(uint64_t now);
     void trip(uint64_t now, std::string what, std::string component);
@@ -264,22 +249,21 @@ class HealthMonitor : public sim::HealthProbe {
     uint64_t core_faults_ = 0;
     uint64_t watchdog_trips_ = 0;
     uint64_t slo_violations_ = 0;
-    uint64_t lost_samples_ = 0;
+    /// Egresses and firmware drops of packets stamped since attach.
+    uint64_t retired_ = 0;
 
     // Latency tracking.
-    std::vector<Inflight> inflight_;  ///< open-addressed, power-of-two size
-    size_t inflight_count_ = 0;
     sim::Histogram lat_all_;
-    sim::Histogram lat_cls_[kFlowClassCount];
+    sim::Histogram lat_cls_[net::kFlowClassCount];
 
     // Epoch state.
     uint64_t epoch_start_ = 0;
     uint64_t epoch_deadline_ = 0;
-    uint64_t epoch_ingress_[kFlowClassCount] = {};
+    uint64_t epoch_ingress_[net::kFlowClassCount] = {};
     uint64_t epoch_egress_ = 0;
-    uint64_t epoch_drops_[kFlowClassCount] = {};
+    uint64_t epoch_drops_[net::kFlowClassCount] = {};
     sim::Histogram epoch_all_;
-    sim::Histogram epoch_cls_[kFlowClassCount];
+    sim::Histogram epoch_cls_[net::kFlowClassCount];
     std::vector<EpochVerdict> verdicts_;
     uint64_t epochs_closed_ = 0;
 

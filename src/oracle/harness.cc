@@ -49,7 +49,7 @@ run_differential(const RunSpec& spec) {
     if (spec.oracle_blacklist) ocfg.blacklist = spec.oracle_blacklist;
 
     DataplaneOracle oracle(ocfg);
-    Scoreboard scoreboard(sys, oracle, spec.scoreboard);
+    Scoreboard scoreboard(sys, oracle);
 
     net::TrafficSpec tspec;
     tspec.packet_size = spec.packet_size;

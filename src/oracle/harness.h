@@ -45,8 +45,6 @@ struct RunSpec {
     unsigned drain_rounds = 30;
     sim::Cycle drain_cycles = 10'000;
 
-    Scoreboard::Options scoreboard{};
-
     /// Testing hooks. `oracle_blacklist` replaces the firewall oracle's
     /// blacklist (deliberate corruption => divergences). `mid_run` is
     /// called once, halfway through run_cycles (fault injection,

@@ -6,6 +6,9 @@ namespace rosebud::oracle {
 
 namespace {
 
+/// Detailed divergence dumps kept for report().
+constexpr size_t kMaxReports = 4;
+
 std::string
 hex_dump(const std::vector<uint8_t>& d, size_t limit = 96) {
     std::string out;
@@ -47,8 +50,8 @@ drop_reason_name(Prediction::DropReason r) {
 
 }  // namespace
 
-Scoreboard::Scoreboard(System& sys, const DataplaneOracle& oracle, Options opts)
-    : sys_(sys), oracle_(oracle), opts_(opts) {
+Scoreboard::Scoreboard(System& sys, const DataplaneOracle& oracle)
+    : sys_(sys), oracle_(oracle) {
     observer_handle_ = sys_.add_packet_observer(
         [this](net::Stage stage, const net::Packet& pkt, sim::Cycle now) {
             on_event(stage, pkt, now);
@@ -80,7 +83,7 @@ Scoreboard::diverge(const char* kind, uint64_t id, const Entry* e, const char* w
                     const net::Packet* actual, sim::Cycle now,
                     const std::string& detail) {
     ++counts_.divergences;
-    if (reports_.size() >= opts_.max_reports) return;
+    if (reports_.size() >= kMaxReports) return;
 
     std::string r = "divergence #" + std::to_string(counts_.divergences) + " [" + kind +
                     "] packet " + std::to_string(id) + " at stage " + where + ", cycle " +
@@ -181,7 +184,7 @@ Scoreboard::on_event(net::Stage stage, const net::Packet& pkt, sim::Cycle now) {
                 std::snprintf(b, sizeof(b), "lb_hash 0x%08x, predicted 0x%08x",
                               pkt.lb_hash, e.pred.lb_hash);
                 diverge("lb-hash-mismatch", pkt.id, &e, where, &pkt, now, b);
-            } else if (opts_.check_steering) {
+            } else {
                 uint32_t eligible = sys_.lb().recv_mask() &
                                     sys_.lb().host_read(lb::kLbRegEnableMask);
                 unsigned want = DataplaneOracle::ref_hash_steer(e.pred.lb_hash, eligible,
@@ -257,15 +260,12 @@ Scoreboard::terminal(uint64_t id, Entry& e, net::Stage stage, const net::Packet&
                         ", predicted " + std::to_string(unsigned(e.pred.out_iface)));
             return;
         }
-        if (opts_.check_bytes) {
-            std::string why;
-            if (!oracle_.check_output(e.pred, e.input, pkt.data, false, &why)) {
-                diverge("wire-byte-mismatch", id, &e, where, &pkt, now, why);
-                return;
-            }
+        std::string why;
+        if (!oracle_.check_output(e.pred, e.input, pkt.data, false, &why)) {
+            diverge("wire-byte-mismatch", id, &e, where, &pkt, now, why);
+            return;
         }
-        if (opts_.track_nat_mappings && e.pred.nat_outbound && e.input.size() >= 36 &&
-            pkt.data.size() >= 36) {
+        if (e.pred.nat_outbound && e.input.size() >= 36 && pkt.data.size() >= 36) {
             uint32_t int_ip = uint32_t(e.input[26]) << 24 | uint32_t(e.input[27]) << 16 |
                               uint32_t(e.input[28]) << 8 | e.input[29];
             uint16_t int_port = uint16_t(e.input[34] << 8 | e.input[35]);
@@ -301,11 +301,9 @@ Scoreboard::terminal(uint64_t id, Entry& e, net::Stage stage, const net::Packet&
         return;
     }
     if (e.pred.outcome != O::kDeliverHost) ++counts_.punted;
-    if (opts_.check_bytes) {
-        std::string why;
-        if (!oracle_.check_output(e.pred, e.input, pkt.data, true, &why)) {
-            diverge("host-byte-mismatch", id, &e, where, &pkt, now, why);
-        }
+    std::string why;
+    if (!oracle_.check_output(e.pred, e.input, pkt.data, true, &why)) {
+        diverge("host-byte-mismatch", id, &e, where, &pkt, now, why);
     }
 }
 

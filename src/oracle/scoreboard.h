@@ -25,13 +25,6 @@ namespace rosebud::oracle {
 
 class Scoreboard {
  public:
-    struct Options {
-        bool check_bytes = true;     ///< diff output bytes, not just outcomes
-        bool check_steering = true;  ///< hash policy: predicted RPU vs actual
-        bool track_nat_mappings = true;
-        size_t max_reports = 4;  ///< detailed divergence dumps kept
-    };
-
     struct Counts {
         uint64_t offered = 0;  ///< packets registered at ingress
         uint64_t forwarded_wire = 0;
@@ -49,9 +42,7 @@ class Scoreboard {
     /// Attaches to `sys` immediately. The scoreboard must be destroyed
     /// (or no further cycles run) before the System dies; the destructor
     /// deregisters the observer.
-    Scoreboard(System& sys, const DataplaneOracle& oracle, Options opts);
-    Scoreboard(System& sys, const DataplaneOracle& oracle)
-        : Scoreboard(sys, oracle, Options{}) {}
+    Scoreboard(System& sys, const DataplaneOracle& oracle);
     ~Scoreboard();
 
     Scoreboard(const Scoreboard&) = delete;
@@ -96,7 +87,6 @@ class Scoreboard {
 
     System& sys_;
     const DataplaneOracle& oracle_;
-    Options opts_;
     uint64_t observer_handle_ = 0;
 
     std::map<uint64_t, Entry> entries_;

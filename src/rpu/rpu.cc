@@ -418,6 +418,8 @@ Rpu::tick_tx() {
                 if (src) {
                     out->id = src->id;
                     out->tx_ns = src->tx_ns;
+                    out->mac_rx_cycle = src->mac_rx_cycle;
+                    out->flow_class = src->flow_class;
                     out->in_iface = src->in_iface;
                     out->is_attack = src->is_attack;
                     out->flow_seq = src->flow_seq;

@@ -1,10 +1,10 @@
 /// \file
-/// Registered FIFO and register primitives.
+/// The registered FIFO primitive.
 ///
-/// These are the only legal communication channels between Components: a
-/// value pushed (or written) during cycle N becomes visible to consumers at
-/// cycle N+1, after the kernel's commit phase — exactly like a clocked FIFO
-/// or flop in the Verilog original.
+/// Fifos are the registered communication channels between Components: a
+/// value pushed during cycle N becomes visible to consumers at cycle N+1,
+/// after the kernel's commit phase — exactly like a clocked FIFO in the
+/// Verilog original.
 ///
 /// Two credit policies govern what a producer sees as free space:
 ///  * kSkidBuffer — `can_push` observes committed occupancy minus committed
@@ -14,12 +14,12 @@
 ///  * kRegistered — `can_push` ignores same-cycle pops (registered ready, one
 ///    cycle of credit-return latency). Safe across components.
 ///
-/// Both primitives participate in the dynamic race detector: every stage
-/// and pop records the acting component and cycle, and a same-cycle access
-/// from a *different* component that could observe tick-order-dependent
-/// state faults via sim::fatal (catchable in tests). They also self-declare
-/// into the kernel's elaboration netlist so the static linter in src/lint/
-/// can check widths, depths and port discipline before cycle 0.
+/// A Fifo participates in the dynamic race detector: every stage and pop
+/// records the acting component and cycle, and a same-cycle access from a
+/// *different* component that could observe tick-order-dependent state
+/// faults via sim::fatal (catchable in tests). It also self-declares into
+/// the kernel's elaboration netlist so the static linter in src/lint/ can
+/// check widths, depths and port discipline before cycle 0.
 
 #ifndef ROSEBUD_SIM_FIFO_H
 #define ROSEBUD_SIM_FIFO_H
@@ -253,70 +253,6 @@ class Fifo : public Clocked {
 
     const std::vector<Component*>* wake_list_ = nullptr;
     uint64_t wake_list_epoch_ = 0;  ///< 0 never matches a built map's epoch
-};
-
-/// A single clocked register: writes become visible next cycle.
-template <typename T>
-class Reg : public Clocked {
- public:
-    /// Anonymous register (not recorded in the netlist).
-    explicit Reg(Kernel& kernel, T reset = T{})
-        : kernel_(kernel), value_(std::move(reset)) {}
-
-    /// Named register, recorded in the elaboration netlist.
-    Reg(Kernel& kernel, std::string name, T reset, unsigned width_bits,
-        unsigned net_flags = 0)
-        : kernel_(kernel), name_(std::move(name)), value_(std::move(reset)) {
-        kernel.declare_net({name_, NetRecord::kReg, width_bits, 1, net_flags});
-    }
-
-    /// Committed value as of this cycle. Faults if a *different* component
-    /// staged a write earlier in the same cycle: the reader would see
-    /// this-cycle or last-cycle data depending on tick order. (The staged
-    /// value is not returned either way; the fault flags the dependence.)
-    const T& get() const {
-        const Component* a = actor();
-        if (a && set_cycle_ == kernel_.now() && setter_ && setter_ != a) {
-            race("get by '" + a->name() + "' after same-cycle set by '" +
-                 setter_->name() + "'");
-        }
-        return value_;
-    }
-
-    /// Stage a new value; last write in a cycle wins — which is only
-    /// deterministic for a single writer, so cross-component double-sets
-    /// fault.
-    void set(T v) {
-        const Component* a = actor();
-        if (a && set_cycle_ == kernel_.now() && setter_ && setter_ != a) {
-            race("set by '" + a->name() + "' after same-cycle set by '" +
-                 setter_->name() + "'");
-        }
-        setter_ = a;
-        set_cycle_ = kernel_.now();
-        staged_ = std::move(v);
-        kernel_.request_commit(this);
-    }
-
-    void commit() override { value_ = std::move(staged_); }
-
-    const std::string& name() const { return name_; }
-
- private:
-    const Component* actor() const { return kernel_.active_component(); }
-
-    void race(const std::string& what) const {
-        fatal("race on reg '" + (name_.empty() ? "<anon>" : name_) + "': " +
-              what + " @cycle " + std::to_string(kernel_.now()));
-    }
-
-    Kernel& kernel_;
-    std::string name_;
-    T value_;
-    T staged_{};
-
-    const Component* setter_ = nullptr;
-    Cycle set_cycle_ = ~Cycle(0);
 };
 
 }  // namespace rosebud::sim

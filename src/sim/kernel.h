@@ -6,7 +6,7 @@
 /// combinational/compute phase (`tick`) against the *previous* cycle's
 /// visible state, then every Clocked element that staged an update commits
 /// it (`commit`). Inter-component communication happens exclusively through
-/// registered primitives (sim::Fifo, sim::Reg), which makes results
+/// registered FIFOs (sim::Fifo) and declared links, which makes results
 /// independent of component iteration order.
 ///
 /// That independence is machine-checked rather than assumed:
@@ -70,7 +70,7 @@ inline constexpr double cycles_to_s(Cycle c) { return double(c) / kClockHz; }
 inline constexpr Cycle kNever = ~Cycle(0);
 
 /// Anything with per-cycle staged state that must become visible at the
-/// clock edge. Fifos, registers, and components all implement this.
+/// clock edge. Fifos and components implement this.
 class Clocked {
  public:
     virtual ~Clocked() = default;
@@ -105,13 +105,13 @@ enum NetFlag : unsigned {
     kNetMultiReader = 1u << 3,
 };
 
-/// One registered communication element: a Fifo/Reg primitive or an
+/// One registered communication element: a Fifo primitive or an
 /// abstract credit-based link (a callback boundary that behaves like a
 /// 1-deep registered channel). Primitives self-declare at construction;
 /// abstract links are declared by the component or wiring code that owns
 /// them.
 struct NetRecord {
-    enum Kind : uint8_t { kFifo, kReg, kLink };
+    enum Kind : uint8_t { kFifo, kLink };
 
     /// Credit-return discipline the writer observes. A registered credit
     /// return means a reader-side pop at cycle N first changes the writer's
@@ -126,7 +126,7 @@ struct NetRecord {
     std::string name;        ///< unique instance name, e.g. "rpu3.rx_fifo"
     Kind kind = kFifo;
     unsigned width_bits = 0; ///< datapath width (0 = unspecified)
-    size_t depth = 0;        ///< entries (fifo capacity; 1 for reg/link)
+    size_t depth = 0;        ///< entries (fifo capacity; 1 for a link)
     unsigned flags = 0;      ///< NetFlag bits
     /// Default: no writer wake edge.
     CreditKind credit = kCreditSkid;

@@ -4,7 +4,6 @@ namespace rosebud::sim {
 
 void
 fatal(const std::string& msg) {
-    std::fprintf(stderr, "fatal: %s\n", msg.c_str());
     throw FatalError(msg);
 }
 

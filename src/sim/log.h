@@ -22,7 +22,9 @@ class FatalError : public std::runtime_error {
 };
 
 /// The simulation cannot continue due to a user error (bad config,
-/// invalid arguments). Throws FatalError.
+/// invalid arguments). Throws FatalError and prints nothing: a caller
+/// that expects the rejection stays quiet, and one that does not reports
+/// the message (an uncaught FatalError terminates with it).
 [[noreturn]] void fatal(const std::string& msg);
 
 /// Internal invariant violated — a simulator bug. Aborts.

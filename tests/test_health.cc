@@ -2,15 +2,18 @@
 /// semantics, HDR histogram bucket math, the declarative SLO parser,
 /// Prometheus/JSON metrics export, the attach-invariance guarantee
 /// (bit-identical fingerprints with the monitor attached), SLO epoch
-/// verdicts, the forward-progress watchdog on an injected firmware stall,
-/// the mid-run metrics query, and the exporter degenerate-input cases
-/// (zero-cycle runs, detach mid-run, hostile net names).
+/// verdicts, latency timed for every egressed packet, the forward-progress
+/// watchdog on an injected firmware stall, the mid-run metrics query, and
+/// the exporter degenerate-input cases (zero-cycle runs, detach mid-run,
+/// hostile net names).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/pipeline.h"
 #include "core/system.h"
@@ -169,13 +172,13 @@ TEST(SloParser, ParsesClassesUnitsAndClauses) {
     ASSERT_EQ(s.bounds.size(), 3u);
 
     EXPECT_EQ(s.bounds[0].kind, obs::SloBound::Kind::kLatencyP99);
-    EXPECT_EQ(s.bounds[0].cls, obs::FlowClass::kClassCount);  // all traffic
+    EXPECT_FALSE(s.bounds[0].cls.has_value());  // all traffic
     EXPECT_NEAR(s.bounds[0].limit, 200e3 / sim::kNsPerCycle, 1e-6);
 
     EXPECT_EQ(s.bounds[1].kind, obs::SloBound::Kind::kDropRate);
     EXPECT_NEAR(s.bounds[1].limit, 0.05, 1e-12);
 
-    EXPECT_EQ(s.bounds[2].cls, obs::FlowClass::kTcp);
+    EXPECT_EQ(s.bounds[2].cls, net::FlowClass::kTcp);
     EXPECT_EQ(s.bounds[2].kind, obs::SloBound::Kind::kLatencyP999);
     EXPECT_NEAR(s.bounds[2].limit, 1e6 / sim::kNsPerCycle, 1e-6);
 
@@ -319,6 +322,97 @@ TEST(HealthMonitor, TerminalStagesBalanceIngress) {
         EXPECT_EQ(mon.inflight(), 0u) << pipeline_name(p);
         EXPECT_GT(p == Pipeline::kFirewall ? fw_drops : host, 0u) << pipeline_name(p);
         mon.detach();
+    }
+}
+
+/// Run `fx` for `cycles` with a monitor and a reference observer attached
+/// from the first cycle, and expect the monitor to time every egress
+/// exactly as the reference does. The reference times each packet from
+/// its mac_rx event, keyed by (ingress port, id): every generator numbers
+/// its packets from 0, so an id alone repeats across ports.
+void
+expect_every_egress_timed(PipelineFixture& fx, sim::Cycle cycles, const char* what) {
+    System& sys = fx.system();
+    obs::HealthMonitor mon;
+    mon.attach(sys);
+    std::map<std::pair<net::Iface, uint64_t>, sim::Cycle> arrived;
+    sim::Histogram want;
+    uint64_t ingress = 0, egress = 0, fw_drops = 0;
+    const uint64_t handle = sys.add_packet_observer(
+        [&](net::Stage stage, const net::Packet& pkt, sim::Cycle now) {
+            const auto key = std::make_pair(pkt.in_iface, pkt.id);
+            if (stage == net::Stage::kMacRx) {
+                ++ingress;
+                arrived[key] = now;
+            } else if (stage == net::Stage::kMacTx || stage == net::Stage::kHostDeliver) {
+                ++egress;
+                want.record(now - arrived.at(key));
+            } else if (stage == net::Stage::kFwDrop) {
+                ++fw_drops;
+            }
+        });
+    sys.run_cycles(cycles);
+    sys.remove_packet_observer(handle);
+
+    const sim::Histogram& got = mon.latency();
+    EXPECT_GT(egress, 0u) << what;
+    EXPECT_EQ(got.count(), egress) << what;
+    EXPECT_EQ(got.count(), want.count()) << what;
+    EXPECT_EQ(got.sum(), want.sum()) << what;
+    EXPECT_EQ(got.min(), want.min()) << what;
+    EXPECT_EQ(got.max(), want.max()) << what;
+    EXPECT_EQ(mon.latency(net::FlowClass::kTcp).count() +
+                  mon.latency(net::FlowClass::kUdp).count() +
+                  mon.latency(net::FlowClass::kOther).count(),
+              got.count())
+        << what;
+    EXPECT_EQ(mon.inflight(), ingress - egress - fw_drops) << what;
+    mon.detach();
+}
+
+// Latency comes from the stamp the fabric puts on each packet at MAC
+// admission, so no egress goes untimed: not with two ports numbering
+// their packets alike, not with thousands of 64 B frames queued in a MAC
+// FIFO, and a packet the LB reassembler held is timed from its release.
+TEST(HealthMonitor, TimesEveryEgressedPacket) {
+    {
+        PipelineFixture fx = build_pipeline({});
+        for (unsigned port = 0; port < 2; ++port) {
+            net::TrafficSpec tspec;
+            tspec.packet_size = 512;
+            tspec.seed = 21 + port;
+            auto gen = std::make_shared<net::TraceGenerator>(tspec);
+            fx.system().add_source({.port = port, .line_gbps = 100.0, .load = 0.7},
+                                   [gen] { return gen->next(); });
+        }
+        expect_every_egress_timed(fx, 60'000, "two-port forwarder");
+    }
+    {
+        PipelineSpec spec;
+        spec.pipeline = Pipeline::kFirewall;
+        PipelineFixture fx = build_pipeline(spec);
+        TrafficParams tp;  // `rosebud_cli health --pipeline firewall`, 64 B point
+        tp.packet_size = 64;
+        tp.load = 0.9;
+        tp.seed = 1'000'067;
+        add_traffic(fx, tp);
+        expect_every_egress_timed(fx, 40'000, "firewall at 64 B");
+    }
+    {
+        PipelineSpec spec;
+        spec.pipeline = Pipeline::kPigasusHwReorder;
+        spec.system.hw_reassembler = true;
+        PipelineFixture fx = build_pipeline(spec);
+        net::TrafficSpec tspec;
+        tspec.packet_size = 512;
+        tspec.attack_fraction = 0.05;
+        tspec.reorder_fraction = 0.05;
+        tspec.flow_count = 64;
+        auto gen = std::make_shared<net::TraceGenerator>(tspec, fx.rules.get());
+        fx.system().add_source({.port = 0, .line_gbps = 100.0, .load = 0.5},
+                               [gen] { return gen->next(); });
+        expect_every_egress_timed(fx, 40'000, "ids-hw with the reassembler");
+        EXPECT_GT(fx.system().stats().get("lb.reassembler.held"), 0u);
     }
 }
 

@@ -5,7 +5,7 @@
 ///    hand-declared bad netlist (and a positive control showing the same
 ///    shape passes once fixed);
 ///  * the two-phase race detector faults on same-cycle cross-component
-///    FIFO/register access patterns whose outcome would depend on tick
+///    FIFO access patterns whose outcome would depend on tick
 ///    order, and stays silent on the legal patterns;
 ///  * a full System elaborates with zero violations, and its runs are
 ///    bit-identical (same state fingerprint) under shuffled tick orders.
@@ -323,34 +323,13 @@ TEST(RaceDetector, SameComponentPushAndPopIsLegal) {
     EXPECT_EQ(f.size(), 1u);
 }
 
-TEST(RaceDetector, RegCrossComponentDoubleSetFaults) {
-    sim::Kernel k;
-    sim::Reg<int> r(k, "r", 0, 32);
-    Poker a(k, "a"), b(k, "b");
-    a.fn = [&] { r.set(1); };
-    b.fn = [&] { r.set(2); };
-    EXPECT_THROW(k.step(), sim::FatalError);
-}
-
-TEST(RaceDetector, RegGetAfterSameCycleSetFaults) {
-    sim::Kernel k;
-    sim::Reg<int> r(k, "r", 0, 32);
-    Poker a(k, "a"), b(k, "b");
-    a.fn = [&] { r.set(1); };
-    b.fn = [&] { (void)r.get(); };
-    EXPECT_THROW(k.step(), sim::FatalError);
-}
-
 TEST(RaceDetector, HostPhaseAccessIsExempt) {
     sim::Kernel k;
     sim::Fifo<int> f(k, "f", 8, 32);
-    sim::Reg<int> r(k, "r", 0, 32);
     (void)!f.push(1);
-    r.set(5);
     k.step();
     EXPECT_EQ(f.size(), 1u);
     (void)f.pop();  // host-phase pop, no active component
-    EXPECT_EQ(r.get(), 5);
     EXPECT_NO_THROW(k.step());
 }
 

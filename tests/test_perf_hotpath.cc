@@ -217,9 +217,9 @@ TEST(HotPath, ForwardingPathAllocatesNothingPerPacket) {
 
 // The production health layer's cost contract: attaching it must not add
 // heap traffic to the steady-state path. Its per-packet/per-cycle work
-// lands in preallocated PODs (flight-recorder ring, HDR histogram buckets,
-// open-addressed in-flight table); allocation is reserved for rare events
-// (trips, notes, epoch verdicts).
+// lands in preallocated PODs (flight-recorder ring, HDR histogram
+// buckets); allocation is reserved for rare events (trips, notes, epoch
+// verdicts).
 TEST(HotPath, IdleSteadyStateWithHealthAttachedAllocatesNothing) {
     auto sys = make_forwarder_system(4);
     obs::HealthMonitor mon;

@@ -241,6 +241,8 @@ TEST(RpuTest, TxSendsSoleReferenceAsAFreshPacket) {
         auto pkt = f.make_pkt(200, 2);
         pkt->id = 77;
         pkt->tx_ns = 12.5;
+        pkt->mac_rx_cycle = 31;
+        pkt->flow_class = net::FlowClass::kTcp;
         pkt->in_iface = net::Iface::kPort1;
         pkt->lb_hash = 0xa1b2c3d4;
         pkt->hash_prepended = true;
@@ -263,6 +265,10 @@ TEST(RpuTest, TxSendsSoleReferenceAsAFreshPacket) {
     EXPECT_EQ(reused.data.size(), 204u);  // the hash word goes out too
     EXPECT_EQ(reused.id, fresh.id);
     EXPECT_EQ(reused.tx_ns, fresh.tx_ns);
+    EXPECT_EQ(reused.mac_rx_cycle, 31u);
+    EXPECT_EQ(reused.mac_rx_cycle, fresh.mac_rx_cycle);
+    EXPECT_EQ(reused.flow_class, net::FlowClass::kTcp);
+    EXPECT_EQ(reused.flow_class, fresh.flow_class);
     EXPECT_EQ(reused.in_iface, fresh.in_iface);
     EXPECT_EQ(reused.out_iface, fresh.out_iface);
     EXPECT_EQ(reused.dest_rpu, fresh.dest_rpu);

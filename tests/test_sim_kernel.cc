@@ -1,5 +1,5 @@
 /// Unit tests for the simulation kernel primitives: two-phase clocking,
-/// registered FIFOs, registers, stats, and the deterministic RNG.
+/// registered FIFOs, stats, and the deterministic RNG.
 
 #include <gtest/gtest.h>
 
@@ -122,25 +122,6 @@ TEST(Fifo, FreeSlotsAccounting) {
     EXPECT_EQ(f.free_slots(), 2u);
     k.step();
     EXPECT_EQ(f.free_slots(), 2u);
-}
-
-TEST(Reg, WriteVisibleNextCycle) {
-    Kernel k;
-    Reg<int> r(k, 7);
-    EXPECT_EQ(r.get(), 7);
-    r.set(42);
-    EXPECT_EQ(r.get(), 7);
-    k.step();
-    EXPECT_EQ(r.get(), 42);
-}
-
-TEST(Reg, LastWriteWins) {
-    Kernel k;
-    Reg<int> r(k);
-    r.set(1);
-    r.set(2);
-    k.step();
-    EXPECT_EQ(r.get(), 2);
 }
 
 TEST(Stats, CountersFindOrCreate) {
