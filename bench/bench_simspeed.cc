@@ -12,9 +12,9 @@
 /// the health layer's attached-vs-detached overhead, the low-load speedup
 /// (gated at >= 1.5x over reference, and on at least 75% of its cycles
 /// being fast-forwarded), the line-rate MTU point (gated on a mean awake
-/// share <= 0.5: the RPUs must sleep through their own transfers), and the
-/// Figure 7 forwarding sweep, reference vs tuned (results must match
-/// exactly).
+/// share <= 0.25: the RPUs must sleep through their own transfers, within
+/// a few poll-loop periods of each packet), and the Figure 7 forwarding
+/// sweep, reference vs tuned (results must match exactly).
 ///
 /// Set ROSEBUD_BENCH_JSON=<dir> to export machine-readable rows.
 
@@ -411,18 +411,21 @@ main() {
     {
         const Pair p = best_pair("mtu", run_mtu, failures);
         // Deterministic companion to host time, like ff_share above: the
-        // RPUs must sleep through their own RX and TX transfers. With
-        // per-cycle engine countdowns the share is ~0.76.
+        // RPUs must sleep through their own RX and TX transfers, and the
+        // idle-loop watcher must prove each core's poll loop within a few
+        // periods of its last send. With per-cycle engine countdowns the
+        // share is ~0.76; with the watcher waiting out its 64-cycle
+        // re-anchor after every packet, ~0.32.
         const double awake = p.tuned.awake_share;
         std::printf("reference: %.3f s   tuned: %.3f s   speedup: %.2fx   "
-                    "awake share: %.3f (ceiling 0.5)   fingerprint: %s\n",
+                    "awake share: %.3f (ceiling 0.25)   fingerprint: %s\n",
                     p.ref.host_s, p.tuned.host_s, p.speedup, awake,
                     p.tuned.fingerprint == p.ref.fingerprint ? "identical" : "MISMATCH");
         pair_rows(json, "mtu", p, "awake_share", awake);
-        if (awake > 0.5) {
+        if (awake > 0.25) {
             std::fprintf(stderr,
-                         "FATAL: MTU awake share %.3f above 0.5 (the RPUs no "
-                         "longer sleep through their transfers)\n", awake);
+                         "FATAL: MTU awake share %.3f above 0.25 (the RPUs no "
+                         "longer sleep between their packets)\n", awake);
             ++failures;
         }
     }

@@ -549,7 +549,7 @@ run(const Args& args) {
             if (red != 0) return 1;
         } else {
             fuzz::FuzzPlan plan;
-            plan.seed = std::strtoull(args.str("seed", "1").c_str(), nullptr, 0);
+            plan.seed = parse_number<uint64_t>("seed", args.str("seed", "1"));
             plan.budget_ms = args.u32("budget-ms", 60'000);
             plan.max_cases = args.u32("cases", 0);
             std::string gen = args.str("gen", "all");

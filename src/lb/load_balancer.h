@@ -79,7 +79,7 @@ class LoadBalancer {
         unsigned reorder_buffer = 32;
         /// Steering function for Policy::kCustom: packet -> eligible-RPU
         /// mask (0 = defer; the packet waits at the head of its FIFO).
-        std::function<uint32_t(const net::Packet&)> custom_steer;
+        std::function<uint32_t(const net::Packet&)> custom_steer{};
     };
 
     LoadBalancer(sim::Stats& stats, const Config& config);

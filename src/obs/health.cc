@@ -124,7 +124,7 @@ slo_bound_text(const SloBound& b) {
         out += net::flow_class_name(*b.cls);
         out += ": ";
     }
-    char buf[64];
+    char buf[64] = "";
     switch (b.kind) {
     case SloBound::Kind::kLatencyP50:
     case SloBound::Kind::kLatencyP99:

@@ -206,6 +206,7 @@ void
 Core::set_idle_watch(bool on) {
     idle_watch_ = on;
     watch_have_anchor_ = false;
+    watch_looped_ = false;
     watch_dirty_ = false;
     loop_stable_ = false;
 }
@@ -213,7 +214,14 @@ Core::set_idle_watch(bool on) {
 void
 Core::watch_observe() {
     if (loop_stable_) return;  // already proven; the owner will sleep soon
-    if (!watch_have_anchor_ || watch_dirty_ ||
+    // Arming usually lands on the tail of a packet path that the idle loop
+    // never revisits: the first back-edge after it re-anchors at its
+    // target instead of waiting out kMaxWatchPeriod.
+    const bool first_back_edge =
+        watch_have_anchor_ && !watch_looped_ && pc_ <= watch_prev_pc_;
+    watch_prev_pc_ = pc_;
+    if (first_back_edge) watch_looped_ = true;
+    if (first_back_edge || !watch_have_anchor_ || watch_dirty_ ||
         cycles_ - watch_cycles_ > kMaxWatchPeriod) {
         watch_have_anchor_ = true;
         watch_dirty_ = false;

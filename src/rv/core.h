@@ -191,15 +191,17 @@ class Core {
     //
     // While the watcher is armed (the bus owner has verified that every
     // core-visible input is frozen), the core snapshots its architectural
-    // state (pc, regs, trap CSRs) at an anchor and compares on the next
-    // revisit of the anchor PC. An exact match proves a periodic fixed
-    // point: with frozen inputs, pure loads, no stores and no CSR access
-    // inside the window, the next `period` cycles replay bit-identically
-    // forever. The owner may then sleep and later catch up arithmetically
-    // (whole periods) plus a short replay of the remainder — exact, because
-    // the replayed instructions observe the same frozen inputs they would
-    // have observed live. Stores, loads the bus flags unsafe
-    // (Bus::watch_safe_read), and CSR instructions abort the window.
+    // state (pc, regs, trap CSRs) at an anchor and compares on revisits of
+    // the anchor PC. The first anchor is provisional: the first backward
+    // (or self) transfer since arming moves it to the transfer's target,
+    // the head of the loop the core now runs. An exact match proves a
+    // periodic fixed point: with frozen inputs, pure loads, no stores and
+    // no CSR access inside the window, the next `period` cycles replay
+    // bit-identically forever. The owner may then sleep and later catch up
+    // arithmetically (whole periods) plus a short replay of the remainder —
+    // exact, because the replayed instructions observe the same frozen
+    // inputs they would have observed live. Stores, loads the bus flags
+    // unsafe (Bus::watch_safe_read), and CSR instructions abort the window.
 
     /// Arm/disarm the watcher. Arming resets detection; disarming clears
     /// any proven loop (inputs are no longer frozen).
@@ -250,9 +252,12 @@ class Core {
     /// off-image ebreak convention of the test buses).
     static constexpr uint32_t kIcacheWords = 16384;
 
-    /// Longest loop (in cycles) the watcher will try to prove periodic.
-    /// Poll loops are a handful of instructions; a window this small keeps
-    /// the snapshot/compare cost negligible.
+    /// Longest loop (in cycles) the watcher will try to prove periodic,
+    /// and so also the re-anchor timeout: an anchor that has not been
+    /// revisited with equal state this many cycles after its snapshot is
+    /// replaced by the next issued instruction. Poll loops are a handful of
+    /// instructions; a window this small keeps the snapshot/compare cost
+    /// negligible.
     static constexpr uint64_t kMaxWatchPeriod = 64;
 
     void execute();
@@ -283,7 +288,9 @@ class Core {
     bool idle_watch_ = false;
     bool watch_dirty_ = false;       ///< impure access seen since the anchor
     bool watch_have_anchor_ = false;
+    bool watch_looped_ = false;      ///< a back-edge was seen since arming
     bool loop_stable_ = false;
+    uint32_t watch_prev_pc_ = 0;     ///< pc of the previous observed issue
     uint32_t watch_pc_ = 0;
     std::array<uint32_t, 32> watch_regs_{};
     TrapCsrs watch_csrs_;

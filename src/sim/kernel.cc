@@ -48,7 +48,7 @@ Kernel::note_wake(Component& c) {
         // change sleeper-visible state call flush_skipped() first).
         c.wake_at_ = now_;
     }
-    ++awake_count_;
+    mark_awake(c);
 }
 
 void
@@ -60,7 +60,7 @@ Kernel::flush_wake_accounting(Component* c) {
     c->sleep_since_ = t;
     // A component flushed while still asleep (host-boundary sync) keeps
     // accumulating from here; a woken one is fully accounted.
-    c->unaccounted_ = !c->awake_;
+    c->unaccounted_ = !c->awake();
 }
 
 void
@@ -74,11 +74,10 @@ Kernel::sync_sleepers() {
 void
 Kernel::wake_all() {
     for (Component* c : components_) {
-        if (!c->awake_) {
-            c->awake_ = true;
+        if (!c->awake()) {
+            mark_awake(*c);
             c->wake_at_ = now_;
             c->due_ = kNever;
-            ++awake_count_;
         }
         flush_wake_accounting(c);
     }
@@ -94,25 +93,23 @@ Kernel::set_idle_skip(bool on) {
 
 void
 Kernel::sleep_sweep() {
-    for (Component* c : components_) {
-        if (!c->awake_) continue;
+    for_each_awake([this](Component* c) {
         // Just-woken components get one tick before they may sleep again.
-        if (c->wake_at_ >= now_) continue;
-        if (!c->quiescent()) continue;
+        if (c->wake_at_ >= now_) return;
+        if (!c->quiescent()) return;
         const Cycle due = c->wake_due();
         if (due != kNever) {
-            if (due < now_ + kMinTimedSleep) continue;
+            if (due < now_ + kMinTimedSleep) return;
             timed_.push_back(c);
             next_due_ = std::min(next_due_, due);
         }
         c->due_ = due;
-        c->awake_ = false;
-        --awake_count_;
+        awake_mask_[c->slot_ / 64] &= ~slot_bit(c->slot_);
         if (!c->unaccounted_) {
             c->sleep_since_ = now_;  // now_ is already the next cycle here
             c->unaccounted_ = true;
         }
-    }
+    });
 }
 
 void
@@ -124,9 +121,8 @@ Kernel::wake_timed() {
     for (Component* c : timed_) {
         if (c->due_ <= now_) {
             c->due_ = kNever;
-            c->awake_ = true;
+            mark_awake(*c);
             c->wake_at_ = now_;
-            ++awake_count_;
             continue;
         }
         next_due_ = std::min(next_due_, c->due_);
@@ -192,16 +188,17 @@ Kernel::step() {
     if (skipping && !wake_map_built_) build_wake_map();
     if (now_ >= next_due_) wake_timed();
 
+    // A wake during this loop may set a bit for a component that must not
+    // tick before the next cycle; the wake_at_ test skips it in any word.
     phase_ = Phase::kTick;
-    for (Component* c : components_) {
-        if (!c->awake_) continue;
-        if (c->wake_at_ > now_) continue;
+    for_each_awake([this](Component* c) {
+        if (c->wake_at_ > now_) return;
         // Set the actor before flushing: on_wake() may replay component
         // ticks that touch the component's own FIFOs.
         active_ = c;
         flush_wake_accounting(c);
         c->tick();
-    }
+    });
     active_ = nullptr;
 
     // Only what staged an update this cycle commits — including a sleeper
@@ -265,6 +262,14 @@ Kernel::shuffle_tick_order(uint64_t seed) {
     for (size_t i = components_.size(); i > 1; --i) {
         size_t j = size_t(mix64(state) % i);
         std::swap(components_[i - 1], components_[j]);
+    }
+    // The awake mask is indexed by slot: move each bit with its component.
+    const std::vector<uint64_t> old_mask = awake_mask_;
+    std::fill(awake_mask_.begin(), awake_mask_.end(), 0);
+    for (size_t i = 0; i < components_.size(); ++i) {
+        Component* c = components_[i];
+        if (old_mask[c->slot_ / 64] & slot_bit(c->slot_)) awake_mask_[i / 64] |= slot_bit(i);
+        c->slot_ = i;
     }
 }
 

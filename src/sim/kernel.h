@@ -23,10 +23,12 @@
 /// Host-speed machinery (DESIGN.md §11): **quiescence skipping**. A
 /// component may override `quiescent()` to report that, absent new input,
 /// its tick()/commit() have no observable effect. The kernel keeps an
-/// active set; sleeping components are not ticked. Wake edges derived
-/// from the elaboration netlist (plus explicit `wake()` calls on
-/// direct-call boundaries) re-activate a consumer the moment a producer
-/// stages input for it. A sleeper whose idle ticks only advance internal
+/// awake mask, one bit per component in tick order; the tick loop and the
+/// sleep sweep visit only its set bits, so a cycle costs in proportion to
+/// the components that are awake. Wake edges derived from the
+/// elaboration netlist (plus explicit `wake()` calls on direct-call
+/// boundaries) re-activate a consumer the moment a producer stages input
+/// for it. A sleeper whose idle ticks only advance internal
 /// time (a paced traffic source between frames) also reports, through
 /// `wake_due()`, the cycle at which it must tick again; the kernel wakes
 /// it then and it replays the skipped ticks in `on_wake()`. When *every*
@@ -38,6 +40,7 @@
 #ifndef ROSEBUD_SIM_KERNEL_H
 #define ROSEBUD_SIM_KERNEL_H
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -193,8 +196,8 @@ class Component : public Clocked {
     /// begin_rx) still lands this cycle: the call requests the commit.
     void wake();
 
-    /// False while the kernel has this component in the skipped set.
-    bool awake() const { return awake_; }
+    /// False while the component sleeps (its awake-mask bit is clear).
+    bool awake() const;
 
     /// Hierarchical instance name, e.g. "dut.rpu3.interconnect".
     const std::string& name() const { return name_; }
@@ -224,7 +227,7 @@ class Component : public Clocked {
     Kernel& kernel_;
     std::string name_;
 
-    bool awake_ = true;
+    size_t slot_ = 0;                ///< index in the kernel's tick order
     Cycle wake_at_ = 0;              ///< first cycle allowed to tick again
     Cycle sleep_since_ = 0;          ///< first skipped cycle (if unaccounted_)
     bool unaccounted_ = false;       ///< skipped cycles not yet reported
@@ -244,8 +247,10 @@ class Kernel {
 
     /// Register a component (called from Component's constructor).
     void add_component(Component* c) {
+        c->slot_ = components_.size();
         components_.push_back(c);
-        ++awake_count_;
+        if (c->slot_ % 64 == 0) awake_mask_.push_back(0);
+        mark_awake(*c);
     }
 
     /// Queue a clocked element (a component or a registered element) for
@@ -387,8 +392,12 @@ class Kernel {
     /// True when skipping is actually applied this step.
     bool idle_skip_effective() const { return idle_skip_ && telemetry_ == nullptr; }
 
-    /// Components currently in the active set.
-    size_t awake_count() const { return awake_count_; }
+    /// Components currently awake (set bits of the awake mask).
+    size_t awake_count() const {
+        size_t n = 0;
+        for (uint64_t w : awake_mask_) n += size_t(std::popcount(w));
+        return n;
+    }
 
     /// Wake every component (and report skipped cycles to each sleeper).
     void wake_all();
@@ -455,9 +464,29 @@ class Kernel {
  private:
     friend class Component;
 
-    /// True when the whole system may skip the current cycle.
+    /// True when the whole system may skip the current cycle. It runs every
+    /// cycle, so it tests mask words for zero instead of calling
+    /// awake_count(): without -mpopcnt, std::popcount is a library call.
     bool all_asleep() const {
-        return prestep_done_ && idle_skip_effective() && awake_count_ == 0;
+        if (!prestep_done_ || !idle_skip_effective()) return false;
+        for (uint64_t w : awake_mask_)
+            if (w != 0) return false;
+        return true;
+    }
+
+    /// The awake-mask bit of tick-order slot `slot` (in word slot / 64).
+    static uint64_t slot_bit(size_t slot) { return uint64_t(1) << (slot % 64); }
+    void mark_awake(const Component& c) { awake_mask_[c.slot_ / 64] |= slot_bit(c.slot_); }
+
+    /// Call fn(c) for each awake component, in tick order. Each mask word
+    /// is read once, before its components run, so a bit that fn sets in
+    /// it is not visited.
+    template <typename Fn>
+    void for_each_awake(Fn&& fn) {
+        for (size_t w = 0; w < awake_mask_.size(); ++w) {
+            for (uint64_t bits = awake_mask_[w]; bits != 0; bits &= bits - 1)
+                fn(components_[w * 64 + size_t(std::countr_zero(bits))]);
+        }
     }
 
     void note_wake(Component& c);
@@ -467,7 +496,9 @@ class Kernel {
     void drop_timed(Component& c);
     void build_wake_map();
 
-    std::vector<Component*> components_;
+    std::vector<Component*> components_;  ///< tick order
+    /// Bit i set: components_[i] is awake. The one record of who is awake.
+    std::vector<uint64_t> awake_mask_;
     std::vector<Clocked*> commit_queue_;
     Cycle now_ = 0;
 
@@ -478,7 +509,6 @@ class Kernel {
     std::vector<OccupancyProbe> occupancy_probes_;
 
     bool idle_skip_ = true;
-    size_t awake_count_ = 0;
     Cycle fast_forwarded_ = 0;
     /// Sleepers with a due cycle, and the earliest of their due cycles.
     std::vector<Component*> timed_;
@@ -496,10 +526,14 @@ class Kernel {
 
 inline Cycle Component::now() const { return kernel_.now(); }
 
+inline bool
+Component::awake() const {
+    return (kernel_.awake_mask_[slot_ / 64] & Kernel::slot_bit(slot_)) != 0;
+}
+
 inline void
 Component::wake() {
-    if (awake_) return;
-    awake_ = true;
+    if (awake()) return;
     kernel_.note_wake(*this);
 }
 

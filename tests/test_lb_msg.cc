@@ -109,7 +109,9 @@ TEST(LoadBalancerHash, FlowAffinity) {
         EXPECT_TRUE(p->hash_prepended);
         EXPECT_EQ(p->lb_hash, net::packet_flow_hash(*p));
         auto [it, fresh] = flow_to_rpu.emplace(src, p->dest_rpu);
-        if (!fresh) EXPECT_EQ(it->second, p->dest_rpu) << "flow moved RPUs";
+        if (!fresh) {
+            EXPECT_EQ(it->second, p->dest_rpu) << "flow moved RPUs";
+        }
     }
 }
 

@@ -54,7 +54,9 @@ TEST(TraceGen, TcpSequencesAdvanceByPayload) {
         auto parsed = parse_packet(*p);
         ASSERT_TRUE(parsed->has_tcp);
         uint32_t h = packet_flow_hash(*p);
-        if (last_seq.count(h)) EXPECT_EQ(parsed->tcp.seq, last_seq[h]);
+        if (last_seq.count(h)) {
+            EXPECT_EQ(parsed->tcp.seq, last_seq[h]);
+        }
         last_seq[h] = parsed->tcp.seq + parsed->payload_len;
     }
 }
@@ -148,7 +150,9 @@ TEST(TraceGen, NoReorderingMeansMonotonicFlows) {
     for (int i = 0; i < 2000; ++i) {
         auto p = gen.next();
         uint32_t h = packet_flow_hash(*p);
-        if (last.count(h)) EXPECT_GT(p->flow_seq, last[h]);
+        if (last.count(h)) {
+            EXPECT_GT(p->flow_seq, last[h]);
+        }
         last[h] = p->flow_seq;
     }
 }

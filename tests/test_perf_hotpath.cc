@@ -70,12 +70,17 @@ operator new[](std::size_t n, const std::nothrow_t&) noexcept {
     return std::malloc(n ? n : 1);
 }
 
+// GCC inlines these into new-expressions and then flags free() on memory
+// from operator new, not seeing that the operator new above is malloc.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace rosebud {
 namespace {

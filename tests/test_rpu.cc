@@ -609,6 +609,8 @@ TEST(RpuTest, ForwarderSleepsMidTransferWithExactTiming) {
         sim::Cycle rx_complete = 0, fw_send = 0, egress = 0;
         uint64_t core_cycles = 0, instret = 0;
         bool asleep_mid_transfer = false;
+        sim::Cycle probe = 0;            ///< ~40 cycles after the send post
+        bool asleep_after_post = false;  ///< at the probe
     };
     auto run = [](bool skip) {
         Timeline t;
@@ -627,6 +629,15 @@ TEST(RpuTest, ForwarderSleepsMidTransferWithExactTiming) {
         f.rpu.begin_rx(f.make_pkt(1500, 2));
         f.kernel.run(47);  // half of the 94-cycle transfer
         t.asleep_mid_transfer = !f.rpu.awake();
+        // The core posts its send about 12 cycles after kRpuRxComplete and
+        // is back in its poll loop at once, so the RPU sleeps again within
+        // a few loop periods. Probe about 40 cycles after the post, while
+        // the TX serializer still streams the frame.
+        f.kernel.run_until(
+            [&] { return t.rx_complete != 0 && f.kernel.now() == t.rx_complete + 50; },
+            500);
+        t.probe = f.kernel.now();
+        t.asleep_after_post = !f.rpu.awake();
         f.kernel.run(500);
         t.core_cycles = f.rpu.core().cycles();
         t.instret = f.rpu.core().instret();
@@ -636,6 +647,12 @@ TEST(RpuTest, ForwarderSleepsMidTransferWithExactTiming) {
     const Timeline off = run(false);
     EXPECT_TRUE(on.asleep_mid_transfer);
     EXPECT_FALSE(off.asleep_mid_transfer);
+    EXPECT_TRUE(on.asleep_after_post);
+    EXPECT_FALSE(off.asleep_after_post);
+    // The serializer takes the post 94 cycles before it traces kFwSend
+    // with the frame out: the probe fell inside the frame.
+    EXPECT_GT(on.probe, on.fw_send - 94);
+    EXPECT_LT(on.probe, on.fw_send);
     EXPECT_EQ(on.rx_complete, 600u + 93);  // first transfer tick 600, R = 94
     EXPECT_EQ(on.rx_complete, off.rx_complete);
     EXPECT_EQ(on.fw_send, off.fw_send);

@@ -1,7 +1,8 @@
 /// RV32IM interpreter tests: per-instruction semantics against expected
 /// values (including the M-extension corner cases mandated by the spec),
 /// memory access sizes and sign extension, control flow, CSRs, the timing
-/// model (the 16-cycle forwarder-loop anchor), and bus retry semantics.
+/// model (the 16-cycle forwarder-loop anchor), bus retry semantics, and the
+/// idle-loop watcher.
 
 #include <gtest/gtest.h>
 
@@ -669,6 +670,96 @@ TEST(CoreTiming, StopHaltsImmediately) {
     core.stop();
     EXPECT_TRUE(core.halted());
     EXPECT_FALSE(core.faulted());
+}
+
+// --- idle-loop watcher -------------------------------------------------------
+//
+// The flag word at kFlag stays 0, so every loop below polls forever.
+
+constexpr int32_t kFlag = 0x100;
+
+/// Two cores on identical buses run `body`; `watched` has the watcher armed
+/// from reset (as an RPU arms it once its inputs freeze), `live` does not.
+struct Watched {
+    TestBus watched_bus, live_bus;
+    std::unique_ptr<Core> watched, live;
+
+    explicit Watched(const std::function<void(Assembler&)>& body) {
+        Assembler a;
+        body(a);
+        watched_bus.code = live_bus.code = a.assemble();
+        watched = std::make_unique<Core>("watched", watched_bus);
+        live = std::make_unique<Core>("live", live_bus);
+        watched->reset(0);
+        live->reset(0);
+        watched->set_idle_watch(true);
+    }
+
+    /// Tick both cores until the watcher proves a loop or `limit` cycles
+    /// pass; returns the cycles taken.
+    uint64_t run_to_proof(uint64_t limit = 2000) {
+        while (!watched->stable_loop() && watched->cycles() < limit) {
+            watched->tick();
+            live->tick();
+        }
+        return watched->cycles();
+    }
+
+    /// A proof must be sound: skipping `n` cycles arithmetically lands on
+    /// exactly the state `n` live ticks reach.
+    void expect_skip_exact(uint64_t n) {
+        watched->skip_idle_cycles(n);
+        for (uint64_t i = 0; i < n; ++i) live->tick();
+        EXPECT_EQ(watched->pc(), live->pc());
+        EXPECT_EQ(watched->cycles(), live->cycles());
+        EXPECT_EQ(watched->instret(), live->instret());
+        for (unsigned r = 0; r < 32; ++r)
+            EXPECT_EQ(watched->reg(Reg(r)), live->reg(Reg(r))) << "x" << r;
+    }
+};
+
+/// `loop: lw a0, kFlag; beqz a0, loop` costs 2 + 2 = 4 cycles per period.
+void
+poll_loop(Assembler& a) {
+    a.label("loop");
+    a.lw(a0, kFlag, zero);
+    a.beqz(a0, "loop");
+}
+
+TEST(IdleWatch, ProvesWithinThreePeriodsOfAStraightLinePrefix) {
+    // Armed at the first of 12 one-cycle instructions that the loop never
+    // revisits: the back-edge moves the anchor into the loop at once.
+    constexpr uint64_t kPrefix = 12, kPeriod = 4;
+    Watched w([](Assembler& a) {
+        for (uint64_t i = 0; i < kPrefix; ++i) a.addi(t1, t1, 1);
+        poll_loop(a);
+    });
+    EXPECT_LE(w.run_to_proof(), kPrefix + 3 * kPeriod);
+    ASSERT_TRUE(w.watched->stable_loop());
+    EXPECT_EQ(w.watched->loop_period(), kPeriod);
+    w.expect_skip_exact(1001);
+}
+
+TEST(IdleWatch, ChangingCounterNeverProves) {
+    Watched w([](Assembler& a) {
+        a.label("loop");
+        a.addi(t0, t0, 1);
+        a.lw(a0, kFlag, zero);
+        a.beqz(a0, "loop");
+    });
+    w.run_to_proof();
+    EXPECT_FALSE(w.watched->stable_loop());
+}
+
+TEST(IdleWatch, LoopWithAStoreNeverProves) {
+    Watched w([](Assembler& a) {
+        a.label("loop");
+        a.sw(zero, kFlag + 4, zero);
+        a.lw(a0, kFlag, zero);
+        a.beqz(a0, "loop");
+    });
+    w.run_to_proof();
+    EXPECT_FALSE(w.watched->stable_loop());
 }
 
 }  // namespace

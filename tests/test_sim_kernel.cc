@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -356,6 +358,78 @@ TEST(TimedSleep, RunBoundaryBeforeDueLeavesItAsleepAndAccounted) {
     EXPECT_EQ(k.fast_forwarded_cycles(), kDue - 4);
 }
 
+// --- awake mask ---------------------------------------------------------------
+//
+// The tick loop visits only the awake mask's set bits. 130 components span
+// three mask words; input wakes (host-phase and mid-tick), timed sleepers
+// and a mid-run shuffle must leave every cycle's ticks exactly the awake
+// components, in tick order.
+
+/// Logs each tick, then draws how long it stays busy, whether its next
+/// sleep is timed, and whether it wakes its peer mid-tick.
+class MaskToy : public Component {
+ public:
+    MaskToy(Kernel& k, size_t id, std::vector<std::string>& log)
+        : Component(k, "toy" + std::to_string(id)), rng_(id + 1), log_(log) {}
+    void tick() override {
+        log_.push_back(name());
+        const uint64_t r = rng_.next();
+        busy_until_ = now() + r % 6;
+        due_ = (r >> 8) % 3 == 0 ? now() + 5 + (r >> 16) % 40 : kNever;
+        if ((r >> 32) % 5 == 0) peer->wake();
+    }
+    bool quiescent() const override { return now() > busy_until_; }
+    Cycle wake_due() const override { return due_; }
+
+    MaskToy* peer = nullptr;
+
+ private:
+    Rng rng_;
+    std::vector<std::string>& log_;
+    Cycle busy_until_ = 0;
+    Cycle due_ = kNever;
+};
+
+TEST(AwakeMask, EachCycleTicksTheAwakeSubsetOfTickOrder) {
+    constexpr size_t kToys = 130;
+    Kernel k;
+    std::vector<std::string> log;
+    std::vector<std::unique_ptr<MaskToy>> toys;
+    std::map<std::string, const MaskToy*> by_name;
+    for (size_t i = 0; i < kToys; ++i) {
+        toys.push_back(std::make_unique<MaskToy>(k, i, log));
+        by_name[toys.back()->name()] = toys.back().get();
+    }
+    for (size_t i = 0; i < kToys; ++i) toys[i]->peer = toys[(i * 37 + 11) % kToys].get();
+
+    Rng host(7);
+    size_t partial_cycles = 0, timed_wakes = 0;
+    for (Cycle t = 0; t < 3000; ++t) {
+        if (t == 1500) k.shuffle_tick_order(0xabcdef);
+        if (t % 7 == 0) toys[host.below(kToys)]->wake();  // host-phase input
+        std::vector<std::string> expect;
+        size_t awake = 0;
+        for (const std::string& name : k.tick_order()) {
+            const MaskToy* toy = by_name.at(name);
+            awake += toy->awake();
+            if (toy->awake()) {
+                expect.push_back(name);
+            } else if (toy->wake_due() <= k.now()) {
+                expect.push_back(name);  // a timed sleeper due this cycle
+                ++timed_wakes;
+            }
+        }
+        ASSERT_EQ(k.awake_count(), awake) << "cycle " << t;
+        partial_cycles += expect.size() < kToys;
+        log.clear();
+        k.step();
+        ASSERT_EQ(log, expect) << "cycle " << t;
+    }
+    // The run really put components to sleep and woke timed sleepers.
+    EXPECT_GT(partial_cycles, 2500u);
+    EXPECT_GT(timed_wakes, 500u);
+}
+
 // --- registered-credit wake edges ---------------------------------------------
 //
 // A kCreditRegistered FIFO returns credit with one cycle of latency, so a
@@ -481,6 +555,9 @@ struct Shape {
     Cycle cycles = 25'000;
     bool fast_forwards = false;  ///< whole-system fast-forward must occur
     bool mac_drops = false;      ///< the MAC RX FIFOs must overflow
+    /// Ceiling on the mean share of awake RPUs with idle skip on, sampled
+    /// every kAwakeSampleEvery cycles in a separate run (1.0 = none).
+    double max_rpu_awake = 1.0;
     /// Run Section 6.3's loopback benchmark instead of the pipeline's
     /// firmware: the first half of the RPUs relays every packet to its
     /// partner over the loopback channel.
@@ -491,10 +568,15 @@ struct SchedRun {
     uint64_t fingerprint = 0;
     Cycle fast_forwarded = 0;
     uint64_t mac_drops = 0;  ///< frames dropped at full MAC RX FIFOs
+    double rpu_awake = 0;    ///< mean share of awake RPUs at the samples
 };
 
+constexpr Cycle kAwakeSampleEvery = 50;
+
+/// `sample_awake` splits the run into kAwakeSampleEvery-cycle run_cycles()
+/// calls and fills SchedRun::rpu_awake; otherwise it is one call.
 SchedRun
-run_sched(Sched s, const Shape& shape = {}) {
+run_sched(Sched s, const Shape& shape = {}, bool sample_awake = false) {
     rosebud::PipelineSpec spec;
     spec.pipeline = shape.pipeline;
     spec.system.rpu_count = shape.rpus;
@@ -532,9 +614,20 @@ run_sched(Sched s, const Shape& shape = {}) {
         sys.add_source(src, [gen] { return gen->next(); });
     }
 
-    sys.run_cycles(shape.cycles);
+    double awake = 0;
+    if (!sample_awake) {
+        sys.run_cycles(shape.cycles);
+    } else {
+        unsigned samples = 0;
+        for (Cycle c = 0; c < shape.cycles; c += kAwakeSampleEvery, ++samples) {
+            sys.run_cycles(std::min(kAwakeSampleEvery, shape.cycles - c));
+            for (unsigned i = 0; i < sys.rpu_count(); ++i) awake += sys.rpu(i).awake();
+        }
+        awake /= double(samples) * sys.rpu_count();
+    }
     return {sys.state_fingerprint(), sys.kernel().fast_forwarded_cycles(),
-            sys.stats().get("port0.rx_fifo_drops") + sys.stats().get("port1.rx_fifo_drops")};
+            sys.stats().get("port0.rx_fifo_drops") + sys.stats().get("port1.rx_fifo_drops"),
+            awake};
 }
 
 TEST(ScheduleEquivalence, SerialAndShuffledAreBitIdentical) {
@@ -573,10 +666,11 @@ const Shape kTimedShapes[] = {
      .pipeline = rosebud::Pipeline::kPigasusHwReorder, .rpus = 8, .ports = 2,
      .size = 1024, .load = 1.0, .max_packets = 0, .cycles = 20'000},
     // Line rate: the sources never idle, but the forwarder RPUs sleep
-    // through their own RX and TX transfers (due-cycle wakes).
+    // through their own RX and TX transfers (due-cycle wakes), within two
+    // poll-loop periods of their last send.
     {.name = "fwd1500: 16 RPUs, 2 ports, 1500 B @ 1.0",
      .rpus = 16, .ports = 2, .size = 1500, .load = 1.0, .max_packets = 0,
-     .cycles = 20'000},
+     .cycles = 20'000, .max_rpu_awake = 0.20},
     {.name = "jumbo: 16 RPUs, 2 ports, 9000 B @ 1.0",
      .rpus = 16, .ports = 2, .size = 9000, .load = 1.0, .max_packets = 0,
      .cycles = 30'000},
@@ -605,6 +699,13 @@ TEST(ScheduleEquivalence, TimedSleepShapesAreBitIdentical) {
         }
         if (shape.mac_drops) {
             EXPECT_GT(base.mac_drops, 0u);
+        }
+        if (shape.max_rpu_awake < 1.0) {
+            // Sampled in a run of its own, so the runs above each reach
+            // on_wake() and skip_idle_cycles() with uninterrupted sleeps.
+            const SchedRun sampled = run_sched(Sched::kSerial, shape, true);
+            EXPECT_EQ(sampled.fingerprint, base.fingerprint);  // boundaries are exact
+            EXPECT_LE(sampled.rpu_awake, shape.max_rpu_awake);
         }
     }
 }
