@@ -61,7 +61,8 @@ class FuzzMem final : public RefMem {
             acc.fault = true;
             return acc;
         }
-        if (addr >= rpu::kDmemBase && addr + size <= rpu::kDmemBase + rpu::kDmemSize) {
+        if (addr >= rpu::kDmemBase &&
+            uint64_t(addr) + size <= rpu::kDmemBase + rpu::kDmemSize) {
             uint32_t off = addr - rpu::kDmemBase;
             for (uint32_t i = 0; i < size; ++i)
                 acc.value |= uint32_t(dmem_[off + i]) << (8 * i);
@@ -97,7 +98,8 @@ class FuzzMem final : public RefMem {
             return acc;
         }
         if (size < 4) value &= (1u << (8 * size)) - 1;
-        if (addr >= rpu::kDmemBase && addr + size <= rpu::kDmemBase + rpu::kDmemSize) {
+        if (addr >= rpu::kDmemBase &&
+            uint64_t(addr) + size <= rpu::kDmemBase + rpu::kDmemSize) {
             uint32_t off = addr - rpu::kDmemBase;
             for (uint32_t i = 0; i < size; ++i)
                 dmem_[off + i] = uint8_t(value >> (8 * i));

@@ -90,11 +90,12 @@ HostContext::read_memory(unsigned rpu, uint32_t addr, uint32_t len) const {
     rpu::Rpu& r = *rpus_.at(rpu);
     using namespace rosebud::rpu;
     std::vector<uint8_t> out(len);
-    if (addr >= kDmemBase && addr + len <= kDmemBase + kDmemSize) {
+    const uint64_t end = uint64_t(addr) + len;
+    if (addr >= kDmemBase && end <= kDmemBase + kDmemSize) {
         r.dmem().read_block(addr - kDmemBase, out.data(), len);
-    } else if (addr >= kPmemBase && addr + len <= kPmemBase + kPmemSize) {
+    } else if (addr >= kPmemBase && end <= kPmemBase + kPmemSize) {
         r.pmem().read_block(addr - kPmemBase, out.data(), len);
-    } else if (addr >= kAmemBase && addr + len <= kAmemBase + kAmemSize) {
+    } else if (addr >= kAmemBase && end <= kAmemBase + kAmemSize) {
         r.amem().read_block(addr - kAmemBase, out.data(), len);
     } else {
         sim::fatal("host read_memory: address range not mapped");

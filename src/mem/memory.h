@@ -11,22 +11,25 @@
 ///  * accelerator local memory — both ports owned by accelerators at
 ///    runtime, DMA may use one only during boot/readback.
 ///
-/// The backing store is a flat byte array; timing is expressed as
-/// access-latency constants consumed by the RISC-V core's cost model and
-/// per-cycle port bookkeeping managed by the RPU (which ticks the core
-/// before the DMA engine, realizing the paper's core-priority arbitration).
+/// The backing store is a flat byte array on demand-zero pages
+/// (sim::Zeroed), so a memory costs only the pages a run touches. Timing
+/// is expressed as access-latency constants consumed by the RISC-V core's
+/// cost model and per-cycle port bookkeeping managed by the RPU (which
+/// ticks the core before the DMA engine, realizing the paper's
+/// core-priority arbitration).
 
 #ifndef ROSEBUD_MEM_MEMORY_H
 #define ROSEBUD_MEM_MEMORY_H
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "sim/kernel.h"
 #include "sim/log.h"
 #include "sim/resources.h"
+#include "sim/zeroed.h"
 
 namespace rosebud::mem {
 
@@ -43,7 +46,7 @@ inline constexpr uint32_t kMmioStoreCycles = 2;
 class Memory {
  public:
     Memory(std::string name, uint32_t size_bytes)
-        : name_(std::move(name)), bytes_(size_bytes, 0) {}
+        : name_(std::move(name)), bytes_(size_bytes) {}
 
     uint32_t size() const { return uint32_t(bytes_.size()); }
     const std::string& name() const { return name_; }
@@ -93,9 +96,17 @@ class Memory {
         std::memcpy(dst, &bytes_[addr], len);
     }
 
-    void fill(uint8_t v) { std::fill(bytes_.begin(), bytes_.end(), v); }
+    /// Set every byte to `v`; fill(0) hands the pages back instead of
+    /// writing them.
+    void fill(uint8_t v) {
+        if (v == 0) {
+            bytes_.zero();
+        } else {
+            std::memset(bytes_.data(), v, bytes_.size());
+        }
+    }
 
-    const std::vector<uint8_t>& bytes() const { return bytes_; }
+    std::span<const uint8_t> bytes() const { return bytes_.span(); }
 
     /// Record this memory in the elaboration netlist as a `width`-bit port
     /// owned (read+written) by `component` — memories are component-local,
@@ -116,7 +127,7 @@ class Memory {
     }
 
     std::string name_;
-    std::vector<uint8_t> bytes_;
+    sim::Zeroed<uint8_t> bytes_;
 };
 
 /// Resource footprint of a BRAM-implemented memory of `bytes` capacity.

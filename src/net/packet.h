@@ -115,7 +115,7 @@ enum class Stage : uint8_t {
     kLbAssign,         ///< LB picked an RPU and slot
     kRpuLinkDispatch,  ///< left the VOQ onto the RPU link
     kRpuRxComplete,    ///< DMA into packet memory done
-    kFwSend,           ///< firmware posted a send descriptor
+    kFwSend,           ///< the TX engine took a firmware send descriptor
     kFwDrop,           ///< firmware dropped the slot
     kRpuEgress,        ///< RPU handed the frame to the fabric
     kLoopbackReenter,  ///< loopback frame re-entered the LB

@@ -271,10 +271,12 @@ HealthMonitor::on_stage(net::Stage stage, const net::Packet& pkt, sim::Cycle now
     case Stage::kHostDeliver: note_egress(stage, pkt, now); break;
     case Stage::kMacRxFifoDrop:
     case Stage::kFwDrop: note_drop(stage, pkt, now); break;
-    // Descriptor-level liveness.
+    // Descriptor-level liveness, from the events whose packet names the
+    // RPU holding it. A frame at kRpuEgress carries its send's SEND_DEST
+    // latch instead (the loopback target; 0 for a wire or host send).
     case Stage::kRpuRxComplete:
-    case Stage::kFwSend:
-    case Stage::kRpuEgress: note_activity(pkt, now); break;
+    case Stage::kFwSend: note_activity(pkt, now); break;
+    case Stage::kRpuEgress:
     case Stage::kLbAssign:
     case Stage::kRpuLinkDispatch:
     case Stage::kLoopbackReenter: break;

@@ -86,7 +86,9 @@ class FlightRecorder {
     void attach(System& sys);
 
     /// Record one packet crossing `stage`: a = the port at MAC/host stages
-    /// (in_iface on the way in, out_iface on the way out), else the RPU;
+    /// (in_iface on the way in, out_iface on the way out), else the RPU
+    /// (`dest_rpu`: the RPU holding the packet, except at kRpuEgress, where
+    /// it is the send's loopback target, 0 for a wire or host send);
     /// b = size (saturating); c = id; d = `latency`. Never allocates.
     void record(net::Stage stage, uint64_t cycle, const net::Packet& pkt,
                 uint32_t latency = 0) {

@@ -26,7 +26,7 @@ Rpu::Rpu(sim::Kernel& kernel, sim::Stats& stats, const Config& config)
     : sim::Component(kernel, "rpu" + std::to_string(config.id)),
       config_(config),
       stats_(stats),
-      imem_(kImemSize / 4, 0),
+      imem_(kImemSize / 4),
       dmem_("rpu" + std::to_string(config.id) + ".dmem", kDmemSize),
       pmem_("rpu" + std::to_string(config.id) + ".pmem", kPmemSize),
       amem_("rpu" + std::to_string(config.id) + ".amem", kAmemSize),
@@ -96,8 +96,11 @@ void
 Rpu::load_firmware(const std::vector<uint32_t>& image, uint32_t entry) {
     if (image.size() > imem_.size()) sim::fatal("firmware image larger than IMEM");
     flush_skipped();
-    std::fill(imem_.begin(), imem_.end(), 0);
-    std::copy(image.begin(), image.end(), imem_.begin());
+    // Stores never reach IMEM, so only the previous image's words are
+    // nonzero: clear those, not the whole 64 KB.
+    std::fill_n(imem_.data(), imem_words_, 0u);
+    std::copy(image.begin(), image.end(), imem_.data());
+    imem_words_ = uint32_t(image.size());
     entry_pc_ = entry;
     core_.icache_invalidate();
     set_idle_watching(false);  // a loop proven on the old image is void
@@ -431,25 +434,28 @@ Rpu::tick_tx() {
             out->out_iface = net::Iface(d.port & 3);
             out->dest_rpu = uint8_t(tx_cur_->dest >> 8);
             out->dest_slot = uint8_t(tx_cur_->dest & 0xff);
-            trace(net::Stage::kFwSend, *out);
             tx_out_ = std::move(out);
         }
         return;
     }
 
-    // Stage 1: accept a new send command from firmware.
+    // Stage 1: accept a new send command from firmware. A send or drop is
+    // traced on the slot's packet, which still carries the LB's dest_rpu
+    // (this RPU); a send from an empty slot has no packet to trace.
     if (!tx_fifo_.empty()) {
         TxCmd cmd = tx_fifo_.pop();
+        const net::PacketPtr& held = slot_pkts_[cmd.desc.slot];
         if (cmd.desc.len == 0) {
             // Drop: free the slot without transmitting.
             uint8_t slot = cmd.desc.slot;
-            if (slot_pkts_[slot]) trace(net::Stage::kFwDrop, *slot_pkts_[slot]);
+            if (held) trace(net::Stage::kFwDrop, *held);
             ctr_dropped_packets_->add();
             slot_pkts_[slot].reset();
             --occupancy_;
             if (slot_free_) slot_free_(config_.id, slot);
             return;
         }
+        if (held) trace(net::Stage::kFwSend, *held);
         tx_cur_ = cmd;
         tx_done_at_ = now() + div_ceil(cmd.desc.len, config_.link_bytes_per_cycle);
     }
@@ -457,7 +463,7 @@ Rpu::tick_tx() {
 
 void
 Rpu::broadcast_deliver(uint32_t offset, uint32_t value) {
-    if (offset + 4 > kBcastSize) return;
+    if (uint64_t(offset) + 4 > kBcastSize) return;
     if (kernel().in_tick()) {
         // Delivered from the broadcast network's tick: the semi-coherent
         // copy updates at commit so the core never sees a half-cycle value.
@@ -554,30 +560,31 @@ rv::Bus::Access
 Rpu::RpuBus::load(uint32_t addr, uint32_t size) {
     Access a;
     Rpu& r = rpu_;
-    if (addr + size <= kImemSize) {
+    const uint64_t end = uint64_t(addr) + size;  // an access near 2^32 must not wrap
+    if (end <= kImemSize) {
         uint32_t word = r.imem_[addr >> 2];
         a.value = word >> (8 * (addr & 3));
         a.cycles = mem::kBramLoadCycles;
-    } else if (addr >= kDmemBase && addr + size <= kDmemBase + kDmemSize) {
+    } else if (addr >= kDmemBase && end <= kDmemBase + kDmemSize) {
         uint32_t off = addr - kDmemBase;
         a.value = size == 1 ? r.dmem_.read8(off)
                             : (size == 2 ? r.dmem_.read16(off) : r.dmem_.read32(off));
         a.cycles = mem::kBramLoadCycles;
-    } else if (addr >= kPmemBase && addr + size <= kPmemBase + kPmemSize) {
+    } else if (addr >= kPmemBase && end <= kPmemBase + kPmemSize) {
         uint32_t off = addr - kPmemBase;
         a.value = size == 1 ? r.pmem_.read8(off)
                             : (size == 2 ? r.pmem_.read16(off) : r.pmem_.read32(off));
         a.cycles = mem::kUramLoadCycles;
-    } else if (addr >= kAmemBase && addr + size <= kAmemBase + kAmemSize) {
+    } else if (addr >= kAmemBase && end <= kAmemBase + kAmemSize) {
         uint32_t off = addr - kAmemBase;
         a.value = size == 1 ? r.amem_.read8(off)
                             : (size == 2 ? r.amem_.read16(off) : r.amem_.read32(off));
         a.cycles = mem::kUramLoadCycles;
-    } else if (addr >= kIoBase && addr + size <= kIoBase + kIoSize) {
+    } else if (addr >= kIoBase && end <= kIoBase + kIoSize) {
         uint32_t word = r.io_read(addr - kIoBase);
         a.value = word >> (8 * (addr & 3));
         a.cycles = mem::kMmioLoadCycles;
-    } else if (addr >= kIoExtBase && addr + size <= kIoExtBase + kIoExtSize) {
+    } else if (addr >= kIoExtBase && end <= kIoExtBase + kIoExtSize) {
         uint32_t word = 0;
         if (r.accel_) {
             AccelContext ctx{r.pmem_, r.amem_, r.stats_, r.now()};
@@ -585,7 +592,7 @@ Rpu::RpuBus::load(uint32_t addr, uint32_t size) {
         }
         a.value = word >> (8 * (addr & 3));
         a.cycles = mem::kMmioLoadCycles;
-    } else if (addr >= kBcastBase && addr + size <= kBcastBase + kBcastSize) {
+    } else if (addr >= kBcastBase && end <= kBcastBase + kBcastSize) {
         uint32_t off = addr - kBcastBase;
         uint32_t word;
         std::memcpy(&word, &r.bcast_mem_[off & ~3u], 4);
@@ -601,7 +608,8 @@ rv::Bus::Access
 Rpu::RpuBus::store(uint32_t addr, uint32_t size, uint32_t value) {
     Access a;
     Rpu& r = rpu_;
-    if (addr >= kDmemBase && addr + size <= kDmemBase + kDmemSize) {
+    const uint64_t end = uint64_t(addr) + size;
+    if (addr >= kDmemBase && end <= kDmemBase + kDmemSize) {
         uint32_t off = addr - kDmemBase;
         if (size == 1) {
             r.dmem_.write8(off, uint8_t(value));
@@ -611,7 +619,7 @@ Rpu::RpuBus::store(uint32_t addr, uint32_t size, uint32_t value) {
             r.dmem_.write32(off, value);
         }
         a.cycles = mem::kBramStoreCycles;
-    } else if (addr >= kPmemBase && addr + size <= kPmemBase + kPmemSize) {
+    } else if (addr >= kPmemBase && end <= kPmemBase + kPmemSize) {
         uint32_t off = addr - kPmemBase;
         if (size == 1) {
             r.pmem_.write8(off, uint8_t(value));
@@ -621,7 +629,7 @@ Rpu::RpuBus::store(uint32_t addr, uint32_t size, uint32_t value) {
             r.pmem_.write32(off, value);
         }
         a.cycles = mem::kUramStoreCycles;
-    } else if (addr >= kAmemBase && addr + size <= kAmemBase + kAmemSize) {
+    } else if (addr >= kAmemBase && end <= kAmemBase + kAmemSize) {
         uint32_t off = addr - kAmemBase;
         if (size == 1) {
             r.amem_.write8(off, uint8_t(value));
@@ -631,7 +639,7 @@ Rpu::RpuBus::store(uint32_t addr, uint32_t size, uint32_t value) {
             r.amem_.write32(off, value);
         }
         a.cycles = mem::kUramStoreCycles;
-    } else if (addr >= kIoBase && addr + size <= kIoBase + kIoSize) {
+    } else if (addr >= kIoBase && end <= kIoBase + kIoSize) {
         uint32_t offset = addr - kIoBase;
         if ((offset & ~3u) == kRegSendHigh) {
             // Enqueue the send command; block the core when the command
@@ -647,13 +655,13 @@ Rpu::RpuBus::store(uint32_t addr, uint32_t size, uint32_t value) {
             r.io_write(offset, value);
         }
         a.cycles = mem::kMmioStoreCycles;
-    } else if (addr >= kIoExtBase && addr + size <= kIoExtBase + kIoExtSize) {
+    } else if (addr >= kIoExtBase && end <= kIoExtBase + kIoExtSize) {
         if (r.accel_) {
             AccelContext ctx{r.pmem_, r.amem_, r.stats_, r.now()};
             r.accel_->mmio_write((addr - kIoExtBase) & ~3u, value, ctx);
         }
         a.cycles = mem::kMmioStoreCycles;
-    } else if (addr >= kBcastBase && addr + size <= kBcastBase + kBcastSize) {
+    } else if (addr >= kBcastBase && end <= kBcastBase + kBcastSize) {
         // Semi-coherent broadcast region: the write becomes a message; it
         // blocks while the per-RPU message FIFO is full (paper Sec 6.3).
         if (!r.bcast_send_ || !r.bcast_send_(r.config_.id, addr - kBcastBase, value)) {
@@ -669,7 +677,7 @@ Rpu::RpuBus::store(uint32_t addr, uint32_t size, uint32_t value) {
 
 uint32_t
 Rpu::RpuBus::fetch(uint32_t addr) {
-    if (addr + 4 <= kImemSize) return rpu_.imem_[addr >> 2];
+    if (uint64_t(addr) + 4 <= kImemSize) return rpu_.imem_[addr >> 2];
     return 0x00100073;  // ebreak: running off the image halts the core
 }
 

@@ -27,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,7 @@
 #include "sim/kernel.h"
 #include "sim/resources.h"
 #include "sim/stats.h"
+#include "sim/zeroed.h"
 
 namespace rosebud::rpu {
 
@@ -105,7 +107,7 @@ class Rpu : public sim::Component {
     mem::Memory& dmem() { return dmem_; }
     mem::Memory& pmem() { return pmem_; }
     mem::Memory& amem() { return amem_; }
-    const std::vector<uint32_t>& imem() const { return imem_; }
+    std::span<const uint32_t> imem() const { return imem_.span(); }
 
     const rv::Core& core() const { return core_; }
     rv::Core& core() { return core_; }
@@ -175,7 +177,7 @@ class Rpu : public sim::Component {
     /// debugging; the region is not in the host-mapped memory space).
     uint32_t broadcast_word(uint32_t offset) const {
         uint32_t v = 0;
-        if (offset + 4 <= kBcastSize) std::memcpy(&v, &bcast_mem_[offset], 4);
+        if (uint64_t(offset) + 4 <= kBcastSize) std::memcpy(&v, &bcast_mem_[offset], 4);
         return v;
     }
 
@@ -257,7 +259,8 @@ class Rpu : public sim::Component {
     sim::Stats& stats_;
 
     // Memories.
-    std::vector<uint32_t> imem_;
+    sim::Zeroed<uint32_t> imem_;
+    uint32_t imem_words_ = 0;  ///< loaded image length; IMEM is zero past it
     mem::Memory dmem_;
     mem::Memory pmem_;
     mem::Memory amem_;

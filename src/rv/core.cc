@@ -25,12 +25,12 @@ Core::reset(uint32_t pc) {
 
 void
 Core::icache_invalidate() {
-    if (!icache_.empty()) std::fill(icache_.begin(), icache_.end(), Decoded{});
+    icache_.zero();
 }
 
 void
 Core::icache_invalidate(uint32_t addr, uint32_t len) {
-    if (icache_.empty() || len == 0) return;
+    if (len == 0) return;
     uint64_t first = addr >> 2;
     if (first >= icache_.size()) return;
     uint64_t last = std::min<uint64_t>((uint64_t(addr) + len - 1) >> 2,
@@ -193,7 +193,6 @@ Core::fetch_decoded(uint32_t pc) {
     if (predecode_) {
         const uint32_t idx = pc >> 2;
         if (idx < kIcacheWords) {
-            if (icache_.empty()) icache_.resize(kIcacheWords);
             Decoded& d = icache_[idx];
             if (d.op == Decoded::kInvalid) d = decode(bus_.fetch(pc));
             return d;

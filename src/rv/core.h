@@ -21,7 +21,9 @@
 /// *same* record through the same handler, so cached execution is
 /// instruction-for-instruction identical to re-decoding. The cache is
 /// invalidated on reset()/firmware reload, on `fence.i`, and (by the bus
-/// owner) on stores into the code region.
+/// owner) on stores into the code region. It is mapped on demand-zero
+/// pages (sim::Zeroed) at construction, and an invalidation hands its
+/// pages back, so a core pays only for the code it runs.
 
 #ifndef ROSEBUD_RV_CORE_H
 #define ROSEBUD_RV_CORE_H
@@ -30,9 +32,9 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "rv/isa.h"
+#include "sim/zeroed.h"
 
 namespace rosebud::rv {
 
@@ -101,6 +103,9 @@ struct TrapCsrs {
 /// opcode tag plus pre-extracted register indices and immediate, so the
 /// hot interpreter loop is a load plus one dense switch instead of a full
 /// field extraction per issue.
+///
+/// An all-zero record is an empty cache slot (kInvalid): the cache is
+/// zero pages until the core fills it.
 struct Decoded {
     enum Op : uint8_t {
         kInvalid = 0,  ///< cache slot empty — never produced by decode()
@@ -283,7 +288,7 @@ class Core {
     TrapCsrs csrs_;
 
     bool predecode_ = true;
-    std::vector<Decoded> icache_;  ///< indexed pc >> 2; allocated lazily
+    sim::Zeroed<Decoded> icache_{kIcacheWords};  ///< indexed pc >> 2
 
     bool idle_watch_ = false;
     bool watch_dirty_ = false;       ///< impure access seen since the anchor

@@ -17,6 +17,7 @@
 #include "fuzz/driver.h"
 #include "fuzz/fw_fuzz.h"
 #include "fuzz/pkt_fuzz.h"
+#include "rv/assembler.h"
 #include "sim/log.h"
 
 namespace rosebud {
@@ -171,6 +172,24 @@ TEST(FuzzWcet, FixedSeedSliceHasNoWcetSoundnessViolations) {
         EXPECT_NE(v.kind, fuzz::FwKind::kWcetExceeded)
             << "seed " << seed << ": " << v.detail;
     }
+}
+
+// The lockstep's device model checks DMEM ranges in 64 bits: a word load
+// through a pointer of 0xfffffffc, which passes the alignment check, must
+// trap on both sides instead of indexing 4 GB past the model's DMEM.
+TEST(FuzzLockstep, LoadNearTwoToThe32TrapsOnBothSides) {
+    using namespace rv;
+    Assembler a;
+    a.lui(t1, 0x800);  // DMEM base
+    a.li(t0, -4);
+    a.sw(t0, 0, t1);
+    a.lw(t2, 0, t1);
+    a.lw(a0, 0, t2);
+    a.ebreak();
+    fuzz::FwCase c;
+    c.image = a.assemble();
+    fuzz::FwVerdict v = fuzz::run_firmware_lockstep(c);
+    EXPECT_EQ(v.kind, fuzz::FwKind::kPass) << v.detail;
 }
 
 // --- minimizers vs injected bugs -------------------------------------------

@@ -444,25 +444,29 @@ TEST(HealthMonitor, ImpossibleSloProducesFailedVerdicts) {
 
 // Injected stall: hot-swap a busy-looping image onto one RPU mid-run. The
 // per-component liveness watchdog must trip, name the component, and point
-// at the deepest-backlog net.
+// at the deepest-backlog net. RPU 0 is in the set because every other
+// RPU's sends must not count as its liveness.
 TEST(HealthMonitor, WatchdogTripsOnInjectedFirmwareStall) {
-    obs::HealthSpec spec;
-    spec.packet_sizes = {512};
-    spec.run_cycles = 30'000;
-    spec.inject_stall = true;
-    spec.stall_rpu = 1;
-    spec.stall_at = 5'000;
-    spec.health.watchdog.component_timeout = 8'000;
-    obs::HealthResult r = obs::run_health(spec);
+    for (unsigned stalled : {0u, 1u}) {
+        SCOPED_TRACE("stall_rpu " + std::to_string(stalled));
+        obs::HealthSpec spec;
+        spec.packet_sizes = {512};
+        spec.run_cycles = 30'000;
+        spec.inject_stall = true;
+        spec.stall_rpu = stalled;
+        spec.stall_at = 5'000;
+        spec.health.watchdog.component_timeout = 8'000;
+        obs::HealthResult r = obs::run_health(spec);
 
-    EXPECT_TRUE(r.watchdog_tripped);
-    ASSERT_EQ(r.rows.size(), 1u);
-    EXPECT_TRUE(r.rows[0].tripped);
-    EXPECT_NE(r.trip_summary.find("rpu1"), std::string::npos);
-    EXPECT_NE(r.trip_summary.find("deepest="), std::string::npos);
-    // The flight dump carries the trip and the stall attribution.
-    EXPECT_NE(r.flight_text.find("WATCHDOG TRIP"), std::string::npos);
-    EXPECT_NE(r.flight_json.find("watchdog_trip"), std::string::npos);
+        EXPECT_TRUE(r.watchdog_tripped);
+        ASSERT_EQ(r.rows.size(), 1u);
+        EXPECT_TRUE(r.rows[0].tripped);
+        EXPECT_NE(r.trip_summary.find("rpu" + std::to_string(stalled)), std::string::npos);
+        EXPECT_NE(r.trip_summary.find("deepest="), std::string::npos);
+        // The flight dump carries the trip and the stall attribution.
+        EXPECT_NE(r.flight_text.find("WATCHDOG TRIP"), std::string::npos);
+        EXPECT_NE(r.flight_json.find("watchdog_trip"), std::string::npos);
+    }
 }
 
 TEST(HealthMonitor, HealthySweepDoesNotTrip) {

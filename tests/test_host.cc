@@ -40,6 +40,8 @@ TEST(Host, UnmappedMemoryAccessIsFatal) {
     System sys(cfg4());
     EXPECT_THROW(sys.host().write_memory(0, 0x09000000, {1}), sim::FatalError);
     EXPECT_THROW(sys.host().read_memory(0, 0x09000000, 4), sim::FatalError);
+    // A range whose end passes 2^32 must not wrap into DMEM's range.
+    EXPECT_THROW(sys.host().read_memory(0, 0xfffffffc, 8), sim::FatalError);
 }
 
 TEST(Host, PreloadedTableVisibleToFirmware) {

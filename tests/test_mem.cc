@@ -44,11 +44,27 @@ TEST(Memory, BlockRoundTrip) {
     EXPECT_EQ(in, out);
 }
 
+// A packet-memory-sized Memory spans many pages: it must read zero before
+// any write, and fill(0), which hands the pages back, must zero it again.
 TEST(Memory, FillResets) {
-    Memory m("m", 16);
+    constexpr uint32_t kSize = 1024 * 1024;
+    constexpr uint32_t kLast = kSize - 4;
+    Memory m("m", kSize);
+    EXPECT_EQ(m.read32(0), 0u);
+    EXPECT_EQ(m.read32(kLast), 0u);
     m.write32(0, 0xffffffff);
+    m.write32(kSize / 2, 0x12345678);
+    m.write32(kLast, 0xdeadbeef);
     m.fill(0);
     EXPECT_EQ(m.read32(0), 0u);
+    EXPECT_EQ(m.read32(kSize / 2), 0u);
+    EXPECT_EQ(m.read32(kLast), 0u);
+    m.fill(0xab);
+    EXPECT_EQ(m.read32(0), 0xababababu);
+    EXPECT_EQ(m.read32(kLast), 0xababababu);
+    EXPECT_EQ(m.bytes()[kSize / 2 + 1], 0xab);
+    m.fill(0);
+    EXPECT_EQ(m.read32(kLast), 0u);
 }
 
 using MemoryDeath = Memory;

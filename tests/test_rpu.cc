@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "core/system.h"
 #include "mem/memory.h"
 #include "net/headers.h"
 #include "rpu/descriptor.h"
@@ -471,6 +472,93 @@ TEST(RpuTest, UnmappedAccessFaultsCore) {
     EXPECT_TRUE(f.rpu.core_faulted());
 }
 
+// Bus ranges are checked in 64 bits: an access within 4 bytes of 2^32
+// must not wrap into IMEM's range and index 4 GB past the image. Loads
+// there fault the core; a jump there fetches the off-image ebreak, which
+// halts it cleanly.
+TEST(RpuTest, AccessesNearTwoToThe32DoNotWrap) {
+    struct End {
+        bool halted, faulted;
+        uint32_t pc;
+    };
+    auto run = [](auto emit) {
+        Assembler a;
+        emit(a);
+        a.ebreak();
+        Fixture f;
+        f.rpu.load_firmware(a.assemble());
+        f.rpu.boot();
+        f.kernel.run(50);
+        return End{f.rpu.core_halted(), f.rpu.core_faulted(), f.rpu.core().pc()};
+    };
+    End e = run([](Assembler& a) { a.lw(a0, -4, zero); });
+    EXPECT_TRUE(e.faulted);
+    EXPECT_EQ(e.pc, 0u);
+    e = run([](Assembler& a) { a.lhu(a0, -2, zero); });
+    EXPECT_TRUE(e.faulted);
+    EXPECT_EQ(e.pc, 0u);
+    e = run([](Assembler& a) { a.jalr(zero, zero, -4); });
+    EXPECT_TRUE(e.halted);
+    EXPECT_FALSE(e.faulted);
+    EXPECT_EQ(e.pc, 0xfffffffcu);
+}
+
+// The verifier admits a load through a pointer the host wrote into DMEM,
+// so under the default FirmwareCheck::kEnforce the host can aim a load at
+// 0xfffffffc: it must fault the core, not crash the simulator.
+TEST(RpuTest, VerifiedLoadThroughHostPointerNearTwoToThe32Faults) {
+    SystemConfig cfg;
+    cfg.rpu_count = 4;
+    System sys(cfg);
+    ASSERT_EQ(sys.host().firmware_check(), host::FirmwareCheck::kEnforce);
+    sys.host().write_memory(0, kDmemBase, {0xfc, 0xff, 0xff, 0xff});
+    Assembler a;
+    a.lui(t1, 0x800);  // DMEM base
+    a.lw(t0, 0, t1);   // the host's pointer
+    a.lw(a0, 0, t0);
+    a.ebreak();
+    sys.host().load_firmware(0, a.assemble());
+    sys.host().boot(0);
+    sys.run_cycles(50);
+    EXPECT_TRUE(sys.rpu(0).core_faulted());
+    EXPECT_EQ(sys.rpu(0).core().pc(), 8u);
+}
+
+// IMEM is zero pages, and a reload clears only the previous image's words.
+// A 3-word image after a 40-word one must leave words 3..39 zero: a stale
+// tail would let the core run on into the old image.
+TEST(RpuTest, ShortImageAfterLongOneLeavesNoStaleWords) {
+    auto image = [](int32_t value, unsigned copies, bool halt) {
+        Assembler a;
+        for (unsigned i = 0; i < copies; ++i) {
+            a.lui(gp, 0x2000);
+            a.li(t0, value);
+            a.sw(t0, kRegDebugLow, gp);
+        }
+        if (halt) a.ebreak();
+        return a.assemble();
+    };
+    const std::vector<uint32_t> long_image = image(1, 13, true);
+    const std::vector<uint32_t> short_image = image(7, 1, false);
+    ASSERT_EQ(long_image.size(), 40u);
+    ASSERT_EQ(short_image.size(), 3u);
+    Fixture f;
+    f.rpu.load_firmware(long_image);
+    f.rpu.boot();
+    f.kernel.run(200);
+    ASSERT_TRUE(f.rpu.core_halted());
+    EXPECT_EQ(f.rpu.debug_low(), 1u);
+
+    f.rpu.load_firmware(short_image);
+    for (uint32_t i = 0; i < 3; ++i) EXPECT_EQ(f.rpu.imem()[i], short_image[i]);
+    for (uint32_t i = 3; i < 40; ++i) EXPECT_EQ(f.rpu.imem()[i], 0u) << "word " << i;
+    f.rpu.boot();
+    f.kernel.run(200);
+    EXPECT_EQ(f.rpu.debug_low(), 7u);
+    EXPECT_TRUE(f.rpu.core_faulted());  // word 3 is 0, an illegal instruction
+    EXPECT_EQ(f.rpu.core().pc(), 12u);
+}
+
 TEST(RpuTest, BootResetsEngineState) {
     Fixture f;
     f.boot(slot_config_firmware());
@@ -609,7 +697,7 @@ TEST(RpuTest, ForwarderSleepsMidTransferWithExactTiming) {
         sim::Cycle rx_complete = 0, fw_send = 0, egress = 0;
         uint64_t core_cycles = 0, instret = 0;
         bool asleep_mid_transfer = false;
-        sim::Cycle probe = 0;            ///< ~40 cycles after the send post
+        sim::Cycle probe = 0;            ///< 40 cycles after the send post
         bool asleep_after_post = false;  ///< at the probe
     };
     auto run = [](bool skip) {
@@ -631,11 +719,10 @@ TEST(RpuTest, ForwarderSleepsMidTransferWithExactTiming) {
         t.asleep_mid_transfer = !f.rpu.awake();
         // The core posts its send about 12 cycles after kRpuRxComplete and
         // is back in its poll loop at once, so the RPU sleeps again within
-        // a few loop periods. Probe about 40 cycles after the post, while
-        // the TX serializer still streams the frame.
+        // a few loop periods. Probe 40 cycles after the TX engine takes
+        // the post (kFwSend), while it still streams the frame.
         f.kernel.run_until(
-            [&] { return t.rx_complete != 0 && f.kernel.now() == t.rx_complete + 50; },
-            500);
+            [&] { return t.fw_send != 0 && f.kernel.now() == t.fw_send + 40; }, 500);
         t.probe = f.kernel.now();
         t.asleep_after_post = !f.rpu.awake();
         f.kernel.run(500);
@@ -649,10 +736,11 @@ TEST(RpuTest, ForwarderSleepsMidTransferWithExactTiming) {
     EXPECT_FALSE(off.asleep_mid_transfer);
     EXPECT_TRUE(on.asleep_after_post);
     EXPECT_FALSE(off.asleep_after_post);
-    // The serializer takes the post 94 cycles before it traces kFwSend
-    // with the frame out: the probe fell inside the frame.
-    EXPECT_GT(on.probe, on.fw_send - 94);
-    EXPECT_LT(on.probe, on.fw_send);
+    // kFwSend marks the post; the serializer streams the frame for 94
+    // cycles and egresses it on the next: the probe fell inside the frame.
+    EXPECT_LT(on.fw_send, on.rx_complete + 20);
+    EXPECT_EQ(on.egress, on.fw_send + 94 + 1);
+    EXPECT_EQ(on.probe, on.fw_send + 40);
     EXPECT_EQ(on.rx_complete, 600u + 93);  // first transfer tick 600, R = 94
     EXPECT_EQ(on.rx_complete, off.rx_complete);
     EXPECT_EQ(on.fw_send, off.fw_send);
