@@ -24,9 +24,11 @@ Fabric::Fabric(sim::Kernel& kernel, sim::Stats& stats, const FabricConfig& confi
       rpus_(std::move(rpus)),
       rpus_per_cluster_((config.rpu_count + config.clusters - 1) / config.clusters),
       voqs_(config.rpu_count * kSourceCount),
+      voq_nets_(config.rpu_count * kSourceCount),
       rpu_rr_(config.rpu_count, 0),
       voq_head_ready_(config.rpu_count, sim::kNever),
       egress_queues_(config.rpu_count),
+      egress_nets_(config.rpu_count),
       egress_staged_(config.rpu_count),
       egress_committed_(config.rpu_count, 0) {
     if (rpus_.size() != config.rpu_count) sim::fatal("Fabric: rpu vector size mismatch");
@@ -49,29 +51,25 @@ Fabric::Fabric(sim::Kernel& kernel, sim::Stats& stats, const FabricConfig& confi
     // Occupancy probes on the abstract (non-sim::Fifo) queues, named after
     // their netlist nets: the telemetry's waveforms, the health layer's
     // backlog census and the metrics gauges read committed occupancy here.
+    auto probe = [&](sim::NetId net, size_t capacity, std::function<size_t()> fn) {
+        kernel.register_occupancy_probe(kernel.nets()[net].name, capacity, this,
+                                        std::move(fn));
+    };
     for (unsigned s = 0; s < kSourceCount; ++s) {
-        kernel.register_occupancy_probe(
-            source_net(s), 0, this,
-            [this, s] { return sources_[s].queue.size(); });
+        probe(sources_[s].net, 0, [this, s] { return sources_[s].queue.size(); });
     }
     for (unsigned r = 0; r < config_.rpu_count; ++r) {
         for (unsigned s = 0; s < kSourceCount; ++s) {
-            kernel.register_occupancy_probe(
-                voq_net(uint8_t(r), s), config_.voq_depth, this,
-                [this, r, s] { return voqs_[r * kSourceCount + s].size(); });
+            const unsigned v = r * kSourceCount + s;
+            probe(voq_nets_[v], config_.voq_depth, [this, v] { return voqs_[v].size(); });
         }
-        kernel.register_occupancy_probe(
-            "fabric.egress.r" + std::to_string(r), config_.egress_queue_depth,
-            this, [this, r] { return egress_queues_[r].size(); });
+        probe(egress_nets_[r], config_.egress_queue_depth,
+              [this, r] { return egress_queues_[r].size(); });
     }
     for (unsigned p = 0; p < 2; ++p) {
-        kernel.register_occupancy_probe(
-            "fabric.mac_tx.p" + std::to_string(p), 0, this,
-            [this, p] { return mac_tx_[p].fifo.size(); });
+        probe(mac_tx_[p].net, 0, [this, p] { return mac_tx_[p].fifo.size(); });
     }
-    kernel.register_occupancy_probe(
-        "fabric.host_out", config_.pcie_tags, this,
-        [this] { return size_t(pcie_tags_in_use_); });
+    probe(host_out_net_, config_.pcie_tags, [this] { return size_t(pcie_tags_in_use_); });
 }
 
 void
@@ -88,12 +86,14 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
     // credit), so it declares skid credit: only the reader wakes.
     for (unsigned p = 0; p < 2; ++p) {
         std::string rx = "fabric.mac_rx.p" + std::to_string(p);
-        kernel.declare_net({rx, NetRecord::kFifo, kSw, config_.mac_rx_fifo_bytes / 64,
-                            sim::kNetExternalSource, NetRecord::kCreditRegistered});
+        sources_[p].net = kernel.declare_net(
+            {rx, NetRecord::kFifo, kSw, config_.mac_rx_fifo_bytes / 64,
+             sim::kNetExternalSource, NetRecord::kCreditRegistered});
         kernel.declare_port({name(), rx, PortRecord::kRead, kSw, 0});
         std::string tx = "fabric.mac_tx.p" + std::to_string(p);
-        kernel.declare_net({tx, NetRecord::kFifo, kSw, config_.mac_tx_fifo_bytes / 64,
-                            sim::kNetExternalSink, NetRecord::kCreditSkid});
+        mac_tx_[p].net = kernel.declare_net(
+            {tx, NetRecord::kFifo, kSw, config_.mac_tx_fifo_bytes / 64,
+             sim::kNetExternalSink, NetRecord::kCreditSkid});
         kernel.declare_port({name(), tx, PortRecord::kWrite, kSw,
                              config_.mac_tx_fifo_bytes / 64});
     }
@@ -102,14 +102,16 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
     // host_q shares the registered ingress admission; host_out is drained
     // by the PCIe DMA engine inside our own tick (tag credit is fabric-
     // internal accounting, not a reader-side return).
-    kernel.declare_net({"fabric.host_q", NetRecord::kFifo, kSw, config_.host_queue_packets,
-                        sim::kNetExternalSource, NetRecord::kCreditRegistered});
+    sources_[kSrcHost].net = kernel.declare_net(
+        {"fabric.host_q", NetRecord::kFifo, kSw, config_.host_queue_packets,
+         sim::kNetExternalSource, NetRecord::kCreditRegistered});
     kernel.declare_port({name(), "fabric.host_q", PortRecord::kRead, kSw, 0});
-    kernel.declare_net({"fabric.host_out", NetRecord::kFifo, kSw, config_.pcie_tags,
-                        sim::kNetExternalSink, NetRecord::kCreditSkid});
+    host_out_net_ = kernel.declare_net({"fabric.host_out", NetRecord::kFifo, kSw,
+                                        config_.pcie_tags, sim::kNetExternalSink,
+                                        NetRecord::kCreditSkid});
     kernel.declare_port(
         {name(), "fabric.host_out", PortRecord::kWrite, kSw, config_.pcie_tags});
-    kernel.declare_net(
+    sources_[kSrcLoopback].net = kernel.declare_net(
         {"fabric.loopback_q", NetRecord::kFifo, kSw, config_.loopback_queue_packets, 0});
     kernel.declare_port({name(), "fabric.loopback_q", PortRecord::kWrite, kSw,
                          config_.loopback_queue_packets});
@@ -120,7 +122,8 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
         // Per-(RPU, source) virtual output queues inside the RX switches.
         for (unsigned s = 0; s < kSourceCount; ++s) {
             std::string v = "fabric.voq.r" + rn + ".s" + std::to_string(s);
-            kernel.declare_net({v, NetRecord::kFifo, kSw, config_.voq_depth, 0});
+            voq_nets_[r * kSourceCount + s] =
+                kernel.declare_net({v, NetRecord::kFifo, kSw, config_.voq_depth, 0});
             kernel.declare_port({name(), v, PortRecord::kWrite, kSw, config_.voq_depth});
             kernel.declare_port({name(), v, PortRecord::kRead, kSw, 0});
         }
@@ -128,8 +131,9 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
         // Admission checks committed+staged occupancy (never same-cycle
         // pops), so the RPU-facing credit return is registered.
         std::string e = "fabric.egress.r" + rn;
-        kernel.declare_net({e, NetRecord::kFifo, 128, config_.egress_queue_depth, 0,
-                            NetRecord::kCreditRegistered});
+        egress_nets_[r] = kernel.declare_net(
+            {e, NetRecord::kFifo, 128, config_.egress_queue_depth, 0,
+             NetRecord::kCreditRegistered});
         kernel.declare_port(
             {rpus_[r]->name(), e, PortRecord::kWrite, 128, config_.egress_queue_depth});
         kernel.declare_port({name(), e, PortRecord::kRead, 128, 0});
@@ -169,14 +173,12 @@ Fabric::mac_rx(unsigned port, net::PacketPtr pkt) {
         if (occupied + p->size() > config_.mac_rx_fifo_bytes) {
             ctr_rx_drops_[port]->add();
             trace(net::Stage::kMacRxFifoDrop, *p);
-            if (kernel().telemetry())
-                tel(source_net(port), sim::TelemetrySink::NetEvent::kPushBlocked);
+            tel(src.net, sim::TelemetrySink::NetEvent::kPushBlocked);
             all_ok = false;
             continue;
         }
         trace(net::Stage::kMacRx, *p);
-        if (kernel().telemetry())
-            tel(source_net(port), sim::TelemetrySink::NetEvent::kPushOk);
+        tel(src.net, sim::TelemetrySink::NetEvent::kPushOk);
         admitted = true;
         if (in_tick) {
             src.staged_bytes += p->size();
@@ -203,10 +205,10 @@ Fabric::host_inject(net::PacketPtr pkt) {
     if (!in_tick) flush_skipped();
     size_t occupied = in_tick ? src.admit_count + src.staged.size() : src.queue.size();
     if (occupied >= config_.host_queue_packets) {
-        tel("fabric.host_q", sim::TelemetrySink::NetEvent::kPushBlocked);
+        tel(src.net, sim::TelemetrySink::NetEvent::kPushBlocked);
         return false;
     }
-    tel("fabric.host_q", sim::TelemetrySink::NetEvent::kPushOk);
+    tel(src.net, sim::TelemetrySink::NetEvent::kPushOk);
     pkt->in_iface = net::Iface::kHost;
     pkt->flow_class = net::classify(*pkt);
     if (in_tick) {
@@ -226,11 +228,7 @@ Fabric::host_inject(net::PacketPtr pkt) {
 
 bool
 Fabric::rpu_egress(uint8_t rpu, net::PacketPtr pkt) {
-    // Name construction only when a sink is attached (tel() re-checks, but
-    // the string argument would otherwise be built on every packet).
-    const std::string enet = kernel().telemetry()
-                                 ? "fabric.egress.r" + std::to_string(rpu)
-                                 : std::string();
+    const sim::NetId enet = egress_nets_[rpu];
     if (!kernel().in_tick()) flush_skipped();
     if (kernel().in_tick()) {
         if (egress_committed_[rpu] + egress_staged_[rpu].size() >= config_.egress_queue_depth) {
@@ -400,8 +398,7 @@ Fabric::tick_ingress_source(unsigned s) {
     src.queue.pop_front();
     src.queue_bytes -= head->size();
     kernel().request_commit(this);
-    if (kernel().telemetry())
-        tel(source_net(s), sim::TelemetrySink::NetEvent::kPop);
+    tel(src.net, sim::TelemetrySink::NetEvent::kPop);
     uint32_t bytes = head->size() + (head->hash_prepended ? 4 : 0);
     src.busy_until =
         now() + std::max(1u, div_ceil(bytes, config_.stage1_bytes_per_cycle));
@@ -417,10 +414,8 @@ Fabric::try_push_voq(unsigned s, net::PacketPtr& pkt) {
     const uint8_t r = pkt->dest_rpu;
     auto& q = voq(r, s);
     const bool ok = q.size() < config_.voq_depth;
-    if (kernel().telemetry()) {
-        tel(voq_net(r, s), ok ? sim::TelemetrySink::NetEvent::kPushOk
-                              : sim::TelemetrySink::NetEvent::kPushBlocked);
-    }
+    tel(voq_nets_[r * kSourceCount + s], ok ? sim::TelemetrySink::NetEvent::kPushOk
+                                            : sim::TelemetrySink::NetEvent::kPushBlocked);
     if (!ok) return false;
     // The pipe is fixed, so a push never moves a non-empty VOQ's head.
     const sim::Cycle ready = now() + config_.ingress_pipe_cycles;
@@ -443,10 +438,8 @@ Fabric::tick_rpu_links() {
                 auto& q = voq(uint8_t(r), s);
                 if (q.empty() || q.front().ready > now()) continue;
                 trace(net::Stage::kRpuLinkDispatch, *q.front().pkt);
-                if (kernel().telemetry()) {
-                    tel(voq_net(uint8_t(r), s), sim::TelemetrySink::NetEvent::kPop);
-                    tel(rpu->name() + ".link_in", sim::TelemetrySink::NetEvent::kPushOk);
-                }
+                tel(voq_nets_[r * kSourceCount + s], sim::TelemetrySink::NetEvent::kPop);
+                tel(rpu->link_in_net(), sim::TelemetrySink::NetEvent::kPushOk);
                 rpu->begin_rx(std::move(q.front().pkt));
                 q.pop_front();
                 rpu_rr_[r] = (s + 1) % kSourceCount;
@@ -494,10 +487,7 @@ Fabric::pick_egress(unsigned d) {
             q.pop_front();
             refresh_egress_head(r);
             note_egress_change(r);
-            if (kernel().telemetry()) {
-                tel("fabric.egress.r" + std::to_string(r),
-                    sim::TelemetrySink::NetEvent::kPop);
-            }
+            tel(egress_nets_[r], sim::TelemetrySink::NetEvent::kPop);
             dest.busy_until =
                 now() + std::max(1u, div_ceil(pkt->size(), config_.stage1_bytes_per_cycle));
             dest.rr = (r + 1) % config_.rpu_count;
@@ -511,13 +501,11 @@ bool
 Fabric::try_egress_handoff(unsigned d, net::PacketPtr& p) {
     if (d <= 1) {
         MacTx& mac = mac_tx_[d];
-        const std::string mnet =
-            kernel().telemetry() ? "fabric.mac_tx.p" + std::to_string(d) : std::string();
         if (mac.fifo_bytes + p->size() > config_.mac_tx_fifo_bytes) {
-            tel(mnet, sim::TelemetrySink::NetEvent::kPushBlocked);
+            tel(mac.net, sim::TelemetrySink::NetEvent::kPushBlocked);
             return false;
         }
-        tel(mnet, sim::TelemetrySink::NetEvent::kPushOk);
+        tel(mac.net, sim::TelemetrySink::NetEvent::kPushOk);
         mac.fifo_bytes += p->size();
         mac.fifo.push_back({std::move(p), now() + config_.egress_pipe_cycles});
         return true;
@@ -526,10 +514,10 @@ Fabric::try_egress_handoff(unsigned d, net::PacketPtr& p) {
         // DMA-tag admission: each in-flight host transfer holds a tag.
         if (pcie_tags_in_use_ >= config_.pcie_tags) {
             ctr_host_tag_stall_->add();
-            tel("fabric.host_out", sim::TelemetrySink::NetEvent::kPushBlocked);
+            tel(host_out_net_, sim::TelemetrySink::NetEvent::kPushBlocked);
             return false;
         }
-        tel("fabric.host_out", sim::TelemetrySink::NetEvent::kPushOk);
+        tel(host_out_net_, sim::TelemetrySink::NetEvent::kPushOk);
         ++pcie_tags_in_use_;
         host_out_.push_back({std::move(p), now() + config_.pcie_latency_cycles});
         return true;
@@ -537,10 +525,10 @@ Fabric::try_egress_handoff(unsigned d, net::PacketPtr& p) {
     // Loopback: the single 100G channel with a per-packet routing header.
     IngressSource& lp = sources_[kSrcLoopback];
     if (loopback_.active || lp.queue.size() >= config_.loopback_queue_packets) {
-        tel("fabric.loopback_q", sim::TelemetrySink::NetEvent::kPushBlocked);
+        tel(lp.net, sim::TelemetrySink::NetEvent::kPushBlocked);
         return false;
     }
-    tel("fabric.loopback_q", sim::TelemetrySink::NetEvent::kPushOk);
+    tel(lp.net, sim::TelemetrySink::NetEvent::kPushOk);
     uint32_t wire = p->size() + config_.loopback_header_bytes;
     loopback_.active = std::move(p);
     uint32_t need = wire > loopback_.line_credit ? wire - loopback_.line_credit : 0;
@@ -588,10 +576,7 @@ Fabric::tick_mac_tx() {
             mac.active = std::move(mac.fifo.front().pkt);
             mac.fifo_bytes -= mac.active->size();
             mac.fifo.pop_front();
-            if (kernel().telemetry()) {
-                tel("fabric.mac_tx.p" + std::to_string(port),
-                    sim::TelemetrySink::NetEvent::kPop);
-            }
+            tel(mac.net, sim::TelemetrySink::NetEvent::kPop);
             // Bit-serial line: carry the fractional-cycle remainder so the
             // long-run rate is exactly line_bytes_per_cycle.
             uint32_t wire = mac.active->wire_size();

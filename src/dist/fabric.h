@@ -133,6 +133,7 @@ class Fabric : public sim::Component {
     };
 
     struct IngressSource {
+        sim::NetId net = 0;  ///< the queue's net (mac_rx.pN, host_q, loopback_q)
         sim::Ring<net::PacketPtr> queue;
         uint64_t queue_bytes = 0;
         unsigned issue_cd = 0;
@@ -158,6 +159,7 @@ class Fabric : public sim::Component {
     };
 
     struct MacTx {
+        sim::NetId net = 0;  ///< fabric.mac_tx.pN
         sim::Ring<TimedPkt> fifo;
         uint64_t fifo_bytes = 0;
         net::PacketPtr active;
@@ -170,18 +172,11 @@ class Fabric : public sim::Component {
     sim::Ring<TimedPkt>& voq(uint8_t rpu, unsigned source) {
         return voqs_[rpu * kSourceCount + source];
     }
-    // Telemetry taps on the abstract (non-sim::Fifo) links; one pointer
-    // compare when no sink is attached.
-    void tel(const std::string& net, sim::TelemetrySink::NetEvent ev) const {
+    // Telemetry taps on the abstract (non-sim::Fifo) links, keyed by the
+    // ids declare_netlist kept; one pointer compare when no sink is
+    // attached.
+    void tel(sim::NetId net, sim::TelemetrySink::NetEvent ev) const {
         if (sim::TelemetrySink* t = kernel().telemetry()) t->net_event(net, ev);
-    }
-    static std::string voq_net(uint8_t rpu, unsigned source) {
-        return "fabric.voq.r" + std::to_string(rpu) + ".s" + std::to_string(source);
-    }
-    static std::string source_net(unsigned s) {
-        if (s == kSrcHost) return "fabric.host_q";
-        if (s == kSrcLoopback) return "fabric.loopback_q";
-        return "fabric.mac_rx.p" + std::to_string(s);
     }
     void tick_ingress_source(unsigned s);
     /// Move `pkt` onto its (dest_rpu, s) VOQ behind the fixed ingress
@@ -225,6 +220,7 @@ class Fabric : public sim::Component {
 
     IngressSource sources_[kSourceCount];
     std::vector<sim::Ring<TimedPkt>> voqs_;  ///< [rpu][source]
+    std::vector<sim::NetId> voq_nets_;       ///< [rpu][source]
     /// mac_rx's reassembler output, reused so admission allocates nothing.
     std::vector<net::PacketPtr> released_;
     std::vector<unsigned> rpu_rr_;            ///< per-RPU source arbitration
@@ -235,6 +231,7 @@ class Fabric : public sim::Component {
     sim::Cycle voq_next_ready_ = sim::kNever;
 
     std::vector<sim::Ring<TimedPkt>> egress_queues_;  ///< per RPU
+    std::vector<sim::NetId> egress_nets_;             ///< per RPU
     EgressDest egress_[kSourceCount];                 ///< per destination
     /// Per destination, bit r set when RPU r's egress queue head goes
     /// there: the egress scan visits only those RPUs.
@@ -247,6 +244,7 @@ class Fabric : public sim::Component {
 
     MacTx mac_tx_[2];
     sim::Ring<TimedPkt> host_out_;
+    sim::NetId host_out_net_ = 0;
     SinkFn host_sink_;
     double pcie_credit_ = 0.0;      ///< byte credit for the host channel
     unsigned pcie_tags_in_use_ = 0; ///< outstanding DMA transfers

@@ -64,7 +64,7 @@ LoadBalancer::attach(sim::Kernel& kernel) {
         kernel.declare_net({resp, NetRecord::kLink, 64, 1, 0});
         kernel.declare_port({"lb", resp, PortRecord::kWrite, 64, 1});
     }
-    kernel.declare_net({"lb.assign", NetRecord::kLink, 64, 1, 0});
+    assign_net_ = kernel.declare_net({"lb.assign", NetRecord::kLink, 64, 1, 0});
     kernel.declare_port({"lb", "lb.assign", PortRecord::kRead, 64, 1});
 }
 
@@ -202,18 +202,10 @@ LoadBalancer::try_assign(const net::PacketPtr& pkt) {
     auto rpu = pick_for(pkt, hash);
     if (!rpu) {
         ctr_assign_stall_->add();
-        if (kernel_) {
-            if (sim::TelemetrySink* t = kernel_->telemetry()) {
-                t->net_event("lb.assign", sim::TelemetrySink::NetEvent::kPushBlocked);
-            }
-        }
+        tel(sim::TelemetrySink::NetEvent::kPushBlocked);
         return false;
     }
-    if (kernel_) {
-        if (sim::TelemetrySink* t = kernel_->telemetry()) {
-            t->net_event("lb.assign", sim::TelemetrySink::NetEvent::kPushOk);
-        }
-    }
+    tel(sim::TelemetrySink::NetEvent::kPushOk);
 
     uint8_t slot = free_slots_[*rpu].front();
     free_slots_[*rpu].pop_front();

@@ -154,6 +154,11 @@ class LoadBalancer {
     bool staging() const { return kernel_ && kernel_->in_tick(); }
     void request_commit() { kernel_->request_commit(adapter_.get()); }
     void commit_staged();
+    /// Telemetry tap on the assignment interface (`lb.assign`).
+    void tel(sim::TelemetrySink::NetEvent ev) const {
+        if (!kernel_) return;
+        if (sim::TelemetrySink* t = kernel_->telemetry()) t->net_event(assign_net_, ev);
+    }
 
     /// Clock-edge adapter: the kernel commits it on the cycles the LB
     /// staged control traffic (request_commit()).
@@ -166,6 +171,7 @@ class LoadBalancer {
     sim::Stats& stats_;
     Config config_;
     sim::Kernel* kernel_ = nullptr;
+    sim::NetId assign_net_ = sim::kNoNet;
     std::unique_ptr<CommitAdapter> adapter_;
     SlotResponseFn slot_response_;
 

@@ -1,7 +1,6 @@
 #include "lint/netlist.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <sstream>
 
@@ -87,10 +86,6 @@ std::vector<Violation>
 check_netlist(const sim::Kernel& kernel, const std::vector<WidthRule>& rules) {
     std::vector<Violation> out;
     const auto& nets = kernel.nets();
-    const auto& ports = kernel.ports();
-
-    std::map<std::string, const NetRecord*> by_name;
-    for (const NetRecord& n : nets) by_name[n.name] = &n;
 
     // Registered component names: the kernel builds its quiescence
     // wake-edge map by resolving each read port's component against this
@@ -98,20 +93,23 @@ check_netlist(const sim::Kernel& kernel, const std::vector<WidthRule>& rules) {
     std::set<std::string> registered;
     for (const std::string& c : kernel.tick_order()) registered.insert(c);
 
-    // Group ports by net; flag references to undeclared nets.
-    std::map<std::string, std::vector<const PortRecord*>> net_ports;
-    for (const PortRecord& p : ports) {
-        if (!by_name.count(p.net)) {
+    // Group ports by net (one list per NetId); flag references to
+    // undeclared nets.
+    std::vector<std::vector<const PortRecord*>> net_ports(nets.size());
+    for (const PortRecord& p : kernel.ports()) {
+        const sim::NetId id = kernel.net_id(p.net);
+        if (id == sim::kNoNet) {
             out.push_back({Check::kUnknownNet, p.net,
                            "port '" + p.component + "' references undeclared net '" +
                                p.net + "'"});
             continue;
         }
-        net_ports[p.net].push_back(&p);
+        net_ports[id].push_back(&p);
     }
 
-    for (const NetRecord& n : nets) {
-        const auto& nps = net_ports[n.name];
+    for (sim::NetId id = 0; id < nets.size(); ++id) {
+        const NetRecord& n = nets[id];
+        const auto& nps = net_ports[id];
 
         if (nps.empty()) {
             out.push_back({Check::kDangling, n.name,
@@ -237,14 +235,6 @@ check_resource_fit(const std::string& name, const sim::ResourceFootprint& total,
     if (over.str().empty()) return {};
     return {{Check::kResourceFit, name,
              "'" + name + "' exceeds device capacity:" + over.str()}};
-}
-
-const sim::NetRecord*
-find_net(const sim::Kernel& kernel, const std::string& name) {
-    for (const auto& n : kernel.nets()) {
-        if (n.name == name) return &n;
-    }
-    return nullptr;
 }
 
 std::string

@@ -103,11 +103,6 @@ std::vector<Violation> check_resource_fit(const std::string& name,
                                           const sim::ResourceFootprint& total,
                                           const sim::ResourceFootprint& device);
 
-/// Look up a declared net by exact name (nullptr if absent). Shared by the
-/// checks above and by the telemetry layer (obs/), which sizes waveform
-/// signals from the declared depth of the net it is observing.
-const sim::NetRecord* find_net(const sim::Kernel& kernel, const std::string& name);
-
 /// Owning component of a dotted net name — the prefix before the first
 /// '.', e.g. "fabric" for "fabric.voq.r0.s0" ("" stays ""). This is the
 /// grouping rule the lint reports and the stall-attribution rollups share.

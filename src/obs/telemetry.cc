@@ -28,9 +28,12 @@ Telemetry::attach(System& sys) {
     kernel_ = &sys.kernel();
     // Pre-seed every declared net so fully idle nets still show up with an
     // exact idle count (and so waveform widths come from declared depths).
-    for (const auto& rec : kernel_->nets()) {
-        NetStats& ns = nets_[rec.name];
-        ns.capacity = std::max(ns.capacity, rec.depth);
+    const auto& nets = kernel_->nets();
+    by_id_.assign(nets.size(), nullptr);
+    for (sim::NetId id = 0; id < nets.size(); ++id) {
+        NetStats& ns = nets_[nets[id].name];
+        ns.capacity = std::max(ns.capacity, nets[id].depth);
+        by_id_[id] = &ns;
     }
     kernel_->set_telemetry(this);
 }
@@ -42,25 +45,25 @@ Telemetry::detach() {
 }
 
 Telemetry::NetStats&
-Telemetry::net(const std::string& name) {
-    auto it = nets_.find(name);
-    if (it != nets_.end()) return it->second;
-    // First sighting mid-run (a net created after attach, e.g. by a
-    // reconfigured RPU): backfill the cycles it was not observed as idle so
-    // its four buckets still sum to cycles_observed().
-    NetStats& ns = nets_[name];
-    ns.idle = cycles_observed_;
-    if (kernel_) {
-        if (const sim::NetRecord* rec = lint::find_net(*kernel_, name)) {
-            ns.capacity = rec->depth;
-        }
+Telemetry::net(sim::NetId id) {
+    if (id >= by_id_.size()) by_id_.resize(id + 1, nullptr);
+    if (by_id_[id]) return *by_id_[id];
+    // First sighting of a net declared after attach: backfill the cycles
+    // it was not observed as idle so its four buckets still sum to
+    // cycles_observed().
+    const sim::NetRecord& rec = kernel_->nets()[id];
+    auto [it, fresh] = nets_.try_emplace(rec.name);
+    if (fresh) {
+        it->second.idle = cycles_observed_;
+        it->second.capacity = rec.depth;
     }
-    return ns;
+    by_id_[id] = &it->second;
+    return it->second;
 }
 
 void
-Telemetry::net_event(const std::string& name, NetEvent ev) {
-    NetStats& ns = net(name);
+Telemetry::net_event(sim::NetId id, NetEvent ev) {
+    NetStats& ns = net(id);
     switch (ev) {
     case NetEvent::kPushOk:
         ++ns.pushes;

@@ -16,6 +16,11 @@
 /// For every net, busy + stalled + starved + idle == cycles_observed():
 /// nets that first appear mid-run are backfilled with idle cycles.
 ///
+/// Events arrive keyed by sim::NetId; a table filled at attach maps each
+/// id to its NetStats, whose name-ordered map keeps every report, VCD and
+/// trace in name order. A net declared after attach gets its entry on its
+/// first event.
+///
 /// Each net's committed occupancy (and its peak) is read at end_cycle from
 /// the kernel's occupancy probes; a probe that names no netlist net (an
 /// RPU's packet-slot census) is not tracked.
@@ -118,7 +123,7 @@ class Telemetry : public sim::TelemetrySink {
     void detach();
 
     // sim::TelemetrySink interface.
-    void net_event(const std::string& net, NetEvent ev) override;
+    void net_event(sim::NetId net, NetEvent ev) override;
     void end_cycle(uint64_t completed) override;
 
     /// Cycles classified so far (== every net's four-bucket sum).
@@ -131,7 +136,7 @@ class Telemetry : public sim::TelemetrySink {
     const VcdWriter& vcd() const { return vcd_; }
 
  private:
-    NetStats& net(const std::string& name);
+    NetStats& net(sim::NetId id);
     void close_epoch();
     void capture_net(const std::string& name, NetStats& ns, NetState state,
                      uint64_t completed_cycle);
@@ -139,6 +144,7 @@ class Telemetry : public sim::TelemetrySink {
     Config cfg_;
     sim::Kernel* kernel_ = nullptr;
     std::map<std::string, NetStats> nets_;
+    std::vector<NetStats*> by_id_;  ///< [NetId] -> entry of nets_; null = unseen
     std::vector<Epoch> epochs_;
     uint64_t cycles_observed_ = 0;
     VcdWriter vcd_;

@@ -63,7 +63,8 @@ Rpu::declare_netlist(sim::Kernel& kernel) {
     const unsigned link_bits = config_.link_bytes_per_cycle * 8;
 
     // The ingress link from the distribution fabric (written by Fabric).
-    kernel.declare_net({name() + ".link_in", NetRecord::kLink, link_bits, 1, 0});
+    link_in_net_ =
+        kernel.declare_net({name() + ".link_in", NetRecord::kLink, link_bits, 1, 0});
     kernel.declare_port({name(), name() + ".link_in", PortRecord::kRead, link_bits, 1});
 
     // Broadcast delivery lane (written by the messaging network).
@@ -112,17 +113,15 @@ Rpu::attach_accelerator(std::unique_ptr<Accelerator> accel) {
     flush_skipped();
     wake();
     accel_ = std::move(accel);
-    if (accel_) {
-        accel_->reset();
-        // Re-elaborate the accelerator socket: declare_net is idempotent
-        // by name, so a reconfiguration swap simply refreshes the record.
-        kernel().declare_net(
-            {name() + ".accel_link", sim::NetRecord::kLink, 32, 1, 0});
-        kernel().declare_port({name(), name() + ".accel_link",
-                               sim::PortRecord::kWrite, 32, 1});
-        kernel().declare_port({name(), name() + ".accel_link",
-                               sim::PortRecord::kRead, 32, 1});
-    }
+    if (!accel_) return;
+    accel_->reset();
+    // Elaborate the accelerator socket on the first attach; a
+    // reconfiguration swaps the accelerator behind it.
+    const std::string link = name() + ".accel_link";
+    if (kernel().net_id(link) != sim::kNoNet) return;
+    kernel().declare_net({link, sim::NetRecord::kLink, 32, 1, 0});
+    kernel().declare_port({name(), link, sim::PortRecord::kWrite, 32, 1});
+    kernel().declare_port({name(), link, sim::PortRecord::kRead, 32, 1});
 }
 
 void
@@ -357,7 +356,7 @@ Rpu::tick() {
     if (rx_pkt_) {
         // A flit moves on the 128-bit ingress link this cycle.
         if (sim::TelemetrySink* t = kernel().telemetry()) {
-            t->net_event(name() + ".link_in", sim::TelemetrySink::NetEvent::kPop);
+            t->net_event(link_in_net_, sim::TelemetrySink::NetEvent::kPop);
         }
         if (now() == rx_done_at_) finish_rx();
     }

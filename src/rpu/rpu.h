@@ -74,6 +74,8 @@ class Rpu : public sim::Component {
     void load_firmware(const std::vector<uint32_t>& image, uint32_t entry = 0);
 
     /// Install/replace the accelerator (partial reconfiguration payload).
+    /// The first accelerator elaborates the socket's `accel_link` net; a
+    /// replacement plugs into the same socket.
     void attach_accelerator(std::unique_ptr<Accelerator> accel);
     Accelerator* accelerator() { return accel_.get(); }
 
@@ -120,6 +122,9 @@ class Rpu : public sim::Component {
     /// has not, or is asleep (tick-order independence). During the tick
     /// phase it asks whether the link is free once this cycle ends.
     bool rx_ready() const;
+
+    /// The ingress link's net (`rpuN.link_in`), which the fabric writes.
+    sim::NetId link_in_net() const { return link_in_net_; }
 
     /// Begin streaming `pkt` into packet memory (dest_slot must be set).
     /// Precondition: rx_ready(). During the tick phase the transfer is
@@ -281,6 +286,7 @@ class Rpu : public sim::Component {
     // read rx_free_at_ through rx_ready(), and a sleeping RPU wakes for
     // rx_done_at_ through wake_due().
     sim::Fifo<Desc> rx_fifo_;
+    sim::NetId link_in_net_ = 0;
     net::PacketPtr rx_pkt_;          ///< in flight until rx_done_at_
     sim::Cycle rx_done_at_ = 0;      ///< the tick that runs finish_rx
     sim::Cycle rx_free_at_ = 0;      ///< first host-phase cycle the link is free

@@ -19,7 +19,10 @@
 /// *different* component that could observe tick-order-dependent state
 /// faults via sim::fatal (catchable in tests). It also self-declares into
 /// the kernel's elaboration netlist so the static linter in src/lint/ can
-/// check widths, depths and port discipline before cycle 0.
+/// check widths, depths and port discipline before cycle 0, and keeps the
+/// sim::NetId that declaration returns: a push or pop wakes the net's
+/// components through the kernel's wake list for that id, and telemetry
+/// events carry it.
 
 #ifndef ROSEBUD_SIM_FIFO_H
 #define ROSEBUD_SIM_FIFO_H
@@ -52,13 +55,13 @@ class Fifo : public Clocked {
          unsigned width_bits = 0, unsigned net_flags = 0,
          CreditPolicy credit = CreditPolicy::kSkidBuffer)
         : kernel_(kernel), name_(std::move(name)), capacity_(capacity),
-          credit_(credit) {
+          credit_(credit),
+          net_(kernel.declare_net({name_, NetRecord::kFifo, width_bits, capacity_,
+                                   net_flags,
+                                   credit == CreditPolicy::kRegistered
+                                       ? NetRecord::kCreditRegistered
+                                       : NetRecord::kCreditSkid})) {
         assert(capacity >= 1);
-        kernel.declare_net({name_, NetRecord::kFifo, width_bits, capacity_,
-                            net_flags,
-                            credit == CreditPolicy::kRegistered
-                                ? NetRecord::kCreditRegistered
-                                : NetRecord::kCreditSkid});
         // Raw-field read (not size()): probes run in the host phase where
         // the race checks are moot, and must not emit telemetry events.
         kernel.register_occupancy_probe(
@@ -176,21 +179,12 @@ class Fifo : public Clocked {
     }
 
     void telemetry(TelemetrySink::NetEvent ev) const {
-        if (TelemetrySink* t = kernel_.telemetry()) t->net_event(name_, ev);
+        if (TelemetrySink* t = kernel_.telemetry()) t->net_event(net_, ev);
     }
 
-    /// Wake this net's reader components. The resolved reader list is
-    /// cached against the kernel's wake epoch so the hot path is one
-    /// compare; before the wake map exists nothing has slept yet, so
-    /// there is nothing to wake.
+    /// Wake the components on this net's wake list (sim/kernel.h).
     void wake_readers() {
-        if (!kernel_.wake_map_built()) return;
-        if (wake_list_epoch_ != kernel_.wake_epoch()) {
-            wake_list_ = kernel_.wake_list(name_);
-            wake_list_epoch_ = kernel_.wake_epoch();
-        }
-        if (wake_list_)
-            for (Component* c : *wake_list_) c->wake();
+        for (Component* c : kernel_.wake_list(net_)) c->wake();
     }
 
     /// Staging (push/clear): two different components staging into the same
@@ -242,6 +236,7 @@ class Fifo : public Clocked {
     std::string name_;
     size_t capacity_;
     CreditPolicy credit_;
+    NetId net_;
     Ring<T> stable_;
     std::vector<T> staged_;
     size_t popped_ = 0;
@@ -250,9 +245,6 @@ class Fifo : public Clocked {
     const Component* popper_ = nullptr;
     Cycle stage_cycle_ = ~Cycle(0);
     Cycle pop_cycle_ = ~Cycle(0);
-
-    const std::vector<Component*>* wake_list_ = nullptr;
-    uint64_t wake_list_epoch_ = 0;  ///< 0 never matches a built map's epoch
 };
 
 }  // namespace rosebud::sim

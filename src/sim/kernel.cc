@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "sim/log.h"
+
 namespace rosebud::sim {
 
 namespace {
@@ -142,40 +144,28 @@ Kernel::drop_timed(Component& c) {
 
 void
 Kernel::build_wake_map() {
-    wake_readers_.clear();
+    wake_lists_.assign(nets_.size(), {});
     std::unordered_map<std::string, Component*> by_name;
     by_name.reserve(components_.size());
     for (Component* c : components_) by_name[c->name()] = c;
-    auto add = [&](const std::string& net, const std::string& component) {
-        auto it = by_name.find(component);
-        if (it == by_name.end()) return;  // external endpoint (host, wire)
-        auto& targets = wake_readers_[net];
+    for (const PortRecord& p : ports_) {
+        const NetId net = net_id(p.net);
+        if (net == kNoNet) continue;  // undeclared: the lint reports it
+        // Registered-credit nets return credit with one cycle of latency: a
+        // pop is an observable event for the *writer* (its can_push answer
+        // changes next cycle), so the writer needs a wake edge too — a
+        // producer sleeping on a full FIFO must tick again when space opens.
+        if (p.dir == PortRecord::kWrite &&
+            nets_[net].credit != NetRecord::kCreditRegistered) {
+            continue;
+        }
+        auto it = by_name.find(p.component);
+        if (it == by_name.end()) continue;  // external endpoint (host, wire)
+        auto& targets = wake_lists_[net];
         if (std::find(targets.begin(), targets.end(), it->second) == targets.end())
             targets.push_back(it->second);
-    };
-    // Registered-credit nets return credit with one cycle of latency: a
-    // pop is an observable event for the *writer* (its can_push answer
-    // changes next cycle), so the writer needs a wake edge too — a
-    // producer sleeping on a full FIFO must tick again when space opens.
-    std::unordered_map<std::string, bool> registered_credit;
-    for (const NetRecord& n : nets_) {
-        registered_credit[n.name] = n.credit == NetRecord::kCreditRegistered;
-    }
-    for (const PortRecord& p : ports_) {
-        if (p.dir == PortRecord::kRead) {
-            add(p.net, p.component);
-        } else if (p.dir == PortRecord::kWrite && registered_credit[p.net]) {
-            add(p.net, p.component);
-        }
     }
     wake_map_built_ = true;
-    ++wake_epoch_;
-}
-
-const std::vector<Component*>*
-Kernel::wake_list(const std::string& net) const {
-    auto it = wake_readers_.find(net);
-    return it == wake_readers_.end() ? nullptr : &it->second;
 }
 
 void
@@ -282,21 +272,6 @@ Kernel::tick_order() const {
 }
 
 void
-Kernel::register_occupancy_probe(std::string net, size_t capacity,
-                                 const void* owner, std::function<size_t()> fn) {
-    for (OccupancyProbe& p : occupancy_probes_) {
-        if (p.net == net) {
-            p.capacity = capacity;
-            p.owner = owner;
-            p.fn = std::move(fn);
-            return;
-        }
-    }
-    occupancy_probes_.push_back(
-        {std::move(net), capacity, owner, std::move(fn)});
-}
-
-void
 Kernel::unregister_occupancy_probe(const std::string& net, const void* owner) {
     for (auto it = occupancy_probes_.begin(); it != occupancy_probes_.end();
          ++it) {
@@ -307,29 +282,20 @@ Kernel::unregister_occupancy_probe(const std::string& net, const void* owner) {
     }
 }
 
-void
+NetId
 Kernel::declare_net(NetRecord net) {
+    const NetId id = NetId(nets_.size());
+    if (!net_ids_.try_emplace(net.name, id).second)
+        panic("net '" + net.name + "' declared twice");
     wake_map_built_ = false;
-    for (NetRecord& n : nets_) {
-        if (n.name == net.name) {
-            n = std::move(net);
-            return;
-        }
-    }
     nets_.push_back(std::move(net));
+    return id;
 }
 
-void
-Kernel::declare_port(PortRecord port) {
-    for (const PortRecord& p : ports_) {
-        if (p.component == port.component && p.net == port.net &&
-            p.dir == port.dir && p.width_bits == port.width_bits &&
-            p.depth == port.depth) {
-            return;
-        }
-    }
-    wake_map_built_ = false;
-    ports_.push_back(std::move(port));
+NetId
+Kernel::net_id(const std::string& name) const {
+    auto it = net_ids_.find(name);
+    return it == net_ids_.end() ? kNoNet : it->second;
 }
 
 }  // namespace rosebud::sim

@@ -18,7 +18,10 @@
 ///    seed, so a test can assert bit-identical runs across orders;
 ///  * every primitive and abstract inter-component link is recorded in a
 ///    netlist (nets + directed ports) that the static checker in
-///    src/lint/ validates before cycle 0.
+///    src/lint/ validates before cycle 0. A net is declared once, like a
+///    wire elaborated once: `declare_net` returns its sim::NetId (its
+///    index in `nets()`), a second declaration of the name panics, and
+///    the declarer keeps the id for its wake edges and telemetry events.
 ///
 /// Host-speed machinery (DESIGN.md §11): **quiescence skipping**. A
 /// component may override `quiescent()` to report that, absent new input,
@@ -26,12 +29,12 @@
 /// awake mask, one bit per component in tick order; the tick loop and the
 /// sleep sweep visit only its set bits, so a cycle costs in proportion to
 /// the components that are awake. Wake edges derived from the
-/// elaboration netlist (plus explicit `wake()` calls on direct-call
-/// boundaries) re-activate a consumer the moment a producer stages input
-/// for it. A sleeper whose idle ticks only advance internal
-/// time (a paced traffic source between frames) also reports, through
-/// `wake_due()`, the cycle at which it must tick again; the kernel wakes
-/// it then and it replays the skipped ticks in `on_wake()`. When *every*
+/// elaboration netlist, one list per NetId (plus explicit `wake()` calls
+/// on direct-call boundaries), re-activate a consumer the moment a
+/// producer stages input for it. A sleeper whose idle ticks only advance
+/// internal time (a paced traffic source between frames) also reports,
+/// through `wake_due()`, the cycle at which it must tick again; the kernel
+/// wakes it then and it replays the skipped ticks in `on_wake()`. When *every*
 /// component is asleep the run loop fast-forwards the cycle counter to
 /// the earliest due cycle in one step. Skipping is exact by construction
 /// and is automatically disabled while a TelemetrySink is attached
@@ -251,6 +254,7 @@ class Kernel {
         components_.push_back(c);
         if (c->slot_ % 64 == 0) awake_mask_.push_back(0);
         mark_awake(*c);
+        wake_map_built_ = false;  // ports may already name it
     }
 
     /// Queue a clocked element (a component or a registered element) for
@@ -366,15 +370,15 @@ class Kernel {
         std::function<size_t()> fn;   ///< committed occupancy right now
     };
 
-    /// Register (or, for the same net name, replace) an occupancy probe.
-    /// Re-registration mirrors declare_net: a reconfigured accelerator's
-    /// fresh primitive takes over its predecessor's net name.
+    /// Append an occupancy probe. Each registrant names its own net (or,
+    /// for the RPU slot census, a name no net carries), so names are
+    /// unique without a check.
     void register_occupancy_probe(std::string net, size_t capacity,
-                                  const void* owner, std::function<size_t()> fn);
+                                  const void* owner, std::function<size_t()> fn) {
+        occupancy_probes_.push_back({std::move(net), capacity, owner, std::move(fn)});
+    }
 
-    /// Remove the probe for `net` iff `owner` still owns it. Owner-matched
-    /// so that destroying a replaced (stale) registrant cannot drop its
-    /// successor's probe during reconfiguration handover.
+    /// Remove the probe `owner` registered for `net`.
     void unregister_occupancy_probe(const std::string& net, const void* owner);
 
     /// All live occupancy probes, in registration order (deterministic).
@@ -428,30 +432,40 @@ class Kernel {
 
     // --- elaboration netlist ---------------------------------------------------
 
-    /// Record a net. Re-declaring the same name replaces the record (a
-    /// reconfigured accelerator re-elaborates its nets).
-    void declare_net(NetRecord net);
+    /// Record a net and return its id, its index in nets(). A net is
+    /// declared once: declaring a name twice is a simulator bug and
+    /// panics, naming the net.
+    NetId declare_net(NetRecord net);
 
-    /// Record a directed port. Exact duplicates are dropped.
-    void declare_port(PortRecord port);
+    /// Record a directed port. Its net may be declared later (or never:
+    /// the lint's unknown-net check reports that).
+    void declare_port(PortRecord port) {
+        wake_map_built_ = false;
+        ports_.push_back(std::move(port));
+    }
+
+    /// The id of the net declared as `name`, or kNoNet.
+    NetId net_id(const std::string& name) const;
 
     const std::vector<NetRecord>& nets() const { return nets_; }
     const std::vector<PortRecord>& ports() const { return ports_; }
 
-    // --- wake edges (net name -> reader components) ----------------------------
+    // --- wake edges (NetId -> components) ----------------------------------------
 
-    /// True once the wake-edge map reflects the current netlist. The map
-    /// is (re)built lazily before the first sleep sweep and after any
-    /// netlist change; a Fifo caches its resolved reader list against
-    /// wake_epoch().
+    /// True while the wake lists reflect the current netlist: a step
+    /// builds them, and any netlist change or new component marks them
+    /// stale.
     bool wake_map_built() const { return wake_map_built_; }
-    uint64_t wake_epoch() const { return wake_epoch_; }
 
-    /// Components woken by activity on `net` per the elaboration netlist
-    /// (its readers, plus its writers when the net returns registered
-    /// credit), or null if none are registered. Valid until the next
-    /// netlist change.
-    const std::vector<Component*>* wake_list(const std::string& net) const;
+    /// Components woken by activity on `net` per the elaboration netlist:
+    /// its readers, plus its writers when the net returns registered
+    /// credit. Stale lists are rebuilt first, so a host-phase push right
+    /// after a mid-run declaration (a source added, an accelerator socket
+    /// elaborated) still wakes a sleeping reader.
+    const std::vector<Component*>& wake_list(NetId net) {
+        if (!wake_map_built_) build_wake_map();
+        return wake_lists_[net];
+    }
 
     /// Hook run once, immediately before the first step(). System installs
     /// the static lint pass here so that everything constructed up front —
@@ -515,10 +529,10 @@ class Kernel {
     Cycle next_due_ = kNever;
 
     bool wake_map_built_ = false;
-    uint64_t wake_epoch_ = 0;
-    std::unordered_map<std::string, std::vector<Component*>> wake_readers_;
+    std::vector<std::vector<Component*>> wake_lists_;  ///< [NetId]
 
-    std::vector<NetRecord> nets_;
+    std::vector<NetRecord> nets_;                  ///< [NetId]
+    std::unordered_map<std::string, NetId> net_ids_;  ///< name -> NetId
     std::vector<PortRecord> ports_;
     std::function<void(Kernel&)> prestep_hook_;
     bool prestep_done_ = false;

@@ -13,10 +13,12 @@
 /// per-cycle idle/busy/stalled/starved classification, VCD waveforms and
 /// Perfetto traces.
 ///
-/// The hooks cost one pointer compare per operation when no sink is attached
-/// (the default), so production sweeps pay nothing; no sim::Stats counters
-/// are created either way, which keeps System::state_fingerprint bit-identical
-/// with telemetry on or off.
+/// Each event names its net by the sim::NetId that the net's declaration
+/// returned, which the emitter keeps: an event site builds no name and looks
+/// nothing up. The hooks cost one pointer compare per operation when no sink
+/// is attached (the default), so production sweeps pay nothing; no
+/// sim::Stats counters are created either way, which keeps
+/// System::state_fingerprint bit-identical with telemetry on or off.
 ///
 /// HealthProbe is the *production* counterpart: where a TelemetrySink wants
 /// the complete per-primitive event stream (and therefore disables idle
@@ -30,9 +32,16 @@
 #define ROSEBUD_SIM_TELEMETRY_H
 
 #include <cstdint>
-#include <string>
 
 namespace rosebud::sim {
+
+/// A declared net's identity: its index in Kernel::nets(), returned by
+/// Kernel::declare_net (sim/kernel.h). A net is declared once, so the id
+/// stays valid for the kernel's lifetime.
+using NetId = uint32_t;
+
+/// "No such net": Kernel::net_id() of a name nobody declared.
+inline constexpr NetId kNoNet = ~NetId(0);
 
 /// Receives the raw per-cycle event stream. Implementations classify and
 /// aggregate; emitters never interpret.
@@ -51,7 +60,7 @@ class TelemetrySink {
     /// An event on net `net` during the current cycle. Multiple events per
     /// net per cycle are expected; sinks classify on booleans, so emitters
     /// need not dedupe.
-    virtual void net_event(const std::string& net, NetEvent ev) = 0;
+    virtual void net_event(NetId net, NetEvent ev) = 0;
 
     /// The clock edge: cycle `completed` has fully committed. Sinks close
     /// the per-cycle classification window here; it runs in the host phase,

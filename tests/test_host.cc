@@ -157,6 +157,32 @@ TEST(HostPr, SwapsAcceleratorAndFirmwareAtRuntime) {
     EXPECT_EQ(sys.stats().get("rpu0.dropped_packets"), 1u);
 }
 
+TEST(HostPr, SecondAcceleratorSwapReusesTheSocket) {
+    // The first accelerator elaborates RPU 0's accel_link net; a second
+    // swap plugs into the same socket and declares no net or port.
+    System sys(cfg4());
+    auto fwd = fwlib::forwarder();
+    sys.host().load_firmware_all(fwd.image, fwd.entry);
+    sys.host().boot_all();
+    sys.run_cycles(300);
+
+    sim::Rng rng(7);
+    net::Blacklist bl;
+    bl.add(net::parse_ipv4_addr("66.66.66.66"));
+    auto fw_prog = fwlib::firewall();
+    auto factory = [&] { return std::make_unique<accel::FirewallMatcher>(bl); };
+    sys.host().reconfigure(0, factory, fw_prog.image, fw_prog.entry, rng);
+    EXPECT_NE(sys.kernel().net_id("rpu0.accel_link"), sim::kNoNet);
+    const size_t nets = sys.kernel().nets().size();
+    const size_t ports = sys.kernel().ports().size();
+
+    sys.host().reconfigure(0, factory, fw_prog.image, fw_prog.entry, rng);
+    EXPECT_EQ(sys.kernel().nets().size(), nets);
+    EXPECT_EQ(sys.kernel().ports().size(), ports);
+    const auto violations = sys.lint_check();
+    EXPECT_TRUE(violations.empty()) << lint::report(violations);
+}
+
 TEST(HostPr, OtherRpusKeepForwardingDuringDrain) {
     // The "no-pause reconfiguration" property: while RPU 0 is being
     // drained and swapped, traffic keeps flowing through the others.

@@ -61,6 +61,25 @@ TEST(LintStatic, CleanHandNetlistHasNoViolations) {
     EXPECT_TRUE(vs.empty()) << lint::report(vs);
 }
 
+// A net is declared once, like a wire elaborated once: the declaration
+// returns its id (its index in nets()), and a second declaration of the
+// same name is a simulator bug that panics and names the net.
+TEST(LintElaboration, NetIdIsTheDeclarationIndex) {
+    sim::Kernel k;
+    EXPECT_EQ(k.declare_net({"a.q", NetRecord::kFifo, 64, 8, 0}), 0u);
+    EXPECT_EQ(k.declare_net({"b.q", NetRecord::kFifo, 64, 8, 0}), 1u);
+    EXPECT_EQ(k.net_id("b.q"), 1u);
+    EXPECT_EQ(k.nets()[k.net_id("a.q")].name, "a.q");
+    EXPECT_EQ(k.net_id("ghost"), sim::kNoNet);
+}
+
+TEST(LintElaborationDeathTest, SecondDeclarationOfANetPanics) {
+    sim::Kernel k;
+    k.declare_net({"a.q", NetRecord::kFifo, 64, 8, 0});
+    EXPECT_DEATH(k.declare_net({"a.q", NetRecord::kLink, 32, 1, 0}),
+                 "net 'a\\.q' declared twice");
+}
+
 TEST(LintStatic, UnknownNetFires) {
     sim::Kernel k;
     k.declare_port({"w", "ghost", PortRecord::kWrite, 0, 0});

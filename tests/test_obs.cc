@@ -1,6 +1,8 @@
 /// Observability-stack tests: CSV escaping, the VCD writer's header/format,
 /// the Perfetto exporter's structure, the telemetry cycle-classification
 /// invariant (busy+stalled+starved+idle == observed cycles on every net),
+/// telemetry taps counting on their own nets (drained-run event counts
+/// equal to the components' own counters),
 /// telemetry occupancy equal to the kernel's occupancy probes on every
 /// cycle, the firmware PC profiler's conservation property, flight-recorder
 /// retention of packet timelines, and the guarantee that attaching
@@ -145,6 +147,93 @@ TEST(Telemetry, EveryNetSumsExactlyToObservedCycles) {
         total_busy += ns.busy;
     }
     EXPECT_GT(total_busy, 0u);  // the run did move data
+    telem.detach();
+}
+
+// ------------------------------------ taps land on their own net
+//
+// A tap that reported on a wrong net would still conserve cycles, so the
+// test above cannot see it. On a drained run each tapped net's event count
+// equals a counter the component keeps for itself.
+
+/// Run `sys` until both sinks hold `frames` frames between them; false if
+/// they never do.
+bool
+drain_to_sinks(System& sys, uint64_t frames) {
+    const bool done = sys.kernel().run_until(
+        [&] { return sys.sink(0).frames() + sys.sink(1).frames() == frames; }, 500'000);
+    sys.run_cycles(100);
+    return done;
+}
+
+TEST(Telemetry, ForwarderTapsCountOnTheirOwnNets) {
+    constexpr unsigned kRpus = 8;
+    constexpr uint64_t kPerPort = 3000;
+    SystemConfig cfg;
+    cfg.rpu_count = kRpus;
+    System sys(cfg);
+    auto fw = fwlib::forwarder();
+    sys.host().load_firmware_all(fw.image, fw.entry);
+    sys.host().boot_all();
+    obs::Telemetry telem;
+    telem.attach(sys);
+    uint64_t id = 0;
+    for (unsigned port = 0; port < 2; ++port) {
+        sys.add_source({.port = port, .max_packets = kPerPort},
+                       [&id] { return make_packet(256, id++); });
+    }
+    ASSERT_TRUE(drain_to_sinks(sys, 2 * kPerPort));
+
+    const sim::Stats& st = sys.stats();
+    const auto& nets = telem.nets();
+    for (unsigned r = 0; r < kRpus; ++r) {
+        const std::string rn = "rpu" + std::to_string(r);
+        const uint64_t rx = st.get(rn + ".rx_packets");
+        EXPECT_GT(rx, 0u) << rn;
+        EXPECT_EQ(nets.at("fabric.egress.r" + std::to_string(r)).pushes,
+                  st.get(rn + ".tx_packets"))
+            << rn;
+        EXPECT_EQ(nets.at(rn + ".link_in").pushes, rx) << rn;
+        uint64_t voq_pops = 0;
+        for (unsigned s = 0; s < 4; ++s) {
+            voq_pops += nets.at("fabric.voq.r" + std::to_string(r) + ".s" + std::to_string(s))
+                            .pops;
+        }
+        EXPECT_EQ(voq_pops, rx) << rn;
+    }
+    EXPECT_EQ(nets.at("lb.assign").pushes, st.get("lb.assigned"));
+    for (unsigned p = 0; p < 2; ++p) {
+        const std::string pn = std::to_string(p);
+        EXPECT_EQ(nets.at("fabric.mac_tx.p" + pn).pops, st.get("port" + pn + ".tx_frames"));
+        EXPECT_EQ(nets.at("fabric.mac_rx.p" + pn).pushes, st.get("port" + pn + ".rx_frames"));
+    }
+    EXPECT_EQ(st.get("port0.rx_frames") + st.get("port1.rx_frames"), 2 * kPerPort);
+    telem.detach();
+}
+
+TEST(Telemetry, LoopbackTapCountsLoopbackFrames) {
+    // The two-step forwarder: the first half of the RPUs receive and send
+    // each packet over the loopback channel to a partner, which forwards
+    // it out.
+    constexpr unsigned kRpus = 8;
+    constexpr uint64_t kPackets = 2000;
+    SystemConfig cfg;
+    cfg.rpu_count = kRpus;
+    System sys(cfg);
+    auto fw = fwlib::two_step_forwarder(kRpus);
+    sys.host().load_firmware_all(fw.image, fw.entry);
+    sys.host().boot_all();
+    sys.run_cycles(500);
+    sys.host().set_recv_mask((1u << (kRpus / 2)) - 1);
+    obs::Telemetry telem;
+    telem.attach(sys);
+    uint64_t id = 0;
+    sys.add_source({.port = 0, .max_packets = kPackets},
+                   [&id] { return make_packet(512, id++); });
+    ASSERT_TRUE(drain_to_sinks(sys, kPackets));
+
+    EXPECT_EQ(sys.stats().get("loopback.frames"), kPackets);
+    EXPECT_EQ(telem.nets().at("fabric.loopback_q").pushes, sys.stats().get("loopback.frames"));
     telem.detach();
 }
 

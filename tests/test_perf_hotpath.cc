@@ -11,7 +11,8 @@
 ///    shared_ptr control blocks), never per cycle;
 ///  * the one-packet-per-cycle forwarding path itself allocates nothing
 ///    per packet: packets move through grow-only rings and the RPU's TX
-///    engine sends the received packet object back out;
+///    engine sends the received packet object back out; nor does the
+///    loopback path, whose telemetry taps name their net by id;
 ///  * set-up pays only for the memory it touches: the RPU memories and
 ///    the decoded-instruction caches are demand-zero pages.
 
@@ -244,6 +245,55 @@ TEST(HotPath, ForwardingPathAllocatesNothingPerPacket) {
     // allocate nothing either. The forwarder sends the frame without the
     // 4-byte hash word, so the sent frame reuses the received byte buffer.
     EXPECT_LE(forwarding_allocs_per_packet(lb::Policy::kHash), 0.01);
+}
+
+// The loopback path as exp::run_loopback drives it: 16 RPUs run the
+// two-step forwarder, the first 8 receive port 0's traffic at 100G line
+// rate and send every packet over the loopback channel to a partner,
+// which forwards it out. The pool's 512 B frames are moved out, so the
+// DUT holds the only reference: a copied pointer would send the TX engine
+// down its fresh-packet path. Every allocation counted is the DUT's, per
+// packet that crossed the loopback channel.
+TEST(HotPath, LoopbackPathAllocatesNothingPerPacket) {
+    constexpr sim::Cycle kWarmup = 20'000, kWindow = 100'000;
+    constexpr unsigned kRpus = 16;
+    SystemConfig cfg;
+    cfg.rpu_count = kRpus;
+    System sys(cfg);
+    auto fw = fwlib::two_step_forwarder(kRpus);
+    sys.host().load_firmware_all(fw.image, fw.entry);
+    sys.host().boot_all();
+    sys.run_cycles(500);
+    sys.host().set_recv_mask((1u << (kRpus / 2)) - 1);
+
+    // 512 B frames take 536 B of line time: at most 50/536 per cycle.
+    const size_t count = size_t((kWarmup + kWindow) * 50 / 536) + 64;
+    auto pool = std::make_shared<std::vector<net::PacketPtr>>();
+    pool->reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+        net::PacketBuilder b;
+        b.ipv4(0x0a000001, 0x0a000002).udp(uint16_t(1024 + i % 4096), 2000).frame_size(512);
+        pool->push_back(b.build());
+    }
+    sys.add_source({.port = 0, .line_gbps = 100.0, .load = 1.0},
+                   [pool, next = size_t(0)]() mutable -> net::PacketPtr {
+                       if (next == pool->size()) return nullptr;
+                       return std::move((*pool)[next++]);
+                   });
+    sys.run_cycles(kWarmup);
+
+    const uint64_t frames_before = sys.stats().get("loopback.frames");
+    g_allocs.store(0);
+    g_counting.store(true);
+    sys.run_cycles(kWindow);
+    g_counting.store(false);
+    const uint64_t packets = sys.stats().get("loopback.frames") - frames_before;
+
+    EXPECT_TRUE(pool->back()) << "pool ran dry";
+    // The channel carried at least 90% of the offered line rate.
+    EXPECT_GT(packets, kWindow * 50 / 536 * 9 / 10);
+    EXPECT_LE(double(g_allocs.load()) / double(packets), 0.01)
+        << g_allocs.load() << " allocs for " << packets << " loopback packets";
 }
 
 // The production health layer's cost contract: attaching it must not add

@@ -219,6 +219,22 @@ TEST(Quiescence, SleeperSkipsTicksButMissesNothing) {
     EXPECT_EQ(k.now(), 1010u);
 }
 
+TEST(Quiescence, HostPushAfterNetlistChangeWakesSleeper) {
+    // A port declared mid-run marks the wake lists stale. A host-phase
+    // push before the next step must still wake the sleeping reader: with
+    // every component asleep the run fast-forwards, so a missed wake
+    // would leave the value staged for good.
+    Kernel k;
+    Fifo<int> f(k, "q", 4);
+    SleepyConsumer c(k, f);
+    k.run(1000);
+    ASSERT_LT(c.ticks, 1000u);
+    k.declare_port({"host", "elsewhere", PortRecord::kWrite, 0, 0});
+    ASSERT_TRUE(f.push(42));
+    k.run(10);
+    EXPECT_EQ(c.sum, 42);
+}
+
 TEST(Quiescence, IdleSkipOffTicksEveryCycle) {
     Kernel k;
     k.set_idle_skip(false);
@@ -450,21 +466,19 @@ TEST(Quiescence, WakeMapIncludesRegisteredCreditWriters) {
     k.step();  // idle skip is on by default: builds the wake map lazily
     ASSERT_TRUE(k.wake_map_built());
 
-    auto contains = [&](const char* net, const char* name) {
-        const std::vector<Component*>* l = k.wake_list(net);
-        if (!l) return false;
-        for (Component* c : *l) {
+    auto contains = [&](NetId net, const char* name) {
+        for (Component* c : k.wake_list(net)) {
             if (c->name() == name) return true;
         }
         return false;
     };
     // Registered credit: reader AND writer are wake targets.
-    EXPECT_TRUE(contains("reg_q", "r"));
-    EXPECT_TRUE(contains("reg_q", "w"));
+    EXPECT_TRUE(contains(k.net_id("reg_q"), "r"));
+    EXPECT_TRUE(contains(k.net_id("reg_q"), "w"));
     // Skid credit: only the reader (cross-component credit observation is
     // illegal there anyway, so there is no sleeping producer to wake).
-    EXPECT_TRUE(contains("skid_q", "r"));
-    EXPECT_FALSE(contains("skid_q", "w"));
+    EXPECT_TRUE(contains(k.net_id("skid_q"), "r"));
+    EXPECT_FALSE(contains(k.net_id("skid_q"), "w"));
 }
 
 /// Producer that fills a registered-credit FIFO and sleeps while it is
