@@ -54,9 +54,6 @@ System::System(const SystemConfig& config) : config_(config) {
     fabric_ = std::make_unique<dist::Fabric>(kernel_, stats_, fc, *lb_, raw);
 
     host_ = std::make_unique<host::HostContext>(kernel_, stats_, *lb_, *fabric_, raw);
-    host_->set_firmware_check(config_.firmware_check);
-    host_->set_wcet_check(config_.wcet_check);
-    host_->set_wcet_budget_cycles(config_.wcet_budget_cycles);
 
     // Wire the control and data channels.
     for (unsigned i = 0; i < config_.rpu_count; ++i) {

@@ -61,16 +61,6 @@ struct SystemConfig {
     dist::FabricConfig fabric{};
     rpu::Rpu::Config rpu_template{};
     msg::BroadcastNetwork::Config broadcast{};
-    /// Static firmware-verifier gate policy applied to every host firmware
-    /// load (kEnforce rejects provably bad images before they run).
-    host::FirmwareCheck firmware_check = host::FirmwareCheck::kEnforce;
-    /// Line-rate admission gate: require a finite certified WCET, a finite
-    /// stack bound and the text-write-separation proof on every firmware
-    /// load (off by default; nothing in the shipped pipelines turns it on).
-    host::FirmwareCheck wcet_check = host::FirmwareCheck::kOff;
-    /// Per-activation cycle budget enforced by the admission gate when
-    /// non-zero (tenant QoS contract; 0 = bounded-only, no budget compare).
-    uint64_t wcet_budget_cycles = 0;
     /// Elaboration-time netlist lint policy (see LintMode).
     LintMode lint = LintMode::kEnforce;
     /// Applied by the constructor to the kernel and every RPU core.

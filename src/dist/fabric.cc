@@ -52,7 +52,7 @@ Fabric::Fabric(sim::Kernel& kernel, sim::Stats& stats, const FabricConfig& confi
     // their netlist nets: the telemetry's waveforms, the health layer's
     // backlog census and the metrics gauges read committed occupancy here.
     auto probe = [&](sim::NetId net, size_t capacity, std::function<size_t()> fn) {
-        kernel.register_occupancy_probe(kernel.nets()[net].name, capacity, this,
+        kernel.register_occupancy_probe(kernel.nets()[net].name, net, capacity, this,
                                         std::move(fn));
     };
     for (unsigned s = 0; s < kSourceCount; ++s) {

@@ -10,7 +10,8 @@ TrafficSource::TrafficSource(sim::Kernel& kernel, const Config& config, Fabric& 
       config_(config),
       fabric_(fabric),
       gen_(std::move(gen)),
-      bytes_per_cycle_(config.line_gbps * 1e9 / 8.0 / sim::kClockHz * config.load),
+      line_bytes_per_cycle_(config.line_gbps * 1e9 / 8.0 / sim::kClockHz),
+      bytes_per_cycle_(line_bytes_per_cycle_ * config.load),
       pps_per_cycle_(config.max_pps > 0 ? config.max_pps / sim::kClockHz : 0.0) {
     // We are the wire side of this port's MAC RX FIFO.
     kernel.declare_port({name(), "fabric.mac_rx.p" + std::to_string(config.port),
@@ -33,10 +34,10 @@ TrafficSource::tick() {
         if (pps_per_cycle_ > 0) pps_tokens_ -= 1.0;
         // Timestamp at the start of serialization (the frame has been on
         // the wire for wire_size/line_rate by the time it is delivered).
-        staged_->tx_ns =
-            kernel().now_ns() - double(staged_->wire_size()) / 50.0 * sim::kNsPerCycle;
+        staged_->tx_ns = kernel().now_ns() - double(staged_->wire_size()) /
+                                                 line_bytes_per_cycle_ * sim::kNsPerCycle;
         ++offered_;
-        if (!fabric_.mac_rx(config_.port, std::move(staged_))) ++dropped_;
+        fabric_.mac_rx(config_.port, std::move(staged_));  // counts its own drops
         if (config_.max_packets && offered_ >= config_.max_packets) break;
         staged_ = gen_();
     }

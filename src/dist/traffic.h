@@ -1,9 +1,10 @@
 /// \file
 /// Traffic endpoints standing in for the paper's tester FPGA.
 ///
-/// TrafficSource paces frames onto one 100 Gbps wire (token bucket in line
-/// bytes, including preamble/IFG/FCS overhead) and timestamps them at the
-/// start of serialization, exactly like the paper's packet generator.
+/// TrafficSource paces frames onto one wire (100 Gbps by default; token
+/// bucket in line bytes, including preamble/IFG/FCS overhead) and
+/// timestamps them at the start of serialization at that wire's rate,
+/// exactly like the paper's packet generator.
 /// TrafficSink records delivered frames, bytes, and round-trip latency.
 /// The source can optionally be capped at a packet rate to mirror the
 /// tester's own generation limit below 128-byte frames (Section 6.1).
@@ -47,7 +48,6 @@ class TrafficSource : public sim::Component {
     sim::Cycle wake_due() const override;
 
     uint64_t offered() const { return offered_; }
-    uint64_t dropped_at_mac() const { return dropped_; }
 
  protected:
     /// Bit-exact replay of `n` non-emitting ticks: the token additions
@@ -66,12 +66,12 @@ class TrafficSource : public sim::Component {
     Fabric& fabric_;
     GenFn gen_;
     double tokens_ = 0.0;
-    double bytes_per_cycle_;
+    double line_bytes_per_cycle_;  ///< the wire's serialization rate
+    double bytes_per_cycle_;       ///< offered rate: line rate x load
     double pps_tokens_ = 0.0;
     double pps_per_cycle_;
     net::PacketPtr staged_;
     uint64_t offered_ = 0;
-    uint64_t dropped_ = 0;
 };
 
 /// Records what comes back to the tester.

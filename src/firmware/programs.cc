@@ -768,29 +768,4 @@ broadcast_sink() {
     return {a.assemble(), 0};
 }
 
-Program
-broadcast_stress() {
-    Assembler a;
-    emit_prologue(a, SlotParams{4, 16 * 1024});
-    a.lui(s5, 0x2020);
-    a.mv(s2, zero);  // latency sum
-    a.mv(s3, zero);  // sample count
-    a.label("loop");
-    a.rdcycle(t0);
-    a.sw(t0, 0, s5);  // blocking send: stalls while the 18-deep FIFO is full
-    a.label("drain");
-    a.lw(t3, rp::kRegBcastReady, gp);
-    a.beqz(t3, "loop");
-    a.lw(t1, rp::kRegBcastData, gp);
-    a.sw(zero, rp::kRegBcastPop, gp);
-    a.rdcycle(t2);
-    a.sub(t2, t2, t1);
-    a.add(s2, s2, t2);
-    a.addi(s3, s3, 1);
-    a.sw(s2, rp::kRegDebugLow, gp);
-    a.sw(s3, rp::kRegDebugHigh, gp);
-    a.j("drain");
-    return {a.assemble(), 0};
-}
-
 }  // namespace rosebud::fwlib

@@ -90,17 +90,12 @@ Program chained_firewall(unsigned rpu_count, const SlotParams& slots = {});
 Program busy_loop(const SlotParams& slots = {});
 
 /// Broadcast sender: writes its cycle counter into the broadcast region
-/// every `period_cycles` (0 = as fast as possible). The receiver side of
-/// the measurement is in every program below: broadcast_sink accumulates
-/// {sum of latencies, count} into DEBUG_LOW/DEBUG_HIGH.
+/// every `period_cycles` (0 = as fast as possible, the saturated
+/// measurement). The receiver side of the measurement is broadcast_sink,
+/// which accumulates {sum of latencies, count} into DEBUG_LOW/DEBUG_HIGH.
 Program broadcast_sender(uint32_t period_cycles);
 
 Program broadcast_sink();
-
-/// Combined sender+sink for the saturated-broadcast measurement: every
-/// iteration issues a (blocking) timestamped broadcast write, then drains
-/// pending notifications, accumulating latency into the debug registers.
-Program broadcast_stress();
 
 }  // namespace rosebud::fwlib
 

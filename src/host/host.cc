@@ -13,45 +13,15 @@ HostContext::HostContext(sim::Kernel& kernel, sim::Stats& stats, lb::LoadBalance
 
 void
 HostContext::gate_firmware(const std::vector<uint32_t>& image, uint32_t entry) const {
-    if (firmware_check_ == FirmwareCheck::kOff && wcet_check_ == FirmwareCheck::kOff) {
-        return;
-    }
+    if (firmware_check_ == FirmwareCheck::kOff) return;
     verify::Options opts;
     opts.entry = entry;
     verify::Report report = verify::verify_image(image, opts);
-    if (firmware_check_ != FirmwareCheck::kOff && !report.ok()) {
-        std::string msg = "firmware rejected by static verifier (" +
-                          std::to_string(report.errors()) + " error(s)):\n" +
-                          report.summary();
-        if (firmware_check_ == FirmwareCheck::kEnforce) {
-            sim::fatal(msg);
-        } else {
-            sim::warn(msg);
-        }
-    }
-    if (wcet_check_ == FirmwareCheck::kOff) return;
-
-    // Line-rate admission: the certificate must prove the image can keep up
-    // (finite per-activation WCET within any configured budget), cannot
-    // overflow its stack, and never rewrites its own text segment.
-    const verify::Certificate& cert = report.cert;
-    std::string why;
-    if (!cert.wcet_bounded) {
-        why += "  per-activation WCET is unbounded (non-terminating compute loop "
-               "or indirect jump)\n";
-    } else if (wcet_budget_cycles_ != 0 && cert.wcet_cycles > wcet_budget_cycles_) {
-        why += "  certified WCET " + std::to_string(cert.wcet_cycles) +
-               " cycles exceeds the admission budget of " +
-               std::to_string(wcet_budget_cycles_) + " cycles\n";
-    }
-    if (!cert.stack_bounded) why += "  stack depth is unbounded\n";
-    if (!cert.text_write_separation) {
-        why += "  text-segment write separation unproven (" +
-               std::to_string(cert.unproven_stores) + " unbounded store(s))\n";
-    }
-    if (why.empty()) return;
-    std::string msg = "firmware rejected by line-rate admission gate:\n" + why;
-    if (wcet_check_ == FirmwareCheck::kEnforce) {
+    if (report.ok()) return;
+    std::string msg = "firmware rejected by static verifier (" +
+                      std::to_string(report.errors()) + " error(s)):\n" +
+                      report.summary();
+    if (firmware_check_ == FirmwareCheck::kEnforce) {
         sim::fatal(msg);
     } else {
         sim::warn(msg);

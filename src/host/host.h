@@ -60,15 +60,6 @@ class HostContext {
     void set_firmware_check(FirmwareCheck mode) { firmware_check_ = mode; }
     FirmwareCheck firmware_check() const { return firmware_check_; }
 
-    /// Line-rate admission gate: when not kOff, firmware must certify with
-    /// a finite per-activation WCET, a finite stack bound, and a clean
-    /// text-segment write-separation proof; with a non-zero budget the
-    /// certified worst-case cycles must also fit it. Off by default; only
-    /// tests turn it on (SystemConfig::wcet_check).
-    void set_wcet_check(FirmwareCheck mode) { wcet_check_ = mode; }
-    FirmwareCheck wcet_check() const { return wcet_check_; }
-    void set_wcet_budget_cycles(uint64_t cycles) { wcet_budget_cycles_ = cycles; }
-    uint64_t wcet_budget_cycles() const { return wcet_budget_cycles_; }
     void boot(unsigned rpu);
     void boot_all();
 
@@ -82,10 +73,7 @@ class HostContext {
 
     // --- LB configuration channel --------------------------------------------
 
-    void lb_write(uint32_t addr, uint32_t value) { lb_.host_write(addr, value); }
-    uint32_t lb_read(uint32_t addr) const { return lb_.host_read(addr); }
     void set_recv_mask(uint32_t mask) { lb_.host_write(lb::kLbRegRecvMask, mask); }
-    void set_enable_mask(uint32_t mask) { lb_.host_write(lb::kLbRegEnableMask, mask); }
 
     // --- status & debugging ----------------------------------------------------
 
@@ -131,9 +119,7 @@ class HostContext {
     void gate_firmware(const std::vector<uint32_t>& image, uint32_t entry) const;
 
     FirmwareCheck firmware_check_ = FirmwareCheck::kEnforce;
-    FirmwareCheck wcet_check_ = FirmwareCheck::kOff;
     ReconfigObserver reconfig_observer_;
-    uint64_t wcet_budget_cycles_ = 0;  ///< 0 = no budget comparison
     sim::Kernel& kernel_;
     sim::Stats& stats_;
     lb::LoadBalancer& lb_;

@@ -70,9 +70,6 @@ class LoadBalancer {
     struct Config {
         unsigned rpu_count = 16;
         Policy policy = Policy::kRoundRobin;
-        /// Per-ingress-source minimum packet interval in cycles; 2 cycles
-        /// at 250 MHz is the paper's 125 MPPS per-port distribution limit.
-        unsigned issue_interval_cycles = 2;
         /// Inline hardware reassembler (flow reordering fixed in the LB).
         bool reassembler = false;
         /// Reassembler: max buffered out-of-order packets per flow.

@@ -28,7 +28,6 @@
 
 #include "sim/kernel.h"
 #include "sim/log.h"
-#include "sim/resources.h"
 #include "sim/zeroed.h"
 
 namespace rosebud::mem {
@@ -129,13 +128,6 @@ class Memory {
     std::string name_;
     sim::Zeroed<uint8_t> bytes_;
 };
-
-/// Resource footprint of a BRAM-implemented memory of `bytes` capacity.
-/// XCVU9P BRAM36 = 4 KiB; dual-port control adds a small LUT cost.
-sim::ResourceFootprint bram_footprint(uint32_t bytes);
-
-/// Resource footprint of a URAM-implemented memory (URAM288 = 32 KiB).
-sim::ResourceFootprint uram_footprint(uint32_t bytes);
 
 }  // namespace rosebud::mem
 

@@ -222,16 +222,16 @@ HealthMonitor::attach(System& sys) {
     metrics_.add_gauge("rosebud_health_epochs_closed",
                        "SLO epochs evaluated", "",
                        [this] { return epochs_closed_; });
-    const double cycles_to_seconds = sim::kNsPerCycle * 1e-9;
+    const double s_per_cycle = sim::kNsPerCycle * 1e-9;
     metrics_.add_histogram("rosebud_packet_latency_seconds",
                            "Ingress-to-egress packet latency", "cls=\"all\"",
-                           &lat_all_, cycles_to_seconds);
+                           &lat_all_, s_per_cycle);
     for (unsigned c = 0; c < net::kFlowClassCount; ++c) {
         metrics_.add_histogram("rosebud_packet_latency_seconds",
                                "Ingress-to-egress packet latency",
                                std::string("cls=\"") +
                                    net::flow_class_name(net::FlowClass(c)) + "\"",
-                               &lat_cls_[c], cycles_to_seconds);
+                               &lat_cls_[c], s_per_cycle);
     }
     metrics_.set_stats(&sys.stats());
     metrics_.set_kernel(&sys.kernel());
@@ -775,7 +775,6 @@ run_health(const HealthSpec& spec) {
             res.flight_text = d.text;
             res.flight_json = d.json;
             res.metrics_prom = mon.metrics().prometheus_text();
-            res.metrics_json = mon.metrics().json();
             if (row.tripped && !mon.trips().empty()) {
                 const WatchdogTrip& trip = mon.trips().front();
                 res.trip_summary = trip.what;

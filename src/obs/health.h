@@ -167,8 +167,8 @@ class HealthMonitor : public sim::HealthProbe {
 
     // --- accessors -----------------------------------------------------------
     const FlightRecorder& recorder() const { return recorder_; }
-    /// The export surface: snapshot(MetricsFormat) renders the live
-    /// registry at any host-phase point of the run.
+    /// The export surface: prometheus_text() renders the live registry
+    /// at any host-phase point of the run.
     MetricsRegistry& metrics() { return metrics_; }
     const MetricsRegistry& metrics() const { return metrics_; }
     const HealthConfig& config() const { return cfg_; }
@@ -333,7 +333,6 @@ struct HealthResult {
     std::string flight_text;    ///< recorder timeline (tripped run, else last)
     std::string flight_json;
     std::string metrics_prom;   ///< registry snapshot (same run as above)
-    std::string metrics_json;
 };
 
 /// Build each sweep point's pipeline, run it with the health layer

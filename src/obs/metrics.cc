@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "obs/json.h"
 #include "sim/kernel.h"
 #include "sim/stats.h"
 
@@ -147,71 +146,6 @@ MetricsRegistry::prometheus_text() const {
                     std::to_string(kernel_->awake_count()));
     }
     return out;
-}
-
-std::string
-MetricsRegistry::json() const {
-    JsonWriter w;
-    w.begin_object();
-    w.key("metrics").begin_array();
-    for (const Entry& e : entries_) {
-        w.begin_object();
-        w.key("name").value(e.name);
-        if (!e.labels.empty()) w.key("labels").value(e.labels);
-        if (e.kind == Kind::kHistogram) {
-            const sim::Histogram& h = *e.hist;
-            w.key("kind").value("histogram");
-            w.key("count").value(h.count());
-            w.key("sum").value(double(h.sum()) * e.scale);
-            w.key("mean").value(h.mean() * e.scale);
-            w.key("min").value(double(h.min()) * e.scale);
-            w.key("max").value(double(h.max()) * e.scale);
-            w.key("p50").value(double(h.percentile(0.50)) * e.scale);
-            w.key("p99").value(double(h.percentile(0.99)) * e.scale);
-            w.key("p999").value(double(h.percentile(0.999)) * e.scale);
-            w.key("buckets").begin_array();
-            uint64_t cum = 0;
-            h.for_each_nonzero([&](uint64_t upper, uint64_t n) {
-                cum += n;
-                w.begin_object();
-                w.key("le").value(double(upper) * e.scale);
-                w.key("count").value(cum);
-                w.end_object();
-            });
-            w.end_array();
-        } else {
-            w.key("kind").value(e.kind == Kind::kCounter ? "counter" : "gauge");
-            w.key("value").value(e.fn ? e.fn() : 0);
-        }
-        w.end_object();
-    }
-    w.end_array();
-    if (stats_) {
-        w.key("stats").begin_object();
-        for (const auto& [name, ctr] : stats_->counters())
-            w.key(name).value(ctr.get());
-        w.end_object();
-    }
-    if (kernel_) {
-        w.key("nets").begin_array();
-        for (const auto& p : kernel_->occupancy_probes()) {
-            w.begin_object();
-            w.key("net").value(p.net);
-            w.key("occupancy").value(uint64_t(p.fn()));
-            w.key("capacity").value(uint64_t(p.capacity));
-            w.end_object();
-        }
-        w.end_array();
-        w.key("cycles").value(kernel_->now());
-        w.key("awake_components").value(uint64_t(kernel_->awake_count()));
-    }
-    w.end_object();
-    return w.str();
-}
-
-std::string
-MetricsRegistry::snapshot(MetricsFormat fmt) const {
-    return fmt == MetricsFormat::kPrometheus ? prometheus_text() : json();
 }
 
 }  // namespace rosebud::obs

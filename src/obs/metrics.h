@@ -3,8 +3,8 @@
 /// (DESIGN.md §14): named counters/gauges/histograms registered by the
 /// subsystems (fabric/LB/RPU/host counters arrive via the sim::Stats
 /// mirror; the health layer adds its own gauges and sim::Histogram
-/// latency distributions), with snapshot export as Prometheus text
-/// exposition format and JSON.
+/// latency distributions), exported as a Prometheus text exposition
+/// snapshot.
 ///
 /// Registration happens at attach/elaboration time (cold path, may
 /// allocate); export is host-phase only. Nothing here touches sim::Stats
@@ -26,9 +26,6 @@ class Stats;
 }  // namespace rosebud::sim
 
 namespace rosebud::obs {
-
-/// Snapshot export format.
-enum class MetricsFormat : uint8_t { kPrometheus, kJson };
 
 /// Sanitize a dotted/system name into a legal Prometheus metric name
 /// ([a-zA-Z_:][a-zA-Z0-9_:]*): every illegal character becomes '_'.
@@ -65,18 +62,12 @@ class MetricsRegistry {
     void set_stats(const sim::Stats* stats) { stats_ = stats; }
 
     /// Export the kernel's occupancy probes as per-net backlog gauges
-    /// (rosebud_net_occupancy / rosebud_net_capacity) and the active-set /
-    /// cycle gauges.
+    /// (rosebud_net_occupancy) and the active-set / cycle gauges.
     void set_kernel(const sim::Kernel* kernel) { kernel_ = kernel; }
 
-    /// Point-in-time snapshot in the requested format.
-    std::string snapshot(MetricsFormat fmt) const;
-
-    /// Prometheus text exposition format (version 0.0.4).
+    /// Point-in-time snapshot in Prometheus text exposition format
+    /// (version 0.0.4).
     std::string prometheus_text() const;
-
-    /// The same snapshot as a JSON object.
-    std::string json() const;
 
     size_t size() const { return entries_.size(); }
 

@@ -1,6 +1,5 @@
 #include "obs/profile.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -40,20 +39,6 @@ aggregate_profiles(const std::vector<CoreProfile>& profiles, const std::string& 
         for (const auto& [pc, cy] : p.pc_cycles) agg.pc_cycles[pc] += cy;
     }
     return agg;
-}
-
-std::vector<HotSpot>
-hot_spots(const CoreProfile& profile, size_t top_n) {
-    std::vector<HotSpot> spots;
-    spots.reserve(profile.pc_cycles.size());
-    for (const auto& [pc, cy] : profile.pc_cycles) {
-        spots.push_back(HotSpot{pc, cy,
-                                profile.cycles ? double(cy) / double(profile.cycles) : 0.0});
-    }
-    std::stable_sort(spots.begin(), spots.end(),
-                     [](const HotSpot& a, const HotSpot& b) { return a.cycles > b.cycles; });
-    if (spots.size() > top_n) spots.resize(top_n);
-    return spots;
 }
 
 std::string

@@ -45,14 +45,6 @@ std::vector<CoreProfile> collect_profiles(System& sys);
 CoreProfile aggregate_profiles(const std::vector<CoreProfile>& profiles,
                                const std::string& name = "all-rpus");
 
-/// Top-N hottest PCs with their cycle share.
-struct HotSpot {
-    uint32_t pc = 0;
-    uint64_t cycles = 0;
-    double frac = 0.0;
-};
-std::vector<HotSpot> hot_spots(const CoreProfile& profile, size_t top_n = 8);
-
 /// `perf annotate`-style listing: each image word disassembled with its
 /// cycle count and share; lines at or above `hot_frac` of total cycles are
 /// marked with '*'. PCs outside the image (e.g. trap handlers placed

@@ -107,9 +107,9 @@ Telemetry::capture_net(const std::string& name, NetStats& ns, NetState state,
 void
 Telemetry::end_cycle(uint64_t completed) {
     for (const auto& probe : kernel_->occupancy_probes()) {
-        auto it = nets_.find(probe.net);
-        if (it == nets_.end()) continue;  // not a netlist net (rpuN.slots)
-        NetStats& ns = it->second;
+        // Skip the rpuN.slots census (no net) and nets not yet seen.
+        if (probe.id >= by_id_.size() || !by_id_[probe.id]) continue;
+        NetStats& ns = *by_id_[probe.id];
         ns.occ = probe.fn();
         ns.peak_occ = std::max(ns.peak_occ, ns.occ);
     }

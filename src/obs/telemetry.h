@@ -22,8 +22,8 @@
 /// first event.
 ///
 /// Each net's committed occupancy (and its peak) is read at end_cycle from
-/// the kernel's occupancy probes; a probe that names no netlist net (an
-/// RPU's packet-slot census) is not tracked.
+/// the kernel's occupancy probes, through the same id table; a probe of no
+/// netlist net (an RPU's packet-slot census, kNoNet) is not tracked.
 ///
 /// On top of the per-net totals the aggregator keeps:
 ///  * epoch time series — every `epoch_cycles` it rolls up per-component

@@ -30,9 +30,6 @@ class VcdWriter {
     /// (signal) order; rendering sorts by time and drops no-op repeats.
     void change(uint64_t time_ns, int sig, uint64_t value);
 
-    size_t signal_count() const { return signals_.size(); }
-    size_t change_count() const { return changes_.size(); }
-
     /// Render the complete VCD document (header, scope tree, $dumpvars
     /// with every signal initialized to x, then the change stream).
     std::string str() const;

@@ -45,8 +45,8 @@ Rpu::Rpu(sim::Kernel& kernel, sim::Stats& stats, const Config& config)
     // are not a sim::Fifo (the DMA engine scatters into slot memory), so
     // the RPU registers the probe itself. occupancy_ mirrors rx_pending_
     // race-free, so a host-phase read is always consistent.
-    kernel.register_occupancy_probe(name() + ".slots", slot_pkts_.size(), this,
-                                    [this] { return size_t(occupancy_); });
+    kernel.register_occupancy_probe(name() + ".slots", sim::kNoNet, slot_pkts_.size(),
+                                    this, [this] { return size_t(occupancy_); });
     ctr_rx_packets_ = &stats.counter(stat("rx_packets"));
     ctr_rx_bytes_ = &stats.counter(stat("rx_bytes"));
     ctr_rx_bad_slot_ = &stats.counter(stat("rx_bad_slot"));

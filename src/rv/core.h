@@ -244,11 +244,6 @@ class Core {
     /// Non-halted cycles observed while profiling was enabled.
     uint64_t profiled_cycles() const { return profiled_cycles_; }
 
-    void clear_profile() {
-        pc_hist_.clear();
-        profiled_cycles_ = 0;
-    }
-
     const std::string& name() const { return name_; }
 
  private:

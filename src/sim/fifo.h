@@ -65,11 +65,11 @@ class Fifo : public Clocked {
         // Raw-field read (not size()): probes run in the host phase where
         // the race checks are moot, and must not emit telemetry events.
         kernel.register_occupancy_probe(
-            name_, capacity_, this,
+            name_, net_, capacity_, this,
             [this] { return stable_.size() - popped_; });
     }
 
-    ~Fifo() override { kernel_.unregister_occupancy_probe(name_, this); }
+    ~Fifo() override { kernel_.unregister_occupancy_probe(net_, this); }
 
     /// True if a push this cycle will be accepted. A false answer counts
     /// as a stalled-on-credit observation for the telemetry sink.
@@ -113,8 +113,6 @@ class Fifo : public Clocked {
     }
 
     size_t capacity() const { return capacity_; }
-
-    CreditPolicy credit_policy() const { return credit_; }
 
     /// Free slots as seen by a producer this cycle.
     size_t free_slots() const {

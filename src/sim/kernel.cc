@@ -272,10 +272,10 @@ Kernel::tick_order() const {
 }
 
 void
-Kernel::unregister_occupancy_probe(const std::string& net, const void* owner) {
+Kernel::unregister_occupancy_probe(NetId id, const void* owner) {
     for (auto it = occupancy_probes_.begin(); it != occupancy_probes_.end();
          ++it) {
-        if (it->net == net && it->owner == owner) {
+        if (it->id == id && it->owner == owner) {
             occupancy_probes_.erase(it);
             return;
         }

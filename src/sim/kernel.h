@@ -69,9 +69,6 @@ inline constexpr double cycles_to_ns(Cycle c) { return double(c) * kNsPerCycle; 
 /// Convert a cycle count to microseconds of simulated time.
 inline constexpr double cycles_to_us(Cycle c) { return double(c) * kNsPerCycle / 1e3; }
 
-/// Convert a cycle count to seconds of simulated time.
-inline constexpr double cycles_to_s(Cycle c) { return double(c) / kClockHz; }
-
 /// "No due cycle": a sleeper that only an input can wake.
 inline constexpr Cycle kNever = ~Cycle(0);
 
@@ -365,21 +362,22 @@ class Kernel {
     /// read committed state only and are never called during tick/commit.
     struct OccupancyProbe {
         std::string net;        ///< netlist name, e.g. "rpu3.rx_fifo"
+        NetId id = kNoNet;      ///< the net's declaration id; kNoNet if none
         size_t capacity = 0;    ///< same unit as the getter (entries)
         const void* owner = nullptr;  ///< registrant, for matched removal
         std::function<size_t()> fn;   ///< committed occupancy right now
     };
 
     /// Append an occupancy probe. Each registrant names its own net (or,
-    /// for the RPU slot census, a name no net carries), so names are
-    /// unique without a check.
-    void register_occupancy_probe(std::string net, size_t capacity,
+    /// for the RPU slot census, a name no net carries, with kNoNet), so
+    /// names are unique without a check.
+    void register_occupancy_probe(std::string net, NetId id, size_t capacity,
                                   const void* owner, std::function<size_t()> fn) {
-        occupancy_probes_.push_back({std::move(net), capacity, owner, std::move(fn)});
+        occupancy_probes_.push_back({std::move(net), id, capacity, owner, std::move(fn)});
     }
 
-    /// Remove the probe `owner` registered for `net`.
-    void unregister_occupancy_probe(const std::string& net, const void* owner);
+    /// Remove the probe `owner` registered for net `id`.
+    void unregister_occupancy_probe(NetId id, const void* owner);
 
     /// All live occupancy probes, in registration order (deterministic).
     const std::vector<OccupancyProbe>& occupancy_probes() const {

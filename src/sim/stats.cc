@@ -1,7 +1,6 @@
 #include "sim/stats.h"
 
 #include <cmath>
-#include <sstream>
 
 namespace rosebud::sim {
 
@@ -40,38 +39,6 @@ uint64_t
 Stats::get(const std::string& name) const {
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second.get();
-}
-
-void
-Stats::reset_all() {
-    for (auto& [_, c] : counters_) c.reset();
-}
-
-namespace {
-
-// RFC 4180 field quoting: names containing commas, quotes or newlines are
-// wrapped in double quotes with embedded quotes doubled, so a dotted name
-// like `lb.assigned,total` survives a round-trip through a CSV parser.
-std::string
-csv_field(const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"') out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-}  // namespace
-
-std::string
-Stats::to_csv() const {
-    std::ostringstream os;
-    os << "name,value\n";
-    for (const auto& [name, c] : counters_) os << csv_field(name) << "," << c.get() << "\n";
-    return os.str();
 }
 
 }  // namespace rosebud::sim

@@ -16,12 +16,11 @@
 
 namespace rosebud::sim {
 
-/// A monotonically increasing event/byte counter.
+/// A monotonically increasing event/byte counter: it only counts up.
 class Counter {
  public:
     void add(uint64_t n = 1) { value_ += n; }
     uint64_t get() const { return value_; }
-    void reset() { value_ = 0; }
 
  private:
     uint64_t value_ = 0;
@@ -112,13 +111,6 @@ class Stats {
 
     /// Committed counter value, 0 if the counter does not exist.
     uint64_t get(const std::string& name) const;
-
-    /// Reset every counter (e.g. after warm-up).
-    void reset_all();
-
-    /// Dump all counters as CSV ("name,value", RFC 4180 quoting) for
-    /// spreadsheet/plotting pipelines.
-    std::string to_csv() const;
 
     const std::map<std::string, Counter>& counters() const { return counters_; }
 

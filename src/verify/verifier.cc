@@ -1145,17 +1145,15 @@ Verifier::check_instruction(uint32_t pc, const Insn& d, const RegState& state) {
         diag(Check::kDecode, Severity::kError, pc, buf);
         return;
     }
-    if (opts_.check_uninit) {
-        auto check_read = [&](Reg r) {
-            if (r != rv::zero && !state.r[r].init) {
-                diag(Check::kUninit, Severity::kError, pc,
-                     "register " + std::string(kRegNames[r]) +
-                         " is read but never written on some path to " + hex(pc));
-            }
-        };
-        if (reads_rs1(d)) check_read(d.rs1);
-        if (reads_rs2(d)) check_read(d.rs2);
-    }
+    auto check_read = [&](Reg r) {
+        if (r != rv::zero && !state.r[r].init) {
+            diag(Check::kUninit, Severity::kError, pc,
+                 "register " + std::string(kRegNames[r]) +
+                     " is read but never written on some path to " + hex(pc));
+        }
+    };
+    if (reads_rs1(d)) check_read(d.rs1);
+    if (reads_rs2(d)) check_read(d.rs2);
     if (d.op == Op::kCsr && !contains(kAllowedCsrs, d.csr)) {
         diag(Check::kCsr, Severity::kError, pc,
              "access to reserved CSR " + hex(d.csr) +
@@ -1901,7 +1899,7 @@ Verifier::run() {
         successors(blocks_[b].last, insns_[blocks_[b].last / 4], /*emit_diags=*/true);
     }
     certify();  // before find_busy_loops: proven-finite loops are exempt
-    if (opts_.check_loops) find_busy_loops();
+    find_busy_loops();
     scan_unreachable();
 
     report_.blocks = blocks_;

@@ -80,10 +80,8 @@ struct SlotWindow {
 };
 
 struct Options {
-    uint32_t entry = 0;        ///< boot pc of the image
-    SlotWindow slots{};        ///< optional slot-provisioning cross-check
-    bool check_uninit = true;  ///< enable the never-written-register pass
-    bool check_loops = true;   ///< enable the busy-loop pass
+    uint32_t entry = 0;  ///< boot pc of the image
+    SlotWindow slots{};  ///< optional slot-provisioning cross-check
 };
 
 // --- line-rate certificate ---------------------------------------------------
@@ -93,10 +91,11 @@ struct Options {
 // rejection (a diagnostic means every concrete execution misbehaves), the
 // certificate is sound in the opposite direction: every number is an upper
 // bound over all concrete executions, and every proof flag is only set when
-// the property holds on all executions. Three consumers read these facts
-// today: CI's WCET report (`rosebud_cli verify --wcet --json`), the
-// firmware fuzzer's `wcet-exceeded` verdict, and the host's admission gate
-// (HostContext::set_wcet_check), which only tests turn on.
+// the property holds on all executions. Two consumers read these facts:
+// the WCET report (`rosebud_cli verify --wcet --json`, checked by the
+// `cli_verify_wcet` ctest) and the firmware fuzzer's `wcet-exceeded`
+// verdict; obs::wcet_cross_check holds the bound against measured
+// `instret`.
 
 /// Inferred trip bound for one CFG cycle (a nontrivial SCC).
 struct LoopBound {

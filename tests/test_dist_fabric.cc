@@ -89,6 +89,31 @@ TEST(TrafficSourceTest, PpsCapEnforced) {
     EXPECT_NEAR(double(f.sys.stats().get("port0.rx_frames")), 100.0, 8.0);
 }
 
+TEST(TrafficSourceTest, TimestampUsesTheConfiguredLineRate) {
+    // A 40 Gbps wire moves 20 B per 4 ns cycle, so a frame has been on it
+    // for wire_size / 20 cycles by the time the MAC takes it.
+    SystemConfig cfg;
+    cfg.rpu_count = 4;
+    System sys(cfg);
+    unsigned seen = 0;
+    double tx_ns = 0.0;
+    uint64_t mac_rx_cycle = 0;
+    uint32_t wire_size = 0;
+    sys.add_packet_observer([&](net::Stage stage, const net::Packet& p, sim::Cycle) {
+        if (stage != net::Stage::kMacRx) return;
+        ++seen;
+        tx_ns = p.tx_ns;
+        mac_rx_cycle = p.mac_rx_cycle;
+        wire_size = p.wire_size();
+    });
+    sys.add_source({.port = 0, .line_gbps = 40.0, .max_packets = 1},
+                   [] { return udp_pkt(512); });
+    sys.run_cycles(200);
+    ASSERT_EQ(seen, 1u);
+    EXPECT_EQ(wire_size, 536u);
+    EXPECT_DOUBLE_EQ(tx_ns, sim::cycles_to_ns(mac_rx_cycle) - wire_size / 20.0 * 4.0);
+}
+
 TEST(TrafficSourceTest, MaxPacketsStopsGeneration) {
     Booted f;
     auto& src = f.sys.add_source({.port = 0, .load = 1.0, .max_packets = 17},

@@ -26,7 +26,6 @@ TEST(FirmwareImages, AllProgramsAssemble) {
     EXPECT_GT(fwlib::pigasus_sw_reorder().image.size(), 90u);
     EXPECT_GT(fwlib::broadcast_sender(100).image.size(), 10u);
     EXPECT_GT(fwlib::broadcast_sink().image.size(), 10u);
-    EXPECT_GT(fwlib::broadcast_stress().image.size(), 10u);
 }
 
 struct FirewallSystem {

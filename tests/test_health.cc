@@ -1,6 +1,6 @@
 /// Production health layer tests (DESIGN.md §14): flight-recorder ring
 /// semantics, HDR histogram bucket math, the declarative SLO parser,
-/// Prometheus/JSON metrics export, the attach-invariance guarantee
+/// Prometheus metrics export, the attach-invariance guarantee
 /// (bit-identical fingerprints with the monitor attached), SLO epoch
 /// verdicts, latency timed for every egressed packet, the forward-progress
 /// watchdog on an injected firmware stall, the mid-run metrics query, and
@@ -209,7 +209,7 @@ TEST(Metrics, PrometheusNamesAndLabelsAreSanitized) {
     EXPECT_NE(esc.find("\\\\"), std::string::npos);
 }
 
-TEST(Metrics, RegistryExportsPrometheusAndJson) {
+TEST(Metrics, RegistryExportsPrometheus) {
     obs::MetricsRegistry reg;
     uint64_t hits = 7;
     reg.add_counter("demo_hits_total", "demo hits", "", [&] { return hits; });
@@ -228,13 +228,6 @@ TEST(Metrics, RegistryExportsPrometheusAndJson) {
     EXPECT_NE(prom.find("demo_latency_seconds_bucket"), std::string::npos);
     EXPECT_NE(prom.find("le=\"+Inf\""), std::string::npos);
     EXPECT_NE(prom.find("demo_latency_seconds_count 2"), std::string::npos);
-
-    std::string json = reg.json();
-    EXPECT_EQ(json.front(), '{');
-    EXPECT_EQ(json.back(), '}');
-    EXPECT_NE(json.find("demo_hits_total"), std::string::npos);
-    EXPECT_EQ(reg.snapshot(obs::MetricsFormat::kJson), json);
-    EXPECT_EQ(reg.snapshot(obs::MetricsFormat::kPrometheus), prom);
 }
 
 // ------------------------------------------------- attach invariance
@@ -536,13 +529,10 @@ TEST(HealthMonitor, HostMetricsSnapshotQuery) {
     add_traffic(fx, {});
     fx.system().run_cycles(10'000);
 
-    // A host-phase query while the run is live renders the monitor's own
-    // series in both export formats.
-    std::string prom = mon.metrics().snapshot(obs::MetricsFormat::kPrometheus);
+    // A host-phase query while the run is live renders the monitor's own series.
+    std::string prom = mon.metrics().prometheus_text();
     EXPECT_NE(prom.find("rosebud_health_ingress_packets_total"), std::string::npos);
     EXPECT_NE(prom.find("rosebud_packet_latency_seconds"), std::string::npos);
-    std::string json = mon.metrics().snapshot(obs::MetricsFormat::kJson);
-    EXPECT_EQ(json.front(), '{');
     mon.detach();
 }
 

@@ -1,5 +1,5 @@
 /// Memory model tests: endianness, sized accessors, block transfers,
-/// bounds enforcement, and footprint accounting.
+/// bounds enforcement, and access latencies.
 
 #include <gtest/gtest.h>
 
@@ -84,19 +84,6 @@ TEST(Memory, BoundaryAccessesAllowed) {
     EXPECT_EQ(m.read32(12), 0x12345678u);
     m.write8(15, 0xff);
     EXPECT_EQ(m.read8(15), 0xff);
-}
-
-TEST(Footprints, BramBlocksFromBytes) {
-    EXPECT_EQ(bram_footprint(4096).bram, 1u);
-    EXPECT_EQ(bram_footprint(4097).bram, 2u);
-    EXPECT_EQ(bram_footprint(96 * 1024).bram, 24u);  // IMEM+DMEM of an RPU
-    EXPECT_EQ(bram_footprint(4096).uram, 0u);
-}
-
-TEST(Footprints, UramBlocksFromBytes) {
-    EXPECT_EQ(uram_footprint(32 * 1024).uram, 1u);
-    EXPECT_EQ(uram_footprint(1024 * 1024).uram, 32u);  // an RPU's packet memory
-    EXPECT_EQ(uram_footprint(32 * 1024).bram, 0u);
 }
 
 TEST(Latencies, OrderingMatchesArchitecture) {

@@ -8,7 +8,6 @@
 #include "baseline/snort_model.h"
 #include "core/experiments.h"
 #include "net/rules.h"
-#include "sim/stats.h"
 
 namespace rosebud {
 namespace {
@@ -156,13 +155,6 @@ TEST(IpsSweep, HwAlwaysAtLeastSw) {
         EXPECT_LE(sw.cycles_per_packet + 1e-9, 1e6);
         EXPECT_GE(sw.cycles_per_packet, hw.cycles_per_packet * 0.95) << size;
     }
-}
-
-TEST(StatsCsv, WellFormed) {
-    sim::Stats s;
-    s.counter("a.b").add(5);
-    s.counter("c").add(2);
-    EXPECT_EQ(s.to_csv(), "name,value\na.b,5\nc,2\n");
 }
 
 }  // namespace

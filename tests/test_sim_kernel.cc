@@ -134,13 +134,6 @@ TEST(Stats, CountersFindOrCreate) {
     EXPECT_EQ(s.get("missing"), 0u);
 }
 
-TEST(Stats, ResetAll) {
-    Stats s;
-    s.counter("x").add(9);
-    s.reset_all();
-    EXPECT_EQ(s.get("x"), 0u);
-}
-
 TEST(Rng, DeterministicAcrossInstances) {
     Rng a(123);
     Rng b(123);

@@ -55,7 +55,6 @@ shipped_programs() {
     out.push_back({"chained_firewall", fwlib::chained_firewall(16)});
     out.push_back({"broadcast_sender", fwlib::broadcast_sender(64)});
     out.push_back({"broadcast_sink", fwlib::broadcast_sink()});
-    out.push_back({"broadcast_stress", fwlib::broadcast_stress()});
     return out;
 }
 
@@ -150,10 +149,6 @@ TEST(Verifier, UninitializedRegisterReadIsRejected) {
     a.ebreak();
     Report r = verify::verify_image(a.assemble(), Options{});
     EXPECT_TRUE(has_error(r, Check::kUninit)) << r.summary();
-
-    Options lenient;
-    lenient.check_uninit = false;
-    EXPECT_TRUE(verify::verify_image(a.assemble(), lenient).ok());
 }
 
 TEST(Verifier, ProvablyInfiniteLoopIsRejected) {
@@ -163,10 +158,6 @@ TEST(Verifier, ProvablyInfiniteLoopIsRejected) {
     a.j("self");  // no exit edge, no MMIO access, no interrupts
     Report r = verify::verify_image(a.assemble(), Options{});
     EXPECT_TRUE(has_error(r, Check::kLoop)) << r.summary();
-
-    Options lenient;
-    lenient.check_loops = false;
-    EXPECT_TRUE(verify::verify_image(a.assemble(), lenient).ok());
 }
 
 TEST(Verifier, PollLoopWithExitEdgeIsAccepted) {
@@ -393,14 +384,6 @@ TEST(VerifierGate, WarnModeLoadsBadFirmwareAnyway) {
     sys.host().set_firmware_check(host::FirmwareCheck::kWarn);
     EXPECT_NO_THROW(sys.host().load_firmware(0, {0xffffffffu}));
     sys.host().set_firmware_check(host::FirmwareCheck::kOff);
-    EXPECT_NO_THROW(sys.host().load_firmware(0, {0xffffffffu}));
-}
-
-TEST(VerifierGate, SystemConfigPolicyIsForwarded) {
-    SystemConfig cfg = small_cfg();
-    cfg.firmware_check = host::FirmwareCheck::kWarn;
-    System sys(cfg);
-    EXPECT_EQ(sys.host().firmware_check(), host::FirmwareCheck::kWarn);
     EXPECT_NO_THROW(sys.host().load_firmware(0, {0xffffffffu}));
 }
 
@@ -671,99 +654,19 @@ TEST(Certifier, ObsCrossCheckFiresOnUnderstatedBoundEndToEnd) {
     }
 }
 
-// --- host line-rate admission gate ------------------------------------------
-
-std::vector<uint32_t>
-unbounded_loop_image() {
-    Assembler a;
-    a.lui(gp, 0x2000);
-    a.lw(t1, rpu::kRegRxReady, gp);
-    a.li(t0, 0);
-    a.label("spin");
-    a.addi(t0, t0, 1);
-    a.bne(t0, t1, "spin");
-    a.ebreak();
-    return a.assemble();
-}
-
-std::vector<uint32_t>
-unproven_store_image() {
+TEST(Certifier, UnprovenStoreBreaksTextWriteSeparation) {
     // The store address is an arbitrary word: the safety pass cannot prove
     // it out of bounds (sound for rejection), but the certificate cannot
-    // prove it misses the text segment either — a self-modifying-code risk
-    // the admission gate must reject.
+    // prove it misses the text segment either, a self-modifying-code risk.
     Assembler a;
     a.lui(gp, 0x2000);
     a.lw(t0, rpu::kRegRxReady, gp);
     a.sw(zero, 0, t0);
     a.ebreak();
-    return a.assemble();
-}
-
-TEST(WcetGate, OffByDefaultAdmitsUncertifiableFirmware) {
-    System sys(small_cfg());
-    EXPECT_NO_THROW(sys.host().load_firmware(0, unbounded_loop_image()));
-    EXPECT_NO_THROW(sys.host().load_firmware(1, unproven_store_image()));
-}
-
-TEST(WcetGate, EnforceRejectsUnboundedComputeLoop) {
-    SystemConfig cfg = small_cfg();
-    cfg.wcet_check = host::FirmwareCheck::kEnforce;
-    System sys(cfg);
-    EXPECT_THROW(sys.host().load_firmware(0, unbounded_loop_image()),
-                 sim::FatalError);
-}
-
-TEST(WcetGate, EnforceRejectsUnprovenStore) {
-    SystemConfig cfg = small_cfg();
-    cfg.wcet_check = host::FirmwareCheck::kEnforce;
-    System sys(cfg);
-    EXPECT_THROW(sys.host().load_firmware(0, unproven_store_image()),
-                 sim::FatalError);
-}
-
-TEST(WcetGate, EnforceAdmitsCertifiedDataplaneFirmware) {
-    SystemConfig cfg = small_cfg();
-    cfg.wcet_check = host::FirmwareCheck::kEnforce;
-    System sys(cfg);
-    auto fw = fwlib::forwarder();
-    EXPECT_NO_THROW(sys.host().load_firmware_all(fw.image, fw.entry));
-}
-
-TEST(WcetGate, WarnModeAdmitsUncertifiableFirmware) {
-    SystemConfig cfg = small_cfg();
-    cfg.wcet_check = host::FirmwareCheck::kWarn;
-    System sys(cfg);
-    EXPECT_NO_THROW(sys.host().load_firmware(0, unbounded_loop_image()));
-    EXPECT_NO_THROW(sys.host().load_firmware(1, unproven_store_image()));
-}
-
-TEST(WcetGate, CycleBudgetIsEnforced) {
-    auto fw = fwlib::forwarder();
-    {
-        SystemConfig cfg = small_cfg();
-        cfg.wcet_check = host::FirmwareCheck::kEnforce;
-        cfg.wcet_budget_cycles = 1;  // forwarder needs ~38
-        System sys(cfg);
-        EXPECT_THROW(sys.host().load_firmware(0, fw.image, fw.entry),
-                     sim::FatalError);
-    }
-    {
-        SystemConfig cfg = small_cfg();
-        cfg.wcet_check = host::FirmwareCheck::kEnforce;
-        cfg.wcet_budget_cycles = 1'000'000;
-        System sys(cfg);
-        EXPECT_NO_THROW(sys.host().load_firmware(0, fw.image, fw.entry));
-    }
-}
-
-TEST(WcetGate, SystemConfigPolicyIsForwarded) {
-    SystemConfig cfg = small_cfg();
-    cfg.wcet_check = host::FirmwareCheck::kWarn;
-    cfg.wcet_budget_cycles = 12345;
-    System sys(cfg);
-    EXPECT_EQ(sys.host().wcet_check(), host::FirmwareCheck::kWarn);
-    EXPECT_EQ(sys.host().wcet_budget_cycles(), 12345u);
+    Report r = verify::verify_image(a.assemble());
+    EXPECT_TRUE(r.ok()) << r.summary();
+    EXPECT_FALSE(r.cert.text_write_separation);
+    EXPECT_EQ(r.cert.unproven_stores, 1u);
 }
 
 }  // namespace
