@@ -18,14 +18,14 @@ PigasusMatcher::PigasusMatcher(const net::IdsRuleSet& rules)
     : PigasusMatcher(rules, Params{}) {}
 
 PigasusMatcher::PigasusMatcher(const net::IdsRuleSet& rules, Params params)
-    : matcher_(rules), params_(params) {
+    : matcher_(rules.matcher()), params_(params) {
     job_queue_.reserve(params_.job_queue_depth);
     result_fifo_.reserve(params_.result_fifo_depth);
 }
 
 void
 PigasusMatcher::load_rules(const net::IdsRuleSet& rules) {
-    matcher_ = net::RuleMatcher(rules);
+    matcher_ = rules.matcher();
 }
 
 void
@@ -45,8 +45,8 @@ PigasusMatcher::match(const uint8_t* payload, size_t len, uint32_t raw_ports, bo
                       std::vector<uint32_t>& sids,
                       std::vector<net::PatternMatch>& hits) const {
     // The port-matcher stage sees one protocol group: TCP or UDP.
-    matcher_.match(payload, len, is_tcp ? net::FlowClass::kTcp : net::FlowClass::kUdp,
-                   dst_port_of(raw_ports), sids, hits);
+    matcher_->match(payload, len, is_tcp ? net::FlowClass::kTcp : net::FlowClass::kUdp,
+                    dst_port_of(raw_ports), sids, hits);
 }
 
 std::vector<uint32_t>

@@ -19,6 +19,12 @@
 ///   IO_EXT + 0x1c  ACC_PIG_RULE_ID (R): result head's rule id, 0 = end
 ///   IO_EXT + 0x78  ACC_DMA_STAT  (R): bit0 busy, bit8 done
 ///
+/// Every RPU's engine is loaded with the same rule set (Section 7.1), so the
+/// matchers built from one IdsRuleSet share its one compiled, read-only
+/// automaton (IdsRuleSet::matcher()); the hardware's per-RPU table copies
+/// are counted by resources(). load_rules() repoints one matcher only, so
+/// a runtime rule update stays per RPU.
+///
 /// Timing: the engine streams payload out of packet memory at
 /// `engines` bytes/cycle (16 engines => 16 B/cycle = 32 Gbps, Section
 /// 7.1.4) behind a fixed pipeline, with a small job-dequeue overhead. Jobs
@@ -27,6 +33,7 @@
 #ifndef ROSEBUD_ACCEL_PIGASUS_H
 #define ROSEBUD_ACCEL_PIGASUS_H
 
+#include <memory>
 #include <vector>
 
 #include "net/rulematch.h"
@@ -75,7 +82,8 @@ class PigasusMatcher : public rpu::Accelerator {
                                         uint32_t raw_ports, bool is_tcp) const;
 
     /// Rewrite the rule tables at runtime (the capability Rosebud adds to
-    /// Pigasus: runtime ruleset updates via the RPU memory subsystem).
+    /// Pigasus: runtime ruleset updates via the RPU memory subsystem). Only
+    /// this matcher switches to `rules`' compile; the others keep theirs.
     void load_rules(const net::IdsRuleSet& rules);
 
     const Params& params() const { return params_; }
@@ -99,7 +107,7 @@ class PigasusMatcher : public rpu::Accelerator {
                std::vector<uint32_t>& sids, std::vector<net::PatternMatch>& hits) const;
     void finish_job(rpu::AccelContext& ctx);
 
-    net::RuleMatcher matcher_;
+    std::shared_ptr<const net::RuleMatcher> matcher_;
     Params params_;
 
     // Latched registers for the next job.

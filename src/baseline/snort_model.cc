@@ -9,7 +9,7 @@ namespace rosebud::baseline {
 SnortModel::SnortModel(const net::IdsRuleSet& rules) : SnortModel(rules, Config{}) {}
 
 SnortModel::SnortModel(const net::IdsRuleSet& rules, Config config)
-    : matcher_(rules), config_(config) {}
+    : matcher_(rules.matcher()), config_(config) {}
 
 bool
 SnortModel::packet_matches(const net::Packet& pkt) const {
@@ -26,8 +26,8 @@ SnortModel::packet_matches(const net::Packet& pkt) const {
     }
     std::vector<uint32_t> sids;
     std::vector<net::PatternMatch> hits;
-    matcher_.match(pkt.data.data() + parsed->payload_offset, parsed->payload_len, proto, dst,
-                   sids, hits);
+    matcher_->match(pkt.data.data() + parsed->payload_offset, parsed->payload_len, proto, dst,
+                    sids, hits);
     return !sids.empty();
 }
 

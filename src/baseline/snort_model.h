@@ -9,7 +9,9 @@
 /// per-packet software overhead (parse, flow lookup, AF_PACKET descriptor
 /// handling) plus a per-byte scan cost. The paper's measured plateau is
 /// 4.7-5.6 MPPS across packet sizes; the calibration reproduces both the
-/// plateau and its cause (per-packet overhead dominating scan time).
+/// plateau and its cause (per-packet overhead dominating scan time). The
+/// model matches through the rule set's shared compile
+/// (net::IdsRuleSet::matcher()).
 ///
 /// `pigasus_original_gbps` is the 100 Gbps line-rate reference of the
 /// original single-FPGA Pigasus design.
@@ -18,6 +20,7 @@
 #define ROSEBUD_BASELINE_SNORT_MODEL_H
 
 #include <cstdint>
+#include <memory>
 
 #include "net/packet.h"
 #include "net/rulematch.h"
@@ -58,7 +61,7 @@ class SnortModel {
     const Config& config() const { return config_; }
 
  private:
-    net::RuleMatcher matcher_;
+    std::shared_ptr<const net::RuleMatcher> matcher_;
     Config config_;
 };
 

@@ -9,6 +9,10 @@ namespace rosebud::dist {
 
 namespace {
 
+/// Cycles between two LB issues from one source: at 250 MHz, the paper's
+/// 125 MPPS per-port distribution limit.
+constexpr unsigned kIssueIntervalCycles = 2;
+
 uint32_t
 div_ceil(uint32_t a, uint32_t b) {
     return (a + b - 1) / b;
@@ -402,7 +406,7 @@ Fabric::tick_ingress_source(unsigned s) {
     uint32_t bytes = head->size() + (head->hash_prepended ? 4 : 0);
     src.busy_until =
         now() + std::max(1u, div_ceil(bytes, config_.stage1_bytes_per_cycle));
-    src.issue_cd = config_.issue_interval_cycles;
+    src.issue_cd = kIssueIntervalCycles;
 
     // Cut-through: hand the packet to the cluster VOQ now; it becomes
     // visible to the per-RPU link after the fixed distribution pipe.

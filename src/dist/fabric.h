@@ -55,7 +55,6 @@ struct FabricConfig {
     uint32_t mac_tx_fifo_bytes = 64 * 1024;
     unsigned voq_depth = 8;          ///< packets per (source, RPU) virtual queue
     unsigned egress_queue_depth = 4; ///< packets buffered per RPU on egress
-    unsigned issue_interval_cycles = 2;  ///< per-source LB issue pacing
     unsigned ingress_pipe_cycles = 86;   ///< fixed pipe: MAC+LB+switch hops
     unsigned egress_pipe_cycles = 85;    ///< fixed pipe on the way out
     uint32_t loopback_header_bytes = 8;  ///< per-packet destination header

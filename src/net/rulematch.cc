@@ -17,9 +17,9 @@ contains(const uint8_t* hay, size_t len, const ContentPattern& c) {
 
 }  // namespace
 
-RuleMatcher::RuleMatcher(const IdsRuleSet& rules) : rules_(rules) {
+RuleMatcher::RuleMatcher(std::vector<IdsRule> rules) : rules_(std::move(rules)) {
     for (size_t i = 0; i < rules_.size(); ++i) {
-        const ContentPattern& fp = rules_.at(i).fast_pattern();
+        const ContentPattern& fp = rules_[i].fast_pattern();
         (fp.nocase ? nocase_ : exact_).add_pattern(fp.bytes, uint32_t(i));
     }
     exact_.finalize();
@@ -40,7 +40,7 @@ RuleMatcher::match(const uint8_t* payload, size_t len, FlowClass proto, uint16_t
     });
     for (size_t i = 0; i < hits.size(); ++i) {
         if (i > 0 && hits[i].pattern_id == hits[i - 1].pattern_id) continue;
-        const IdsRule& rule = rules_.at(hits[i].pattern_id);
+        const IdsRule& rule = rules_[hits[i].pattern_id];
         if (rule.proto == RuleProto::kTcp && proto != FlowClass::kTcp) continue;
         if (rule.proto == RuleProto::kUdp && proto != FlowClass::kUdp) continue;
         if (rule.dst_port && *rule.dst_port != dst_port) continue;

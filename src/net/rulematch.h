@@ -6,6 +6,11 @@
 /// `nocase`). A payload is scanned by both; each rule whose fast pattern
 /// hit is then verified once against the packet's protocol, its
 /// destination port and every content of the rule.
+///
+/// A matcher is immutable once built. IdsRuleSet::matcher() builds one per
+/// rule set and shares it, so one compile serves every RPU. The matcher
+/// keeps its own copy of the rules it verifies against, not a rule set, so
+/// it never holds a set that holds it.
 
 #ifndef ROSEBUD_NET_RULEMATCH_H
 #define ROSEBUD_NET_RULEMATCH_H
@@ -21,7 +26,7 @@ namespace rosebud::net {
 
 class RuleMatcher {
  public:
-    explicit RuleMatcher(const IdsRuleSet& rules);
+    explicit RuleMatcher(std::vector<IdsRule> rules);
 
     /// Replace `sids` with the ascending sids of every rule that matches
     /// the payload. `hits` is scratch: a caller that keeps it (and `sids`)
@@ -30,7 +35,7 @@ class RuleMatcher {
                std::vector<uint32_t>& sids, std::vector<PatternMatch>& hits) const;
 
  private:
-    IdsRuleSet rules_;
+    std::vector<IdsRule> rules_;
     AhoCorasick exact_;
     AhoCorasick nocase_{true};
 };

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "net/headers.h"
+#include "net/rulematch.h"
 #include "sim/log.h"
 
 namespace rosebud::net {
@@ -163,6 +164,12 @@ IdsRuleSet::synthesize(size_t count, sim::Rng& rng, size_t min_len, size_t max_l
         set.add(std::move(r));
     }
     return set;
+}
+
+std::shared_ptr<const RuleMatcher>
+IdsRuleSet::matcher() const {
+    if (!compiled_) compiled_ = std::make_shared<const RuleMatcher>(rules_);
+    return compiled_;
 }
 
 const IdsRule*

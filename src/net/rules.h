@@ -6,7 +6,9 @@
 ///   one or more `content` byte patterns, an `sid`). Parsed from text or
 ///   synthesized deterministically for experiments, mirroring the paper's
 ///   "packet trace based on the ruleset used for the generation of the
-///   Pigasus accelerator".
+///   Pigasus accelerator". A rule set owns its compile: matcher() builds
+///   the fast-pattern automata once and hands every caller (every RPU's
+///   Pigasus model, the Snort baseline) the same read-only copy.
 /// * Blacklist — the firewall case study's IP blacklist (1050 entries from
 ///   the "emerging threats" rules in the paper), stored as prefixes and
 ///   queried in the same 9-bit-then-15-bit two-stage split the generated
@@ -16,6 +18,7 @@
 #define ROSEBUD_NET_RULES_H
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,6 +26,8 @@
 #include "sim/random.h"
 
 namespace rosebud::net {
+
+class RuleMatcher;
 
 /// Protocol selector in a rule header.
 enum class RuleProto : uint8_t { kAny, kTcp, kUdp };
@@ -68,10 +73,23 @@ class IdsRuleSet {
     /// Look up a rule by sid; nullptr if absent.
     const IdsRule* find_sid(uint32_t sid) const;
 
-    void add(IdsRule r) { rules_.push_back(std::move(r)); }
+    /// Append a rule. Drops this set's compile; copies taken earlier keep
+    /// theirs.
+    void add(IdsRule r) {
+        rules_.push_back(std::move(r));
+        compiled_.reset();
+    }
+
+    /// The compiled matcher for these rules, built on first use and then
+    /// shared, read-only, by every caller and by every copy of this set
+    /// until one of them is modified. A holder keeps its matcher after the
+    /// set is gone. The lazy build is not thread-safe; nothing in the
+    /// simulator calls it from more than one thread.
+    std::shared_ptr<const RuleMatcher> matcher() const;
 
  private:
     std::vector<IdsRule> rules_;
+    mutable std::shared_ptr<const RuleMatcher> compiled_;
 };
 
 /// The firewall blacklist: a set of IPv4 prefixes.

@@ -545,7 +545,7 @@ Rpu::io_write(uint32_t offset, uint32_t value) {
             // register only unlocks after the control-channel round trip
             // (paper Figure 4b), long after the answer has landed.
             slot_req_(config_.id, uint8_t(value));
-            slot_resp_ready_cycle_ = uint32_t(now()) + 8;
+            slot_resp_ready_cycle_ = now() + 8;
         }
         break;
     default:

@@ -321,7 +321,7 @@ class Rpu : public sim::Component {
 
     // Loopback slot request state.
     std::optional<uint32_t> slot_resp_;
-    uint32_t slot_resp_ready_cycle_ = 0;
+    sim::Cycle slot_resp_ready_cycle_ = 0;
 
     // Idle-loop watcher arm state (tracks core_inputs_frozen across ticks).
     bool idle_watching_ = false;

@@ -2,7 +2,7 @@
 /// against the blacklist reference over random probes) and the Pigasus
 /// string/port matcher (functional matching cross-validated against the
 /// software baseline, the MMIO job protocol, timing, and runtime rule
-/// reload).
+/// reload, which stays per RPU although the matchers share one compile).
 
 #include <gtest/gtest.h>
 
@@ -298,6 +298,51 @@ TEST(Pigasus, RuntimeRuleReload) {
     auto after = pig.match_payload(d, text.size(), 0, true);
     ASSERT_EQ(after.size(), 1u);
     EXPECT_EQ(after[0], 2u);
+}
+
+// Matchers built from one rule set share its compile, but a runtime
+// update repoints only the matcher it is loaded into.
+TEST(Pigasus, RuntimeRuleUpdateStaysPerRpu) {
+    auto rules_v1 = net::IdsRuleSet::parse(
+        "alert tcp any any -> any any (content:\"oldpattern\"; sid:1;)\n");
+    auto rules_v2 = net::IdsRuleSet::parse(
+        "alert tcp any any -> any any (content:\"newpattern\"; sid:2;)\n");
+    std::string text = "xx newpattern zz";  // only v2 matches
+    const uint8_t* d = reinterpret_cast<const uint8_t*>(text.data());
+    for (int updated = 0; updated < 2; ++updated) {
+        PigasusMatcher pig[2] = {PigasusMatcher(rules_v1), PigasusMatcher(rules_v1)};
+        pig[updated].load_rules(rules_v2);
+        EXPECT_EQ(pig[updated].match_payload(d, text.size(), 0, true),
+                  std::vector<uint32_t>{2});
+        EXPECT_TRUE(pig[1 - updated].match_payload(d, text.size(), 0, true).empty());
+    }
+}
+
+// A rule set compiles once and shares the result until add() changes it;
+// a copy taken before the add() keeps the old compile.
+TEST(Pigasus, AddingARuleDropsTheCompile) {
+    auto rules = net::IdsRuleSet::parse(
+        "alert tcp any any -> any any (content:\"alphapattern\"; sid:1;)\n");
+    auto sids_of = [](const net::RuleMatcher& m, const std::string& text) {
+        std::vector<uint32_t> sids;
+        std::vector<net::PatternMatch> hits;
+        m.match(reinterpret_cast<const uint8_t*>(text.data()), text.size(),
+                net::FlowClass::kTcp, 80, sids, hits);
+        return sids;
+    };
+    const std::string text = "xx alphapattern yy betapattern zz";
+    auto before = rules.matcher();
+    EXPECT_EQ(rules.matcher(), before);
+    const net::IdsRuleSet copy = rules;
+
+    rules.add(net::IdsRuleSet::parse(
+                  "alert tcp any any -> any any (content:\"betapattern\"; sid:2;)\n")
+                  .at(0));
+    auto after = rules.matcher();
+    EXPECT_NE(after, before);
+    EXPECT_EQ(sids_of(*after, text), (std::vector<uint32_t>{1, 2}));
+    EXPECT_EQ(sids_of(*before, text), std::vector<uint32_t>{1});
+    EXPECT_EQ(copy.matcher(), before);
 }
 
 TEST(Pigasus, ResourcesMatchTable3AtSixteenEngines) {

@@ -14,7 +14,8 @@
 ///    engine sends the received packet object back out; nor does the
 ///    loopback path, whose telemetry taps name their net by id;
 ///  * set-up pays only for the memory it touches: the RPU memories and
-///    the decoded-instruction caches are demand-zero pages.
+///    the decoded-instruction caches are demand-zero pages, and the
+///    Pigasus matchers built from one rule set share one compile.
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -355,6 +356,28 @@ TEST(HotPath, TrafficWithHealthAttachedStaysBoundedPerPacket) {
         << "health layer allocations grew with cycles, not packets ("
         << g_allocs.load() << " allocs for " << packets << " packets)";
     mon.detach();
+}
+
+// Every RPU's Pigasus engine is loaded with the same rule set, so the
+// first matcher built from it pays the set's one compile (about 390
+// allocations for 64 rules) and the others share it, allocating only
+// their own FIFOs.
+TEST(SetupBudget, PigasusMatchersShareOneCompile) {
+    sim::Rng rng(5);
+    const net::IdsRuleSet rules = net::IdsRuleSet::synthesize(64, rng);
+    std::vector<std::unique_ptr<accel::PigasusMatcher>> matchers;
+    matchers.reserve(8);
+    std::vector<uint64_t> allocs;
+    for (int i = 0; i < 8; ++i) {
+        g_allocs.store(0);
+        g_counting.store(true);
+        matchers.push_back(std::make_unique<accel::PigasusMatcher>(rules));
+        g_counting.store(false);
+        allocs.push_back(g_allocs.load());
+    }
+    EXPECT_GT(allocs[0], 8u) << "the first matcher did not compile";
+    for (int i = 1; i < 8; ++i)
+        EXPECT_LE(allocs[i], 8u) << "matcher " << i << " compiled the rule set again";
 }
 
 // The Pigasus matcher runs one job per packet in the IPS pipelines. Its

@@ -349,6 +349,40 @@ TEST(RpuTest, DebugRegistersVisibleToHost) {
     EXPECT_FALSE(f.rpu.core_faulted());
 }
 
+// A loopback slot request's answer unlocks only after the 8-cycle
+// control-channel round trip (paper Figure 4b), however late the request:
+// one made after cycle 2^32 waits exactly as long as one made at cycle 0.
+TEST(RpuTest, SlotResponseWaitsTheRoundTripPastTwoToThe32Cycles) {
+    Assembler a;
+    a.lui(gp, 0x2000);
+    a.li(t0, 1);
+    a.rdcycle(t1);
+    a.sw(t0, kRegLbSlotReq, gp);
+    a.label("poll");
+    a.lw(t2, kRegLbSlotResp, gp);
+    a.beqz(t2, "poll");
+    a.rdcycle(t3);
+    a.sub(t3, t3, t1);
+    a.sw(t3, kRegDebugLow, gp);
+    a.ebreak();
+    const std::vector<uint32_t> image = a.assemble();
+
+    // Returns the cycles from the request to the first nonzero response.
+    auto round_trip = [&](sim::Cycle idle_cycles) {
+        Fixture f;
+        f.rpu.set_slot_request_handler(
+            [&f](uint8_t, uint8_t dst) { f.rpu.slot_response(dst, 5); });
+        f.kernel.run(idle_cycles);  // the core is halted, so the RPU sleeps
+        f.boot(image);
+        EXPECT_TRUE(f.rpu.core_halted());
+        EXPECT_FALSE(f.rpu.core_faulted());
+        return f.rpu.debug_low();
+    };
+    const uint32_t from_zero = round_trip(0);
+    EXPECT_GT(from_zero, 8u);
+    EXPECT_EQ(round_trip((sim::Cycle(1) << 32) + 1000), from_zero);
+}
+
 TEST(RpuTest, CoreIdAndIrqRegisters) {
     Assembler a;
     a.lui(gp, 0x2000);
