@@ -47,11 +47,9 @@ System::System(const SystemConfig& config) : config_(config) {
     bc.rpu_count = config_.rpu_count;
     broadcast_ = std::make_unique<msg::BroadcastNetwork>(kernel_, stats_, bc);
 
-    dist::FabricConfig fc = config_.fabric;
-    fc.rpu_count = config_.rpu_count;
     std::vector<rpu::Rpu*> raw;
     for (auto& r : rpus_) raw.push_back(r.get());
-    fabric_ = std::make_unique<dist::Fabric>(kernel_, stats_, fc, *lb_, raw);
+    fabric_ = std::make_unique<dist::Fabric>(kernel_, stats_, config_.fabric, *lb_, raw);
 
     host_ = std::make_unique<host::HostContext>(kernel_, stats_, *lb_, *fabric_, raw);
 

@@ -56,8 +56,8 @@ struct SystemConfig {
     bool hw_reassembler = false;  ///< inline reorder engine in the LB
     /// Steering function for lb::Policy::kCustom (tenant pinning, etc.).
     std::function<uint32_t(const net::Packet&)> lb_custom_steer{};
-    /// Overrides applied on top of the derived defaults; rpu_count fields
-    /// inside are filled in by System.
+    /// Overrides applied on top of the derived defaults; System fills in
+    /// the broadcast network's rpu_count (the fabric counts its RPUs).
     dist::FabricConfig fabric{};
     rpu::Rpu::Config rpu_template{};
     msg::BroadcastNetwork::Config broadcast{};

@@ -13,9 +13,35 @@ namespace {
 /// 125 MPPS per-port distribution limit.
 constexpr unsigned kIssueIntervalCycles = 2;
 
+/// 100 Gbps MAC at 250 MHz.
+constexpr uint32_t kLineBytesPerCycle = 50;
+/// MAC TX FIFO per port.
+constexpr uint32_t kMacTxFifoBytes = 64 * 1024;
+/// Fixed pipe: MAC+LB+switch hops.
+constexpr unsigned kIngressPipeCycles = 86;
+/// Fixed pipe on the way out.
+constexpr unsigned kEgressPipeCycles = 85;
+/// Per-packet destination header on the loopback channel.
+constexpr uint32_t kLoopbackHeaderBytes = 8;
+/// Packets the loopback queue holds.
+constexpr unsigned kLoopbackQueuePackets = 64;
+/// Host-DRAM transfer latency over PCIe: ~1 us each way.
+constexpr unsigned kPcieLatencyCycles = 250;
+
 uint32_t
 div_ceil(uint32_t a, uint32_t b) {
     return (a + b - 1) / b;
+}
+
+/// Cycles a bit-serial 100G line takes to send `wire` bytes. `carry` is
+/// the fractional-cycle remainder of the frames before it, so the
+/// long-run rate is exactly kLineBytesPerCycle.
+uint32_t
+line_cycles(uint32_t wire, uint32_t& carry) {
+    const uint32_t need = wire > carry ? wire - carry : 0;
+    const uint32_t cycles = std::max(1u, div_ceil(need, kLineBytesPerCycle));
+    carry = std::min(cycles * kLineBytesPerCycle + carry - wire, kLineBytesPerCycle);
+    return cycles;
 }
 
 }  // namespace
@@ -26,16 +52,14 @@ Fabric::Fabric(sim::Kernel& kernel, sim::Stats& stats, const FabricConfig& confi
       config_(config),
       lb_(lb),
       rpus_(std::move(rpus)),
-      rpus_per_cluster_((config.rpu_count + config.clusters - 1) / config.clusters),
-      voqs_(config.rpu_count * kSourceCount),
-      voq_nets_(config.rpu_count * kSourceCount),
-      rpu_rr_(config.rpu_count, 0),
-      voq_head_ready_(config.rpu_count, sim::kNever),
-      egress_queues_(config.rpu_count),
-      egress_nets_(config.rpu_count),
-      egress_staged_(config.rpu_count),
-      egress_committed_(config.rpu_count, 0) {
-    if (rpus_.size() != config.rpu_count) sim::fatal("Fabric: rpu vector size mismatch");
+      voqs_(rpu_count() * kSourceCount),
+      voq_nets_(rpu_count() * kSourceCount),
+      rpu_rr_(rpu_count(), 0),
+      voq_head_ready_(rpu_count(), sim::kNever),
+      egress_queues_(rpu_count()),
+      egress_nets_(rpu_count()),
+      egress_staged_(rpu_count()),
+      egress_committed_(rpu_count(), 0) {
     for (unsigned p = 0; p < 2; ++p) {
         std::string pn = "port" + std::to_string(p);
         ctr_rx_frames_[p] = &stats.counter(pn + ".rx_frames");
@@ -62,7 +86,7 @@ Fabric::Fabric(sim::Kernel& kernel, sim::Stats& stats, const FabricConfig& confi
     for (unsigned s = 0; s < kSourceCount; ++s) {
         probe(sources_[s].net, 0, [this, s] { return sources_[s].queue.size(); });
     }
-    for (unsigned r = 0; r < config_.rpu_count; ++r) {
+    for (unsigned r = 0; r < rpu_count(); ++r) {
         for (unsigned s = 0; s < kSourceCount; ++s) {
             const unsigned v = r * kSourceCount + s;
             probe(voq_nets_[v], config_.voq_depth, [this, v] { return voqs_[v].size(); });
@@ -96,10 +120,9 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
         kernel.declare_port({name(), rx, PortRecord::kRead, kSw, 0});
         std::string tx = "fabric.mac_tx.p" + std::to_string(p);
         mac_tx_[p].net = kernel.declare_net(
-            {tx, NetRecord::kFifo, kSw, config_.mac_tx_fifo_bytes / 64,
+            {tx, NetRecord::kFifo, kSw, kMacTxFifoBytes / 64,
              sim::kNetExternalSink, NetRecord::kCreditSkid});
-        kernel.declare_port({name(), tx, PortRecord::kWrite, kSw,
-                             config_.mac_tx_fifo_bytes / 64});
+        kernel.declare_port({name(), tx, PortRecord::kWrite, kSw, kMacTxFifoBytes / 64});
     }
 
     // Host (PCIe virtual Ethernet) and loopback share the ingress plane.
@@ -116,12 +139,12 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
     kernel.declare_port(
         {name(), "fabric.host_out", PortRecord::kWrite, kSw, config_.pcie_tags});
     sources_[kSrcLoopback].net = kernel.declare_net(
-        {"fabric.loopback_q", NetRecord::kFifo, kSw, config_.loopback_queue_packets, 0});
-    kernel.declare_port({name(), "fabric.loopback_q", PortRecord::kWrite, kSw,
-                         config_.loopback_queue_packets});
+        {"fabric.loopback_q", NetRecord::kFifo, kSw, kLoopbackQueuePackets, 0});
+    kernel.declare_port(
+        {name(), "fabric.loopback_q", PortRecord::kWrite, kSw, kLoopbackQueuePackets});
     kernel.declare_port({name(), "fabric.loopback_q", PortRecord::kRead, kSw, 0});
 
-    for (unsigned r = 0; r < config_.rpu_count; ++r) {
+    for (unsigned r = 0; r < rpu_count(); ++r) {
         std::string rn = std::to_string(r);
         // Per-(RPU, source) virtual output queues inside the RX switches.
         for (unsigned s = 0; s < kSourceCount; ++s) {
@@ -152,10 +175,6 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
 bool
 Fabric::mac_rx(unsigned port, net::PacketPtr pkt) {
     if (port > 1) sim::fatal("mac_rx: bad port");
-    bool in_tick = kernel().in_tick();
-    // Host-phase arrivals mutate sleeper-visible queues: settle the skipped
-    // window first. (Tick-phase arrivals are staged; wake() accounts them.)
-    if (!in_tick) flush_skipped();
     ctr_rx_frames_[port]->add();
     ctr_rx_bytes_[port]->add(pkt->size());
     pkt->in_iface = net::Iface(port);
@@ -173,8 +192,7 @@ Fabric::mac_rx(unsigned port, net::PacketPtr pkt) {
         // the reassembler held) and the class of the frame as it arrived.
         p->mac_rx_cycle = now();
         p->flow_class = net::classify(*p);
-        uint64_t occupied = in_tick ? src.admit_bytes + src.staged_bytes : src.queue_bytes;
-        if (occupied + p->size() > config_.mac_rx_fifo_bytes) {
+        if (src.admit_bytes + src.staged_bytes + p->size() > config_.mac_rx_fifo_bytes) {
             ctr_rx_drops_[port]->add();
             trace(net::Stage::kMacRxFifoDrop, *p);
             tel(src.net, sim::TelemetrySink::NetEvent::kPushBlocked);
@@ -184,81 +202,48 @@ Fabric::mac_rx(unsigned port, net::PacketPtr pkt) {
         trace(net::Stage::kMacRx, *p);
         tel(src.net, sim::TelemetrySink::NetEvent::kPushOk);
         admitted = true;
-        if (in_tick) {
-            src.staged_bytes += p->size();
-            src.staged.push_back(std::move(p));
-        } else {
-            src.queue_bytes += p->size();
-            src.queue.push_back(std::move(p));
-            src.admit_bytes = src.queue_bytes;
-            src.admit_count = src.queue.size();
-        }
+        stage(src, std::move(p));
     }
     released_.clear();  // drops what overflowed
-    if (admitted) {
-        kernel().request_commit(this);
-        wake();
-    }
+    if (admitted) handoff();
     return all_ok;
 }
 
 bool
 Fabric::host_inject(net::PacketPtr pkt) {
     IngressSource& src = sources_[kSrcHost];
-    bool in_tick = kernel().in_tick();
-    if (!in_tick) flush_skipped();
-    size_t occupied = in_tick ? src.admit_count + src.staged.size() : src.queue.size();
-    if (occupied >= config_.host_queue_packets) {
+    if (src.admit_count + src.staged.size() >= config_.host_queue_packets) {
         tel(src.net, sim::TelemetrySink::NetEvent::kPushBlocked);
         return false;
     }
     tel(src.net, sim::TelemetrySink::NetEvent::kPushOk);
     pkt->in_iface = net::Iface::kHost;
     pkt->flow_class = net::classify(*pkt);
-    if (in_tick) {
-        src.staged_bytes += pkt->size();
-        src.staged.push_back(std::move(pkt));
-    } else {
-        src.queue_bytes += pkt->size();
-        src.queue.push_back(std::move(pkt));
-        src.admit_bytes = src.queue_bytes;
-        src.admit_count = src.queue.size();
-    }
+    stage(src, std::move(pkt));
     ctr_host_tx_frames_->add();
-    kernel().request_commit(this);
-    wake();
+    handoff();
     return true;
 }
 
 bool
 Fabric::rpu_egress(uint8_t rpu, net::PacketPtr pkt) {
     const sim::NetId enet = egress_nets_[rpu];
-    if (!kernel().in_tick()) flush_skipped();
-    if (kernel().in_tick()) {
-        if (egress_committed_[rpu] + egress_staged_[rpu].size() >= config_.egress_queue_depth) {
-            tel(enet, sim::TelemetrySink::NetEvent::kPushBlocked);
-            return false;
-        }
-        trace(net::Stage::kRpuEgress, *pkt);
-        tel(enet, sim::TelemetrySink::NetEvent::kPushOk);
-        egress_staged_[rpu].push_back({std::move(pkt), now() + 1});
-        note_egress_change(rpu);
-        wake();
-        return true;
-    }
-    auto& q = egress_queues_[rpu];
-    if (q.size() >= config_.egress_queue_depth) {
+    if (egress_committed_[rpu] + egress_staged_[rpu].size() >= config_.egress_queue_depth) {
         tel(enet, sim::TelemetrySink::NetEvent::kPushBlocked);
         return false;
     }
-    tel(enet, sim::TelemetrySink::NetEvent::kPushOk);
     trace(net::Stage::kRpuEgress, *pkt);
-    q.push_back({std::move(pkt), now() + 1});
-    egress_committed_[rpu] = q.size();
-    refresh_egress_head(rpu);
-    note_egress_change(rpu);
-    wake();
+    tel(enet, sim::TelemetrySink::NetEvent::kPushOk);
+    egress_staged_[rpu].push_back({std::move(pkt), now() + 1});
+    egress_touched_ |= 1u << rpu;
+    handoff();
     return true;
+}
+
+void
+Fabric::stage(IngressSource& src, net::PacketPtr pkt) {
+    src.staged_bytes += pkt->size();
+    src.staged.push_back(std::move(pkt));
 }
 
 void
@@ -306,8 +291,8 @@ Fabric::quiescent() const {
 
 void
 Fabric::commit() {
-    // Every path that stages a packet or mutates a committed queue (pop,
-    // push, loopback re-entry) requests this commit.
+    // Runs at the clock edge of every cycle that staged an arrival or
+    // popped a queue, and at once for a host-phase arrival (handoff()).
     for (unsigned s = 0; s < kSourceCount; ++s) {
         IngressSource& src = sources_[s];
         if (!src.staged.empty()) {
@@ -422,7 +407,7 @@ Fabric::try_push_voq(unsigned s, net::PacketPtr& pkt) {
                                             : sim::TelemetrySink::NetEvent::kPushBlocked);
     if (!ok) return false;
     // The pipe is fixed, so a push never moves a non-empty VOQ's head.
-    const sim::Cycle ready = now() + config_.ingress_pipe_cycles;
+    const sim::Cycle ready = now() + kIngressPipeCycles;
     q.push_back({std::move(pkt), ready});
     voq_head_ready_[r] = std::min(voq_head_ready_[r], ready);
     voq_next_ready_ = std::min(voq_next_ready_, ready);
@@ -433,7 +418,7 @@ void
 Fabric::tick_rpu_links() {
     if (now() < voq_next_ready_) return;  // every head is still in the pipe
     sim::Cycle next = sim::kNever;
-    for (unsigned r = 0; r < config_.rpu_count; ++r) {
+    for (unsigned r = 0; r < rpu_count(); ++r) {
         sim::Cycle& head_ready = voq_head_ready_[r];
         rpu::Rpu* rpu = rpus_[r];
         if (now() >= head_ready && rpu->rx_ready()) {
@@ -494,7 +479,7 @@ Fabric::pick_egress(unsigned d) {
             tel(egress_nets_[r], sim::TelemetrySink::NetEvent::kPop);
             dest.busy_until =
                 now() + std::max(1u, div_ceil(pkt->size(), config_.stage1_bytes_per_cycle));
-            dest.rr = (r + 1) % config_.rpu_count;
+            dest.rr = (r + 1) % rpu_count();
             if (!try_egress_handoff(d, pkt)) dest.done = std::move(pkt);
             return;
         }
@@ -505,13 +490,13 @@ bool
 Fabric::try_egress_handoff(unsigned d, net::PacketPtr& p) {
     if (d <= 1) {
         MacTx& mac = mac_tx_[d];
-        if (mac.fifo_bytes + p->size() > config_.mac_tx_fifo_bytes) {
+        if (mac.fifo_bytes + p->size() > kMacTxFifoBytes) {
             tel(mac.net, sim::TelemetrySink::NetEvent::kPushBlocked);
             return false;
         }
         tel(mac.net, sim::TelemetrySink::NetEvent::kPushOk);
         mac.fifo_bytes += p->size();
-        mac.fifo.push_back({std::move(p), now() + config_.egress_pipe_cycles});
+        mac.fifo.push_back({std::move(p), now() + kEgressPipeCycles});
         return true;
     }
     if (d == kSrcHost) {
@@ -523,25 +508,18 @@ Fabric::try_egress_handoff(unsigned d, net::PacketPtr& p) {
         }
         tel(host_out_net_, sim::TelemetrySink::NetEvent::kPushOk);
         ++pcie_tags_in_use_;
-        host_out_.push_back({std::move(p), now() + config_.pcie_latency_cycles});
+        host_out_.push_back({std::move(p), now() + kPcieLatencyCycles});
         return true;
     }
     // Loopback: the single 100G channel with a per-packet routing header.
     IngressSource& lp = sources_[kSrcLoopback];
-    if (loopback_.active || lp.queue.size() >= config_.loopback_queue_packets) {
+    if (loopback_.active || lp.queue.size() >= kLoopbackQueuePackets) {
         tel(lp.net, sim::TelemetrySink::NetEvent::kPushBlocked);
         return false;
     }
     tel(lp.net, sim::TelemetrySink::NetEvent::kPushOk);
-    uint32_t wire = p->size() + config_.loopback_header_bytes;
+    loopback_.cycles_left = line_cycles(p->size() + kLoopbackHeaderBytes, loopback_.line_credit);
     loopback_.active = std::move(p);
-    uint32_t need = wire > loopback_.line_credit ? wire - loopback_.line_credit : 0;
-    loopback_.cycles_left = std::max(1u, div_ceil(need, config_.line_bytes_per_cycle));
-    loopback_.line_credit =
-        loopback_.cycles_left * config_.line_bytes_per_cycle + loopback_.line_credit - wire;
-    if (loopback_.line_credit > config_.line_bytes_per_cycle) {
-        loopback_.line_credit = config_.line_bytes_per_cycle;
-    }
     return true;
 }
 
@@ -552,10 +530,9 @@ Fabric::tick_loopback() {
     if (loopback_.cycles_left == 0) {
         IngressSource& lp = sources_[kSrcLoopback];
         const uint32_t size = loopback_.active->size();
-        lp.queue_bytes += size;
-        lp.queue.push_back(std::move(loopback_.active));
-        kernel().request_commit(this);
-        trace(net::Stage::kLoopbackReenter, *lp.queue.back());
+        trace(net::Stage::kLoopbackReenter, *loopback_.active);
+        stage(lp, std::move(loopback_.active));
+        handoff();
         ctr_loopback_frames_->add();
         ctr_loopback_bytes_->add(size);
     }
@@ -581,16 +558,7 @@ Fabric::tick_mac_tx() {
             mac.fifo_bytes -= mac.active->size();
             mac.fifo.pop_front();
             tel(mac.net, sim::TelemetrySink::NetEvent::kPop);
-            // Bit-serial line: carry the fractional-cycle remainder so the
-            // long-run rate is exactly line_bytes_per_cycle.
-            uint32_t wire = mac.active->wire_size();
-            uint32_t need = wire > mac.line_credit ? wire - mac.line_credit : 0;
-            mac.cycles_left = std::max(1u, div_ceil(need, config_.line_bytes_per_cycle));
-            mac.line_credit =
-                mac.cycles_left * config_.line_bytes_per_cycle + mac.line_credit - wire;
-            if (mac.line_credit > config_.line_bytes_per_cycle) {
-                mac.line_credit = config_.line_bytes_per_cycle;
-            }
+            mac.cycles_left = line_cycles(mac.active->wire_size(), mac.line_credit);
         }
     }
 }
@@ -599,7 +567,7 @@ sim::ResourceFootprint
 Fabric::switching_resources() const {
     // Calibrated to the "Switching" rows of Tables 1-2: both unidirectional
     // planes scale with RPU count on top of a fixed port-side stage.
-    uint64_t n = config_.rpu_count;
+    uint64_t n = rpu_count();
     return {.luts = 10570 + 4729 * n,
             .regs = 14126 + 6845 * n,
             .bram = 24 + 3 * n / 2,
@@ -610,7 +578,7 @@ sim::ResourceFootprint
 Fabric::interconnect_resources() const {
     // "Single Interconnect" row: mildly larger per instance in smaller
     // configurations (wider per-RPU arbitration share).
-    uint64_t n = config_.rpu_count;
+    uint64_t n = rpu_count();
     return {.luts = 3135 - 21 * n, .regs = 3147 - 12 * n};
 }
 

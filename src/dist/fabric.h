@@ -46,26 +46,20 @@ enum Source : unsigned {
     kSourceCount = 4,
 };
 
+/// The fabric's settable sizes and rates. The fixed calibration (line
+/// rate, pipe latencies, loopback header, PCIe latency) is constant in
+/// dist/fabric.cc, and the RPU count is that of the RPUs it is built on.
 struct FabricConfig {
-    unsigned rpu_count = 16;
-    unsigned clusters = 4;
-    uint32_t line_bytes_per_cycle = 50;    ///< 100 Gbps MAC at 250 MHz
     uint32_t stage1_bytes_per_cycle = 64;  ///< 512-bit cluster switches
     uint32_t mac_rx_fifo_bytes = 256 * 1024;
-    uint32_t mac_tx_fifo_bytes = 64 * 1024;
     unsigned voq_depth = 8;          ///< packets per (source, RPU) virtual queue
     unsigned egress_queue_depth = 4; ///< packets buffered per RPU on egress
-    unsigned ingress_pipe_cycles = 86;   ///< fixed pipe: MAC+LB+switch hops
-    unsigned egress_pipe_cycles = 85;    ///< fixed pipe on the way out
-    uint32_t loopback_header_bytes = 8;  ///< per-packet destination header
     unsigned host_queue_packets = 1024;
-    unsigned loopback_queue_packets = 64;
     /// Host-DRAM channel over PCIe Gen3 x16 (paper Section 4.2: host
     /// transfers are packetized with DRAM tags): effective bandwidth and
     /// the number of outstanding-transfer tags.
     double pcie_gbps = 100.0;
     unsigned pcie_tags = 64;
-    unsigned pcie_latency_cycles = 250;  ///< ~1 us each way
 };
 
 class Fabric : public sim::Component {
@@ -76,19 +70,23 @@ class Fabric : public sim::Component {
            lb::LoadBalancer& lb, std::vector<rpu::Rpu*> rpus);
 
     /// A frame finished arriving on `port`'s wire. Returns false when the
-    /// MAC RX FIFO overflowed (frame dropped and counted). Calls arriving
-    /// during another component's tick are staged and integrated at the
-    /// clock edge; admission then uses registered credit (the queue's
-    /// end-of-previous-cycle occupancy plus what was staged this cycle),
-    /// so the outcome is independent of component tick order.
+    /// MAC RX FIFO overflowed (frame dropped and counted). Admission uses
+    /// registered credit, the queue's occupancy at the last commit plus
+    /// what is staged, so the outcome is independent of component tick
+    /// order. An admitted frame is staged and handed over (handoff()):
+    /// from a tick it reaches the queue at this cycle's clock edge, from
+    /// the host phase at once, so the fabric's tick reads it on
+    /// Kernel::handoff_cycle().
     bool mac_rx(unsigned port, net::PacketPtr pkt);
 
-    /// Host-originated packet (virtual Ethernet over PCIe).
+    /// Host-originated packet (virtual Ethernet over PCIe). Returns false
+    /// when the host queue is full; admitted and handed over like mac_rx.
     bool host_inject(net::PacketPtr pkt);
 
     /// Egress from RPU `rpu` (wired as the Rpu's egress handler).
-    /// Returns false to backpressure the RPU's TX engine. Tick-phase
-    /// calls are staged like mac_rx (see above).
+    /// Returns false to backpressure the RPU's TX engine. Admitted and
+    /// handed over like mac_rx; the packet is ready to leave the cycle
+    /// after the call, from either phase.
     bool rpu_egress(uint8_t rpu, net::PacketPtr pkt);
 
     /// Frames leaving on a physical port arrive here (tester side).
@@ -99,11 +97,11 @@ class Fabric : public sim::Component {
 
     void tick() override;
 
-    /// Clock edge: integrate tick-phase arrivals (mac_rx / host_inject /
-    /// rpu_egress staged by other components) into the ingress and egress
-    /// queues and refresh the registered admission credit. Requested by
-    /// every queue mutation; it touches only the RPUs whose egress queue
-    /// changed this cycle.
+    /// Clock edge: move the staged arrivals (mac_rx, host_inject,
+    /// rpu_egress and the loopback re-entry) into the ingress and egress
+    /// queues and refresh the registered admission credit. Every arrival
+    /// reaches its queue here; every queue mutation requests it, and it
+    /// touches only the RPUs whose egress queue changed.
     void commit() override;
 
     /// The fabric can sleep when every queue, serializer and staged buffer
@@ -142,9 +140,10 @@ class Fabric : public sim::Component {
         // Completed transfer waiting for VOQ space.
         net::PacketPtr stalled;
         // Registered-credit admission: occupancy snapshot taken at the last
-        // clock edge plus packets staged during the current tick. Tick-phase
-        // producers admit against these, never against the live queue, so
-        // admission cannot observe same-cycle pops (order independence).
+        // commit plus the packets staged since. Producers admit against
+        // these, never against the live queue, so admission cannot observe
+        // same-cycle pops (order independence). In the host phase the
+        // snapshot equals the live queue: every commit refreshes it.
         uint64_t admit_bytes = 0;
         size_t admit_count = 0;
         std::vector<net::PacketPtr> staged;
@@ -167,7 +166,6 @@ class Fabric : public sim::Component {
         SinkFn sink;
     };
 
-    unsigned cluster_of(uint8_t rpu) const { return rpu / rpus_per_cluster_; }
     sim::Ring<TimedPkt>& voq(uint8_t rpu, unsigned source) {
         return voqs_[rpu * kSourceCount + source];
     }
@@ -177,6 +175,9 @@ class Fabric : public sim::Component {
     void tel(sim::NetId net, sim::TelemetrySink::NetEvent ev) const {
         if (sim::TelemetrySink* t = kernel().telemetry()) t->net_event(net, ev);
     }
+    unsigned rpu_count() const { return unsigned(rpus_.size()); }
+    /// Stage an admitted arrival for source `src`'s queue.
+    static void stage(IngressSource& src, net::PacketPtr pkt);
     void tick_ingress_source(unsigned s);
     /// Move `pkt` onto its (dest_rpu, s) VOQ behind the fixed ingress
     /// pipe; false (and `pkt` untouched) when the VOQ is full.
@@ -190,8 +191,8 @@ class Fabric : public sim::Component {
     bool try_egress_handoff(unsigned d, net::PacketPtr& p);
     /// Recompute RPU `r`'s bit in egress_heads_ from its queue head.
     void refresh_egress_head(unsigned r);
-    /// RPU `r`'s egress queue or staging changed this cycle: have
-    /// commit() integrate it and refresh its registered credit.
+    /// RPU `r`'s egress queue changed in our tick: have commit() refresh
+    /// its registered credit.
     void note_egress_change(unsigned r);
     void tick_mac_tx();
     void tick_loopback();
@@ -200,7 +201,6 @@ class Fabric : public sim::Component {
     FabricConfig config_;
     lb::LoadBalancer& lb_;
     std::vector<rpu::Rpu*> rpus_;
-    unsigned rpus_per_cluster_;
 
     // Per-packet counters resolved once at construction (Stats handles are
     // node-stable); the tick path must not do string-keyed map lookups.

@@ -71,24 +71,15 @@ LoadBalancer::attach(sim::Kernel& kernel) {
 void
 LoadBalancer::on_slot_config(uint8_t rpu, const rpu::SlotConfig& cfg) {
     if (rpu >= config_.rpu_count) return;
-    if (staging()) {
-        staged_configs_.emplace_back(rpu, cfg);
-        request_commit();
-        return;
-    }
-    free_slots_[rpu].clear();
-    for (uint32_t s = 1; s <= cfg.count; ++s) free_slots_[rpu].push_back(uint8_t(s));
+    staged_configs_.emplace_back(rpu, cfg);
+    handoff();
 }
 
 void
 LoadBalancer::on_slot_free(uint8_t rpu, uint8_t slot) {
     if (rpu >= config_.rpu_count) return;
-    if (staging()) {
-        staged_frees_.emplace_back(rpu, slot);
-        request_commit();
-        return;
-    }
-    free_slots_[rpu].push_back(slot);
+    staged_frees_.emplace_back(rpu, slot);
+    handoff();
 }
 
 std::optional<uint8_t>
@@ -101,12 +92,17 @@ LoadBalancer::request_slot(uint8_t dst_rpu) {
 
 void
 LoadBalancer::request_slot_routed(uint8_t requester, uint8_t dst_rpu) {
-    if (staging()) {
-        staged_requests_.emplace_back(requester, dst_rpu);
-        request_commit();
-        return;
+    staged_requests_.emplace_back(requester, dst_rpu);
+    handoff();
+}
+
+void
+LoadBalancer::handoff() {
+    if (kernel_ && kernel_->in_tick()) {
+        kernel_->request_commit(adapter_.get());
+    } else {
+        commit_staged();
     }
-    if (slot_response_) slot_response_(requester, dst_rpu, request_slot(dst_rpu));
 }
 
 void

@@ -81,13 +81,13 @@ class LoadBalancer {
 
     LoadBalancer(sim::Stats& stats, const Config& config);
 
-    /// Clock the LB's control channels: RPU-side slot frees, slot configs
-    /// and remote-slot requests arriving during a tick are staged and
-    /// applied at the clock edge in a deterministic order (configs, then
-    /// frees, then requests sorted by requester), so the free-slot state
-    /// does not depend on component tick order. Unattached (standalone
-    /// tests), every call applies immediately. Also declares the LB's
-    /// control nets in the elaboration netlist.
+    /// Clock the LB's control channels. Every slot free, slot config and
+    /// remote-slot request is staged, and the staged set is applied in a
+    /// deterministic order (configs, then frees, then requests sorted by
+    /// requester), so the free-slot state does not depend on component
+    /// tick order: at the clock edge when staged during a tick, at once
+    /// otherwise (the host phase, or an LB never attached). Also declares
+    /// the LB's control nets in the elaboration netlist.
     void attach(sim::Kernel& kernel);
 
     // --- data-plane interface (called by the distribution fabric) -----------
@@ -115,8 +115,9 @@ class LoadBalancer {
     /// Immediate form, used standalone and by the host tooling.
     std::optional<uint8_t> request_slot(uint8_t dst_rpu);
 
-    /// Routed form used by the System wiring: the answer is delivered via
-    /// the slot-response handler (at this LB's commit when attached).
+    /// Routed form used by the System wiring: the request is staged like
+    /// the slot frees (see attach()), and the answer is delivered via the
+    /// slot-response handler when it is applied.
     void request_slot_routed(uint8_t requester, uint8_t dst_rpu);
 
     /// Response channel back to the requesting RPU.
@@ -146,10 +147,10 @@ class LoadBalancer {
     }
     uint8_t pick_rr(uint32_t eligible);
     std::optional<uint8_t> pick_for(const net::PacketPtr& pkt, uint32_t hash);
-    /// True during the tick phase of an attached LB. Every caller that
-    /// then stages control traffic requests the adapter's commit.
-    bool staging() const { return kernel_ && kernel_->in_tick(); }
-    void request_commit() { kernel_->request_commit(adapter_.get()); }
+    /// Hand staged control traffic over: from the tick phase of an
+    /// attached LB it is applied at this cycle's clock edge, otherwise at
+    /// once.
+    void handoff();
     void commit_staged();
     /// Telemetry tap on the assignment interface (`lb.assign`).
     void tel(sim::TelemetrySink::NetEvent ev) const {
@@ -158,7 +159,7 @@ class LoadBalancer {
     }
 
     /// Clock-edge adapter: the kernel commits it on the cycles the LB
-    /// staged control traffic (request_commit()).
+    /// staged control traffic during a tick (handoff()).
     struct CommitAdapter : sim::Clocked {
         explicit CommitAdapter(LoadBalancer& lb) : lb(lb) {}
         void commit() override { lb.commit_staged(); }
@@ -180,9 +181,9 @@ class LoadBalancer {
     sim::Counter* ctr_reasm_overflow_;
     sim::Counter* ctr_reasm_stale_;
 
-    // Control-channel traffic staged during the tick phase. Applied at the
-    // clock edge in sorted order, so the result depends on the staged set,
-    // never on tick order (shuffled schedules rely on this).
+    // Staged control-channel traffic, applied in sorted order, so the
+    // result depends on the staged set, never on tick order (shuffled
+    // schedules rely on this).
     std::vector<std::pair<uint8_t, rpu::SlotConfig>> staged_configs_;
     std::vector<std::pair<uint8_t, uint8_t>> staged_frees_;     ///< (rpu, slot)
     std::vector<std::pair<uint8_t, uint8_t>> staged_requests_;  ///< (requester, dst)

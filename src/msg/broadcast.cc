@@ -2,6 +2,20 @@
 
 namespace rosebud::msg {
 
+namespace {
+
+/// Distribution pipe.
+constexpr unsigned kPipelineMinCycles = 17;
+/// Deterministic path-length spread.
+constexpr unsigned kPipelineJitter = 6;
+/// Sustained grant cost in tenths of a cycle: the arbiter issues at most
+/// 10/kGrantIntervalTenths grants per cycle. Models the control-channel
+/// FIFO/register bubbles the paper attributes the above-1152ns residual
+/// latency to (Section 6.3).
+constexpr unsigned kGrantIntervalTenths = 13;
+
+}  // namespace
+
 BroadcastNetwork::BroadcastNetwork(sim::Kernel& kernel, sim::Stats& stats,
                                    const Config& config)
     : sim::Component(kernel, "broadcast"),
@@ -40,7 +54,7 @@ BroadcastNetwork::quiescent() const {
     if (!in_flight_.empty()) return false;
     // The grant credit accrues 10/cycle up to interval+10; once saturated
     // an idle tick is the identity, so sleeping is exact.
-    if (grant_credit_ < config_.grant_interval_tenths + 10) return false;
+    if (grant_credit_ < kGrantIntervalTenths + 10) return false;
     for (const auto& f : tx_fifos_)
         if (f->size() != 0) return false;
     return true;
@@ -53,20 +67,18 @@ BroadcastNetwork::tick() {
     // rotation still advances one position per cycle, so a lone sender is
     // granted within at most rpu_count cycles — matching the paper's
     // "sent out every 16 cycles due to round-robin arbitration".
-    grant_credit_ = std::min(grant_credit_ + 10, config_.grant_interval_tenths + 10);
-    if (grant_credit_ >= config_.grant_interval_tenths) {
+    grant_credit_ = std::min(grant_credit_ + 10, kGrantIntervalTenths + 10);
+    if (grant_credit_ >= kGrantIntervalTenths) {
         for (unsigned i = 0; i < config_.rpu_count; ++i) {
             unsigned cand = (rr_ + i) % config_.rpu_count;
             if (tx_fifos_[cand]->empty()) continue;
             Msg m = tx_fifos_[cand]->pop();
             // Deterministic path-length spread across the distribution pipe.
-            sim::Cycle delay =
-                config_.pipeline_min_cycles +
-                (now() + cand) % (config_.pipeline_jitter ? config_.pipeline_jitter : 1);
+            sim::Cycle delay = kPipelineMinCycles + (now() + cand) % kPipelineJitter;
             in_flight_.push_back({m, now() + delay});
             ctr_granted_->add();
             rr_ = (cand + 1) % config_.rpu_count;
-            grant_credit_ -= config_.grant_interval_tenths;
+            grant_credit_ -= kGrantIntervalTenths;
             break;
         }
     }

@@ -28,16 +28,11 @@ namespace rosebud::msg {
 
 class BroadcastNetwork : public sim::Component {
  public:
+    /// The pipeline delay and the grant rate are calibration constants in
+    /// msg/broadcast.cc.
     struct Config {
         unsigned rpu_count = 16;
         unsigned tx_fifo_depth = 18;       ///< 16 FIFO + 2 PR border registers
-        unsigned pipeline_min_cycles = 17; ///< distribution pipe
-        unsigned pipeline_jitter = 6;      ///< deterministic path-length spread
-        /// Sustained grant cost in tenths of a cycle: the arbiter issues at
-        /// most 10/grant_interval_tenths grants per cycle. Models the
-        /// control-channel FIFO/register bubbles the paper attributes the
-        /// above-1152ns residual latency to (Section 6.3).
-        unsigned grant_interval_tenths = 13;
     };
 
     /// Delivery callback: (offset, value) fanned out to one RPU.

@@ -43,8 +43,9 @@ Rpu::Rpu(sim::Kernel& kernel, sim::Stats& stats, const Config& config)
     declare_netlist(kernel);
     // Packet-slot occupancy for the health layer's backlog census: slots
     // are not a sim::Fifo (the DMA engine scatters into slot memory), so
-    // the RPU registers the probe itself. occupancy_ mirrors rx_pending_
-    // race-free, so a host-phase read is always consistent.
+    // the RPU registers the probe itself. occupancy_ counts a transfer
+    // from the commit that starts it, and nothing is staged in the host
+    // phase, so a host-phase read is always consistent.
     kernel.register_occupancy_probe(name() + ".slots", sim::kNoNet, slot_pkts_.size(),
                                     this, [this] { return size_t(occupancy_); });
     ctr_rx_packets_ = &stats.counter(stat("rx_packets"));
@@ -196,22 +197,14 @@ Rpu::write_memory(uint32_t addr, const std::vector<uint8_t>& bytes) {
 
 bool
 Rpu::rx_ready() const {
-    if (!kernel().in_tick()) return now() >= rx_free_at_;
-    return !rx_pending_ && now() + 1 >= rx_free_at_;
+    return !rx_pending_ && kernel().handoff_cycle() >= rx_free_at_;
 }
 
 void
 Rpu::begin_rx(net::PacketPtr pkt) {
     if (!rx_ready()) sim::panic(name() + ": begin_rx while busy");
-    if (kernel().in_tick()) {
-        rx_pending_ = std::move(pkt);  // transfer starts at this commit
-        kernel().request_commit(this);
-        wake();  // staged input: a sleeping RPU resumes next cycle
-        return;
-    }
-    flush_skipped();
-    apply_begin_rx(std::move(pkt), now());
-    wake();
+    rx_pending_ = std::move(pkt);
+    handoff();
 }
 
 void
@@ -366,8 +359,8 @@ Rpu::tick() {
 
 void
 Rpu::commit() {
-    // A begin_rx staged this cycle transfers from the next tick on.
-    if (rx_pending_) apply_begin_rx(std::move(rx_pending_), now() + 1);
+    // A staged begin_rx transfers from the first cycle that sees it.
+    if (rx_pending_) apply_begin_rx(std::move(rx_pending_), kernel().handoff_cycle());
     for (const auto& [offset, value] : bcast_pending_) {
         std::memcpy(&bcast_mem_[offset], &value, 4);
     }
@@ -463,18 +456,11 @@ Rpu::tick_tx() {
 void
 Rpu::broadcast_deliver(uint32_t offset, uint32_t value) {
     if (uint64_t(offset) + 4 > kBcastSize) return;
-    if (kernel().in_tick()) {
-        // Delivered from the broadcast network's tick: the semi-coherent
-        // copy updates at commit so the core never sees a half-cycle value.
-        // The notify push below wakes a sleeping RPU (and replays its
-        // skipped window against the still-unmodified bcast_mem_).
-        bcast_pending_.emplace_back(offset, value);
-        kernel().request_commit(this);
-    } else {
-        flush_skipped();  // replay must see the pre-delivery copy
-        std::memcpy(&bcast_mem_[offset], &value, 4);
-        wake();
-    }
+    // The semi-coherent copy updates at commit, so the core never sees a
+    // half-cycle value and a sleeper's skipped window replays against the
+    // copy as it was.
+    bcast_pending_.emplace_back(offset, value);
+    handoff();
     if (!bcast_notify_.push({offset, value})) ++bcast_notify_drops_;
 }
 

@@ -116,24 +116,23 @@ class Rpu : public sim::Component {
 
     // --- distribution-subsystem interface -----------------------------------
 
-    /// True if the ingress link can accept a new packet this cycle. The
-    /// answer is one compare of now() against the absolute cycle at which
-    /// the link frees, so it is the same whether this RPU has ticked yet,
-    /// has not, or is asleep (tick-order independence). During the tick
-    /// phase it asks whether the link is free once this cycle ends.
+    /// True if the ingress link can accept a begin_rx made now: nothing is
+    /// staged, and the link is free on the cycle that would first see the
+    /// transfer (Kernel::handoff_cycle()). The answer compares absolute
+    /// cycles, so it is the same whether this RPU has ticked yet, has not,
+    /// or is asleep (tick-order independence).
     bool rx_ready() const;
 
     /// The ingress link's net (`rpuN.link_in`), which the fabric writes.
     sim::NetId link_in_net() const { return link_in_net_; }
 
     /// Begin streaming `pkt` into packet memory (dest_slot must be set).
-    /// Precondition: rx_ready(). During the tick phase the transfer is
-    /// staged, applied at this cycle's commit, and its first transfer tick
-    /// is the next cycle; host/test callers outside the tick phase start
-    /// it on the coming cycle directly. Either way, a transfer of R cycles
-    /// whose first tick is S delivers its descriptor on tick S+R-1 and
-    /// frees the link for a tick-phase begin_rx at S+R+G-1
-    /// (G = ingress_gap_cycles).
+    /// Precondition: rx_ready(). The packet is staged and handed over
+    /// (handoff()); commit() starts the transfer, whose first tick S is
+    /// Kernel::handoff_cycle(): the next cycle from a tick, the coming
+    /// one from the host phase. A transfer of R cycles delivers its
+    /// descriptor on tick S+R-1 and frees the link for a tick-phase
+    /// begin_rx at S+R+G-1 (G = ingress_gap_cycles).
     void begin_rx(net::PacketPtr pkt);
 
     /// Number of packets currently buffered in this RPU (in flight +
@@ -175,7 +174,8 @@ class Rpu : public sim::Component {
     }
 
     /// Broadcast delivery from the messaging network (simultaneous on all
-    /// RPUs): updates the local semi-coherent copy + notify FIFO.
+    /// RPUs): pushes the notify FIFO and hands the word over (handoff());
+    /// the local semi-coherent copy takes it at commit.
     void broadcast_deliver(uint32_t offset, uint32_t value);
 
     /// Read a word of the local semi-coherent broadcast copy (host-side
@@ -194,8 +194,8 @@ class Rpu : public sim::Component {
 
     void tick() override;
 
-    /// Applies any begin_rx/broadcast delivery staged by other components
-    /// this cycle (both request it).
+    /// Applies the staged begin_rx and broadcast words (both hand over
+    /// through handoff()).
     void commit() override;
 
     /// Quiescent when every core-visible input is frozen, the core is
@@ -289,8 +289,8 @@ class Rpu : public sim::Component {
     sim::NetId link_in_net_ = 0;
     net::PacketPtr rx_pkt_;          ///< in flight until rx_done_at_
     sim::Cycle rx_done_at_ = 0;      ///< the tick that runs finish_rx
-    sim::Cycle rx_free_at_ = 0;      ///< first host-phase cycle the link is free
-    net::PacketPtr rx_pending_;      ///< begin_rx staged during a tick
+    sim::Cycle rx_free_at_ = 0;      ///< first cycle a transfer may start
+    net::PacketPtr rx_pending_;      ///< begin_rx staged until commit
     uint32_t occupancy_ = 0;
 
     // TX engine.
@@ -312,8 +312,8 @@ class Rpu : public sim::Component {
     uint32_t irq_mask_ = 0;
     uint32_t irq_status_ = 0;
 
-    // Broadcast endpoint. Deliveries arriving during a tick are staged in
-    // `bcast_pending_` and land in the semi-coherent copy at commit.
+    // Broadcast endpoint. Deliveries are staged in `bcast_pending_` and
+    // land in the semi-coherent copy at commit.
     std::vector<uint8_t> bcast_mem_;
     std::vector<std::pair<uint32_t, uint32_t>> bcast_pending_;
     sim::Fifo<std::pair<uint32_t, uint32_t>> bcast_notify_;

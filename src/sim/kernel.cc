@@ -46,8 +46,8 @@ Kernel::note_wake(Component& c) {
         c.wake_at_ = t + 1;
     } else {
         // Host-phase wake: the component ticks this coming cycle; its
-        // accounting is flushed by the tick loop (host mutators that
-        // change sleeper-visible state call flush_skipped() first).
+        // accounting is flushed by the tick loop (host mutators and
+        // handoff() that change sleeper-visible state flush it first).
         c.wake_at_ = now_;
     }
     mark_awake(c);

@@ -29,8 +29,8 @@
 /// awake mask, one bit per component in tick order; the tick loop and the
 /// sleep sweep visit only its set bits, so a cycle costs in proportion to
 /// the components that are awake. Wake edges derived from the
-/// elaboration netlist, one list per NetId (plus explicit `wake()` calls
-/// on direct-call boundaries), re-activate a consumer the moment a
+/// elaboration netlist, one list per NetId (plus `handoff()` on
+/// direct-call boundaries), re-activate a consumer the moment a
 /// producer stages input for it. A sleeper whose idle ticks only advance
 /// internal time (a paced traffic source between frames) also reports,
 /// through `wake_due()`, the cycle at which it must tick again; the kernel
@@ -166,9 +166,9 @@ class Component : public Clocked {
     virtual void tick() = 0;
 
     /// Commit phase. Most components keep all state in registered
-    /// primitives and need no custom commit. One that stages input of
-    /// its own (a direct-call handoff from another component's tick)
-    /// calls kernel().request_commit(this) where it stages.
+    /// primitives and need no custom commit. One that takes input through
+    /// a direct call stages the input and calls handoff(); its commit()
+    /// moves staged input into its committed state.
     void commit() override {}
 
     /// Conservative idle report, polled by the kernel after each commit
@@ -177,7 +177,7 @@ class Component : public Clocked {
     /// effect on any cycle until an input arrives or its wake_due() cycle
     /// comes. Inputs of a sleeping component must be sim::Fifo pushes
     /// (which wake it through the netlist wake edges) or direct calls
-    /// instrumented with wake(). The default keeps the component
+    /// that hand over through handoff(). The default keeps the component
     /// permanently active.
     virtual bool quiescent() const { return false; }
 
@@ -192,8 +192,8 @@ class Component : public Clocked {
     /// tick phase takes effect on the *next* cycle — registered semantics:
     /// the sleeper could not have observed the producer's staged output
     /// this cycle anyway — which keeps serial and shuffled schedules
-    /// bit-identical. Staged input handed over by a direct call (e.g.
-    /// begin_rx) still lands this cycle: the call requests the commit.
+    /// bit-identical. Input staged by a direct call still lands at this
+    /// cycle's clock edge: handoff() queues the commit.
     void wake();
 
     /// False while the component sleeps (its awake-mask bit is clear).
@@ -220,6 +220,15 @@ class Component : public Clocked {
     /// catch-up replay could observe (e.g. an IRQ status register the
     /// firmware polls), so the replayed cycles see pre-mutation state.
     void flush_skipped();
+
+    /// The one hand-off step of a direct call into this component, made
+    /// after the call staged its input. From a tick (or a commit) it
+    /// queues this cycle's commit, so the input lands at the clock edge;
+    /// from the host phase it settles the skipped cycles against the
+    /// unchanged committed state and runs commit() at once. Either way it
+    /// wakes the component, and the input is first seen on
+    /// Kernel::handoff_cycle().
+    void handoff();
 
  private:
     friend class Kernel;
@@ -318,6 +327,10 @@ class Kernel {
 
     /// True while some component's tick() is on the stack.
     bool in_tick() const { return phase() == Phase::kTick; }
+
+    /// The first cycle whose ticks see a handoff made now: the coming
+    /// cycle from the host phase, the next one from a tick or a commit.
+    Cycle handoff_cycle() const { return phase_ == Phase::kIdle ? now_ : now_ + 1; }
 
     /// The component whose tick() is currently running (null outside the
     /// tick phase, i.e. for commits and host/test code).
@@ -547,6 +560,17 @@ inline void
 Component::wake() {
     if (awake()) return;
     kernel_.note_wake(*this);
+}
+
+inline void
+Component::handoff() {
+    if (kernel_.phase() == Kernel::Phase::kIdle) {
+        flush_skipped();
+        commit();
+    } else {
+        kernel_.request_commit(this);
+    }
+    wake();
 }
 
 }  // namespace rosebud::sim

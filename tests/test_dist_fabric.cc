@@ -1,8 +1,12 @@
 /// Distribution-fabric and traffic-endpoint tests: MAC FIFO drops,
 /// token-bucket pacing, serialization rates, backpressure chains,
-/// loopback channel overhead, and latency accounting.
+/// loopback channel overhead, latency accounting, and the cycle on which
+/// a handoff from the host phase or from a tick lands.
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
 
 #include "core/system.h"
 #include "firmware/programs.h"
@@ -283,6 +287,105 @@ TEST(Fabric, EgressNextHeadServesAnotherPortOnTheSameCycle) {
     ASSERT_EQ(sent[0].size(), 1u);
     ASSERT_EQ(sent[1].size(), 1u);
     EXPECT_EQ(sent[1][0], sent[0][0]);
+}
+
+/// Runs `fn` from its own tick on cycle `at`: a handoff made during the
+/// tick phase, as a traffic source or an RPU makes it.
+class TickCaller : public sim::Component {
+ public:
+    TickCaller(sim::Kernel& k, sim::Cycle at, std::function<void()> fn)
+        : sim::Component(k, "tick_caller"), at_(at), fn_(std::move(fn)) {}
+
+    void tick() override {
+        if (now() == at_) fn_();
+    }
+
+ private:
+    sim::Cycle at_;
+    std::function<void()> fn_;
+};
+
+// A frame handed to the fabric from the host phase before cycle N is in the
+// queue the fabric's tick at N reads; handed over from a component's tick
+// at N, it lands at N's clock edge and the fabric reads it at N+1. The LB
+// assigns it on the first tick that can see it, for the MAC and the host
+// channel alike.
+TEST(HostPhaseHandoff, ArrivalIsSeenOnTheComingCycleFromTheHostAndTheNextFromATick) {
+    for (bool via_host : {false, true}) {
+        for (bool from_tick : {false, true}) {
+            SCOPED_TRACE(std::string(via_host ? "host_inject" : "mac_rx") +
+                         (from_tick ? " from a tick" : " from the host phase"));
+            Booted f;
+            sim::Cycle assigned = sim::kNever;
+            f.sys.add_packet_observer(
+                [&](net::Stage stage, const net::Packet&, sim::Cycle now) {
+                    if (stage == net::Stage::kLbAssign) assigned = now;
+                });
+            auto hand_over = [&] {
+                EXPECT_TRUE(via_host ? f.sys.fabric().host_inject(udp_pkt(64))
+                                     : f.sys.fabric().mac_rx(0, udp_pkt(64)));
+            };
+            const sim::Cycle n = f.sys.kernel().now() + 50;
+            TickCaller caller(f.sys.kernel(), from_tick ? n : sim::kNever, hand_over);
+            f.sys.run_cycles(n - f.sys.kernel().now());
+            if (!from_tick) hand_over();
+            f.sys.run_cycles(100);
+            EXPECT_EQ(assigned, from_tick ? n + 1 : n);
+        }
+    }
+}
+
+// An RPU egress handed over from the host phase before cycle N and one
+// handed over from a component's tick at N both become ready at N+1, so
+// frames of one size to the two ports leave the MAC on the same cycle.
+TEST(HostPhaseHandoff, HostAndTickPhaseEgressReachTheMacOnTheSameCycle) {
+    SystemConfig cfg;
+    cfg.rpu_count = 4;
+    System sys(cfg);  // no firmware: only the egress path runs
+    sim::Cycle sent[2] = {sim::kNever, sim::kNever};
+    sys.add_packet_observer([&](net::Stage stage, const net::Packet& pkt, sim::Cycle now) {
+        if (stage == net::Stage::kMacTx) sent[unsigned(pkt.out_iface)] = now;
+    });
+    sys.run_cycles(100);
+    auto egress = [&](uint8_t rpu, unsigned port) {
+        auto pkt = udp_pkt(256, port);
+        pkt->out_iface = net::Iface(port);
+        EXPECT_TRUE(sys.fabric().rpu_egress(rpu, pkt));
+    };
+    const sim::Cycle n = sys.kernel().now() + 50;
+    TickCaller caller(sys.kernel(), n, [&] { egress(2, 1); });
+    sys.run_cycles(n - sys.kernel().now());
+    egress(1, 0);
+    sys.run_cycles(300);
+    ASSERT_NE(sent[0], sim::kNever);
+    EXPECT_EQ(sent[1], sent[0]);
+}
+
+// The LB's control channel, attached to the kernel: a slot free from the
+// host phase is applied before the next step; one from a component's tick
+// at cycle N is not visible during N's ticks and is applied at N's clock
+// edge.
+TEST(HostPhaseHandoff, AttachedLbAppliesHostFreeAtOnceAndTickFreeAtTheEdge) {
+    SystemConfig cfg;
+    cfg.rpu_count = 4;
+    System sys(cfg);  // no firmware: nothing else touches the free lists
+    sys.run_cycles(100);
+    lb::LoadBalancer& lb = sys.lb();
+    ASSERT_EQ(lb.free_slots(1), 0u);
+    lb.on_slot_free(1, 3);
+    EXPECT_EQ(lb.free_slots(1), 1u);
+
+    const sim::Cycle n = sys.kernel().now() + 50;
+    uint32_t during_tick = ~0u;
+    TickCaller caller(sys.kernel(), n, [&] {
+        lb.on_slot_free(2, 4);
+        during_tick = lb.free_slots(2);
+    });
+    sys.run_cycles(n - sys.kernel().now());
+    EXPECT_EQ(lb.free_slots(2), 0u);
+    sys.kernel().step();  // cycle N: the tick stages, the clock edge applies
+    EXPECT_EQ(during_tick, 0u);
+    EXPECT_EQ(lb.free_slots(2), 1u);
 }
 
 TEST(Fabric, BadPortIsFatal) {
